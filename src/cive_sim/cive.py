@@ -25,6 +25,7 @@ from .call_fsm import CallPhase, expected_caller_state
 from .netsim import Federation, SimEvent
 from .sip_core import (
     AlertUrn,
+    ParseError,
     PemValue,
     PhoneNumber,
     SipMessage,
@@ -47,6 +48,19 @@ class LineBusy(CiveError):
 
 class UnsupportedPhase(CiveError):
     """Verification launches only while the incoming call is ringing."""
+
+
+class MalformedTraceRow(CiveError):
+    """A saved trace row that cannot be rebuilt into its call leg.
+
+    ``index`` is the row's position in the list handed to
+    legs_from_trace_rows; ``reason`` says what is wrong with it.
+    """
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"row {index}: {reason}")
+        self.index = index
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -476,38 +490,52 @@ def verify_incoming(
 def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, SignalingTrace]]:
     """Rebuild per-leg signaling traces from a saved federation trace.
 
-    For every call id whose first row is an INVITE leaving an endpoint hop,
-    reconstructs the leg as seen by that endpoint: its egress rows become
-    sent entries, ingress rows addressed to it become received entries.
-    Returns (call_id, observer_hop, trace) triples in file order.
+    For every call id whose first egress row is an INVITE leaving an
+    endpoint hop, reconstructs the leg as seen by that endpoint: its egress
+    rows become sent entries, ingress rows addressed to it become received
+    entries, in row order. Returns (call_id, observer_hop, trace) triples in
+    the file order of each call id's first egress row.
+
+    One pass groups the rows by Call-ID, parsing each distinct wire text
+    once, so the cost is linear in the row count; ``rows`` is left as it
+    was. Raises MalformedTraceRow for a row whose message falls outside the
+    SIP profile or that breaks its leg's ordering.
     """
     from .sip_core import parse_message
 
-    order: list[str] = []
-    first_egress: dict[str, dict] = {}
-    for row in rows:
-        cid_msg = parse_message(row["sip"])
-        row["_msg"] = cid_msg
-        cid = cid_msg.call_id
+    parsed: dict[str, SipMessage] = {}
+    by_call: dict[str, list[tuple[int, dict, SipMessage]]] = {}
+    first_egress: dict[str, tuple[dict, SipMessage]] = {}
+    for index, row in enumerate(rows):
+        text = row["sip"]
+        msg = parsed.get(text)
+        if msg is None:
+            try:
+                msg = parsed[text] = parse_message(text)
+            except ParseError as exc:
+                raise MalformedTraceRow(index, f"{type(exc).__name__}: {exc}") from exc
+        cid = msg.call_id
+        by_call.setdefault(cid, []).append((index, row, msg))
         if cid not in first_egress and row["dir"] == "egress":
-            first_egress[cid] = row
-            order.append(cid)
+            first_egress[cid] = (row, msg)
     legs: list[tuple[str, str, SignalingTrace]] = []
-    for cid in order:
-        first = first_egress[cid]
-        msg = first["_msg"]
-        if not (msg.is_request and msg.method is SipMethod.INVITE):
+    for cid, (first, first_msg) in first_egress.items():
+        if not (first_msg.is_request and first_msg.method is SipMethod.INVITE):
             continue
         observer = first["from_hop"]
         if not observer.startswith("ep:"):
             continue
         trace = SignalingTrace()
-        for row in rows:
-            if row["_msg"].call_id != cid:
-                continue
+        for index, row, msg in by_call[cid]:
             if row["dir"] == "egress" and row["from_hop"] == observer:
-                trace.append(row["t_ms"], TraceDirection.SENT, row["_msg"])
+                direction = TraceDirection.SENT
             elif row["dir"] == "ingress" and row["to_hop"] == observer:
-                trace.append(row["t_ms"], TraceDirection.RECEIVED, row["_msg"])
+                direction = TraceDirection.RECEIVED
+            else:
+                continue
+            try:
+                trace.append(row["t_ms"], direction, msg)
+            except ValueError as exc:
+                raise MalformedTraceRow(index, f"call {cid}: {exc}") from exc
         legs.append((cid, observer, trace))
     return legs

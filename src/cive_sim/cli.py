@@ -5,7 +5,9 @@
     cive-sim parse <trace.jsonl>
 
 Exit codes: 0 when every executed scenario matches its ground truth,
-2 when some verdicts were inconclusive, 1 on any outright mismatch.
+2 when some verdicts were inconclusive, 1 on any outright mismatch,
+3 on bad input (an invalid scenario or a malformed trace file), reported
+as one ``error: ...`` line on stderr.
 CIVE_SIM_SEED provides the default seed when --seed is absent.
 """
 
@@ -52,10 +54,57 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+class TraceFileError(Exception):
+    """A trace file that cannot be read back as a federation trace."""
+
+
+# Fields legs_from_trace_rows reads from every row, with their JSON types.
+_ROW_FIELDS = {"t_ms": int, "from_hop": str, "to_hop": str, "dir": str, "sip": str}
+
+
+def _row_problem(row: object) -> str | None:
+    if type(row) is not dict:
+        return "a trace row must be a JSON object"
+    for name, kind in _ROW_FIELDS.items():
+        if name not in row:
+            return f"row has no {name!r} field"
+        if type(row[name]) is not kind:
+            return f"field {name!r} must be a JSON {'integer' if kind is int else 'string'}"
+    return None
+
+
+def _read_trace(path: str) -> tuple[list[dict], list[int]]:
+    """The rows of a trace file, and the line number each row came from."""
+    rows: list[dict] = []
+    line_numbers: list[int] = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TraceFileError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+                problem = _row_problem(row)
+                if problem is not None:
+                    raise TraceFileError(f"{path}:{lineno}: {problem}")
+                rows.append(row)
+                line_numbers.append(lineno)
+    except OSError as exc:
+        raise TraceFileError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise TraceFileError(f"{path}: not UTF-8 text") from None
+    return rows, line_numbers
+
+
 def _cmd_parse(args: argparse.Namespace) -> int:
-    with open(args.trace, encoding="utf-8") as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
-    for call_id, observer, trace in cive.legs_from_trace_rows(rows):
+    rows, line_numbers = _read_trace(args.trace)
+    try:
+        legs = cive.legs_from_trace_rows(rows)
+    except cive.MalformedTraceRow as exc:
+        raise TraceFileError(f"{args.trace}:{line_numbers[exc.index]}: {exc.reason}") from None
+    for call_id, observer, trace in legs:
         features = cive.extract_features(trace)
         inferred = cive.infer_state(features)
         print(
@@ -102,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except scenario.ScenarioError as exc:
+    except (scenario.ScenarioError, TraceFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

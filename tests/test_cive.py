@@ -1,6 +1,11 @@
+import copy
+import json
+import random
+
 import pytest
 
-from cive_sim.call_fsm import CalleeProfile, CallPhase, Connected, Dialing
+import cive_sim.sip_core
+from cive_sim.call_fsm import CalleeProfile, CallPhase, Connected, Dialing, Held
 from cive_sim.cive import (
     Decision,
     EmptyTrace,
@@ -8,6 +13,7 @@ from cive_sim.cive import (
     IncomingCallContext,
     InferredState,
     LineBusy,
+    MalformedTraceRow,
     SignalingTrace,
     TraceDirection,
     UnsupportedPhase,
@@ -19,7 +25,7 @@ from cive_sim.cive import (
     legs_from_trace_rows,
     verify_incoming,
 )
-from cive_sim.netsim import Federation
+from cive_sim.netsim import Federation, GatewayPolicy
 from cive_sim.sip_core import (
     AlertUrn,
     PemValue,
@@ -27,6 +33,7 @@ from cive_sim.sip_core import (
     SipMessage,
     SipMethod,
     StatusCode,
+    parse_message,
 )
 
 A = PhoneNumber("+15550100")
@@ -337,3 +344,147 @@ def test_legs_from_trace_rows_round_trip():
     assert len(au) == 1
     rebuilt = extract_features(au[0])
     assert rebuilt == verdict.features
+
+
+def _loaded_federation(seed, n_calls):
+    """Many concurrent calls on three carriers, the last enforcing caller ID.
+
+    Every call has its own originator, target and peer; about half claim the
+    peer's number. Targets are preset idle, busy (connected, with neither
+    call waiting nor voicemail), connected, held, or dialing the peer.
+    Returns the drained federation's rows as read back from JSON lines,
+    and the originated call ids.
+    """
+    rng = random.Random(seed)
+    net = Federation(seed=seed)
+    carriers = ("cn-a", "cn-b", "cn-s")
+    for carrier in carriers:
+        net.add_carrier(
+            carrier, GatewayPolicy(enforce_caller_id=carrier == "cn-s", jitter_ms=20)
+        )
+    numbers = [f"+1555{n:07d}" for n in rng.sample(range(10_000_000), 3 * n_calls)]
+    preset = {"busy": Connected, "connected": Connected, "held": Held, "dialing": Dialing}
+    call_ids = []
+    for i in range(n_calls):
+        originator, target, peer = numbers[3 * i : 3 * i + 3]
+        state = rng.choice(("idle", "busy", "connected", "held", "dialing"))
+        for number in (originator, target, peer):
+            busy_target = number == target and state == "busy"
+            net.register_subscriber(
+                rng.choice(carriers),
+                number,
+                CalleeProfile(
+                    number=PhoneNumber(number),
+                    call_waiting=not busy_target and rng.random() < 0.5,
+                    voicemail_forward=not busy_target and rng.random() < 0.5,
+                ),
+            )
+        if state in preset:
+            net.lines[target].preset_state(preset[state](PhoneNumber(peer)))
+        claimed = peer if rng.random() < 0.5 else originator
+        call_ids.append(
+            net.originate_call(
+                claimed, net.lines[originator], target, at_ms=rng.randrange(2_000)
+            )
+        )
+    net.run_until_quiescent()
+    return [json.loads(line) for line in net.trace_jsonl().splitlines()], call_ids
+
+
+def _reference_legs(rows):
+    """Rebuild legs the straightforward way: parse every row, then rescan
+    all rows for each leg."""
+    messages = [parse_message(row["sip"]) for row in rows]
+    first_egress = {}
+    for row, msg in zip(rows, messages):
+        if row["dir"] == "egress":
+            first_egress.setdefault(msg.call_id, (row, msg))
+    legs = []
+    for cid, (first, first_msg) in first_egress.items():
+        observer = first["from_hop"]
+        if first_msg.method is not SipMethod.INVITE or first_msg.is_response:
+            continue
+        if not observer.startswith("ep:"):
+            continue
+        trace = SignalingTrace()
+        for row, msg in zip(rows, messages):
+            if msg.call_id != cid:
+                continue
+            if row["dir"] == "egress" and row["from_hop"] == observer:
+                trace.append(row["t_ms"], TraceDirection.SENT, msg)
+            elif row["dir"] == "ingress" and row["to_hop"] == observer:
+                trace.append(row["t_ms"], TraceDirection.RECEIVED, msg)
+        legs.append((cid, observer, trace))
+    return legs
+
+
+def test_legs_match_per_leg_reference_under_load():
+    rows, call_ids = _loaded_federation(seed=41, n_calls=200)
+    legs = legs_from_trace_rows(rows)
+    reference = _reference_legs(rows)
+    assert [(cid, obs) for cid, obs, _ in legs] == [(cid, obs) for cid, obs, _ in reference]
+    for (cid, _, trace), (_, _, expected) in zip(legs, reference):
+        assert [(e.t_ms, e.direction) for e in trace] == [
+            (e.t_ms, e.direction) for e in expected
+        ], cid
+        assert [e.message for e in trace] == [e.message for e in expected], cid
+    # one leg per origination, observed at the originating endpoint
+    assert sorted(cid for cid, _, _ in legs) == sorted(call_ids)
+    assert all(obs.startswith("ep:") for _, obs, _ in legs)
+
+
+def test_legs_from_trace_rows_leaves_rows_untouched():
+    rows, _ = _loaded_federation(seed=5, n_calls=20)
+    before = copy.deepcopy(rows)
+    legs_from_trace_rows(rows)
+    assert rows == before
+
+
+def test_legs_from_trace_rows_parses_each_wire_text_once(monkeypatch):
+    rows, call_ids = _loaded_federation(seed=9, n_calls=30)
+    seen = []
+    real = cive_sim.sip_core.parse_message
+
+    def counting(text):
+        seen.append(text)
+        return real(text)
+
+    monkeypatch.setattr(cive_sim.sip_core, "parse_message", counting)
+    legs = legs_from_trace_rows(rows)
+    assert len(legs) == len(call_ids)
+    assert sorted(seen) == sorted({row["sip"] for row in rows})
+    assert 2 * len(seen) == len(rows)  # each text sits on its egress and ingress rows
+
+
+def test_legs_skip_calls_without_a_sent_invite():
+    rows, _ = _loaded_federation(seed=3, n_calls=3)
+    cids = [parse_message(row["sip"]).call_id for row in rows]
+    first, second, third = dict.fromkeys(cids)
+    # ``first`` keeps only its ingress rows; ``second`` starts mid-dialog
+    kept = [
+        row
+        for row, cid in zip(rows, cids)
+        if not (cid == first and row["dir"] == "egress")
+        and not (cid == second and parse_message(row["sip"]).method is SipMethod.INVITE)
+    ]
+    assert [cid for cid, _, _ in legs_from_trace_rows(kept)] == [third]
+
+
+def test_legs_name_the_offending_row():
+    rows, _ = _loaded_federation(seed=3, n_calls=2)
+    bad = copy.deepcopy(rows)
+    bad[4]["sip"] = "HELLO there\n\n"
+    with pytest.raises(MalformedTraceRow) as info:
+        legs_from_trace_rows(bad)
+    assert info.value.index == 4 and "MalformedStartLine" in info.value.reason
+    # the originator's first received response moved before its INVITE left
+    invite_t = rows[0]["t_ms"]
+    late = next(
+        i for i, row in enumerate(rows)
+        if row["dir"] == "ingress" and row["to_hop"] == rows[0]["from_hop"]
+    )
+    swapped = [rows[late], *rows[:late], *rows[late + 1 :]]
+    swapped[0] = dict(swapped[0], t_ms=invite_t)
+    with pytest.raises(MalformedTraceRow) as info:
+        legs_from_trace_rows(swapped)
+    assert info.value.index == 0 and "starts with the sent INVITE" in info.value.reason

@@ -246,6 +246,72 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _c3_trace_rows(tmp_path):
+    run_scenario(load_scenario(SCENARIOS / "c3.scn"), out_dir=tmp_path)
+    text = (tmp_path / "c3.trace.jsonl").read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def _parse_fails(tmp_path, capsys, lines):
+    """Run ``cive-sim parse`` on the given lines; return its one error line."""
+    path = tmp_path / "bad.trace.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code = cli.main(["parse", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_cli_parse_missing_file(tmp_path, capsys):
+    missing = tmp_path / "absent.trace.jsonl"
+    assert cli.main(["parse", str(missing)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
+
+
+def test_cli_parse_malformed_json(tmp_path, capsys):
+    lines = [json.dumps(row) for row in _c3_trace_rows(tmp_path)]
+    lines[2] = lines[2][:-1]
+    err = _parse_fails(tmp_path, capsys, lines)
+    assert "bad.trace.jsonl:3: malformed JSON" in err
+
+
+def test_cli_parse_row_without_sip(tmp_path, capsys):
+    rows = _c3_trace_rows(tmp_path)
+    del rows[4]["sip"]
+    err = _parse_fails(tmp_path, capsys, [json.dumps(row) for row in rows])
+    assert "bad.trace.jsonl:5: row has no 'sip' field" in err
+
+
+def test_cli_parse_mistyped_field(tmp_path, capsys):
+    rows = _c3_trace_rows(tmp_path)
+    rows[1]["t_ms"] = str(rows[1]["t_ms"])
+    err = _parse_fails(tmp_path, capsys, [json.dumps(row) for row in rows])
+    assert "bad.trace.jsonl:2: field 't_ms' must be a JSON integer" in err
+
+
+def test_cli_parse_message_outside_profile(tmp_path, capsys):
+    rows = _c3_trace_rows(tmp_path)
+    rows[6]["sip"] = "HELLO sip:+15550100\nCall-ID: x\n\n"
+    err = _parse_fails(tmp_path, capsys, [json.dumps(row) for row in rows])
+    assert "bad.trace.jsonl:7: MalformedStartLine: " in err
+
+
+def test_cli_parse_leg_out_of_order(tmp_path, capsys):
+    rows = _c3_trace_rows(tmp_path)
+    observer = rows[0]["from_hop"]
+    late = next(
+        i for i, row in enumerate(rows) if row["dir"] == "ingress" and row["to_hop"] == observer
+    )
+    rows[late]["t_ms"] = rows[0]["t_ms"] - 1
+    # a leading blank line: the message counts file lines, not rows
+    err = _parse_fails(tmp_path, capsys, ["", *(json.dumps(row) for row in rows)])
+    assert f"bad.trace.jsonl:{late + 2}: " in err
+    assert "timestamps must be non-decreasing" in err
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "cive_sim.cli", "run", str(SCENARIOS / "c1.scn")],
