@@ -41,7 +41,7 @@ from .sip_core import (
 # collision. Must stay below the verifier's capture grace (200 ms): the answer
 # has to reach the verifier inside the grace window, otherwise the callback is
 # cancelled first and the mid-dial case becomes indistinguishable from idle at
-# teardown time.
+# teardown time. cive.launch_verification refuses a federation that breaks this.
 COLLISION_ANSWER_MS = 100
 
 
@@ -148,11 +148,6 @@ class StartRingback(FsmAction):
 @dataclass(frozen=True)
 class AutoAnswer(FsmAction):
     after_ms: int
-
-
-@dataclass(frozen=True)
-class NoOp(FsmAction):
-    pass
 
 
 def summarize_legs(legs: Iterable) -> EndpointState:

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
-from .call_fsm import CallPhase, expected_caller_state
-from .netsim import Federation, SimEvent
+from .call_fsm import CallPhase, LegPhase, LegRole, expected_caller_state
+from .netsim import Direction, Federation, LineLeg, SimEvent
 from .sip_core import (
     AlertUrn,
     ParseError,
@@ -83,15 +84,10 @@ class IncomingCallContext:
     t_start: int
 
 
-class TraceDirection(str, Enum):
-    SENT = "sent"
-    RECEIVED = "received"
-
-
 @dataclass(frozen=True)
 class TraceEntry:
     t_ms: int
-    direction: TraceDirection
+    direction: Direction  # EGRESS: sent by the observer; INGRESS: received by it
     message: SipMessage
 
 
@@ -102,11 +98,11 @@ class SignalingTrace:
     entries: list[TraceEntry] = field(default_factory=list)
     timed_out: bool = False
 
-    def append(self, t_ms: int, direction: TraceDirection, message: SipMessage) -> None:
+    def append(self, t_ms: int, direction: Direction, message: SipMessage) -> None:
         if self.entries and t_ms < self.entries[-1].t_ms:
             raise ValueError("trace timestamps must be non-decreasing")
         if not self.entries and not (
-            direction is TraceDirection.SENT and message.method is SipMethod.INVITE
+            direction is Direction.EGRESS and message.method is SipMethod.INVITE
         ):
             raise ValueError("a trace starts with the sent INVITE")
         self.entries.append(TraceEntry(t_ms, direction, message))
@@ -215,7 +211,7 @@ def extract_features(trace: SignalingTrace) -> FeatureVector:
     sent_cancel = False
     for entry in trace.entries:
         msg = entry.message
-        if entry.direction is TraceDirection.RECEIVED and msg.is_response:
+        if entry.direction is Direction.INGRESS and msg.is_response:
             assert msg.status is not None
             code = msg.status.code
             if code == 180 and not saw_180:
@@ -226,7 +222,7 @@ def extract_features(trace: SignalingTrace) -> FeatureVector:
             saw_486 = saw_486 or code == 486
             if final is None and msg.is_final and msg.cseq == invite.cseq:
                 final = msg.status
-        elif entry.direction is TraceDirection.SENT and msg.is_request:
+        elif entry.direction is Direction.EGRESS and msg.is_request:
             sent_bye = sent_bye or msg.method is SipMethod.BYE
             sent_cancel = sent_cancel or msg.method is SipMethod.CANCEL
     # BYE is what actually ends an answered leg, so it wins over a CANCEL
@@ -245,51 +241,50 @@ def extract_features(trace: SignalingTrace) -> FeatureVector:
     )
 
 
-def _match_rule(f: FeatureVector) -> tuple[int, InferredState, str]:
-    if f.saw_486:
-        return 1, InferredState.BUSY_NO_WAITING, "rule 1: 486 Busy Here, callee busy without call waiting"
-    if f.saw_181:
-        return 2, InferredState.FORWARDED_TO_VOICEMAIL, "rule 2: 181, leg forwarded to voicemail"
-    if f.pem_180 is PemValue.SENDONLY:
-        return 3, InferredState.DIALING, "rule 3: 180 early media sendonly, far end is mid-dial"
-    if f.pem_180 is PemValue.SENDRECV and f.alert_180 is AlertUrn.CALL_WAITING:
-        return 4, InferredState.CONNECTED, "rule 4: 180 sendrecv with call-waiting alert, far end on a call"
-    if f.pem_180 is PemValue.SENDRECV and f.alert_180 is None:
-        return 5, InferredState.IDLE, "rule 5: 180 sendrecv without alert, far end idle"
-    no_ringing_evidence = f.pem_180 is None and f.alert_180 is None
-    if f.timed_out or (f.final_to_invite is not None and f.final_to_invite.code == 480) or no_ringing_evidence:
-        return 6, InferredState.UNREACHABLE, "rule 6: no usable ringing signal (timeout, 480, or no 180)"
-    return 7, InferredState.UNKNOWN, "rule 7: signaling pattern matched no rule"
+# The inference rules, first match wins: (matches, inferred state, decision,
+# reason). Final-response rules (486, 181) come before the 180-based rules
+# because those legs may carry no 180 at all; "no 180" is read off the vector
+# as both 180 fields absent. While the inCall rings a genuine caller is
+# dialing the callee, so only Dialing is Legit; a state a ringing caller
+# cannot occupy is Spoofed; Unreachable and Unknown are never Legit.
+_RULES: tuple[tuple[Callable[[FeatureVector], bool], InferredState, Decision, str], ...] = (
+    (lambda f: f.saw_486, InferredState.BUSY_NO_WAITING, Decision.SPOOFED,
+     "rule 1: 486 Busy Here, callee busy without call waiting"),
+    (lambda f: f.saw_181, InferredState.FORWARDED_TO_VOICEMAIL, Decision.SPOOFED,
+     "rule 2: 181, leg forwarded to voicemail"),
+    (lambda f: f.pem_180 is PemValue.SENDONLY, InferredState.DIALING, Decision.LEGIT,
+     "rule 3: 180 early media sendonly, far end is mid-dial"),
+    (lambda f: f.pem_180 is PemValue.SENDRECV and f.alert_180 is AlertUrn.CALL_WAITING,
+     InferredState.CONNECTED, Decision.SPOOFED,
+     "rule 4: 180 sendrecv with call-waiting alert, far end on a call"),
+    (lambda f: f.pem_180 is PemValue.SENDRECV and f.alert_180 is None,
+     InferredState.IDLE, Decision.SPOOFED,
+     "rule 5: 180 sendrecv without alert, far end idle"),
+    (lambda f: f.timed_out
+     or (f.final_to_invite is not None and f.final_to_invite.code == 480)
+     or (f.pem_180 is None and f.alert_180 is None),
+     InferredState.UNREACHABLE, Decision.INCONCLUSIVE,
+     "rule 6: no usable ringing signal (timeout, 480, or no 180)"),
+    (lambda f: True, InferredState.UNKNOWN, Decision.INCONCLUSIVE,
+     "rule 7: signaling pattern matched no rule"),
+)
+
+_DECISION = {state: decision for _, state, decision, _ in _RULES}
+
+
+def classify(features: FeatureVector) -> tuple[InferredState, Decision, str]:
+    """Total and pure: the inferred far-end state, its decision and the
+    reason, from the first rule in ``_RULES`` that matches."""
+    return next(
+        (state, decision, reason)
+        for matches, state, decision, reason in _RULES
+        if matches(features)
+    )
 
 
 def infer_state(features: FeatureVector) -> InferredState:
-    """Infer the far end's call state from the feature vector.
-
-    Total and pure; the first matching rule wins:
-
-      1. saw 486                          -> BusyNoWaiting
-      2. saw 181                          -> ForwardedToVoicemail
-      3. 180 pem sendonly                 -> Dialing
-      4. 180 pem sendrecv + call-waiting  -> Connected
-      5. 180 pem sendrecv, no alert       -> Idle
-      6. timed out, final 480, or no 180  -> Unreachable
-      7. otherwise                        -> Unknown
-
-    Final-response rules (486, 181) come before the 180-based rules
-    because those legs may carry no 180 at all. "No 180" is read off the
-    vector as both 180 fields absent.
-    """
-    _, state, _ = _match_rule(features)
-    return state
-
-_SPOOFED_STATES = frozenset(
-    {
-        InferredState.IDLE,
-        InferredState.CONNECTED,
-        InferredState.BUSY_NO_WAITING,
-        InferredState.FORWARDED_TO_VOICEMAIL,
-    }
-)
+    """The far end's call state inferred from the feature vector."""
+    return classify(features)[0]
 
 
 def decide(
@@ -297,27 +292,14 @@ def decide(
     inferred: InferredState,
     features: FeatureVector,
 ) -> Verdict:
-    """Compare the inferred far-end state with what a genuine caller must be.
-
-    While the inCall rings, a genuine caller is dialing the callee, so only
-    an inferred Dialing is Legit. Any state a ringing caller cannot occupy
-    is Spoofed. Unreachable/Unknown are Inconclusive, never Legit.
-    """
+    """The verdict for an inferred far-end state while the inCall rings."""
     if ctx.phase is not CallPhase.RINGING:
         raise UnsupportedPhase("verdicts are only defined for the ringing phase")
-    expected = expected_caller_state(ctx.phase, ctx.callee)
-    _, _, reason = _match_rule(features)
-    if inferred is InferredState.DIALING:
-        decision = Decision.LEGIT
-    elif inferred in _SPOOFED_STATES:
-        decision = Decision.SPOOFED
-    else:
-        decision = Decision.INCONCLUSIVE
     return Verdict(
-        decision=decision,
+        decision=_DECISION[inferred],
         inferred=inferred,
-        expected=expected.description,
-        reason=reason,
+        expected=expected_caller_state(ctx.phase, ctx.callee).description,
+        reason=classify(features)[2],
         features=features,
     )
 
@@ -338,13 +320,10 @@ class _VerifierAgent:
         self.carrier_id = net.lines[ctx.callee].carrier_id
         self.owner_id = f"cive:{ctx.callee}"
         self.trace = SignalingTrace()
-        self.call_id = net.new_call_id()
-        self.invite = SipMessage.request(
-            SipMethod.INVITE, ctx.callee, ctx.claimed_id, self.call_id
-        )
-        self.next_cseq = 2
+        call_id = net.new_call_id()
+        invite = SipMessage.request(SipMethod.INVITE, ctx.callee, ctx.claimed_id, call_id)
+        self.leg = LineLeg(call_id, ctx.claimed_id, LegRole.CALLER, LegPhase.EARLY, invite)
         self.final: StatusCode | None = None
-        self.got_200 = False
         self.sent_cancel = False
         self.sent_bye = False
         self.done = False
@@ -355,27 +334,13 @@ class _VerifierAgent:
         self.timeout_timer = self.net.set_timer(
             self.owner_id, self.config.au_call_timeout_ms, "au_timeout"
         )
-        self._send(self.invite)
+        self._send(self.leg.invite)
 
     # -- wire helpers --------------------------------------------------------
 
     def _send(self, msg: SipMessage) -> None:
-        self.trace.append(self.net.now, TraceDirection.SENT, msg)
+        self.trace.append(self.net.now, Direction.EGRESS, msg)
         self.net.send(self.owner_id, msg)
-
-    def _request(self, method: SipMethod) -> SipMessage:
-        if method in (SipMethod.ACK, SipMethod.CANCEL):
-            seq = self.invite.cseq[0]
-        else:
-            seq = self.next_cseq
-            self.next_cseq += 1
-        return SipMessage(
-            method=method,
-            from_number=self.invite.from_number,
-            to_number=self.invite.to_number,
-            call_id=self.call_id,
-            cseq=(seq, method),
-        )
 
     def _finish(self) -> None:
         self.done = True
@@ -392,7 +357,7 @@ class _VerifierAgent:
         msg = event.message
         if self.done:
             return
-        self.trace.append(self.net.now, TraceDirection.RECEIVED, msg)
+        self.trace.append(self.net.now, Direction.INGRESS, msg)
         if not msg.is_response:
             return
         tx_method = msg.cseq[1]
@@ -406,7 +371,7 @@ class _VerifierAgent:
         code = msg.status.code
         if code < 200:
             if code == 183:
-                self._send(self._request(SipMethod.PRACK))
+                self._send(self.leg.request(SipMethod.PRACK))
             elif code == 180 and msg.pem is not None and self.grace_timer is None:
                 self.grace_timer = self.net.set_timer(
                     self.owner_id, self.config.capture_grace_ms, "grace"
@@ -417,13 +382,12 @@ class _VerifierAgent:
             self.net.cancel_timer(self.grace_timer)
             self.grace_timer = None
         if code == 200:
-            self.got_200 = True
-            self._send(self._request(SipMethod.ACK))
+            self._send(self.leg.request(SipMethod.ACK))
             self.sent_bye = True
-            self._send(self._request(SipMethod.BYE))
+            self._send(self.leg.request(SipMethod.BYE))
             # done once the BYE is answered
         else:
-            self._send(self._request(SipMethod.ACK))
+            self._send(self.leg.request(SipMethod.ACK))
             self._finish()
 
     def handle_timer(self, tag: str, data: tuple = ()) -> None:
@@ -431,15 +395,12 @@ class _VerifierAgent:
             return
         if tag == "grace":
             self.grace_timer = None
-            if self.final is None and not self.sent_cancel:
-                self.sent_cancel = True
-                self._send(self._request(SipMethod.CANCEL))
-        elif tag == "au_timeout":
+        else:  # "au_timeout"
             self.timeout_timer = None
             self.trace.timed_out = True
-            if self.final is None and not self.sent_cancel:
-                self.sent_cancel = True
-                self._send(self._request(SipMethod.CANCEL))
+        if self.final is None and not self.sent_cancel:
+            self.sent_cancel = True
+            self._send(self.leg.request(SipMethod.CANCEL))
 
 
 def launch_verification(
@@ -452,14 +413,21 @@ def launch_verification(
     Drives the federation until the verification leg has been fully torn
     down (or the simulation drains), then returns the trace including the
     teardown exchange. Raises UnsupportedPhase for an answered-phase
-    context and LineBusy when a verification is already running on this
-    callee's line.
+    context, LineBusy when a verification is already running on this
+    callee's line, and CiveError when the federation's collision
+    auto-answer is not shorter than the capture grace, since the genuine
+    caller's answer would then miss the capture.
     """
     if ctx.phase is not CallPhase.RINGING:
         raise UnsupportedPhase("verification launches only while the inCall rings")
     if ctx.callee not in net.lines:
         raise CiveError(f"callee {ctx.callee} is not registered")
     config = config or VerifierConfig()
+    if net.collision_answer_ms >= config.capture_grace_ms:
+        raise CiveError(
+            f"collision auto-answer ({net.collision_answer_ms} ms) must be shorter than "
+            f"the capture grace ({config.capture_grace_ms} ms)"
+        )
     owner_id = f"cive:{ctx.callee}"
     existing = net.owners.get(owner_id)
     if existing is not None and not getattr(existing, "done", True):
@@ -528,9 +496,9 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, SignalingTrac
         trace = SignalingTrace()
         for index, row, msg in by_call[cid]:
             if row["dir"] == "egress" and row["from_hop"] == observer:
-                direction = TraceDirection.SENT
+                direction = Direction.EGRESS
             elif row["dir"] == "ingress" and row["to_hop"] == observer:
-                direction = TraceDirection.RECEIVED
+                direction = Direction.INGRESS
             else:
                 continue
             try:

@@ -94,6 +94,8 @@ class CarrierNetwork:
 
 
 class Direction(str, Enum):
+    """Which way a message crosses a hop: EGRESS leaves it, INGRESS reaches it."""
+
     INGRESS = "ingress"
     EGRESS = "egress"
 
@@ -106,7 +108,6 @@ class SimEvent:
     seq: int
     deliver_to: str
     message: SipMessage
-    direction: Direction
     from_hop: str
     to_hop: str
 
@@ -128,7 +129,9 @@ class _Dialog:
 
 
 @dataclass
-class _LineLeg:
+class LineLeg:
+    """One call leg as an endpoint tracks it, with the INVITE that opened it."""
+
     call_id: str
     peer: PhoneNumber
     role: LegRole
@@ -137,6 +140,29 @@ class _LineLeg:
     next_cseq: int = 2
     auto_answer_timer: int | None = None
     patience_timer: int | None = None
+
+    def request(self, method: SipMethod) -> SipMessage:
+        """The next in-dialog request on this leg.
+
+        ACK and CANCEL reuse the INVITE's CSeq number (RFC 3261 sections
+        17.1.1.3 and 9.1); any other request takes the next one: 2, 3, ...
+        """
+        if method is SipMethod.ACK or method is SipMethod.CANCEL:
+            seq = self.invite.cseq[0]
+        else:
+            seq = self.next_cseq
+            self.next_cseq += 1
+        return SipMessage(
+            method=method,
+            from_number=self.invite.from_number,
+            to_number=self.invite.to_number,
+            call_id=self.call_id,
+            cseq=(seq, method),
+        )
+
+
+# The leg phase backing each state preset_state accepts besides Idle.
+_PRESET_PHASE = {Dialing: LegPhase.EARLY, Connected: LegPhase.ANSWERED, Held: LegPhase.HELD}
 
 
 def _hop_label(owner_id: str) -> str:
@@ -158,7 +184,7 @@ class PhoneLine:
         self.profile = profile
         self.owner_id = f"line:{profile.number}"
         self.state: EndpointState = Idle()
-        self.legs: dict[str, _LineLeg] = {}
+        self.legs: dict[str, LineLeg] = {}
         self.display: PhoneNumber | None = None
         # Called with (invite, t_ms) when the phone starts alerting for an
         # incoming call; the scenario runner hangs verification off this.
@@ -178,25 +204,13 @@ class PhoneLine:
         """
         if isinstance(state, Idle):
             return
-        call_id = f"preset-{self.number}-{len(self.legs)}"
-        if isinstance(state, Dialing):
-            invite = SipMessage.request(
-                SipMethod.INVITE, self.number, state.target, call_id
-            )
-            leg = _LineLeg(call_id, state.target, LegRole.CALLER, LegPhase.EARLY, invite)
-        elif isinstance(state, Connected):
-            invite = SipMessage.request(
-                SipMethod.INVITE, self.number, state.peer, call_id
-            )
-            leg = _LineLeg(call_id, state.peer, LegRole.CALLER, LegPhase.ANSWERED, invite)
-        elif isinstance(state, Held):
-            invite = SipMessage.request(
-                SipMethod.INVITE, self.number, state.peer, call_id
-            )
-            leg = _LineLeg(call_id, state.peer, LegRole.CALLER, LegPhase.HELD, invite)
-        else:
+        phase = _PRESET_PHASE.get(type(state))
+        if phase is None:
             raise ValueError(f"cannot preset state {state!r}")
-        self.legs[call_id] = leg
+        peer = state.target if isinstance(state, Dialing) else state.peer  # type: ignore[attr-defined]
+        call_id = f"preset-{self.number}-{len(self.legs)}"
+        invite = SipMessage.request(SipMethod.INVITE, self.number, peer, call_id)
+        self.legs[call_id] = LineLeg(call_id, peer, LegRole.CALLER, phase, invite)
         self.state = state
 
     # -- event handlers -----------------------------------------------------
@@ -242,7 +256,7 @@ class PhoneLine:
         ):
             # Leg stays open at this endpoint: ringing, waiting, or a
             # pending collision answer.
-            leg = _LineLeg(
+            leg = LineLeg(
                 invite.call_id, invite.from_number, LegRole.CALLEE, LegPhase.EARLY, invite
             )
             self.legs[invite.call_id] = leg
@@ -327,20 +341,11 @@ class PhoneLine:
                 return
             # Caller gives up on the unanswered INVITE.
             leg.patience_timer = None
-            self.net.send(
-                self.owner_id,
-                SipMessage(
-                    method=SipMethod.CANCEL,
-                    from_number=leg.invite.from_number,
-                    to_number=leg.invite.to_number,
-                    call_id=call_id,
-                    cseq=(leg.invite.cseq[0], SipMethod.CANCEL),
-                ),
-            )
+            self.net.send(self.owner_id, leg.request(SipMethod.CANCEL))
 
     def _start_call(self, call_id: str, from_claimed: PhoneNumber, to: PhoneNumber) -> None:
         invite = SipMessage.request(SipMethod.INVITE, from_claimed, to, call_id)
-        leg = _LineLeg(call_id, to, LegRole.CALLER, LegPhase.EARLY, invite)
+        leg = LineLeg(call_id, to, LegRole.CALLER, LegPhase.EARLY, invite)
         self.legs[call_id] = leg
         if isinstance(self.state, Idle):
             self.state = Dialing(to)
@@ -351,7 +356,7 @@ class PhoneLine:
 
     # -- action execution ----------------------------------------------------
 
-    def _execute(self, actions: list, leg: _LineLeg | None) -> None:
+    def _execute(self, actions: list, leg: LineLeg | None) -> None:
         for action in actions:
             if isinstance(action, SendResponse):
                 resp = SipMessage.reply(
@@ -364,22 +369,8 @@ class PhoneLine:
             elif isinstance(action, SendRequest):
                 if leg is None:
                     raise NetsimError("request action without a leg")
-                self.net.send(self.owner_id, self._build_request(action.method, leg))
-            # StartRingback / NoOp have no wire effect.
-
-    def _build_request(self, method: SipMethod, leg: _LineLeg) -> SipMessage:
-        if method in (SipMethod.ACK, SipMethod.CANCEL):
-            seq = leg.invite.cseq[0]
-        else:
-            seq = leg.next_cseq
-            leg.next_cseq += 1
-        return SipMessage(
-            method=method,
-            from_number=leg.invite.from_number,
-            to_number=leg.invite.to_number,
-            call_id=leg.call_id,
-            cseq=(seq, method),
-        )
+                self.net.send(self.owner_id, leg.request(action.method))
+            # StartRingback has no wire effect.
 
 
 class _NetworkCore:
@@ -396,9 +387,6 @@ class _NetworkCore:
             self.net.send(self.owner_id, SipMessage.reply(msg, 480))
         # ACKs to our 480s are absorbed.
 
-    def handle_timer(self, tag: str, data: tuple) -> None:
-        pass
-
 
 class _VoicemailService:
     """Per-carrier voicemail: owns legs it answered for busy subscribers."""
@@ -413,9 +401,6 @@ class _VoicemailService:
         if msg.is_request and msg.method is SipMethod.BYE:
             self.net.send(self.owner_id, SipMessage.reply(msg, 200))
         # ACKs are absorbed; nothing else reaches voicemail.
-
-    def handle_timer(self, tag: str, data: tuple) -> None:
-        pass
 
 
 class Federation:
@@ -593,7 +578,6 @@ class Federation:
             seq=self._seq,
             deliver_to=dest,
             message=msg,
-            direction=Direction.INGRESS,
             from_hop=from_hop,
             to_hop=to_hop,
         )

@@ -75,7 +75,9 @@ class GroundTruth(str, Enum):
     SPOOFED = "spoofed"
 
 
-_PARTY_STATES = ("idle", "dialing", "connected", "held")
+# The party states besides idle, each with the call_fsm state it presets.
+_PRESET_STATES = {"dialing": Dialing, "connected": Connected, "held": Held}
+_PARTY_STATES = ("idle", *_PRESET_STATES)
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,10 @@ class Scenario:
         carrier_ids = {c.id for c in self.carriers}
         if len(carrier_ids) != len(self.carriers):
             raise ScenarioValidationError("duplicate carrier ids")
+        for c in self.carriers:
+            for key in ("link_delay_ms", "jitter_ms"):
+                if getattr(c, key) < 0:
+                    raise ScenarioValidationError(f"carrier {c.id}: {key} must be >= 0")
         registered = set(numbers)
         for p in self.parties:
             if p.carrier not in carrier_ids:
@@ -216,7 +222,7 @@ def load_scenario(path: str | Path) -> Scenario:
             ground_truth=truth,
             description=str(raw.get("description", "")),
         )
-    except (TypeError, KeyError, AttributeError) as exc:
+    except (TypeError, KeyError, AttributeError, ValueError) as exc:
         raise ScenarioParseError(f"{path}: malformed scenario: {exc}") from exc
     scenario.validate()
     return scenario
@@ -286,12 +292,8 @@ def build_federation(s: Scenario, seed: int | None = None) -> Federation:
                 voicemail_forward=p.voicemail_forward,
             ),
         )
-        if p.state == "dialing":
-            line.preset_state(Dialing(p.peer))  # type: ignore[arg-type]
-        elif p.state == "connected":
-            line.preset_state(Connected(p.peer))  # type: ignore[arg-type]
-        elif p.state == "held":
-            line.preset_state(Held(p.peer))  # type: ignore[arg-type]
+        if p.state in _PRESET_STATES:
+            line.preset_state(_PRESET_STATES[p.state](p.peer))
     return net
 
 

@@ -159,11 +159,6 @@ def classify_status(status: StatusCode | int) -> StatusClass:
     return StatusClass.CLIENT_FAILURE
 
 
-class MessageKind(str, Enum):
-    REQUEST = "request"
-    RESPONSE = "response"
-
-
 @dataclass(frozen=True)
 class SipMessage:
     """A parsed request or response.
@@ -196,20 +191,12 @@ class SipMessage:
             raise ValueError(f"CSeq method {cseq_method} does not match {self.method}")
 
     @property
-    def kind(self) -> MessageKind:
-        return MessageKind.RESPONSE if self.status is not None else MessageKind.REQUEST
-
-    @property
     def is_request(self) -> bool:
         return self.status is None
 
     @property
     def is_response(self) -> bool:
         return self.status is not None
-
-    @property
-    def is_provisional(self) -> bool:
-        return self.status is not None and self.status.code < 200
 
     @property
     def is_final(self) -> bool:

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+import cive_sim.scenario
 import cive_sim.sip_core
 from cive_sim.call_fsm import CalleeProfile, CallPhase, Connected, Dialing, Held
 from cive_sim.cive import (
+    CiveError,
     Decision,
     EmptyTrace,
     FeatureVector,
@@ -15,9 +17,9 @@ from cive_sim.cive import (
     LineBusy,
     MalformedTraceRow,
     SignalingTrace,
-    TraceDirection,
     UnsupportedPhase,
     Verdict,
+    VerifierConfig,
     decide,
     extract_features,
     infer_state,
@@ -25,7 +27,8 @@ from cive_sim.cive import (
     legs_from_trace_rows,
     verify_incoming,
 )
-from cive_sim.netsim import Federation, GatewayPolicy
+from cive_sim.netsim import Direction, Federation, GatewayPolicy
+from cive_sim.scenario import matrix_scenarios, run_scenario
 from cive_sim.sip_core import (
     AlertUrn,
     PemValue,
@@ -58,11 +61,11 @@ def trace_of(*steps, timed_out=False):
 
 
 def sent(msg):
-    return (TraceDirection.SENT, msg)
+    return (Direction.EGRESS, msg)
 
 
 def recv(msg):
-    return (TraceDirection.RECEIVED, msg)
+    return (Direction.INGRESS, msg)
 
 
 def reply(code, *, pem=None, alert=None, to=INVITE):
@@ -140,10 +143,10 @@ def test_extract_features_degenerate_and_empty():
 def test_trace_invariants():
     trace = SignalingTrace()
     with pytest.raises(ValueError):
-        trace.append(0, TraceDirection.RECEIVED, reply(100))
-    trace.append(10, TraceDirection.SENT, INVITE)
+        trace.append(0, Direction.INGRESS, reply(100))
+    trace.append(10, Direction.EGRESS, INVITE)
     with pytest.raises(ValueError):
-        trace.append(5, TraceDirection.RECEIVED, reply(100))
+        trace.append(5, Direction.INGRESS, reply(100))
 
 
 INFERENCE_TABLE = [
@@ -325,25 +328,56 @@ def test_launch_traces_are_transaction_legal():
         codes = [
             e.message.status.code
             for e in trace
-            if e.direction is TraceDirection.RECEIVED
+            if e.direction is Direction.INGRESS
             and e.message.is_response
             and e.message.cseq[1] is SipMethod.INVITE
         ]
         assert pattern.match(",".join(map(str, codes))), codes
 
 
-def test_legs_from_trace_rows_round_trip():
+def test_launch_refuses_collision_answer_not_inside_capture_grace():
+    net = Federation(collision_answer_ms=200)
+    net.add_carrier("cn-a")
+    net.register_subscriber("cn-a", A)
+    net.register_subscriber("cn-a", B)
+    with pytest.raises(CiveError, match="capture grace"):
+        launch_verification(net, ctx())
+    assert net.trace == []  # refused before anything went on the wire
+    # a grace longer than the auto-answer is accepted
+    trace = launch_verification(net, ctx(), VerifierConfig(capture_grace_ms=201))
+    assert trace.entries[0].message.method is SipMethod.INVITE
+
+
+def test_legs_from_trace_rows_round_trip(tmp_path, monkeypatch):
     net = _federation()
     verdict, trace = verify_incoming(net, ctx())
     net.run_until_quiescent()
-    import json
-
     rows = [json.loads(line) for line in net.trace_jsonl().splitlines()]
     legs = legs_from_trace_rows(rows)
     au = [t for cid, obs, t in legs if obs == f"ep:{B}"]
     assert len(au) == 1
     rebuilt = extract_features(au[0])
     assert rebuilt == verdict.features
+
+    # Every matrix cell: the leg B observed, rebuilt from the written trace,
+    # is the live trace entry by entry, with the verdict's features.
+    live = []
+
+    def capturing(net, context):
+        verdict, trace = verify_incoming(net, context)
+        live.append((verdict, trace))
+        return verdict, trace
+
+    monkeypatch.setattr(cive_sim.scenario, "verify_incoming", capturing)
+    for cell in matrix_scenarios():
+        live.clear()
+        run_scenario(cell, tmp_path)
+        [(verdict, trace)] = live
+        text = (tmp_path / f"{cell.name}.trace.jsonl").read_text(encoding="utf-8")
+        legs = legs_from_trace_rows([json.loads(line) for line in text.splitlines()])
+        [rebuilt] = [t for _, obs, t in legs if obs == f"ep:{B}"]
+        assert rebuilt.entries == trace.entries, cell.name
+        assert extract_features(rebuilt) == verdict.features, cell.name
 
 
 def _loaded_federation(seed, n_calls):
@@ -411,9 +445,9 @@ def _reference_legs(rows):
             if msg.call_id != cid:
                 continue
             if row["dir"] == "egress" and row["from_hop"] == observer:
-                trace.append(row["t_ms"], TraceDirection.SENT, msg)
+                trace.append(row["t_ms"], Direction.EGRESS, msg)
             elif row["dir"] == "ingress" and row["to_hop"] == observer:
-                trace.append(row["t_ms"], TraceDirection.RECEIVED, msg)
+                trace.append(row["t_ms"], Direction.INGRESS, msg)
         legs.append((cid, observer, trace))
     return legs
 

@@ -3,15 +3,18 @@ import random
 
 import pytest
 
-from cive_sim.call_fsm import CalleeProfile, Connected, Dialing, Held, Idle
+from cive_sim.call_fsm import (
+    CalleeProfile, Connected, Dialing, Held, Idle, LegPhase, LegRole, Ringing,
+)
 from cive_sim.netsim import (
     DuplicateNumber,
     Federation,
     GatewayPolicy,
+    LineLeg,
     SimBudgetExceeded,
     UnknownSubscriber,
 )
-from cive_sim.sip_core import PhoneNumber, SipMethod, parse_message
+from cive_sim.sip_core import PhoneNumber, SipMessage, SipMethod, parse_message
 
 A, B, E = "+15550100", "+15550101", "+15559900"
 
@@ -192,6 +195,40 @@ def test_voicemail_answers_for_busy_subscriber():
     assert len(vm_rows) == 1  # the voicemail's 200
     acked = rows_with(net, dir="ingress", to_hop="vm:cn-a")
     assert [parse_message(r["sip"]).method for r in acked] == [SipMethod.ACK]
+
+
+def test_leg_request_numbers_cseq_per_rfc3261():
+    invite = SipMessage.request(SipMethod.INVITE, A, B, "leg-1", 7)
+    leg = LineLeg("leg-1", PhoneNumber(B), LegRole.CALLER, LegPhase.EARLY, invite)
+    methods = [SipMethod.PRACK, SipMethod.ACK, SipMethod.BYE, SipMethod.CANCEL, SipMethod.PRACK]
+    sent = [leg.request(m) for m in methods]
+    # ACK and CANCEL reuse the INVITE's number; the others count up from 2
+    assert [m.cseq for m in sent] == [(2, SipMethod.PRACK), (7, SipMethod.ACK),
+                                      (3, SipMethod.BYE), (7, SipMethod.CANCEL),
+                                      (4, SipMethod.PRACK)]
+    for m in sent:
+        assert (m.method, m.from_number, m.to_number, m.call_id) == (m.cseq[1], A, B, "leg-1")
+        assert m.is_request and not m.extra_headers and m.body == ""
+
+
+def test_preset_state_installs_one_backing_leg_per_state():
+    net = two_carrier_fed()
+    a = net.lines[PhoneNumber(A)]
+    a.preset_state(Idle())
+    assert a.legs == {} and a.state == Idle()
+    c = PhoneNumber("+15550102")
+    for n, (state, phase) in enumerate(
+        ((Dialing(c), LegPhase.EARLY), (Connected(c), LegPhase.ANSWERED), (Held(c), LegPhase.HELD))
+    ):
+        a.preset_state(state)
+        call_id = f"preset-{A}-{n}"
+        leg = a.legs[call_id]
+        assert (leg.peer, leg.role, leg.phase) == (c, LegRole.CALLER, phase)
+        assert leg.invite == SipMessage.request(SipMethod.INVITE, A, c, call_id)
+        assert a.state == state
+    with pytest.raises(ValueError):
+        a.preset_state(Ringing(c))
+    assert net.trace == []  # presets replay no signaling
 
 
 # -- conservation / causality / policy soundness over random scenarios ------

@@ -159,6 +159,14 @@ def test_report_json_shape(tmp_path):
     assert data["trace_file"] == "c2.trace.jsonl"
 
 
+@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+def test_run_reproduces_golden_trace_and_report(tmp_path, name):
+    run_scenario(load_scenario(SCENARIOS / f"{name}.scn"), tmp_path)
+    for suffix in ("trace.jsonl", "report.json"):
+        golden = REPO / "tests" / "golden" / f"{name}.{suffix}"
+        assert (tmp_path / f"{name}.{suffix}").read_bytes() == golden.read_bytes(), suffix
+
+
 def test_matrix_covers_grid_and_matches_golden(tmp_path):
     scenarios = matrix_scenarios()
     assert len(scenarios) == 20
@@ -236,6 +244,47 @@ def test_cli_parse_recovers_aucall(tmp_path, capsys):
     assert len(aucall) == 1
     assert aucall[0]["inferred"] == "Connected"
     assert aucall[0]["features"]["alert_180"] == "call-waiting"
+
+
+def _c1_with(tmp_path, old, new):
+    text = (SCENARIOS / "c1.scn").read_text(encoding="utf-8")
+    assert old in text
+    return _write(tmp_path, text.replace(old, new, 1))
+
+
+_CARRIER_LINE = "    enforce_caller_id: false\n"
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("seed: 0", "seed: abc"),
+        ("at_ms: 0", "at_ms: 1.5x"),
+        (_CARRIER_LINE, _CARRIER_LINE + "    link_delay_ms: fifty\n"),
+        (_CARRIER_LINE, _CARRIER_LINE + "    jitter_ms: 5ms\n"),
+    ],
+    ids=["seed", "at_ms", "link_delay_ms", "jitter_ms"],
+)
+def test_cli_non_integer_value_is_bad_input(tmp_path, capsys, old, new):
+    path = _c1_with(tmp_path, old, new)
+    with pytest.raises(ScenarioParseError):
+        load_scenario(path)
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("key,value", [("link_delay_ms", -500), ("jitter_ms", -5)])
+def test_negative_link_timing_is_rejected(tmp_path, capsys, key, value):
+    path = _c1_with(tmp_path, _CARRIER_LINE, _CARRIER_LINE + f"    {key}: {value}\n")
+    with pytest.raises(ScenarioValidationError, match=f"carrier cn-a: {key} must be >= 0"):
+        load_scenario(path)
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: carrier cn-a: {key} must be >= 0\n"
+    # zero is a valid delay
+    load_scenario(_c1_with(tmp_path, _CARRIER_LINE, _CARRIER_LINE + f"    {key}: 0\n"))
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
