@@ -102,7 +102,10 @@ class Direction(str, Enum):
 
 @dataclass(frozen=True)
 class SimEvent:
-    """A scheduled message delivery. Ties on ``at`` break by ``seq`` (FIFO)."""
+    """A scheduled message delivery. Ties on ``at`` break by ``seq`` (FIFO).
+
+    ``sip`` is the message's wire text, serialized once when it was sent.
+    """
 
     at: int
     seq: int
@@ -110,6 +113,7 @@ class SimEvent:
     message: SipMessage
     from_hop: str
     to_hop: str
+    sip: str
 
 
 @dataclass(frozen=True)
@@ -570,8 +574,9 @@ class Federation:
         delay = self._link_delay(sender, dest)
         from_hop = _hop_label(sender)
         to_hop = _hop_label(dest)
+        sip = serialize_message(msg)
         self._log_row(self.now, self._carrier_of(sender).id, from_hop, to_hop,
-                      Direction.EGRESS, msg)
+                      Direction.EGRESS, sip)
         self._seq += 1
         event = SimEvent(
             at=self.now + delay,
@@ -580,6 +585,7 @@ class Federation:
             message=msg,
             from_hop=from_hop,
             to_hop=to_hop,
+            sip=sip,
         )
         heapq.heappush(self._heap, (event.at, event.seq, event))
 
@@ -619,7 +625,7 @@ class Federation:
         from_hop: str,
         to_hop: str,
         direction: Direction,
-        msg: SipMessage,
+        sip: str,
     ) -> None:
         self.trace.append(
             {
@@ -628,7 +634,7 @@ class Federation:
                 "from_hop": from_hop,
                 "to_hop": to_hop,
                 "dir": direction.value,
-                "sip": serialize_message(msg),
+                "sip": sip,
             }
         )
 
@@ -675,7 +681,7 @@ class Federation:
                     entry.from_hop,
                     entry.to_hop,
                     Direction.INGRESS,
-                    entry.message,
+                    entry.sip,
                 )
                 self.owners[entry.deliver_to].handle_message(entry)  # type: ignore[attr-defined]
             if stop_when is not None and stop_when():

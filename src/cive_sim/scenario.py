@@ -162,6 +162,22 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _flag(mapping: dict, key: str, default: bool, where: str) -> bool:
+    """A YAML boolean; a quoted "false" must not load as True."""
+    value = mapping.get(key, default)
+    if not isinstance(value, bool):
+        raise ScenarioParseError(f"{where}: {key} must be true or false, got {value!r}")
+    return value
+
+
+def _integer(mapping: dict, key: str, default: int, where: str) -> int:
+    """A YAML integer; a float or a boolean must not be truncated to one."""
+    value = mapping.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioParseError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
+
+
 def _number(value, where: str) -> PhoneNumber:
     try:
         return PhoneNumber(str(value))
@@ -183,9 +199,9 @@ def load_scenario(path: str | Path) -> Scenario:
         carriers = tuple(
             CarrierSpec(
                 id=str(_require(c, "id", "carrier")),
-                enforce_caller_id=bool(c.get("enforce_caller_id", False)),
-                link_delay_ms=int(c.get("link_delay_ms", 50)),
-                jitter_ms=int(c.get("jitter_ms", 0)),
+                enforce_caller_id=_flag(c, "enforce_caller_id", False, "carrier"),
+                link_delay_ms=_integer(c, "link_delay_ms", 50, "carrier"),
+                jitter_ms=_integer(c, "jitter_ms", 0, "carrier"),
             )
             for c in _require(raw, "carriers", path.name)
         )
@@ -193,8 +209,8 @@ def load_scenario(path: str | Path) -> Scenario:
             PartySpec(
                 number=_number(_require(p, "number", "party"), "party number"),
                 carrier=str(_require(p, "carrier", "party")),
-                call_waiting=bool(p.get("call_waiting", False)),
-                voicemail_forward=bool(p.get("voicemail_forward", False)),
+                call_waiting=_flag(p, "call_waiting", False, "party"),
+                voicemail_forward=_flag(p, "voicemail_forward", False, "party"),
                 state=str(p.get("state", "idle")),
                 peer=_number(p["peer"], "party peer") if p.get("peer") is not None else None,
             )
@@ -205,7 +221,7 @@ def load_scenario(path: str | Path) -> Scenario:
             originator=_number(_require(o, "originator", "origination"), "originator"),
             claimed=_number(_require(o, "claimed", "origination"), "claimed"),
             target=_number(_require(o, "target", "origination"), "target"),
-            at_ms=int(o.get("at_ms", 0)),
+            at_ms=_integer(o, "at_ms", 0, "origination"),
         )
         truth_raw = str(_require(raw, "ground_truth", path.name))
         try:
@@ -217,8 +233,8 @@ def load_scenario(path: str | Path) -> Scenario:
             carriers=carriers,
             parties=parties,
             origination=origination,
-            cive_enabled=bool(raw.get("cive", True)),
-            seed=int(raw.get("seed", 0)),
+            cive_enabled=_flag(raw, "cive", True, path.name),
+            seed=_integer(raw, "seed", 0, path.name),
             ground_truth=truth,
             description=str(raw.get("description", "")),
         )

@@ -10,6 +10,12 @@ Route) are never interpreted; the simulator routes by dialog, so they are
 carried as opaque extra headers when present. Bodies (e.g. SDP) are opaque
 text. Line endings: CRLF and LF are both accepted on parse, LF is emitted
 canonically so golden files stay byte-stable.
+
+Parsing has two paths with identical results. Canonical LF text, as
+``serialize_message`` writes it for a message without extra headers, is
+parsed in one regex match. Everything else, such as CRLF input, another
+header order or decorated addresses from a capture, goes to the general
+line-by-line parser, which is also the reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ class MissingMandatoryHeader(ParseError):
 
 
 _NUMBER_RE = re.compile(r"^\+[0-9]{7,15}$")
+_WHITESPACE_RE = re.compile(r"\s")
 
 
 class PhoneNumber(str):
@@ -182,7 +189,7 @@ class SipMessage:
     body: str = ""
 
     def __post_init__(self) -> None:
-        if not self.call_id or re.search(r"\s", self.call_id):
+        if not self.call_id or _WHITESPACE_RE.search(self.call_id):
             raise ValueError(f"Call-ID must be a nonempty token: {self.call_id!r}")
         seq, cseq_method = self.cseq
         if seq < 1:
@@ -314,7 +321,17 @@ def parse_message(text: str) -> SipMessage:
     an optional opaque body. Raises a ParseError subclass when the message
     falls outside the profile: MalformedStartLine, UnknownMethod,
     UnknownStatusCode, BadHeaderSyntax, or MissingMandatoryHeader.
+
+    Text in the canonical form that ``serialize_message`` emits is parsed
+    in one regex match; anything else goes to the general parser. Both give
+    the same message for the same text.
     """
+    msg = _parse_canonical(text)
+    return msg if msg is not None else _parse_general(text)
+
+
+def _parse_general(text: str) -> SipMessage:
+    """The line-by-line parser: CRLF, any header order, decorated addresses."""
     normalized = text.replace("\r\n", "\n")
     head, sep, body = normalized.partition("\n\n")
     lines = head.split("\n")
@@ -353,7 +370,7 @@ def parse_message(text: str) -> SipMessage:
         elif lname == "to":
             to_number = _parse_number(value, "To")
         elif lname == "call-id":
-            if not value or re.search(r"\s", value):
+            if not value or _WHITESPACE_RE.search(value):
                 raise BadHeaderSyntax(f"Call-ID must be a token: {value!r}")
             call_id = value
         elif lname == "cseq":
@@ -415,6 +432,62 @@ def parse_message(text: str) -> SipMessage:
         alert=alert,
         extra_headers=tuple(extras),
         body=body if sep else "",
+    )
+
+
+def _alternation(values) -> str:
+    return "|".join(re.escape(v) for v in values)
+
+
+# The exact inverse of serialize_message for messages without extra headers:
+# LF only, no \r anywhere (the general parser folds CRLF in the body too),
+# mandatory headers in fixed order with exact spelling, a reason phrase with
+# no outer whitespace. The body is everything after the blank line.
+_CANONICAL_RE = re.compile(
+    r"(?:(" + _alternation(_METHOD_BY_VALUE) + r") sip:\+[0-9]+ SIP/2\.0"
+    r"|SIP/2\.0 ([0-9]{3}) ([!-~](?:[ -~]*[!-~])?))\n"
+    r"From: sip:(\+[0-9]{7,15})\n"
+    r"To: sip:(\+[0-9]{7,15})\n"
+    r"Call-ID: (\S+)\n"
+    r"CSeq: ([1-9][0-9]*) (" + _alternation(_METHOD_BY_VALUE) + r")\n"
+    r"(?:P-Early-Media: (" + _alternation(_PEM_BY_VALUE) + r")\n)?"
+    r"(?:Alert-Info: <urn:alert:service:(" + _alternation(_ALERT_BY_VALUE) + r")>\n)?"
+    r"\n([^\r]*)"
+)
+
+
+def _parse_canonical(text: str) -> SipMessage | None:
+    """Parse canonical text in one match, or return None to defer.
+
+    Accept-only: it never raises. A status code outside the closed set or a
+    request whose CSeq method differs from its own method returns None, so
+    the general parser raises the error.
+    """
+    m = _CANONICAL_RE.fullmatch(text)
+    if m is None:
+        return None
+    (method, code, reason, from_number, to_number, call_id, seq, cseq_method,
+     pem, alert, body) = m.groups()
+    cseq = (int(seq), _METHOD_BY_VALUE[cseq_method])
+    if method is None:
+        code = int(code)
+        if code not in CANONICAL_REASON:
+            return None
+        status = StatusCode(code, reason)
+    elif method != cseq_method:
+        return None
+    else:
+        status = None
+    return SipMessage(
+        method=cseq[1],
+        from_number=PhoneNumber(from_number),
+        to_number=PhoneNumber(to_number),
+        call_id=call_id,
+        cseq=cseq,
+        status=status,
+        pem=_PEM_BY_VALUE[pem] if pem else None,
+        alert=_ALERT_BY_VALUE[alert] if alert else None,
+        body=body,
     )
 
 

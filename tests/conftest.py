@@ -1,12 +1,16 @@
+import json
 import random
 from pathlib import Path
 
 import pytest
 
+from cive_sim.call_fsm import CalleeProfile, Connected, Dialing, Held
+from cive_sim.netsim import Federation, GatewayPolicy
 from cive_sim.sip_core import (
     AlertUrn,
     CANONICAL_REASON,
     PemValue,
+    PhoneNumber,
     SipMessage,
     SipMethod,
 )
@@ -52,3 +56,48 @@ def random_valid_message(rng: random.Random) -> SipMessage:
     req = SipMessage.request(method, number(), number(), call_id, seq)
     code = rng.choice(list(CANONICAL_REASON))
     return SipMessage.reply(req, code, **kwargs)
+
+
+def loaded_federation(seed, n_calls):
+    """Many concurrent calls on three carriers, the last enforcing caller ID.
+
+    Every call has its own originator, target and peer; about half claim the
+    peer's number. Targets are preset idle, busy (connected, with neither
+    call waiting nor voicemail), connected, held, or dialing the peer.
+    Returns the drained federation's rows as read back from JSON lines,
+    and the originated call ids.
+    """
+    rng = random.Random(seed)
+    net = Federation(seed=seed)
+    carriers = ("cn-a", "cn-b", "cn-s")
+    for carrier in carriers:
+        net.add_carrier(
+            carrier, GatewayPolicy(enforce_caller_id=carrier == "cn-s", jitter_ms=20)
+        )
+    numbers = [f"+1555{n:07d}" for n in rng.sample(range(10_000_000), 3 * n_calls)]
+    preset = {"busy": Connected, "connected": Connected, "held": Held, "dialing": Dialing}
+    call_ids = []
+    for i in range(n_calls):
+        originator, target, peer = numbers[3 * i : 3 * i + 3]
+        state = rng.choice(("idle", "busy", "connected", "held", "dialing"))
+        for number in (originator, target, peer):
+            busy_target = number == target and state == "busy"
+            net.register_subscriber(
+                rng.choice(carriers),
+                number,
+                CalleeProfile(
+                    number=PhoneNumber(number),
+                    call_waiting=not busy_target and rng.random() < 0.5,
+                    voicemail_forward=not busy_target and rng.random() < 0.5,
+                ),
+            )
+        if state in preset:
+            net.lines[target].preset_state(preset[state](PhoneNumber(peer)))
+        claimed = peer if rng.random() < 0.5 else originator
+        call_ids.append(
+            net.originate_call(
+                claimed, net.lines[originator], target, at_ms=rng.randrange(2_000)
+            )
+        )
+    net.run_until_quiescent()
+    return [json.loads(line) for line in net.trace_jsonl().splitlines()], call_ids

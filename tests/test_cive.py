@@ -1,12 +1,13 @@
 import copy
 import json
-import random
 
 import pytest
 
+from conftest import loaded_federation
+
 import cive_sim.scenario
 import cive_sim.sip_core
-from cive_sim.call_fsm import CalleeProfile, CallPhase, Connected, Dialing, Held
+from cive_sim.call_fsm import CalleeProfile, CallPhase, Connected, Dialing
 from cive_sim.cive import (
     CiveError,
     Decision,
@@ -27,7 +28,7 @@ from cive_sim.cive import (
     legs_from_trace_rows,
     verify_incoming,
 )
-from cive_sim.netsim import Direction, Federation, GatewayPolicy
+from cive_sim.netsim import Direction, Federation
 from cive_sim.scenario import matrix_scenarios, run_scenario
 from cive_sim.sip_core import (
     AlertUrn,
@@ -380,51 +381,6 @@ def test_legs_from_trace_rows_round_trip(tmp_path, monkeypatch):
         assert extract_features(rebuilt) == verdict.features, cell.name
 
 
-def _loaded_federation(seed, n_calls):
-    """Many concurrent calls on three carriers, the last enforcing caller ID.
-
-    Every call has its own originator, target and peer; about half claim the
-    peer's number. Targets are preset idle, busy (connected, with neither
-    call waiting nor voicemail), connected, held, or dialing the peer.
-    Returns the drained federation's rows as read back from JSON lines,
-    and the originated call ids.
-    """
-    rng = random.Random(seed)
-    net = Federation(seed=seed)
-    carriers = ("cn-a", "cn-b", "cn-s")
-    for carrier in carriers:
-        net.add_carrier(
-            carrier, GatewayPolicy(enforce_caller_id=carrier == "cn-s", jitter_ms=20)
-        )
-    numbers = [f"+1555{n:07d}" for n in rng.sample(range(10_000_000), 3 * n_calls)]
-    preset = {"busy": Connected, "connected": Connected, "held": Held, "dialing": Dialing}
-    call_ids = []
-    for i in range(n_calls):
-        originator, target, peer = numbers[3 * i : 3 * i + 3]
-        state = rng.choice(("idle", "busy", "connected", "held", "dialing"))
-        for number in (originator, target, peer):
-            busy_target = number == target and state == "busy"
-            net.register_subscriber(
-                rng.choice(carriers),
-                number,
-                CalleeProfile(
-                    number=PhoneNumber(number),
-                    call_waiting=not busy_target and rng.random() < 0.5,
-                    voicemail_forward=not busy_target and rng.random() < 0.5,
-                ),
-            )
-        if state in preset:
-            net.lines[target].preset_state(preset[state](PhoneNumber(peer)))
-        claimed = peer if rng.random() < 0.5 else originator
-        call_ids.append(
-            net.originate_call(
-                claimed, net.lines[originator], target, at_ms=rng.randrange(2_000)
-            )
-        )
-    net.run_until_quiescent()
-    return [json.loads(line) for line in net.trace_jsonl().splitlines()], call_ids
-
-
 def _reference_legs(rows):
     """Rebuild legs the straightforward way: parse every row, then rescan
     all rows for each leg."""
@@ -453,7 +409,7 @@ def _reference_legs(rows):
 
 
 def test_legs_match_per_leg_reference_under_load():
-    rows, call_ids = _loaded_federation(seed=41, n_calls=200)
+    rows, call_ids = loaded_federation(seed=41, n_calls=200)
     legs = legs_from_trace_rows(rows)
     reference = _reference_legs(rows)
     assert [(cid, obs) for cid, obs, _ in legs] == [(cid, obs) for cid, obs, _ in reference]
@@ -468,14 +424,14 @@ def test_legs_match_per_leg_reference_under_load():
 
 
 def test_legs_from_trace_rows_leaves_rows_untouched():
-    rows, _ = _loaded_federation(seed=5, n_calls=20)
+    rows, _ = loaded_federation(seed=5, n_calls=20)
     before = copy.deepcopy(rows)
     legs_from_trace_rows(rows)
     assert rows == before
 
 
 def test_legs_from_trace_rows_parses_each_wire_text_once(monkeypatch):
-    rows, call_ids = _loaded_federation(seed=9, n_calls=30)
+    rows, call_ids = loaded_federation(seed=9, n_calls=30)
     seen = []
     real = cive_sim.sip_core.parse_message
 
@@ -491,7 +447,7 @@ def test_legs_from_trace_rows_parses_each_wire_text_once(monkeypatch):
 
 
 def test_legs_skip_calls_without_a_sent_invite():
-    rows, _ = _loaded_federation(seed=3, n_calls=3)
+    rows, _ = loaded_federation(seed=3, n_calls=3)
     cids = [parse_message(row["sip"]).call_id for row in rows]
     first, second, third = dict.fromkeys(cids)
     # ``first`` keeps only its ingress rows; ``second`` starts mid-dialog
@@ -505,7 +461,7 @@ def test_legs_skip_calls_without_a_sent_invite():
 
 
 def test_legs_name_the_offending_row():
-    rows, _ = _loaded_federation(seed=3, n_calls=2)
+    rows, _ = loaded_federation(seed=3, n_calls=2)
     bad = copy.deepcopy(rows)
     bad[4]["sip"] = "HELLO there\n\n"
     with pytest.raises(MalformedTraceRow) as info:

@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from conftest import SCENARIOS, loaded_federation
+
+import cive_sim.netsim
 from cive_sim.call_fsm import (
     CalleeProfile, Connected, Dialing, Held, Idle, LegPhase, LegRole, Ringing,
 )
@@ -361,3 +364,40 @@ def test_trace_jsonl_field_order():
     net.run_until_quiescent()
     first = net.trace_jsonl().splitlines()[0]
     assert list(json.loads(first)) == ["t_ms", "carrier", "from_hop", "to_hop", "dir", "sip"]
+
+
+@pytest.mark.parametrize("size", ["c2", "200-calls"])
+def test_each_sent_message_is_serialized_once(monkeypatch, tmp_path, size):
+    from cive_sim.scenario import load_scenario, run_scenario
+
+    calls = {"serialize": 0, "send": 0}
+    serialize, send = cive_sim.netsim.serialize_message, Federation.send
+
+    def counting_serialize(msg):
+        calls["serialize"] += 1
+        return serialize(msg)
+
+    def counting_send(self, sender, msg):
+        calls["send"] += 1
+        return send(self, sender, msg)
+
+    monkeypatch.setattr(cive_sim.netsim, "serialize_message", counting_serialize)
+    monkeypatch.setattr(Federation, "send", counting_send)
+    if size == "c2":
+        run_scenario(load_scenario(SCENARIOS / "c2.scn"), tmp_path)
+        rows = [json.loads(line) for line in (tmp_path / "c2.trace.jsonl").read_text().splitlines()]
+    else:
+        rows, _ = loaded_federation(seed=17, n_calls=200)
+    egress = [row for row in rows if row["dir"] == "egress"]
+    assert calls["send"] == len(egress) > 0
+    assert calls["serialize"] == calls["send"]
+    # every ingress row carries the text of an egress row over the same hops
+    unmatched = {}
+    for row in egress:
+        key = (row["from_hop"], row["to_hop"], row["sip"])
+        unmatched[key] = unmatched.get(key, 0) + 1
+    for row in rows:
+        if row["dir"] == "ingress":
+            key = (row["from_hop"], row["to_hop"], row["sip"])
+            assert unmatched.get(key, 0) > 0, row
+            unmatched[key] -= 1

@@ -167,6 +167,15 @@ def test_run_reproduces_golden_trace_and_report(tmp_path, name):
         assert (tmp_path / f"{name}.{suffix}").read_bytes() == golden.read_bytes(), suffix
 
 
+@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+def test_parse_reproduces_golden_output(capsys, name):
+    golden = REPO / "tests" / "golden"
+    assert cli.main(["parse", str(golden / f"{name}.trace.jsonl")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode("utf-8") == (golden / f"{name}.parse.jsonl").read_bytes()
+
+
 def test_matrix_covers_grid_and_matches_golden(tmp_path):
     scenarios = matrix_scenarios()
     assert len(scenarios) == 20
@@ -262,12 +271,38 @@ _CARRIER_LINE = "    enforce_caller_id: false\n"
         ("at_ms: 0", "at_ms: 1.5x"),
         (_CARRIER_LINE, _CARRIER_LINE + "    link_delay_ms: fifty\n"),
         (_CARRIER_LINE, _CARRIER_LINE + "    jitter_ms: 5ms\n"),
+        ("seed: 0", "seed: 2.9"),
+        ("at_ms: 0", "at_ms: 1.5"),
+        ("seed: 0", "seed: true"),
     ],
-    ids=["seed", "at_ms", "link_delay_ms", "jitter_ms"],
+    ids=["seed", "at_ms", "link_delay_ms", "jitter_ms", "seed-float", "at_ms-float", "seed-bool"],
 )
 def test_cli_non_integer_value_is_bad_input(tmp_path, capsys, old, new):
     path = _c1_with(tmp_path, old, new)
     with pytest.raises(ScenarioParseError):
+        load_scenario(path)
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_PARTY_LINE = "    state: idle\n"
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        (_CARRIER_LINE, '    enforce_caller_id: "false"\n'),
+        (_PARTY_LINE, _PARTY_LINE + '    call_waiting: "false"\n'),
+        (_PARTY_LINE, _PARTY_LINE + '    voicemail_forward: "no"\n'),
+        ("cive: true", 'cive: "true"'),
+    ],
+    ids=["enforce_caller_id", "call_waiting", "voicemail_forward", "cive"],
+)
+def test_cli_quoted_flag_is_bad_input(tmp_path, capsys, old, new):
+    path = _c1_with(tmp_path, old, new)
+    with pytest.raises(ScenarioParseError, match="must be true or false"):
         load_scenario(path)
     assert cli.main(["run", str(path)]) == 3
     out, err = capsys.readouterr()

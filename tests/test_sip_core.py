@@ -1,6 +1,11 @@
+import dataclasses
+import json
 import random
+import re
 
 import pytest
+
+from conftest import REPO, random_valid_message
 
 from cive_sim.sip_core import (
     AlertUrn,
@@ -8,6 +13,7 @@ from cive_sim.sip_core import (
     CANONICAL_REASON,
     MalformedStartLine,
     MissingMandatoryHeader,
+    ParseError,
     PemValue,
     PhoneNumber,
     SipMessage,
@@ -16,6 +22,8 @@ from cive_sim.sip_core import (
     StatusCode,
     UnknownMethod,
     UnknownStatusCode,
+    _parse_canonical,
+    _parse_general,
     classify_status,
     parse_message,
     serialize_message,
@@ -188,8 +196,6 @@ def test_corpus_round_trip_and_fixpoint(corpus_files):
 
 
 def test_generated_round_trip_1000():
-    from conftest import random_valid_message
-
     rng = random.Random(20260811)
     for _ in range(1000):
         msg = random_valid_message(rng)
@@ -240,3 +246,91 @@ def test_message_invariants():
     req = SipMessage.request(SipMethod.INVITE, "+15550001", "+15550002", "a")
     with pytest.raises(ValueError):
         SipMessage.reply(SipMessage.reply(req, 200), 200)  # reply to a response
+
+
+def _outcome(parse, text):
+    """The parsed message, or the ParseError subclass raised; anything else escapes."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc)
+
+
+# Characters a mutation may put in: ASCII controls and whitespace, and the
+# non-ASCII digits and whitespace that int() and str.strip() accept.
+_ODD_CHARS = "\r\n\t \x00\x0b\x0c\x1c\x85\xa0\u2028\u0661\uff18\u0130:<>;@+"
+
+
+def _mutate(rng, text):
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        kind = rng.randrange(5)
+        pos = rng.randrange(len(text) + 1)
+        if kind == 0 and text:  # flip one bit of one character
+            pos = min(pos, len(text) - 1)
+            text = text[:pos] + chr(ord(text[pos]) ^ (1 << rng.randrange(7))) + text[pos + 1:]
+        elif kind == 1:
+            text = text[:pos] + rng.choice(_ODD_CHARS) + text[pos:]
+        elif kind == 2:
+            text = text[:pos] + rng.choice(("\r", " ", "\t")) + text[pos:]
+        elif kind == 3:
+            lines = text.split("\n")
+            i = rng.randrange(len(lines))
+            if rng.random() < 0.5:
+                del lines[i]
+            else:
+                lines.insert(i, lines[i])
+            text = "\n".join(lines)
+        else:
+            numbers = [m.span() for m in re.finditer(r"[0-9]+", text)]
+            if numbers:
+                start, end = rng.choice(numbers)
+                digits = "".join(rng.choice("0123456789") for _ in range(rng.choice((6, 16))))
+                text = text[:start] + digits + text[end:]
+    return text
+
+
+def test_parse_matches_general_parser_on_corpus_generated_and_mutated_texts(corpus_files):
+    rng = random.Random(20261018)
+    corpus = [path.read_text(encoding="utf-8") for path in corpus_files]
+    golden = REPO / "tests" / "golden"
+    traced = sorted(
+        {
+            json.loads(line)["sip"]
+            for name in ("c1", "c2", "c3")
+            for line in (golden / f"{name}.trace.jsonl").read_text(encoding="utf-8").splitlines()
+        }
+    )
+    generated = []
+    for _ in range(1000):
+        msg = random_valid_message(rng)
+        for m in (msg, dataclasses.replace(msg, extra_headers=())):
+            text = serialize_message(m)
+            # the fast path is the exact inverse of serialization without extra headers
+            assert (_parse_canonical(text) == m) == (not m.extra_headers)
+            generated.append(text)
+    bases = corpus + traced + generated
+    mutants = [_mutate(rng, rng.choice(bases)) for _ in range(20_000)]
+    fast = rejected = 0
+    for text in bases + mutants:
+        outcome = _outcome(parse_message, text)
+        assert outcome == _outcome(_parse_general, text), repr(text)
+        fast += _parse_canonical(text) is not None
+        rejected += isinstance(outcome, type)
+    # both paths and the error paths are exercised, not only the fallback
+    assert fast > 2_000 and rejected > 10_000, (fast, rejected)
+
+
+def test_trailing_space_in_reason_is_stripped_on_both_paths():
+    text = "SIP/2.0 180 Ringing \n" + MINIMAL_HEADERS
+    assert _parse_canonical(text) is None
+    msg = parse_message(text)
+    assert msg == _parse_general(text)
+    assert msg.status == StatusCode(180, "Ringing")
+
+
+def test_crlf_in_body_is_folded_on_both_paths():
+    text = "INVITE sip:+15550002 SIP/2.0\n" + MINIMAL_HEADERS + "v=0\r\ns=call\r\n"
+    assert _parse_canonical(text) is None
+    msg = parse_message(text)
+    assert msg == _parse_general(text)
+    assert msg.body == "v=0\ns=call\n"
