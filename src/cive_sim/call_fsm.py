@@ -29,6 +29,7 @@ from enum import Enum
 from typing import Iterable
 
 from .sip_core import (
+    CANONICAL_REASON,
     AlertUrn,
     PemValue,
     PhoneNumber,
@@ -173,9 +174,13 @@ def summarize_legs(legs: Iterable) -> EndpointState:
     return Idle()
 
 
+# One shared (immutable) StatusCode per code, so responses do not rebuild it.
+_STATUS = {code: StatusCode(code) for code in CANONICAL_REASON}
+
+
 def _respond(invite: SipMessage, code: int, pem=None, alert=None, by_network=False) -> SendResponse:
     return SendResponse(
-        status=StatusCode(code),
+        status=_STATUS[code],
         regarding=invite,
         pem=pem,
         alert=alert,

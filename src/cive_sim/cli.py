@@ -6,7 +6,8 @@
 
 Exit codes: 0 when every executed scenario matches its ground truth,
 2 when some verdicts were inconclusive, 1 on any outright mismatch,
-3 on bad input (an invalid scenario or a malformed trace file), reported
+3 on bad input (an unreadable or invalid scenario, a malformed trace file,
+a non-integer CIVE_SIM_SEED, an --out that cannot be written), reported
 as one ``error: ...`` line on stderr.
 CIVE_SIM_SEED provides the default seed when --seed is absent.
 """
@@ -21,6 +22,14 @@ import sys
 from . import cive, scenario
 
 
+class BadInput(Exception):
+    """Input the command cannot use; reported as one error line, exit 3."""
+
+
+class TraceFileError(BadInput):
+    """A trace file that cannot be read back as a federation trace."""
+
+
 def _default_seed() -> int | None:
     raw = os.environ.get("CIVE_SIM_SEED")
     if raw is None:
@@ -28,7 +37,7 @@ def _default_seed() -> int | None:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"CIVE_SIM_SEED must be an integer, got {raw!r}")
+        raise BadInput(f"CIVE_SIM_SEED must be an integer, got {raw!r}") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -52,10 +61,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if not result.all_match:
         return 2 if result.any_inconclusive else 1
     return 0
-
-
-class TraceFileError(Exception):
-    """A trace file that cannot be read back as a federation trace."""
 
 
 # Fields legs_from_trace_rows reads from every row, with their JSON types.
@@ -151,8 +156,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (scenario.ScenarioError, TraceFileError) as exc:
+    except (scenario.ScenarioError, BadInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # reads raise the errors above; this is writing --out
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 3
 
 

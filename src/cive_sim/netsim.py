@@ -22,10 +22,10 @@ reaches its destination hop.
 from __future__ import annotations
 
 import heapq
-import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
@@ -94,17 +94,21 @@ class CarrierNetwork:
 
 
 class Direction(str, Enum):
-    """Which way a message crosses a hop: EGRESS leaves it, INGRESS reaches it."""
+    """Which way a message crosses a hop: EGRESS leaves it, INGRESS reaches it.
+
+    The values are the ``dir`` strings of trace rows.
+    """
 
     INGRESS = "ingress"
     EGRESS = "egress"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SimEvent:
     """A scheduled message delivery. Ties on ``at`` break by ``seq`` (FIFO).
 
     ``sip`` is the message's wire text, serialized once when it was sent.
+    A mutable slotted record: one is built per message, so it stays cheap.
     """
 
     at: int
@@ -116,7 +120,7 @@ class SimEvent:
     sip: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Timer:
     at: int
     seq: int
@@ -169,13 +173,6 @@ class LineLeg:
 _PRESET_PHASE = {Dialing: LegPhase.EARLY, Connected: LegPhase.ANSWERED, Held: LegPhase.HELD}
 
 
-def _hop_label(owner_id: str) -> str:
-    kind, _, rest = owner_id.partition(":")
-    if kind in ("line", "cive"):
-        return f"ep:{rest}"
-    return owner_id
-
-
 class PhoneLine:
     """A subscriber's phone: FSM driver plus leg and timer bookkeeping.
 
@@ -221,21 +218,15 @@ class PhoneLine:
 
     def handle_message(self, event: SimEvent) -> None:
         msg = event.message
-        if msg.is_request:
-            self._handle_request(msg)
-        else:
+        if msg.is_response:
             self._handle_response(msg)
-
-    def _handle_request(self, msg: SipMessage) -> None:
-        if msg.method is SipMethod.INVITE:
+        elif msg.method is SipMethod.INVITE:
             self._handle_invite(msg)
         elif msg.method is SipMethod.CANCEL:
             self._handle_cancel(msg)
         elif msg.method is SipMethod.BYE:
             self._handle_bye(msg)
-        else:
-            # ACK and PRACK are absorbed; this profile does not answer them.
-            pass
+        # ACK and PRACK are absorbed; this profile does not answer them.
 
     def _handle_invite(self, invite: SipMessage) -> None:
         state, actions = call_fsm.on_incoming_invite(
@@ -245,19 +236,16 @@ class PhoneLine:
             collision_answer_ms=self.net.collision_answer_ms,
         )
         self.state = state
-        alerting = any(
-            isinstance(a, SendResponse) and a.status.code == 180 for a in actions
-        )
-        final_locally = any(
-            isinstance(a, SendResponse)
-            and a.status.code >= 200
-            and not a.answered_by_network
-            for a in actions
-        )
-        auto = next((a for a in actions if isinstance(a, AutoAnswer)), None)
-        if not final_locally and not any(
-            isinstance(a, SendResponse) and a.answered_by_network for a in actions
-        ):
+        alerting = answered = False  # answered: a final response, local or by voicemail
+        auto = None
+        for a in actions:
+            if isinstance(a, SendResponse):
+                code = a.status.code
+                alerting = alerting or code == 180
+                answered = answered or code >= 200 or a.answered_by_network
+            elif isinstance(a, AutoAnswer):
+                auto = auto or a
+        if not answered:
             # Leg stays open at this endpoint: ringing, waiting, or a
             # pending collision answer.
             leg = LineLeg(
@@ -428,6 +416,8 @@ class Federation:
         self.now = 0
         self.carriers: dict[str, CarrierNetwork] = {}
         self.owners: dict[str, object] = {}
+        # Owner id -> (hop label, carrier, authenticated number or None).
+        self._routes: dict[str, tuple[str, CarrierNetwork, PhoneNumber | None]] = {}
         self.lines: dict[PhoneNumber, PhoneLine] = {}
         self.trace: list[dict] = []
         self.policy_violations: list[dict] = []
@@ -445,10 +435,8 @@ class Federation:
             raise NetsimError(f"carrier {carrier_id} already exists")
         carrier = CarrierNetwork(carrier_id, policy or GatewayPolicy())
         self.carriers[carrier_id] = carrier
-        core = _NetworkCore(self, carrier_id)
-        vm = _VoicemailService(self, carrier_id)
-        self.owners[core.owner_id] = core
-        self.owners[vm.owner_id] = vm
+        for owner in (_NetworkCore(self, carrier_id), _VoicemailService(self, carrier_id)):
+            self.attach_agent(owner.owner_id, owner)
         return carrier
 
     def register_subscriber(
@@ -469,12 +457,28 @@ class Federation:
             raise NetsimError("profile number must match the registered number")
         line = PhoneLine(self, carrier_id, profile)
         self.lines[num] = line
-        self.owners[line.owner_id] = line
+        self.attach_agent(line.owner_id, line)
         return line
 
     def attach_agent(self, owner_id: str, agent: object) -> None:
-        """Attach a non-subscriber event handler (e.g. a verification agent)."""
+        """Attach an event handler (e.g. a verification agent) under ``owner_id``.
+
+        An agent with a ``carrier_id`` gets a route: line and verifier owners
+        (``line:N``, ``cive:N``) appear as hop ``ep:N`` and are authenticated
+        as the registered number N; any other owner is its own hop. An agent
+        without one only receives timers.
+        """
         self.owners[owner_id] = agent
+        carrier_id = getattr(agent, "carrier_id", None)
+        if carrier_id is None:
+            self._routes.pop(owner_id, None)
+            return
+        kind, _, rest = owner_id.partition(":")
+        if kind in ("line", "cive"):
+            route = (f"ep:{rest}", self.carriers[carrier_id], self.lines[rest].number)
+        else:
+            route = (owner_id, self.carriers[carrier_id], None)
+        self._routes[owner_id] = route
 
     def new_call_id(self) -> str:
         self._call_counter += 1
@@ -511,16 +515,6 @@ class Federation:
 
     # -- routing and transport ----------------------------------------------
 
-    def _carrier_of(self, owner_id: str) -> CarrierNetwork:
-        owner = self.owners[owner_id]
-        return self.carriers[owner.carrier_id]  # type: ignore[attr-defined]
-
-    def _auth_number(self, owner_id: str) -> PhoneNumber | None:
-        kind, _, rest = owner_id.partition(":")
-        if kind in ("line", "cive"):
-            return PhoneNumber(rest)
-        return None
-
     def _dest_for(self, sender: str, msg: SipMessage) -> str:
         dialog = self._dialogs.get(msg.call_id)
         if msg.is_response:
@@ -533,9 +527,8 @@ class Federation:
             # Stray in-dialog request with no dialog state; hand it to the
             # destination line if one exists, else to the core.
             target = self.lines.get(msg.to_number)
-            return target.owner_id if target else f"net:{self._carrier_of(sender).id}"
-        carrier = self._carrier_of(sender)
-        auth = self._auth_number(sender)
+            return target.owner_id if target else f"net:{self._routes[sender][1].id}"
+        _, carrier, auth = self._routes[sender]
         if carrier.policy.enforce_caller_id and auth is not None and msg.from_number != auth:
             self.policy_violations.append(
                 {
@@ -554,40 +547,32 @@ class Federation:
         self._dialogs[msg.call_id] = _Dialog(uac=sender, uas=dest)
         return dest
 
-    def _link_delay(self, sender: str, dest: str) -> int:
-        src = self._carrier_of(sender)
-        dst = self._carrier_of(dest)
-        delay = src.policy.link_delay_ms
-        if src.policy.jitter_ms:
-            delay += self.rng.randint(0, src.policy.jitter_ms)
-        if dst.id != src.id:
-            # Crossing the interconnect costs the destination carrier's
-            # link as well: one gateway hop.
-            delay += dst.policy.link_delay_ms
-            if dst.policy.jitter_ms:
-                delay += self.rng.randint(0, dst.policy.jitter_ms)
-        return delay
-
     def send(self, sender: str, msg: SipMessage) -> None:
-        """Emit a message from a hop: log egress, route, schedule delivery."""
+        """Emit a message from a hop: route, log egress, schedule delivery.
+
+        Link delay applies once per carrier the message crosses, each with
+        its own seeded jitter draw; crossing the interconnect costs the
+        destination carrier's link as well: one gateway hop.
+        """
         dest = self._dest_for(sender, msg)
-        delay = self._link_delay(sender, dest)
-        from_hop = _hop_label(sender)
-        to_hop = _hop_label(dest)
+        from_hop, src, _ = self._routes[sender]
+        to_hop, dst, _ = self._routes[dest]
+        policy = src.policy
+        delay = policy.link_delay_ms
+        if policy.jitter_ms:
+            delay += self.rng.randrange(policy.jitter_ms + 1)
+        if dst is not src:
+            policy = dst.policy
+            delay += policy.link_delay_ms
+            if policy.jitter_ms:
+                delay += self.rng.randrange(policy.jitter_ms + 1)
         sip = serialize_message(msg)
-        self._log_row(self.now, self._carrier_of(sender).id, from_hop, to_hop,
-                      Direction.EGRESS, sip)
-        self._seq += 1
-        event = SimEvent(
-            at=self.now + delay,
-            seq=self._seq,
-            deliver_to=dest,
-            message=msg,
-            from_hop=from_hop,
-            to_hop=to_hop,
-            sip=sip,
-        )
-        heapq.heappush(self._heap, (event.at, event.seq, event))
+        now = self.now
+        self.trace.append({"t_ms": now, "carrier": src.id, "from_hop": from_hop,
+                           "to_hop": to_hop, "dir": "egress", "sip": sip})
+        self._seq = seq = self._seq + 1
+        at = now + delay
+        heapq.heappush(self._heap, (at, seq, SimEvent(at, seq, dest, msg, from_hop, to_hop, sip)))
 
     def voicemail_answer(self, carrier_id: str, response: SipMessage) -> None:
         """Answer a forwarded leg from the carrier's voicemail service.
@@ -602,52 +587,16 @@ class Federation:
         self.send(vm_owner, response)
 
     def set_timer(self, owner: str, delay_ms: int, tag: str, data: tuple = ()) -> int:
-        self._seq += 1
-        self._next_timer_id += 1
-        timer = _Timer(
-            at=self.now + delay_ms,
-            seq=self._seq,
-            owner=owner,
-            tag=tag,
-            data=data,
-            timer_id=self._next_timer_id,
-        )
-        heapq.heappush(self._heap, (timer.at, timer.seq, timer))
-        return timer.timer_id
+        self._seq = seq = self._seq + 1
+        self._next_timer_id = timer_id = self._next_timer_id + 1
+        at = self.now + delay_ms
+        heapq.heappush(self._heap, (at, seq, _Timer(at, seq, owner, tag, data, timer_id)))
+        return timer_id
 
     def cancel_timer(self, timer_id: int) -> None:
         self._cancelled_timers.add(timer_id)
 
-    def _log_row(
-        self,
-        t_ms: int,
-        carrier: str,
-        from_hop: str,
-        to_hop: str,
-        direction: Direction,
-        sip: str,
-    ) -> None:
-        self.trace.append(
-            {
-                "t_ms": t_ms,
-                "carrier": carrier,
-                "from_hop": from_hop,
-                "to_hop": to_hop,
-                "dir": direction.value,
-                "sip": sip,
-            }
-        )
-
     # -- event loop ------------------------------------------------------------
-
-    def _discard_dead_timers(self) -> None:
-        while self._heap:
-            _, _, entry = self._heap[0]
-            if isinstance(entry, _Timer) and entry.timer_id in self._cancelled_timers:
-                heapq.heappop(self._heap)
-                self._cancelled_timers.discard(entry.timer_id)
-            else:
-                break
 
     def run(
         self,
@@ -660,32 +609,33 @@ class Federation:
         an event, or raises SimBudgetExceeded if live events remain
         scheduled past ``max_sim_ms``.
         """
-        while True:
-            self._discard_dead_timers()
-            if not self._heap:
-                return self.now
-            at, _, entry = self._heap[0]
+        heap, cancelled = self._heap, self._cancelled_timers
+        owners, routes, trace = self.owners, self._routes, self.trace
+        while heap:
+            at, _, entry = heap[0]
+            is_timer = type(entry) is _Timer
+            if is_timer and entry.timer_id in cancelled:
+                # A cancelled timer neither advances the clock nor counts
+                # against the budget.
+                heapq.heappop(heap)
+                cancelled.discard(entry.timer_id)
+                continue
             if max_sim_ms is not None and at > max_sim_ms:
                 raise SimBudgetExceeded(
                     f"events still queued at t={at} past budget {max_sim_ms}"
                 )
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             self.now = at
-            if isinstance(entry, _Timer):
-                self.owners[entry.owner].handle_timer(entry.tag, entry.data)  # type: ignore[attr-defined]
+            if is_timer:
+                owners[entry.owner].handle_timer(entry.tag, entry.data)  # type: ignore[attr-defined]
             else:
-                assert isinstance(entry, SimEvent)
-                self._log_row(
-                    entry.at,
-                    self._carrier_of(entry.deliver_to).id,
-                    entry.from_hop,
-                    entry.to_hop,
-                    Direction.INGRESS,
-                    entry.sip,
-                )
-                self.owners[entry.deliver_to].handle_message(entry)  # type: ignore[attr-defined]
+                trace.append({"t_ms": at, "carrier": routes[entry.deliver_to][1].id,
+                              "from_hop": entry.from_hop, "to_hop": entry.to_hop,
+                              "dir": "ingress", "sip": entry.sip})
+                owners[entry.deliver_to].handle_message(entry)  # type: ignore[attr-defined]
             if stop_when is not None and stop_when():
                 return self.now
+        return self.now
 
     def run_until_quiescent(self, max_sim_ms: int = DEFAULT_MAX_SIM_MS) -> int:
         """Drain the event queue; returns the final simulated clock."""
@@ -694,7 +644,26 @@ class Federation:
     # -- trace output ------------------------------------------------------------
 
     def trace_jsonl(self) -> str:
-        return "".join(json.dumps(row) + "\n" for row in self.trace)
+        """The trace as JSON lines, byte for byte what ``json.dumps(row)`` gives.
+
+        Lines are built from the fixed field order; each distinct string is
+        escaped once, since an egress row and its ingress row share the same
+        wire text.
+        """
+        q = _Quoted()
+        return "".join(
+            f'{{"t_ms": {r["t_ms"]}, "carrier": {q[r["carrier"]]}, "from_hop": {q[r["from_hop"]]}, '
+            f'"to_hop": {q[r["to_hop"]]}, "dir": {q[r["dir"]]}, "sip": {q[r["sip"]]}}}\n'
+            for r in self.trace
+        )
 
     def write_trace(self, path: str | Path) -> None:
         Path(path).write_text(self.trace_jsonl(), encoding="utf-8")
+
+
+class _Quoted(dict):
+    """Memo of JSON string literals, as ``json.dumps`` writes them."""
+
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = encode_basestring_ascii(text)
+        return quoted

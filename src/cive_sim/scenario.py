@@ -190,6 +190,10 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ScenarioParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ScenarioParseError(f"{path}: not UTF-8 text") from None
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -61,10 +61,12 @@ class PhoneNumber(str):
     """E.164-style subscriber identity: '+' followed by 7 to 15 digits.
 
     Equality is exact string equality; no normalization is applied beyond
-    construction-time validation.
+    construction-time validation. A PhoneNumber is returned as it is.
     """
 
     def __new__(cls, value: str) -> "PhoneNumber":
+        if type(value) is cls:
+            return value
         if not _NUMBER_RE.match(value):
             raise ValueError(f"not an E.164-style number: {value!r}")
         return super().__new__(cls, value)
@@ -497,10 +499,11 @@ def serialize_message(msg: SipMessage) -> str:
     Fixed header order: From, To, Call-ID, CSeq, then P-Early-Media and
     Alert-Info when present, then extra headers in stored order, a blank
     line, then the body verbatim. ``parse_message(serialize_message(m))``
-    returns a message equal to ``m``.
+    returns a message equal to ``m``. Enum members are read through
+    ``_value_``, which skips the ``value`` descriptor.
     """
     if msg.is_request:
-        start = f"{msg.method.value} sip:{msg.to_number} SIP/2.0"
+        start = f"{msg.method._value_} sip:{msg.to_number} SIP/2.0"
     else:
         assert msg.status is not None
         start = f"SIP/2.0 {msg.status.code} {msg.status.reason}"
@@ -509,12 +512,12 @@ def serialize_message(msg: SipMessage) -> str:
         f"From: sip:{msg.from_number}",
         f"To: sip:{msg.to_number}",
         f"Call-ID: {msg.call_id}",
-        f"CSeq: {msg.cseq[0]} {msg.cseq[1].value}",
+        f"CSeq: {msg.cseq[0]} {msg.cseq[1]._value_}",
     ]
     if msg.pem is not None:
-        lines.append(f"P-Early-Media: {msg.pem.value}")
+        lines.append(f"P-Early-Media: {msg.pem._value_}")
     if msg.alert is not None:
-        lines.append(f"Alert-Info: <urn:alert:service:{msg.alert.value}>")
+        lines.append(f"Alert-Info: <urn:alert:service:{msg.alert._value_}>")
     for name, value in msg.extra_headers:
         lines.append(f"{name}: {value}")
     return "\n".join(lines) + "\n\n" + msg.body

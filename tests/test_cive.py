@@ -28,7 +28,7 @@ from cive_sim.cive import (
     legs_from_trace_rows,
     verify_incoming,
 )
-from cive_sim.netsim import Direction, Federation
+from cive_sim.netsim import Direction, Federation, GatewayPolicy
 from cive_sim.scenario import matrix_scenarios, run_scenario
 from cive_sim.sip_core import (
     AlertUrn,
@@ -243,9 +243,45 @@ def test_launch_line_busy_while_in_flight():
     class Stuck:
         done = False
 
-    net.attach_agent(f"cive:{B}", Stuck())
+    stuck = Stuck()
+    net.attach_agent(f"cive:{B}", stuck)
     with pytest.raises(LineBusy):
         launch_verification(net, ctx())
+    # Once it is done, a verifier replaces the agent, which had no carrier
+    # and so no route, and is routed as B's endpoint.
+    stuck.done = True
+    verdict, trace = verify_incoming(net, ctx())
+    assert verdict.decision is Decision.SPOOFED and verdict.inferred is InferredState.IDLE
+    assert not trace.timed_out
+
+
+def test_two_verifications_in_turn_on_one_callee_line():
+    # B's verifier is attached twice under one owner id, on a carrier other
+    # than A's; the second agent must be routed like the first.
+    net = Federation()
+    net.add_carrier("cn-a")
+    net.add_carrier("cn-b", GatewayPolicy(link_delay_ms=30))
+    line_a = net.register_subscriber("cn-a", A)
+    net.register_subscriber("cn-b", B)
+    first, first_trace = verify_incoming(net, ctx())
+    first_agent = net.owners[f"cive:{B}"]
+    rows_before = len(net.trace)
+    line_a.preset_state(Dialing(B))
+    again = IncomingCallContext(
+        claimed_id=A, callee=B, in_call_id="in-2", phase=CallPhase.RINGING, t_start=net.now
+    )
+    second, second_trace = verify_incoming(net, again)
+    assert net.owners[f"cive:{B}"] is not first_agent
+    assert first.decision is Decision.SPOOFED and first.inferred is InferredState.IDLE
+    assert second.decision is Decision.LEGIT
+    assert not first_trace.timed_out and not second_trace.timed_out
+    sent_by_b = [
+        row for row in net.trace[rows_before:]
+        if row["dir"] == "egress" and row["from_hop"] == f"ep:{B}"
+    ]
+    assert sent_by_b and all(row["carrier"] == "cn-b" for row in sent_by_b)
+    # one 30 ms + 50 ms interconnect crossing each way
+    assert second_trace.entries[1].t_ms - second_trace.entries[0].t_ms == 160
 
 
 def test_verify_idle_target_infers_idle():

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SCENARIOS, loaded_federation
 
@@ -173,6 +175,29 @@ def test_equal_seeds_byte_identical_traces():
 
     assert run(7) == run(7)
     assert run(7) != run(8)  # jitter draws actually depend on the seed
+
+
+def test_jitter_draws_follow_the_seeded_randint_sequence():
+    # Each link a message crosses draws randint(0, jitter_ms) from
+    # Random(seed), source carrier first, in the order messages are sent.
+    net = Federation(seed=11)
+    net.add_carrier("cn-a", GatewayPolicy(jitter_ms=20))
+    net.add_carrier("cn-x", GatewayPolicy(link_delay_ms=30, jitter_ms=7))
+    net.register_subscriber("cn-a", B)
+    net.register_subscriber("cn-x", E)
+    net.originate_call(E, net.lines[PhoneNumber(E)], B)
+    net.run_until_quiescent()
+    arrivals = {(r["from_hop"], r["to_hop"], r["sip"]): r["t_ms"] for r in rows_with(net, dir="ingress")}
+    assert len(arrivals) == len(net.trace) // 2 > 4
+    rng = random.Random(11)
+    jitter = {"cn-a": 20, "cn-x": 7}
+    base = {"cn-a": 50, "cn-x": 30}
+    for row in rows_with(net, dir="egress"):
+        other = "cn-x" if row["carrier"] == "cn-a" else "cn-a"
+        expected = base[row["carrier"]] + rng.randint(0, jitter[row["carrier"]])
+        expected += base[other] + rng.randint(0, jitter[other])
+        key = (row["from_hop"], row["to_hop"], row["sip"])
+        assert arrivals[key] - row["t_ms"] == expected, row
 
 
 def test_voicemail_answers_for_busy_subscriber():
@@ -401,3 +426,95 @@ def test_each_sent_message_is_serialized_once(monkeypatch, tmp_path, size):
             key = (row["from_hop"], row["to_hop"], row["sip"])
             assert unmatched.get(key, 0) > 0, row
             unmatched[key] -= 1
+
+
+class _TimerProbe:
+    """An agent without a carrier: it only receives timers, and records them."""
+
+    def __init__(self, net):
+        self.net = net
+        self.fired = []
+
+    def handle_timer(self, tag, data):
+        self.fired.append((tag, self.net.now))
+
+
+def test_cancelled_timers_never_advance_the_clock_or_trip_the_budget():
+    net = Federation()
+    probe = _TimerProbe(net)
+    net.attach_agent("probe", probe)
+    net.cancel_timer(net.set_timer("probe", 1000, "late"))
+    assert net.run_until_quiescent(max_sim_ms=150) == 0
+    assert net._heap == [] and net._cancelled_timers == set()
+
+    # A cancelled timer ahead of a live one is skipped without moving the
+    # clock or counting as an event; one after the last live one is
+    # dropped without raising, though it lies past the budget.
+    early = net.set_timer("probe", 5, "early")
+    net.set_timer("probe", 20, "live")
+    net.cancel_timer(early)
+    net.cancel_timer(net.set_timer("probe", 1000, "late"))
+    stops = []
+    assert net.run(stop_when=lambda: stops.append(net.now) and False, max_sim_ms=150) == 20
+    assert probe.fired == [("live", 20)] and stops == [20]
+    assert net._heap == [] and net._cancelled_timers == set()
+
+
+def test_trace_jsonl_matches_json_dumps_on_awkward_strings():
+    texts = [
+        "", "plain", 'say "hi"', "back\\slash\\", "ctl \x00\x01\x1f\x7f\t\r\n\b\f",
+        "café ☎ \U0001f4de", "  ", "lone \ud800 surrogate", "/</script>",
+    ]
+    net = Federation()
+    for i, text in enumerate(texts):
+        for j, other in enumerate(texts):
+            net.trace.append({"t_ms": i * 1000 + j, "carrier": text, "from_hop": other,
+                              "to_hop": text + other, "dir": other, "sip": text})
+    assert net.trace_jsonl() == "".join(json.dumps(row) + "\n" for row in net.trace)
+
+
+_carrier = st.tuples(st.booleans(), st.integers(0, 200), st.integers(0, 40))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(
+    carriers=st.lists(_carrier, min_size=1, max_size=3),
+    homes=st.lists(st.integers(0, 2), min_size=3, max_size=8),
+    calls=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.integers(0, 3000)),
+        min_size=1, max_size=5,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_random_federations_pair_rows_repeat_and_police_spoofs(carriers, homes, calls, seed):
+    numbers = [f"+1555020{i}" for i in range(len(homes))]
+    home = {n: f"cn{h % len(carriers)}" for n, h in zip(numbers, homes)}
+    originations = []
+    for o, c, t, at in calls:
+        originator, claimed = numbers[o % len(numbers)], numbers[c % len(numbers)]
+        others = [n for n in numbers if n != originator]
+        originations.append((originator, claimed, others[t % len(others)], at))
+
+    def run():
+        net = Federation(seed=seed)
+        for i, (enforce, delay, jitter) in enumerate(carriers):
+            net.add_carrier(f"cn{i}", GatewayPolicy(enforce, delay, jitter))
+        for n in numbers:
+            net.register_subscriber(home[n], n)
+        for originator, claimed, target, at in originations:
+            net.originate_call(claimed, net.lines[PhoneNumber(originator)], target, at_ms=at)
+        net.run_until_quiescent()
+        return net
+
+    net = run()
+    unpaired = {}
+    for row in net.trace:
+        key = (row["from_hop"], row["to_hop"], row["sip"])
+        unpaired[key] = unpaired.get(key, 0) + (1 if row["dir"] == "egress" else -1)
+    assert not any(unpaired.values())
+    assert net.trace_jsonl() == run().trace_jsonl()
+    enforcing = {f"cn{i}" for i, (enforce, _, _) in enumerate(carriers) if enforce}
+    spoofs = [
+        (o, c) for o, c, _, _ in originations if c != o and home[o] in enforcing
+    ]
+    assert sorted((v["originator"], v["claimed"]) for v in net.policy_violations) == sorted(spoofs)

@@ -225,8 +225,9 @@ def test_cli_seed_env_default(tmp_path, capsys, monkeypatch):
     cli.main(["run", str(SCENARIOS / "c1.scn"), "--out", str(tmp_path)])
     assert json.loads(capsys.readouterr().out)["seed"] == 99
     monkeypatch.setenv("CIVE_SIM_SEED", "not-a-number")
-    with pytest.raises(SystemExit):
-        cli.main(["run", str(SCENARIOS / "c1.scn")])
+    assert cli.main(["run", str(SCENARIOS / "c1.scn")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: CIVE_SIM_SEED must be an integer, got 'not-a-number'\n"
 
 
 def test_cli_seed_flag_beats_env(tmp_path, capsys, monkeypatch):
@@ -328,6 +329,30 @@ def test_cli_error_exit_code(tmp_path, capsys):
     code = cli.main(["run", str(missing)])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, b"name: caf\xe9\n"], ids=["missing", "not-utf8"])
+def test_cli_unreadable_scenario_is_bad_input(tmp_path, capsys, content):
+    path = tmp_path / "c.scn"
+    if content is not None:
+        path.write_bytes(content)
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("command", ["run", "matrix"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_cli_out_that_is_not_a_directory_is_bad_input(tmp_path, capsys, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    out_dir = taken / "sub" if below else taken
+    args = [command, *([str(SCENARIOS / "c1.scn")] if command == "run" else []), "--out", str(out_dir)]
+    assert cli.main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+    assert taken.read_text() == "keep me\n"
 
 
 def _c3_trace_rows(tmp_path):
