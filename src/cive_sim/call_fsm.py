@@ -105,18 +105,41 @@ class LegPhase(str, Enum):
     HELD = "held"
 
 
-@dataclass(frozen=True)
-class Leg:
-    """One call leg as tracked by a driver.
+@dataclass
+class LineLeg:
+    """One call leg as an endpoint tracks it, with the INVITE that opened it.
 
-    The transition functions only read call_id, peer, role and phase, so
-    driver-side leg records with extra fields work too.
+    The transition functions read only call_id, peer, role and phase; the
+    rest is the endpoint's own bookkeeping.
     """
 
     call_id: str
     peer: PhoneNumber
     role: LegRole
     phase: LegPhase
+    invite: SipMessage
+    next_cseq: int = 2
+    auto_answer_timer: int | None = None
+    patience_timer: int | None = None
+
+    def request(self, method: SipMethod) -> SipMessage:
+        """The next in-dialog request on this leg.
+
+        ACK and CANCEL reuse the INVITE's CSeq number (RFC 3261 sections
+        17.1.1.3 and 9.1); any other request takes the next one: 2, 3, ...
+        """
+        if method is SipMethod.ACK or method is SipMethod.CANCEL:
+            seq = self.invite.cseq[0]
+        else:
+            seq = self.next_cseq
+            self.next_cseq += 1
+        return SipMessage(
+            method=method,
+            from_number=self.invite.from_number,
+            to_number=self.invite.to_number,
+            call_id=self.call_id,
+            cseq=(seq, method),
+        )
 
 
 class FsmAction:

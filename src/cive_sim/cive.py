@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .call_fsm import CallPhase, LegPhase, LegRole, expected_caller_state
-from .netsim import Direction, Federation, LineLeg, SimEvent
+from .call_fsm import CallPhase, LegPhase, LegRole, LineLeg, expected_caller_state
+from .netsim import Direction, Federation, SimEvent
 from .sip_core import (
     AlertUrn,
     ParseError,
@@ -407,16 +407,16 @@ def launch_verification(
     net: Federation,
     ctx: IncomingCallContext,
     config: VerifierConfig | None = None,
-) -> SignalingTrace:
-    """Place the auCall and capture its signaling trace.
+) -> _VerifierAgent:
+    """Place the auCall: attach a verifier agent to the callee and start it.
 
-    Drives the federation until the verification leg has been fully torn
-    down (or the simulation drains), then returns the trace including the
-    teardown exchange. Raises UnsupportedPhase for an answered-phase
-    context, LineBusy when a verification is already running on this
-    callee's line, and CiveError when the federation's collision
-    auto-answer is not shorter than the capture grace, since the genuine
-    caller's answer would then miss the capture.
+    The agent sends its INVITE now and runs as an ordinary owner of the
+    federation's event loop; hand it to verify_incoming once the loop has
+    run. Raises UnsupportedPhase for an answered-phase context, LineBusy
+    when a verification is already running on this callee's line, and
+    CiveError when the federation's collision auto-answer is not shorter
+    than the capture grace, since the genuine caller's answer would then
+    miss the capture.
     """
     if ctx.phase is not CallPhase.RINGING:
         raise UnsupportedPhase("verification launches only while the inCall rings")
@@ -435,24 +435,22 @@ def launch_verification(
     agent = _VerifierAgent(net, ctx, config)
     net.attach_agent(owner_id, agent)
     agent.start()
-    net.run(stop_when=lambda: agent.done)
+    return agent
+
+
+def verify_incoming(agent: _VerifierAgent) -> tuple[Verdict, SignalingTrace]:
+    """Feature extraction, inference and verdict for a launched verification.
+
+    Call it after the federation has run. If the queue drained before the
+    leg was torn down, the trace stands as captured, timed out when no
+    final response arrived.
+    """
+    trace = agent.trace
     if not agent.done:
-        # The queue drained without the leg completing; the trace stands as
-        # captured with its timeout flag.
-        agent.trace.timed_out = agent.trace.timed_out or agent.final is None
-    return agent.trace
-
-
-def verify_incoming(
-    net: Federation,
-    ctx: IncomingCallContext,
-    config: VerifierConfig | None = None,
-) -> tuple[Verdict, SignalingTrace]:
-    """Full pipeline: auCall, feature extraction, inference, verdict."""
-    trace = launch_verification(net, ctx, config)
+        trace.timed_out = trace.timed_out or agent.final is None
     features = extract_features(trace)
     inferred = infer_state(features)
-    return decide(ctx, inferred, features), trace
+    return decide(agent.ctx, inferred, features), trace
 
 
 def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, SignalingTrace]]:

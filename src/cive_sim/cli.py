@@ -6,9 +6,10 @@
 
 Exit codes: 0 when every executed scenario matches its ground truth,
 2 when some verdicts were inconclusive, 1 on any outright mismatch,
-3 on bad input (an unreadable or invalid scenario, a malformed trace file,
-a non-integer CIVE_SIM_SEED, an --out that cannot be written), reported
-as one ``error: ...`` line on stderr.
+3 on bad input (an unreadable or invalid scenario, a scenario whose events
+run past the simulation budget, a malformed trace file, a non-integer
+CIVE_SIM_SEED, an --out that cannot be written), reported as one
+``error: ...`` line on stderr.
 CIVE_SIM_SEED provides the default seed when --seed is absent.
 """
 
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 
-from . import cive, scenario
+from . import cive, netsim, scenario
 
 
 class BadInput(Exception):
@@ -156,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (scenario.ScenarioError, BadInput) as exc:
+    except (scenario.ScenarioError, netsim.SimBudgetExceeded, BadInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # reads raise the errors above; this is writing --out

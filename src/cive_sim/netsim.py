@@ -40,6 +40,7 @@ from .call_fsm import (
     Idle,
     LegPhase,
     LegRole,
+    LineLeg,
     SendRequest,
     SendResponse,
 )
@@ -136,39 +137,6 @@ class _Dialog:
     uas: str  # owner id of the answering side (line, net core, or voicemail)
 
 
-@dataclass
-class LineLeg:
-    """One call leg as an endpoint tracks it, with the INVITE that opened it."""
-
-    call_id: str
-    peer: PhoneNumber
-    role: LegRole
-    phase: LegPhase
-    invite: SipMessage
-    next_cseq: int = 2
-    auto_answer_timer: int | None = None
-    patience_timer: int | None = None
-
-    def request(self, method: SipMethod) -> SipMessage:
-        """The next in-dialog request on this leg.
-
-        ACK and CANCEL reuse the INVITE's CSeq number (RFC 3261 sections
-        17.1.1.3 and 9.1); any other request takes the next one: 2, 3, ...
-        """
-        if method is SipMethod.ACK or method is SipMethod.CANCEL:
-            seq = self.invite.cseq[0]
-        else:
-            seq = self.next_cseq
-            self.next_cseq += 1
-        return SipMessage(
-            method=method,
-            from_number=self.invite.from_number,
-            to_number=self.invite.to_number,
-            call_id=self.call_id,
-            cseq=(seq, method),
-        )
-
-
 # The leg phase backing each state preset_state accepts besides Idle.
 _PRESET_PHASE = {Dialing: LegPhase.EARLY, Connected: LegPhase.ANSWERED, Held: LegPhase.HELD}
 
@@ -187,8 +155,8 @@ class PhoneLine:
         self.state: EndpointState = Idle()
         self.legs: dict[str, LineLeg] = {}
         self.display: PhoneNumber | None = None
-        # Called with (invite, t_ms) when the phone starts alerting for an
-        # incoming call; the scenario runner hangs verification off this.
+        # Called with (invite, t_ms) once the phone has sent its 180 for an
+        # incoming call; the scenario runner launches verification from it.
         self.ring_hook: Callable[[SipMessage, int], None] | None = None
 
     @property
@@ -256,11 +224,11 @@ class PhoneLine:
                 leg.auto_answer_timer = self.net.set_timer(
                     self.owner_id, auto.after_ms, "auto_answer", (invite.call_id,)
                 )
+        self._execute(actions, leg=self.legs.get(invite.call_id))
         if alerting:
             self.display = invite.from_number
             if self.ring_hook is not None:
                 self.ring_hook(invite, self.net.now)
-        self._execute(actions, leg=self.legs.get(invite.call_id))
 
     def _handle_cancel(self, cancel: SipMessage) -> None:
         leg = self.legs.get(cancel.call_id)
@@ -554,9 +522,14 @@ class Federation:
         its own seeded jitter draw; crossing the interconnect costs the
         destination carrier's link as well: one gateway hop.
         """
-        dest = self._dest_for(sender, msg)
-        from_hop, src, _ = self._routes[sender]
-        to_hop, dst, _ = self._routes[dest]
+        try:
+            dest = self._dest_for(sender, msg)
+            from_hop, src, _ = self._routes[sender]
+            to_hop, dst, _ = self._routes[dest]
+        except KeyError as exc:
+            raise NetsimError(
+                f"owner {exc.args[0]} has no route: it was attached without a carrier_id"
+            ) from None
         policy = src.policy
         delay = policy.link_delay_ms
         if policy.jitter_ms:
@@ -598,16 +571,11 @@ class Federation:
 
     # -- event loop ------------------------------------------------------------
 
-    def run(
-        self,
-        stop_when: Callable[[], bool] | None = None,
-        max_sim_ms: int | None = None,
-    ) -> int:
-        """Process events in deterministic order.
+    def run(self, max_sim_ms: int = DEFAULT_MAX_SIM_MS) -> int:
+        """Process events in deterministic order until the queue drains.
 
-        Stops when the queue drains, when ``stop_when()`` turns true after
-        an event, or raises SimBudgetExceeded if live events remain
-        scheduled past ``max_sim_ms``.
+        Raises SimBudgetExceeded if live events remain scheduled past
+        ``max_sim_ms``; returns the final simulated clock.
         """
         heap, cancelled = self._heap, self._cancelled_timers
         owners, routes, trace = self.owners, self._routes, self.trace
@@ -620,9 +588,9 @@ class Federation:
                 heapq.heappop(heap)
                 cancelled.discard(entry.timer_id)
                 continue
-            if max_sim_ms is not None and at > max_sim_ms:
+            if at > max_sim_ms:
                 raise SimBudgetExceeded(
-                    f"events still queued at t={at} past budget {max_sim_ms}"
+                    f"events still queued at t={at} ms, past the {max_sim_ms} sim-ms budget"
                 )
             heapq.heappop(heap)
             self.now = at
@@ -633,13 +601,11 @@ class Federation:
                               "from_hop": entry.from_hop, "to_hop": entry.to_hop,
                               "dir": "ingress", "sip": entry.sip})
                 owners[entry.deliver_to].handle_message(entry)  # type: ignore[attr-defined]
-            if stop_when is not None and stop_when():
-                return self.now
         return self.now
 
     def run_until_quiescent(self, max_sim_ms: int = DEFAULT_MAX_SIM_MS) -> int:
         """Drain the event queue; returns the final simulated clock."""
-        return self.run(stop_when=None, max_sim_ms=max_sim_ms)
+        return self.run(max_sim_ms)
 
     # -- trace output ------------------------------------------------------------
 

@@ -47,6 +47,7 @@ from pathlib import Path
 
 import yaml
 
+from . import cive
 from .call_fsm import CalleeProfile, CallPhase, Connected, Dialing, Held
 from .cive import (
     Decision,
@@ -327,10 +328,11 @@ def run_scenario(
 ) -> RunReport:
     """Run one scenario to quiescence and score the verdict.
 
-    When the origination's target starts ringing and verification is
-    enabled, the callback pipeline runs at that simulated instant; the
-    rest of the signaling then drains. Equal (scenario, seed) pairs
-    produce byte-identical trace and report files.
+    With verification enabled, the target line's first ring launches the
+    callback, which then runs in the same event loop as the call it checks;
+    the loop runs once, under the ``max_sim_ms`` budget, and the verdict is
+    read at quiescence. Equal (scenario, seed) pairs produce byte-identical
+    trace and report files.
     """
     s.validate()
     effective_seed = s.seed if seed is None else seed
@@ -338,34 +340,32 @@ def run_scenario(
     net = build_federation(s, seed=effective_seed)
     target_line: PhoneLine = net.lines[s.origination.target]
 
-    pending_ctx: list[IncomingCallContext] = []
+    agent = None
 
     def on_ring(invite, t_ms):
-        if not pending_ctx:
-            pending_ctx.append(
-                IncomingCallContext(
-                    claimed_id=invite.from_number,
-                    callee=target_line.number,
-                    in_call_id=invite.call_id,
-                    phase=CallPhase.RINGING,
-                    t_start=t_ms,
-                )
-            )
+        nonlocal agent
+        target_line.ring_hook = None  # only the first ring is verified
+        ctx = IncomingCallContext(
+            claimed_id=invite.from_number,
+            callee=target_line.number,
+            in_call_id=invite.call_id,
+            phase=CallPhase.RINGING,
+            t_start=t_ms,
+        )
+        agent = cive.launch_verification(net, ctx)
 
-    target_line.ring_hook = on_ring
+    if effective_cive:
+        target_line.ring_hook = on_ring
     net.originate_call(
         s.origination.claimed,
         net.lines[s.origination.originator],
         s.origination.target,
         at_ms=s.origination.at_ms,
     )
-
-    verdict: Verdict | None = None
-    if effective_cive:
-        net.run(stop_when=lambda: bool(pending_ctx), max_sim_ms=max_sim_ms)
-        if pending_ctx:
-            verdict, _trace = verify_incoming(net, pending_ctx[0])
     net.run_until_quiescent(max_sim_ms)
+    verdict: Verdict | None = None
+    if agent is not None:
+        verdict, _trace = verify_incoming(agent)
 
     match: bool | None = None
     inconclusive = False

@@ -11,9 +11,9 @@ from cive_sim.call_fsm import (
     Held,
     Idle,
     InviteToWrongNumber,
-    Leg,
     LegPhase,
     LegRole,
+    LineLeg,
     Ringing,
     SendRequest,
     SendResponse,
@@ -245,27 +245,30 @@ def _bye(call_id):
     )
 
 
+def _leg(call_id, peer, role, phase):
+    """A leg at endpoint A, with the INVITE that opened it."""
+    caller, callee = (A, peer) if role is LegRole.CALLER else (peer, A)
+    invite = SipMessage.request(SipMethod.INVITE, caller, callee, call_id)
+    return LineLeg(call_id, peer, role, phase, invite)
+
+
 def test_bye_connected_leg_goes_idle():
-    legs = (Leg("leg-1", B, LegRole.CALLEE, LegPhase.ANSWERED),)
+    legs = (_leg("leg-1", B, LegRole.CALLEE, LegPhase.ANSWERED),)
     state, actions = on_bye(Connected(B), _bye("leg-1"), legs)
     assert state == Idle()
     assert codes(actions) == [200]
 
 
 def test_bye_without_dialog_is_481():
-    state, actions = on_bye(Connected(B), _bye("other"), (Leg("leg-1", B, LegRole.CALLEE, LegPhase.ANSWERED),))
+    state, actions = on_bye(Connected(B), _bye("other"), (_leg("leg-1", B, LegRole.CALLEE, LegPhase.ANSWERED),))
     assert state == Connected(B)
     assert codes(actions) == [481]
 
 
 def test_bye_early_leg_is_481():
-    legs = (Leg("leg-1", B, LegRole.CALLEE, LegPhase.EARLY),)
+    legs = (_leg("leg-1", B, LegRole.CALLEE, LegPhase.EARLY),)
     state, actions = on_bye(Ringing(B), _bye("leg-1"), legs)
     assert codes(actions) == [481]
-
-
-def _leg(call_id, peer, role, phase):
-    return Leg(call_id, peer, role, phase)
 
 
 TWO_LEG_CASES = []

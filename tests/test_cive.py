@@ -223,6 +223,13 @@ def test_verdict_invariants():
         Verdict(Decision.SPOOFED, InferredState.UNKNOWN, "x", "r", FeatureVector())
 
 
+def _verify(net, context, config=None):
+    """Launch a verification, run the federation to quiescence, read the verdict."""
+    agent = launch_verification(net, context, config)
+    net.run_until_quiescent()
+    return verify_incoming(agent)
+
+
 def _federation(**profile_kwargs):
     net = Federation()
     net.add_carrier("cn-a")
@@ -250,9 +257,24 @@ def test_launch_line_busy_while_in_flight():
     # Once it is done, a verifier replaces the agent, which had no carrier
     # and so no route, and is routed as B's endpoint.
     stuck.done = True
-    verdict, trace = verify_incoming(net, ctx())
+    verdict, trace = _verify(net, ctx())
     assert verdict.decision is Decision.SPOOFED and verdict.inferred is InferredState.IDLE
     assert not trace.timed_out
+
+
+def test_launch_sends_the_invite_and_leaves_the_loop_to_the_caller():
+    net = _federation()
+    agent = launch_verification(net, ctx())
+    assert net.now == 0 and not agent.done
+    assert [(r["dir"], r["from_hop"]) for r in net.trace] == [("egress", f"ep:{B}")]
+    # A launch no longer blocks, so a second one before the loop runs finds
+    # the first still in flight.
+    with pytest.raises(LineBusy):
+        launch_verification(net, ctx())
+    net.run_until_quiescent()
+    verdict, trace = verify_incoming(agent)
+    assert agent.done and trace is agent.trace
+    assert verdict.decision is Decision.SPOOFED and verdict.inferred is InferredState.IDLE
 
 
 def test_two_verifications_in_turn_on_one_callee_line():
@@ -263,14 +285,14 @@ def test_two_verifications_in_turn_on_one_callee_line():
     net.add_carrier("cn-b", GatewayPolicy(link_delay_ms=30))
     line_a = net.register_subscriber("cn-a", A)
     net.register_subscriber("cn-b", B)
-    first, first_trace = verify_incoming(net, ctx())
+    first, first_trace = _verify(net, ctx())
     first_agent = net.owners[f"cive:{B}"]
     rows_before = len(net.trace)
     line_a.preset_state(Dialing(B))
     again = IncomingCallContext(
         claimed_id=A, callee=B, in_call_id="in-2", phase=CallPhase.RINGING, t_start=net.now
     )
-    second, second_trace = verify_incoming(net, again)
+    second, second_trace = _verify(net, again)
     assert net.owners[f"cive:{B}"] is not first_agent
     assert first.decision is Decision.SPOOFED and first.inferred is InferredState.IDLE
     assert second.decision is Decision.LEGIT
@@ -286,7 +308,7 @@ def test_two_verifications_in_turn_on_one_callee_line():
 
 def test_verify_idle_target_infers_idle():
     net = _federation()
-    verdict, trace = verify_incoming(net, ctx())
+    verdict, trace = _verify(net, ctx())
     assert verdict.decision is Decision.SPOOFED
     assert verdict.inferred is InferredState.IDLE
     assert trace.entries[0].message.method is SipMethod.INVITE
@@ -302,7 +324,7 @@ def test_verify_unroutable_claimed_is_inconclusive():
         claimed_id=unknown, callee=B, in_call_id="in-1",
         phase=CallPhase.RINGING, t_start=0,
     )
-    verdict, trace = verify_incoming(net, context)
+    verdict, trace = _verify(net, context)
     kinds = [
         e.message.method.value if e.message.is_request else e.message.status.code
         for e in trace
@@ -313,11 +335,35 @@ def test_verify_unroutable_claimed_is_inconclusive():
     assert verdict.decision is Decision.INCONCLUSIVE
 
 
+class _Silent:
+    """A routed endpoint that answers nothing."""
+
+    def __init__(self, carrier_id):
+        self.carrier_id = carrier_id
+
+    def handle_message(self, event):
+        pass
+
+
+def test_verify_times_out_when_the_queue_drains_before_the_leg_ends():
+    net = _federation()
+    net.attach_agent(f"line:{A}", _Silent("cn-a"))
+    verdict, trace = _verify(net, ctx())
+    assert verdict.decision is Decision.INCONCLUSIVE
+    assert verdict.inferred is InferredState.UNREACHABLE
+    assert trace.timed_out and verdict.features.timed_out
+    assert [(e.t_ms, e.direction, e.message.method) for e in trace] == [
+        (0, Direction.EGRESS, SipMethod.INVITE),
+        (10_000, Direction.EGRESS, SipMethod.CANCEL),
+    ]
+    assert net.now == 10_050
+
+
 def test_verify_connected_no_features_is_busy():
     net = _federation()
     net.register_subscriber("cn-a", "+15550102")
     net.lines[A].preset_state(Connected(PhoneNumber("+15550102")))
-    verdict, trace = verify_incoming(net, ctx())
+    verdict, trace = _verify(net, ctx())
     assert verdict.inferred is InferredState.BUSY_NO_WAITING
     assert verdict.decision is Decision.SPOOFED
     f = verdict.features
@@ -329,7 +375,7 @@ def test_verify_voicemail_forward_detected():
     net = _federation(voicemail_forward=True)
     net.register_subscriber("cn-a", "+15550102")
     net.lines[A].preset_state(Connected(PhoneNumber("+15550102")))
-    verdict, trace = verify_incoming(net, ctx())
+    verdict, trace = _verify(net, ctx())
     assert verdict.inferred is InferredState.FORWARDED_TO_VOICEMAIL
     assert verdict.features.saw_181
     assert verdict.features.teardown is SipMethod.BYE
@@ -360,7 +406,7 @@ def test_launch_traces_are_transaction_legal():
         net.register_subscriber("cn-a", "+15550102")
         if preset is not None:
             net.lines[A].preset_state(preset)
-        variants.append(launch_verification(net, ctx()))
+        variants.append(_verify(net, ctx())[1])
     for trace in variants:
         codes = [
             e.message.status.code
@@ -381,14 +427,13 @@ def test_launch_refuses_collision_answer_not_inside_capture_grace():
         launch_verification(net, ctx())
     assert net.trace == []  # refused before anything went on the wire
     # a grace longer than the auto-answer is accepted
-    trace = launch_verification(net, ctx(), VerifierConfig(capture_grace_ms=201))
+    _, trace = _verify(net, ctx(), VerifierConfig(capture_grace_ms=201))
     assert trace.entries[0].message.method is SipMethod.INVITE
 
 
 def test_legs_from_trace_rows_round_trip(tmp_path, monkeypatch):
     net = _federation()
-    verdict, trace = verify_incoming(net, ctx())
-    net.run_until_quiescent()
+    verdict, trace = _verify(net, ctx())
     rows = [json.loads(line) for line in net.trace_jsonl().splitlines()]
     legs = legs_from_trace_rows(rows)
     au = [t for cid, obs, t in legs if obs == f"ep:{B}"]
@@ -400,8 +445,8 @@ def test_legs_from_trace_rows_round_trip(tmp_path, monkeypatch):
     # is the live trace entry by entry, with the verdict's features.
     live = []
 
-    def capturing(net, context):
-        verdict, trace = verify_incoming(net, context)
+    def capturing(agent):
+        verdict, trace = verify_incoming(agent)
         live.append((verdict, trace))
         return verdict, trace
 

@@ -9,13 +9,13 @@ from conftest import SCENARIOS, loaded_federation
 
 import cive_sim.netsim
 from cive_sim.call_fsm import (
-    CalleeProfile, Connected, Dialing, Held, Idle, LegPhase, LegRole, Ringing,
+    CalleeProfile, Connected, Dialing, Held, Idle, LegPhase, LegRole, LineLeg, Ringing,
 )
 from cive_sim.netsim import (
     DuplicateNumber,
     Federation,
     GatewayPolicy,
-    LineLeg,
+    NetsimError,
     SimBudgetExceeded,
     UnknownSubscriber,
 )
@@ -448,16 +448,28 @@ def test_cancelled_timers_never_advance_the_clock_or_trip_the_budget():
     assert net._heap == [] and net._cancelled_timers == set()
 
     # A cancelled timer ahead of a live one is skipped without moving the
-    # clock or counting as an event; one after the last live one is
-    # dropped without raising, though it lies past the budget.
+    # clock; one after the last live one is dropped without raising, though
+    # it lies past the budget.
     early = net.set_timer("probe", 5, "early")
     net.set_timer("probe", 20, "live")
     net.cancel_timer(early)
     net.cancel_timer(net.set_timer("probe", 1000, "late"))
-    stops = []
-    assert net.run(stop_when=lambda: stops.append(net.now) and False, max_sim_ms=150) == 20
-    assert probe.fired == [("live", 20)] and stops == [20]
+    assert net.run(max_sim_ms=150) == 20
+    assert probe.fired == [("live", 20)]
     assert net._heap == [] and net._cancelled_timers == set()
+
+
+@pytest.mark.parametrize("method", [SipMethod.INVITE, SipMethod.BYE])
+def test_send_from_an_owner_without_a_route_names_it(method):
+    net = two_carrier_fed()
+    owner = f"cive:{B}"
+    net.attach_agent(owner, _TimerProbe(net))
+    msg = SipMessage(method=method, from_number=PhoneNumber(B), to_number=PhoneNumber(A),
+                     call_id="x-1", cseq=(1, method))
+    with pytest.raises(NetsimError) as info:
+        net.send(owner, msg)
+    assert owner in str(info.value) and "carrier_id" in str(info.value)
+    assert net.trace == []
 
 
 def test_trace_jsonl_matches_json_dumps_on_awkward_strings():

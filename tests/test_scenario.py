@@ -23,6 +23,7 @@ from cive_sim.scenario import (
     run_scenario,
 )
 from cive_sim import cli
+from cive_sim.netsim import Federation
 from cive_sim.sip_core import PhoneNumber
 
 
@@ -204,6 +205,25 @@ def test_exit_code_logic():
     assert exit_code_for([report(False), report(False, inconclusive=True)]) == 1
 
 
+def test_one_event_loop_per_scenario(monkeypatch):
+    # The callback runs in the loop of the call it checks: one loop entry
+    # per scenario, verification included.
+    entries = []
+    real_run = Federation.run
+
+    def counting_run(net, *args, **kwargs):
+        entries.append(net.now)
+        return real_run(net, *args, **kwargs)
+
+    monkeypatch.setattr(Federation, "run", counting_run)
+    scenarios = [*matrix_scenarios(), *(load_scenario(SCENARIOS / f"{n}.scn") for n in ("c1", "c2", "c3"))]
+    for s in scenarios:
+        entries.clear()
+        report = run_scenario(s)
+        assert report.verdict is not None, s.name
+        assert entries == [0], s.name
+
+
 def test_cli_run_exit_zero(tmp_path, capsys):
     code = cli.main(["run", str(SCENARIOS / "c2.scn"), "--out", str(tmp_path)])
     assert code == 0
@@ -321,6 +341,21 @@ def test_negative_link_timing_is_rejected(tmp_path, capsys, key, value):
     assert out == "" and err == f"error: carrier cn-a: {key} must be >= 0\n"
     # zero is a valid delay
     load_scenario(_c1_with(tmp_path, _CARRIER_LINE, _CARRIER_LINE + f"    {key}: 0\n"))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [("at_ms: 0", "at_ms: 90000"), (_CARRIER_LINE, _CARRIER_LINE + "    link_delay_ms: 70000\n")],
+    ids=["at_ms", "link_delay_ms"],
+)
+def test_cli_scenario_past_the_sim_budget_is_bad_input(tmp_path, capsys, old, new):
+    path = _c1_with(tmp_path, old, new)
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "past the 60000 sim-ms budget" in err
+    assert not out_dir.exists()
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
