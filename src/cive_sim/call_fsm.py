@@ -42,7 +42,7 @@ from .sip_core import (
 # collision. Must stay below the verifier's capture grace (200 ms): the answer
 # has to reach the verifier inside the grace window, otherwise the callback is
 # cancelled first and the mid-dial case becomes indistinguishable from idle at
-# teardown time. cive.launch_verification refuses a federation that breaks this.
+# teardown time. Importing cive fails if this does not hold.
 COLLISION_ANSWER_MS = 100
 
 
@@ -215,8 +215,6 @@ def on_incoming_invite(
     state: EndpointState,
     profile: CalleeProfile,
     invite: SipMessage,
-    *,
-    collision_answer_ms: int = COLLISION_ANSWER_MS,
 ) -> tuple[EndpointState, list[FsmAction]]:
     """Answer an incoming INVITE per the behavior table in the module doc.
 
@@ -247,7 +245,7 @@ def on_incoming_invite(
             trying,
             _respond(invite, 183, pem=PemValue.SENDONLY),
             _respond(invite, 180, pem=PemValue.SENDONLY),
-            AutoAnswer(after_ms=collision_answer_ms),
+            AutoAnswer(after_ms=COLLISION_ANSWER_MS),
         ]
 
     on_a_call = isinstance(state, (Connected, Held))

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .call_fsm import CallPhase, LegPhase, LegRole, LineLeg, expected_caller_state
+from .call_fsm import (
+    COLLISION_ANSWER_MS, CallPhase, LegPhase, LegRole, LineLeg, expected_caller_state
+)
 from .netsim import Direction, Federation, SimEvent
 from .sip_core import (
     AlertUrn,
@@ -64,13 +66,19 @@ class MalformedTraceRow(CiveError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class VerifierConfig:
-    # How long to keep collecting after the first 180 that carries early
-    # media, so a fast far-end answer can still land inside the capture.
-    # Must exceed one link round trip.
-    capture_grace_ms: int = 200
-    au_call_timeout_ms: int = 10_000
+# How long to keep collecting after the first 180 that carries early media,
+# so a fast far-end answer can still land inside the capture. Must exceed one
+# link round trip.
+CAPTURE_GRACE_MS = 200
+AU_CALL_TIMEOUT_MS = 10_000
+
+# A genuinely dialing caller auto-answers the callback; that answer has to land
+# inside the capture grace, or the mid-dial case reads as idle at teardown.
+if COLLISION_ANSWER_MS >= CAPTURE_GRACE_MS:
+    raise CiveError(
+        f"collision auto-answer ({COLLISION_ANSWER_MS} ms) must be shorter than "
+        f"the capture grace ({CAPTURE_GRACE_MS} ms)"
+    )
 
 
 @dataclass(frozen=True)
@@ -313,10 +321,9 @@ class _VerifierAgent:
     INVITE is still pending, just ACK after a non-2xx final.
     """
 
-    def __init__(self, net: Federation, ctx: IncomingCallContext, config: VerifierConfig):
+    def __init__(self, net: Federation, ctx: IncomingCallContext):
         self.net = net
         self.ctx = ctx
-        self.config = config
         self.carrier_id = net.lines[ctx.callee].carrier_id
         self.owner_id = f"cive:{ctx.callee}"
         self.trace = SignalingTrace()
@@ -331,9 +338,7 @@ class _VerifierAgent:
         self.timeout_timer: int | None = None
 
     def start(self) -> None:
-        self.timeout_timer = self.net.set_timer(
-            self.owner_id, self.config.au_call_timeout_ms, "au_timeout"
-        )
+        self.timeout_timer = self.net.set_timer(self.owner_id, AU_CALL_TIMEOUT_MS, "au_timeout")
         self._send(self.leg.invite)
 
     # -- wire helpers --------------------------------------------------------
@@ -373,9 +378,7 @@ class _VerifierAgent:
             if code == 183:
                 self._send(self.leg.request(SipMethod.PRACK))
             elif code == 180 and msg.pem is not None and self.grace_timer is None:
-                self.grace_timer = self.net.set_timer(
-                    self.owner_id, self.config.capture_grace_ms, "grace"
-                )
+                self.grace_timer = self.net.set_timer(self.owner_id, CAPTURE_GRACE_MS, "grace")
             return
         self.final = msg.status
         if self.grace_timer is not None:
@@ -403,36 +406,24 @@ class _VerifierAgent:
             self._send(self.leg.request(SipMethod.CANCEL))
 
 
-def launch_verification(
-    net: Federation,
-    ctx: IncomingCallContext,
-    config: VerifierConfig | None = None,
-) -> _VerifierAgent:
+def launch_verification(net: Federation, ctx: IncomingCallContext) -> _VerifierAgent:
     """Place the auCall: attach a verifier agent to the callee and start it.
 
     The agent sends its INVITE now and runs as an ordinary owner of the
     federation's event loop; hand it to verify_incoming once the loop has
-    run. Raises UnsupportedPhase for an answered-phase context, LineBusy
-    when a verification is already running on this callee's line, and
-    CiveError when the federation's collision auto-answer is not shorter
-    than the capture grace, since the genuine caller's answer would then
-    miss the capture.
+    run. Raises UnsupportedPhase for an answered-phase context, CiveError
+    for an unregistered callee, and LineBusy when a verification is already
+    running on this callee's line.
     """
     if ctx.phase is not CallPhase.RINGING:
         raise UnsupportedPhase("verification launches only while the inCall rings")
     if ctx.callee not in net.lines:
         raise CiveError(f"callee {ctx.callee} is not registered")
-    config = config or VerifierConfig()
-    if net.collision_answer_ms >= config.capture_grace_ms:
-        raise CiveError(
-            f"collision auto-answer ({net.collision_answer_ms} ms) must be shorter than "
-            f"the capture grace ({config.capture_grace_ms} ms)"
-        )
     owner_id = f"cive:{ctx.callee}"
     existing = net.owners.get(owner_id)
     if existing is not None and not getattr(existing, "done", True):
         raise LineBusy(f"{ctx.callee} already has a verification in flight")
-    agent = _VerifierAgent(net, ctx, config)
+    agent = _VerifierAgent(net, ctx)
     net.attach_agent(owner_id, agent)
     agent.start()
     return agent
@@ -441,13 +432,9 @@ def launch_verification(
 def verify_incoming(agent: _VerifierAgent) -> tuple[Verdict, SignalingTrace]:
     """Feature extraction, inference and verdict for a launched verification.
 
-    Call it after the federation has run. If the queue drained before the
-    leg was torn down, the trace stands as captured, timed out when no
-    final response arrived.
+    Call it after the federation has run.
     """
     trace = agent.trace
-    if not agent.done:
-        trace.timed_out = trace.timed_out or agent.final is None
     features = extract_features(trace)
     inferred = infer_state(features)
     return decide(agent.ctx, inferred, features), trace

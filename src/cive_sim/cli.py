@@ -57,11 +57,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     result = scenario.run_matrix(out_dir=args.out)
     print(result.to_table())
-    if result.spoofed_judged_legit:
-        return 1
-    if not result.all_match:
-        return 2 if result.any_inconclusive else 1
-    return 0
+    return scenario.exit_code_for(list(result.reports))
 
 
 # Fields legs_from_trace_rows reads from every row, with their JSON types.

@@ -51,8 +51,7 @@ from .sip_core import (
     serialize_message,
 )
 
-DEFAULT_LINK_DELAY_MS = 50
-DEFAULT_INVITE_PATIENCE_MS = 20_000
+INVITE_PATIENCE_MS = 20_000
 DEFAULT_MAX_SIM_MS = 60_000
 
 
@@ -84,8 +83,15 @@ class GatewayPolicy:
     """
 
     enforce_caller_id: bool = False
-    link_delay_ms: int = DEFAULT_LINK_DELAY_MS
+    link_delay_ms: int = 50
     jitter_ms: int = 0
+
+    def __post_init__(self) -> None:
+        # A negative delay would run the clock backwards; a negative jitter
+        # has no draw range.
+        for key in ("link_delay_ms", "jitter_ms"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
 
 
 @dataclass
@@ -197,12 +203,7 @@ class PhoneLine:
         # ACK and PRACK are absorbed; this profile does not answer them.
 
     def _handle_invite(self, invite: SipMessage) -> None:
-        state, actions = call_fsm.on_incoming_invite(
-            self.state,
-            self.profile,
-            invite,
-            collision_answer_ms=self.net.collision_answer_ms,
-        )
+        state, actions = call_fsm.on_incoming_invite(self.state, self.profile, invite)
         self.state = state
         alerting = answered = False  # answered: a final response, local or by voicemail
         auto = None
@@ -310,7 +311,7 @@ class PhoneLine:
         if isinstance(self.state, Idle):
             self.state = Dialing(to)
         leg.patience_timer = self.net.set_timer(
-            self.owner_id, self.net.invite_patience_ms, "patience", (call_id,)
+            self.owner_id, INVITE_PATIENCE_MS, "patience", (call_id,)
         )
         self.net.send(self.owner_id, invite)
 
@@ -370,17 +371,9 @@ class Federation:
     Independent Federations share nothing and may run concurrently.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        collision_answer_ms: int = call_fsm.COLLISION_ANSWER_MS,
-        invite_patience_ms: int = DEFAULT_INVITE_PATIENCE_MS,
-    ):
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self.rng = random.Random(seed)
-        self.collision_answer_ms = collision_answer_ms
-        self.invite_patience_ms = invite_patience_ms
         self.now = 0
         self.carriers: dict[str, CarrierNetwork] = {}
         self.owners: dict[str, object] = {}

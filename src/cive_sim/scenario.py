@@ -55,7 +55,7 @@ from .cive import (
     Verdict,
     verify_incoming,
 )
-from .netsim import DEFAULT_MAX_SIM_MS, Federation, GatewayPolicy, PhoneLine
+from .netsim import Federation, GatewayPolicy, PhoneLine
 from .sip_core import PhoneNumber
 
 
@@ -85,8 +85,12 @@ _PARTY_STATES = ("idle", *_PRESET_STATES)
 class CarrierSpec:
     id: str
     enforce_caller_id: bool = False
-    link_delay_ms: int = 50
-    jitter_ms: int = 0
+    link_delay_ms: int = GatewayPolicy.link_delay_ms
+    jitter_ms: int = GatewayPolicy.jitter_ms
+
+    def policy(self) -> GatewayPolicy:
+        """This carrier's gateway policy; ValueError names a negative timing value."""
+        return GatewayPolicy(self.enforce_caller_id, self.link_delay_ms, self.jitter_ms)
 
 
 @dataclass(frozen=True)
@@ -126,9 +130,10 @@ class Scenario:
         if len(carrier_ids) != len(self.carriers):
             raise ScenarioValidationError("duplicate carrier ids")
         for c in self.carriers:
-            for key in ("link_delay_ms", "jitter_ms"):
-                if getattr(c, key) < 0:
-                    raise ScenarioValidationError(f"carrier {c.id}: {key} must be >= 0")
+            try:
+                c.policy()
+            except ValueError as exc:
+                raise ScenarioValidationError(f"carrier {c.id}: {exc}") from None
         registered = set(numbers)
         for p in self.parties:
             if p.carrier not in carrier_ids:
@@ -205,8 +210,8 @@ def load_scenario(path: str | Path) -> Scenario:
             CarrierSpec(
                 id=str(_require(c, "id", "carrier")),
                 enforce_caller_id=_flag(c, "enforce_caller_id", False, "carrier"),
-                link_delay_ms=_integer(c, "link_delay_ms", 50, "carrier"),
-                jitter_ms=_integer(c, "jitter_ms", 0, "carrier"),
+                link_delay_ms=_integer(c, "link_delay_ms", CarrierSpec.link_delay_ms, "carrier"),
+                jitter_ms=_integer(c, "jitter_ms", CarrierSpec.jitter_ms, "carrier"),
             )
             for c in _require(raw, "carriers", path.name)
         )
@@ -295,14 +300,7 @@ def build_federation(s: Scenario, seed: int | None = None) -> Federation:
     """Materialize a scenario's carriers, parties and initial states."""
     net = Federation(seed=s.seed if seed is None else seed)
     for c in s.carriers:
-        net.add_carrier(
-            c.id,
-            GatewayPolicy(
-                enforce_caller_id=c.enforce_caller_id,
-                link_delay_ms=c.link_delay_ms,
-                jitter_ms=c.jitter_ms,
-            ),
-        )
+        net.add_carrier(c.id, c.policy())
     for p in s.parties:
         line = net.register_subscriber(
             p.carrier,
@@ -324,14 +322,13 @@ def run_scenario(
     *,
     seed: int | None = None,
     cive_enabled: bool | None = None,
-    max_sim_ms: int = DEFAULT_MAX_SIM_MS,
 ) -> RunReport:
     """Run one scenario to quiescence and score the verdict.
 
     With verification enabled, the target line's first ring launches the
     callback, which then runs in the same event loop as the call it checks;
-    the loop runs once, under the ``max_sim_ms`` budget, and the verdict is
-    read at quiescence. Equal (scenario, seed) pairs produce byte-identical
+    the loop runs once, under the simulation budget, and the verdict is read
+    at quiescence. Equal (scenario, seed) pairs produce byte-identical
     trace and report files.
     """
     s.validate()
@@ -362,7 +359,7 @@ def run_scenario(
         s.origination.target,
         at_ms=s.origination.at_ms,
     )
-    net.run_until_quiescent(max_sim_ms)
+    net.run_until_quiescent()
     verdict: Verdict | None = None
     if agent is not None:
         verdict, _trace = verify_incoming(agent)
@@ -501,6 +498,7 @@ def matrix_scenarios() -> list[Scenario]:
 @dataclass(frozen=True)
 class MatrixResult:
     rows: tuple[MatrixRow, ...]
+    reports: tuple[RunReport, ...]  # one per row, in row order
 
     @property
     def all_match(self) -> bool:
@@ -509,10 +507,6 @@ class MatrixResult:
     @property
     def spoofed_judged_legit(self) -> int:
         return sum(1 for r in self.rows if r.truth == "spoofed" and r.verdict == "Legit")
-
-    @property
-    def any_inconclusive(self) -> bool:
-        return any(r.verdict == "Inconclusive" for r in self.rows)
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
@@ -544,8 +538,10 @@ def run_matrix(out_dir: str | Path | None = None) -> MatrixResult:
         cells_dir = Path(out_dir) / "cells"
         cells_dir.mkdir(parents=True, exist_ok=True)
     rows = []
+    reports = []
     for s in sorted(matrix_scenarios(), key=lambda s: s.name):
         report = run_scenario(s, cells_dir)
+        reports.append(report)
         verdict = report.verdict
         assert verdict is not None
         parts = s.name.split("-")
@@ -562,7 +558,7 @@ def run_matrix(out_dir: str | Path | None = None) -> MatrixResult:
                 match=bool(report.match),
             )
         )
-    result = MatrixResult(rows=tuple(rows))
+    result = MatrixResult(rows=tuple(rows), reports=tuple(reports))
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         (Path(out_dir) / "matrix.csv").write_text(result.to_csv(), encoding="utf-8")

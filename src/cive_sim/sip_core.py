@@ -71,10 +71,6 @@ class PhoneNumber(str):
             raise ValueError(f"not an E.164-style number: {value!r}")
         return super().__new__(cls, value)
 
-    @property
-    def digits(self) -> str:
-        return str(self)
-
 
 class SipMethod(str, Enum):
     INVITE = "INVITE"

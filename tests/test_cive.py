@@ -7,9 +7,9 @@ from conftest import loaded_federation
 
 import cive_sim.scenario
 import cive_sim.sip_core
+from cive_sim import call_fsm, cive
 from cive_sim.call_fsm import CalleeProfile, CallPhase, Connected, Dialing
 from cive_sim.cive import (
-    CiveError,
     Decision,
     EmptyTrace,
     FeatureVector,
@@ -20,7 +20,6 @@ from cive_sim.cive import (
     SignalingTrace,
     UnsupportedPhase,
     Verdict,
-    VerifierConfig,
     decide,
     extract_features,
     infer_state,
@@ -223,9 +222,9 @@ def test_verdict_invariants():
         Verdict(Decision.SPOOFED, InferredState.UNKNOWN, "x", "r", FeatureVector())
 
 
-def _verify(net, context, config=None):
+def _verify(net, context):
     """Launch a verification, run the federation to quiescence, read the verdict."""
-    agent = launch_verification(net, context, config)
+    agent = launch_verification(net, context)
     net.run_until_quiescent()
     return verify_incoming(agent)
 
@@ -359,6 +358,18 @@ def test_verify_times_out_when_the_queue_drains_before_the_leg_ends():
     assert net.now == 10_050
 
 
+def test_verify_before_the_loop_runs_is_never_legit():
+    # A's phone is dialing B, so a run would judge this callback Legit;
+    # before the run only the INVITE is on the leg.
+    net = _federation()
+    net.lines[A].preset_state(Dialing(B))
+    agent = launch_verification(net, ctx())
+    verdict, trace = verify_incoming(agent)
+    assert verdict.decision is Decision.INCONCLUSIVE
+    assert verdict.inferred is InferredState.UNREACHABLE
+    assert len(trace) == 1 and not trace.timed_out
+
+
 def test_verify_connected_no_features_is_busy():
     net = _federation()
     net.register_subscriber("cn-a", "+15550102")
@@ -418,17 +429,8 @@ def test_launch_traces_are_transaction_legal():
         assert pattern.match(",".join(map(str, codes))), codes
 
 
-def test_launch_refuses_collision_answer_not_inside_capture_grace():
-    net = Federation(collision_answer_ms=200)
-    net.add_carrier("cn-a")
-    net.register_subscriber("cn-a", A)
-    net.register_subscriber("cn-a", B)
-    with pytest.raises(CiveError, match="capture grace"):
-        launch_verification(net, ctx())
-    assert net.trace == []  # refused before anything went on the wire
-    # a grace longer than the auto-answer is accepted
-    _, trace = _verify(net, ctx(), VerifierConfig(capture_grace_ms=201))
-    assert trace.entries[0].message.method is SipMethod.INVITE
+def test_collision_answer_lands_inside_capture_grace():
+    assert call_fsm.COLLISION_ANSWER_MS < cive.CAPTURE_GRACE_MS
 
 
 def test_legs_from_trace_rows_round_trip(tmp_path, monkeypatch):

@@ -177,6 +177,15 @@ def test_equal_seeds_byte_identical_traces():
     assert run(7) != run(8)  # jitter draws actually depend on the seed
 
 
+@pytest.mark.parametrize("key,value", [("link_delay_ms", -100), ("jitter_ms", -3)])
+def test_gateway_policy_rejects_negative_timing(key, value):
+    # A negative delay ran the clock backwards; a negative jitter crashed
+    # the first send.
+    with pytest.raises(ValueError, match=f"^{key} must be >= 0$"):
+        GatewayPolicy(**{key: value})
+    assert getattr(GatewayPolicy(**{key: 0}), key) == 0
+
+
 def test_jitter_draws_follow_the_seeded_randint_sequence():
     # Each link a message crosses draws randint(0, jitter_ms) from
     # Random(seed), source carrier first, in the order messages are sent.

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import REPO, SCENARIOS
 
+import cive_sim.scenario
 from cive_sim.cive import Decision, InferredState
 from cive_sim.scenario import (
     GroundTruth,
@@ -22,7 +23,7 @@ from cive_sim.scenario import (
     run_matrix,
     run_scenario,
 )
-from cive_sim import cli
+from cive_sim import cive, cli
 from cive_sim.netsim import Federation
 from cive_sim.sip_core import PhoneNumber
 
@@ -262,6 +263,23 @@ def test_cli_matrix(tmp_path, capsys):
     assert "match rate: 20/20" in capsys.readouterr().out
     assert (tmp_path / "matrix.csv").exists()
     assert (tmp_path / "cells" / "matrix-idle-cw0-vm0-spoofed.trace.jsonl").exists()
+
+
+def test_cli_matrix_exit_code_is_one_for_any_outright_mismatch(monkeypatch, capsys):
+    # A genuine cell judged Spoofed is a mismatch, whatever else is
+    # inconclusive: exit 1, as for `run`.
+    names = ("matrix-dialing_b-cw0-vm0-genuine", "matrix-idle-cw0-vm0-spoofed")
+    cells = [s for s in matrix_scenarios() if s.name in names]
+    scripted = iter([InferredState.IDLE, InferredState.UNREACHABLE])  # in cell-name order
+
+    def scripted_verify(agent):
+        verdict, trace = cive.verify_incoming(agent)
+        return cive.decide(agent.ctx, next(scripted), verdict.features), trace
+
+    monkeypatch.setattr(cive_sim.scenario, "matrix_scenarios", lambda: cells)
+    monkeypatch.setattr(cive_sim.scenario, "verify_incoming", scripted_verify)
+    assert cli.main(["matrix"]) == 1
+    assert "match rate: 0/2" in capsys.readouterr().out
 
 
 def test_cli_parse_recovers_aucall(tmp_path, capsys):
