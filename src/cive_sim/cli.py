@@ -7,9 +7,10 @@
 Exit codes: 0 when every executed scenario matches its ground truth,
 2 when some verdicts were inconclusive, 1 on any outright mismatch,
 3 on bad input (an unreadable or invalid scenario, a scenario whose events
-run past the simulation budget, a malformed trace file, a non-integer
-CIVE_SIM_SEED, an --out that cannot be written), reported as one
-``error: ...`` line on stderr.
+run past the simulation budget, a malformed trace file, a scenario or trace
+holding an integer too long for int() or a value nested too deep, a
+non-integer CIVE_SIM_SEED, an --out that cannot be written), reported as
+one ``error: ...`` line on stderr.
 CIVE_SIM_SEED provides the default seed when --seed is absent.
 """
 
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from json.decoder import scanstring
 
 from . import cive, netsim, scenario
 
@@ -75,22 +77,67 @@ def _row_problem(row: object) -> str | None:
     return None
 
 
+def _decode_literal(literal: str) -> str:
+    """The text of a JSON string literal; ValueError unless it decodes whole."""
+    text, end = scanstring(literal, 1)
+    if end != len(literal):
+        raise ValueError("string literal not consumed")
+    return text
+
+
+def _general_row(line: str, path: str, lineno: int) -> dict:
+    """One row read by ``json.loads``; raises TraceFileError naming the line."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFileError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an integer too long for int(), deep nesting
+        raise TraceFileError(f"{path}:{lineno}: unreadable JSON: {exc}") from None
+    problem = _row_problem(row)
+    if problem is not None:
+        raise TraceFileError(f"{path}:{lineno}: {problem}")
+    return row
+
+
 def _read_trace(path: str) -> tuple[list[dict], list[int]]:
-    """The rows of a trace file, and the line number each row came from."""
+    """The rows of a trace file, and the line number each row came from.
+
+    A line as ``Federation.trace_jsonl`` writes it is read by one
+    ``netsim.TRACE_LINE_RE`` match, its sip literal decoded once per file,
+    so a row and its twin share one string. Any other line, or one whose
+    literal or integer does not decode, goes to ``json.loads``; both give
+    the same row, or the same error on the same line.
+    """
     rows: list[dict] = []
     line_numbers: list[int] = []
+    texts: dict[str, str] = {}  # sip literal -> its decoded text
+    match = netsim.TRACE_LINE_RE.fullmatch
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TraceFileError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
-                problem = _row_problem(row)
-                if problem is not None:
-                    raise TraceFileError(f"{path}:{lineno}: {problem}")
+                m = match(line)
+                if m is None:
+                    if not line.strip():
+                        continue
+                    row = _general_row(line, path, lineno)
+                else:
+                    t_ms, carrier, from_hop, to_hop, direction, literal = m.groups()
+                    sip = texts.get(literal)
+                    try:
+                        if sip is None:
+                            sip = texts[literal] = _decode_literal(literal)
+                        t_ms = int(t_ms)
+                    except ValueError:  # a literal JSON rejects, an integer too long for int()
+                        row = _general_row(line, path, lineno)
+                    else:
+                        row = {
+                            "t_ms": t_ms,
+                            "carrier": carrier,
+                            "from_hop": from_hop,
+                            "to_hop": to_hop,
+                            "dir": direction,
+                            "sip": sip,
+                        }
                 rows.append(row)
                 line_numbers.append(lineno)
     except OSError as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -607,7 +608,7 @@ class Federation:
 
         Lines are built from the fixed field order; each distinct string is
         escaped once, since an egress row and its ingress row share the same
-        wire text.
+        wire text. ``TRACE_LINE_RE`` is the inverse of this layout.
         """
         q = _Quoted()
         return "".join(
@@ -626,3 +627,15 @@ class _Quoted(dict):
     def __missing__(self, text: str) -> str:
         quoted = self[text] = encode_basestring_ascii(text)
         return quoted
+
+
+# The exact inverse of one trace_jsonl line, for readers that take such a
+# line in one match: the fixed key order and spacing, a plain decimal t_ms,
+# four strings with nothing to unescape, and the sip field captured as its
+# raw JSON string literal.
+_PLAIN_STR = r'"([^"\\\x00-\x1f]*)"'
+TRACE_LINE_RE = re.compile(
+    r'\{"t_ms": (0|[1-9][0-9]*), "carrier": ' + _PLAIN_STR
+    + r', "from_hop": ' + _PLAIN_STR + r', "to_hop": ' + _PLAIN_STR
+    + r', "dir": ' + _PLAIN_STR + r', "sip": ("[^"\\]*(?:\\.[^"\\]*)*")\}\n?'
+)

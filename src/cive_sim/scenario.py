@@ -202,6 +202,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioParseError(f"{path}: not UTF-8 text") from None
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer too long for int(), deep nesting
+        raise ScenarioParseError(f"{path}: unreadable value: {exc}") from None
     if not isinstance(raw, dict):
         raise ScenarioParseError(f"{path}: expected a mapping at top level")
 
@@ -495,14 +497,33 @@ def matrix_scenarios() -> list[Scenario]:
     return cells
 
 
+def _matrix_row(report: RunReport) -> MatrixRow:
+    assert report.verdict is not None
+    _, a_state, cw, vm, origination = report.scenario.split("-")
+    return MatrixRow(
+        scenario=report.scenario,
+        a_state=a_state,
+        cw=cw == "cw1",
+        vm=vm == "vm1",
+        origination=origination,
+        inferred=report.verdict.inferred.value,
+        verdict=report.verdict.decision.value,
+        truth=report.ground_truth.value,
+        match=bool(report.match),
+    )
+
+
 @dataclass(frozen=True)
 class MatrixResult:
-    rows: tuple[MatrixRow, ...]
-    reports: tuple[RunReport, ...]  # one per row, in row order
+    reports: tuple[RunReport, ...]  # one per cell, sorted by scenario name
+
+    @property
+    def rows(self) -> tuple[MatrixRow, ...]:
+        return tuple(_matrix_row(r) for r in self.reports)
 
     @property
     def all_match(self) -> bool:
-        return all(r.match for r in self.rows)
+        return all(r.match for r in self.reports)
 
     @property
     def spoofed_judged_legit(self) -> int:
@@ -521,8 +542,8 @@ class MatrixResult:
         fmt = "  ".join(f"{{:<{w}}}" for w in widths)
         out = [fmt.format(*CSV_COLUMNS)]
         out.extend(fmt.format(*values) for values in rows)
-        matched = sum(1 for r in self.rows if r.match)
-        out.append(f"match rate: {matched}/{len(self.rows)}")
+        matched = sum(1 for r in self.reports if r.match)
+        out.append(f"match rate: {matched}/{len(self.reports)}")
         return "\n".join(out)
 
 
@@ -537,28 +558,9 @@ def run_matrix(out_dir: str | Path | None = None) -> MatrixResult:
     if out_dir is not None:
         cells_dir = Path(out_dir) / "cells"
         cells_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    reports = []
-    for s in sorted(matrix_scenarios(), key=lambda s: s.name):
-        report = run_scenario(s, cells_dir)
-        reports.append(report)
-        verdict = report.verdict
-        assert verdict is not None
-        parts = s.name.split("-")
-        rows.append(
-            MatrixRow(
-                scenario=s.name,
-                a_state=parts[1],
-                cw=parts[2] == "cw1",
-                vm=parts[3] == "vm1",
-                origination=parts[4],
-                inferred=verdict.inferred.value,
-                verdict=verdict.decision.value,
-                truth=report.ground_truth.value,
-                match=bool(report.match),
-            )
-        )
-    result = MatrixResult(rows=tuple(rows), reports=tuple(reports))
+    result = MatrixResult(
+        tuple(run_scenario(s, cells_dir) for s in sorted(matrix_scenarios(), key=lambda s: s.name))
+    )
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         (Path(out_dir) / "matrix.csv").write_text(result.to_csv(), encoding="utf-8")

@@ -53,7 +53,7 @@ class MissingMandatoryHeader(ParseError):
     pass
 
 
-_NUMBER_RE = re.compile(r"^\+[0-9]{7,15}$")
+_NUMBER_RE = re.compile(r"\+[0-9]{7,15}")
 _WHITESPACE_RE = re.compile(r"\s")
 
 
@@ -67,7 +67,7 @@ class PhoneNumber(str):
     def __new__(cls, value: str) -> "PhoneNumber":
         if type(value) is cls:
             return value
-        if not _NUMBER_RE.match(value):
+        if not _NUMBER_RE.fullmatch(value):
             raise ValueError(f"not an E.164-style number: {value!r}")
         return super().__new__(cls, value)
 
@@ -375,7 +375,10 @@ def _parse_general(text: str) -> SipMessage:
             m = _CSEQ_RE.match(value)
             if not m:
                 raise BadHeaderSyntax(f"bad CSeq: {value!r}")
-            seq = int(m.group(1))
+            try:
+                seq = int(m.group(1))
+            except ValueError:  # more digits than int() converts
+                raise BadHeaderSyntax(f"CSeq sequence has {len(m.group(1))} digits") from None
             cseq_method = _METHOD_BY_VALUE.get(m.group(2))
             if cseq_method is None:
                 raise BadHeaderSyntax(f"CSeq method outside the closed set: {value!r}")
@@ -440,14 +443,16 @@ def _alternation(values) -> str:
 # The exact inverse of serialize_message for messages without extra headers:
 # LF only, no \r anywhere (the general parser folds CRLF in the body too),
 # mandatory headers in fixed order with exact spelling, a reason phrase with
-# no outer whitespace. The body is everything after the blank line.
+# no outer whitespace, a CSeq of at most ten digits (a longer one is left to
+# the general parser, which reports one too long for int()). The body is
+# everything after the blank line.
 _CANONICAL_RE = re.compile(
     r"(?:(" + _alternation(_METHOD_BY_VALUE) + r") sip:\+[0-9]+ SIP/2\.0"
     r"|SIP/2\.0 ([0-9]{3}) ([!-~](?:[ -~]*[!-~])?))\n"
     r"From: sip:(\+[0-9]{7,15})\n"
     r"To: sip:(\+[0-9]{7,15})\n"
     r"Call-ID: (\S+)\n"
-    r"CSeq: ([1-9][0-9]*) (" + _alternation(_METHOD_BY_VALUE) + r")\n"
+    r"CSeq: ([1-9][0-9]{0,9}) (" + _alternation(_METHOD_BY_VALUE) + r")\n"
     r"(?:P-Early-Media: (" + _alternation(_PEM_BY_VALUE) + r")\n)?"
     r"(?:Alert-Info: <urn:alert:service:(" + _alternation(_ALERT_BY_VALUE) + r")>\n)?"
     r"\n([^\r]*)"
@@ -459,14 +464,17 @@ def _parse_canonical(text: str) -> SipMessage | None:
 
     Accept-only: it never raises. A status code outside the closed set or a
     request whose CSeq method differs from its own method returns None, so
-    the general parser raises the error.
+    the general parser raises the error. The match has already checked what
+    ``PhoneNumber`` and ``SipMessage.__post_init__`` check (both numbers,
+    a Call-ID with no whitespace, a CSeq of at least 1 whose method is the
+    message's method), so the message is built without checking it again.
     """
     m = _CANONICAL_RE.fullmatch(text)
     if m is None:
         return None
     (method, code, reason, from_number, to_number, call_id, seq, cseq_method,
      pem, alert, body) = m.groups()
-    cseq = (int(seq), _METHOD_BY_VALUE[cseq_method])
+    msg_method = _METHOD_BY_VALUE[cseq_method]
     if method is None:
         code = int(code)
         if code not in CANONICAL_REASON:
@@ -476,17 +484,20 @@ def _parse_canonical(text: str) -> SipMessage | None:
         return None
     else:
         status = None
-    return SipMessage(
-        method=cseq[1],
-        from_number=PhoneNumber(from_number),
-        to_number=PhoneNumber(to_number),
-        call_id=call_id,
-        cseq=cseq,
-        status=status,
-        pem=_PEM_BY_VALUE[pem] if pem else None,
-        alert=_ALERT_BY_VALUE[alert] if alert else None,
-        body=body,
-    )
+    msg = object.__new__(SipMessage)
+    msg.__dict__.update({
+        "method": msg_method,
+        "from_number": str.__new__(PhoneNumber, from_number),
+        "to_number": str.__new__(PhoneNumber, to_number),
+        "call_id": call_id,
+        "cseq": (int(seq), msg_method),
+        "status": status,
+        "pem": _PEM_BY_VALUE[pem] if pem else None,
+        "alert": _ALERT_BY_VALUE[alert] if alert else None,
+        "extra_headers": (),
+        "body": body,
+    })
+    return msg
 
 
 def serialize_message(msg: SipMessage) -> str:

@@ -1,10 +1,13 @@
+import io
+import itertools
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from conftest import REPO, SCENARIOS
+from conftest import REPO, SCENARIOS, loaded_federation
 
 import cive_sim.scenario
 from cive_sim.cive import Decision, InferredState
@@ -24,7 +27,7 @@ from cive_sim.scenario import (
     run_scenario,
 )
 from cive_sim import cive, cli
-from cive_sim.netsim import Federation
+from cive_sim.netsim import TRACE_LINE_RE, Federation
 from cive_sim.sip_core import PhoneNumber
 
 
@@ -270,7 +273,8 @@ def test_cli_matrix_exit_code_is_one_for_any_outright_mismatch(monkeypatch, caps
     # inconclusive: exit 1, as for `run`.
     names = ("matrix-dialing_b-cw0-vm0-genuine", "matrix-idle-cw0-vm0-spoofed")
     cells = [s for s in matrix_scenarios() if s.name in names]
-    scripted = iter([InferredState.IDLE, InferredState.UNREACHABLE])  # in cell-name order
+    # in cell-name order, for each of the two runs below
+    scripted = itertools.cycle([InferredState.IDLE, InferredState.UNREACHABLE])
 
     def scripted_verify(agent):
         verdict, trace = cive.verify_incoming(agent)
@@ -278,6 +282,14 @@ def test_cli_matrix_exit_code_is_one_for_any_outright_mismatch(monkeypatch, caps
 
     monkeypatch.setattr(cive_sim.scenario, "matrix_scenarios", lambda: cells)
     monkeypatch.setattr(cive_sim.scenario, "verify_incoming", scripted_verify)
+    # the rows, all_match and the exit code all read the same reports
+    result = run_matrix()
+    assert [(r.verdict, r.match) for r in result.rows] == [
+        ("Spoofed", False),
+        ("Inconclusive", False),
+    ]
+    assert not result.all_match and exit_code_for(list(result.reports)) == 1
+    assert result.to_csv().count(",false\n") == 2
     assert cli.main(["matrix"]) == 1
     assert "match rate: 0/2" in capsys.readouterr().out
 
@@ -313,12 +325,28 @@ _CARRIER_LINE = "    enforce_caller_id: false\n"
         ("seed: 0", "seed: 2.9"),
         ("at_ms: 0", "at_ms: 1.5"),
         ("seed: 0", "seed: true"),
+        ("seed: 0", "seed: 1" + "0" * 5000),
+        ("seed: 0", "seed: " + "[" * 600 + "0" + "]" * 600),
     ],
-    ids=["seed", "at_ms", "link_delay_ms", "jitter_ms", "seed-float", "at_ms-float", "seed-bool"],
+    ids=[
+        "seed", "at_ms", "link_delay_ms", "jitter_ms", "seed-float", "at_ms-float", "seed-bool",
+        "seed-5001-digits", "seed-nested-too-deep",
+    ],
 )
 def test_cli_non_integer_value_is_bad_input(tmp_path, capsys, old, new):
     path = _c1_with(tmp_path, old, new)
     with pytest.raises(ScenarioParseError):
+        load_scenario(path)
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_number_with_trailing_newline_is_bad_input(tmp_path, capsys):
+    text = (SCENARIOS / "c1.scn").read_text(encoding="utf-8")
+    path = _write(tmp_path, text.replace('"+15550100"', '"+15550100\\n"'))
+    with pytest.raises(ScenarioValidationError, match="not an E.164-style number"):
         load_scenario(path)
     assert cli.main(["run", str(path)]) == 3
     out, err = capsys.readouterr()
@@ -472,6 +500,159 @@ def test_cli_parse_leg_out_of_order(tmp_path, capsys):
     err = _parse_fails(tmp_path, capsys, ["", *(json.dumps(row) for row in rows)])
     assert f"bad.trace.jsonl:{late + 2}: " in err
     assert "timestamps must be non-decreasing" in err
+
+
+@pytest.mark.parametrize(
+    "value", ["1" + "0" * 5000, "[" * 5000 + "0" + "]" * 5000], ids=["5001-digits", "deep"]
+)
+def test_cli_parse_oversized_value_is_bad_input(tmp_path, capsys, value):
+    lines = [json.dumps(row) for row in _c3_trace_rows(tmp_path)]
+    lines[3] = lines[3].replace(f'"t_ms": {json.loads(lines[3])["t_ms"]}', f'"t_ms": {value}', 1)
+    err = _parse_fails(tmp_path, capsys, lines)
+    assert "bad.trace.jsonl:4: unreadable JSON: " in err
+
+
+def _reference_read(lines, path):
+    """The reader without a fast path: ``json.loads`` and ``_row_problem`` on each line.
+
+    Returns the rows as JSON, so key order counts, with their line numbers,
+    or the one error line ``_read_trace`` is expected to raise.
+    """
+    rows, line_numbers = [], []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return f"{path}:{lineno}: malformed JSON: {exc.msg}"
+        except ValueError as exc:
+            return f"{path}:{lineno}: unreadable JSON: {exc}"
+        problem = cli._row_problem(row)
+        if problem is not None:
+            return f"{path}:{lineno}: {problem}"
+        rows.append(row)
+        line_numbers.append(lineno)
+    return json.dumps(rows), line_numbers
+
+
+def _read_outcome(path):
+    try:
+        rows, line_numbers = cli._read_trace(path)
+    except cli.TraceFileError as exc:
+        return str(exc)
+    return json.dumps(rows), line_numbers
+
+
+def _mutate_row_line(rng, line):
+    """One way to write the row on ``line`` differently, or to break it."""
+    row = json.loads(line)
+    kind = rng.randrange(12)
+    if kind == 0:  # reordered keys
+        items = list(row.items())
+        rng.shuffle(items)
+        return json.dumps(dict(items))
+    if kind == 1:  # compact separators
+        return json.dumps(row, separators=(",", ":"))
+    if kind == 2:  # an extra space anywhere
+        pos = rng.randrange(len(line) + 1)
+        return line[:pos] + " " + line[pos:]
+    if kind == 3:  # "/" written as an escape in the sip literal, or in a hop
+        if rng.random() < 0.5:
+            return line.replace("/", "\\/")
+        return line.replace('"ep:', '"ep\\/', 1)
+    if kind == 4:  # non-ASCII text, raw or escaped
+        name = rng.choice(("carrier", "from_hop", "sip"))
+        row[name] = row[name] + rng.choice(("\u00e9", "\u2028", "\U0001f4de", "\x85"))
+        return json.dumps(row, ensure_ascii=rng.random() < 0.5)
+    if kind == 5:  # an odd t_ms
+        t_ms = rng.choice(("-1", "-0", "007", "0", "7.0", "1e3", "1" + "0" * 5000, '"7"'))
+        return line.replace(f'"t_ms": {row["t_ms"]}', f'"t_ms": {t_ms}', 1)
+    if kind == 6:  # truncated
+        return line[: rng.randrange(len(line))]
+    if kind == 7:  # an escape, or a raw control character, that JSON does not allow
+        pos = line.index('"sip": "') + 8 + rng.randrange(20)
+        return line[:pos] + rng.choice(("\\x", "\\u12", "\t", "\x00", "\\")) + line[pos:]
+    if kind == 8:  # a missing, extra or repeated field
+        name = rng.choice(list(row))
+        if rng.random() < 0.5:
+            del row[name]
+            return json.dumps(row)
+        return line[:-1] + f', "{rng.choice((name, "note"))}": {json.dumps(row[name])}}}'
+    if kind == 9:  # a field of the wrong JSON type
+        name = rng.choice(list(row))
+        row[name] = rng.choice((None, True, 1, "1", [], {}))
+        return json.dumps(row)
+    if kind == 10:  # surrounding whitespace, or not an object
+        return rng.choice((" " + line, line + " ", "\t" + line, f"[{line}]", "null"))
+    pos = rng.randrange(len(line))  # one character flipped
+    return line[:pos] + chr(ord(line[pos]) ^ (1 << rng.randrange(7))) + line[pos + 1 :]
+
+
+def test_read_trace_matches_json_loads_on_golden_seeded_and_mutated_rows(tmp_path, monkeypatch):
+    rng = random.Random(20261018)
+    golden = REPO / "tests" / "golden"
+    traces = [
+        (golden / f"{name}.trace.jsonl").read_text(encoding="utf-8").splitlines()
+        for name in ("c1", "c2", "c3")
+    ]
+    rows, _ = loaded_federation(7, 40)
+    traces.append([json.dumps(row) for row in rows])
+    assert all(TRACE_LINE_RE.fullmatch(line) for trace in traces for line in trace)
+    fallback = []  # for each line json.loads read: whether the fast regex matched it
+    general_row = cli._general_row
+
+    def counted_general_row(line, path, lineno):
+        fallback.append(TRACE_LINE_RE.fullmatch(line) is not None)
+        return general_row(line, path, lineno)
+
+    monkeypatch.setattr(cli, "_general_row", counted_general_row)
+    files = ["\n".join(lines) + "\n" for lines in traces]
+    lines = [line for trace in traces for line in trace]
+    for _ in range(10_000):
+        picked = rng.sample(lines, rng.choice((1, 2, 3)))
+        i = rng.randrange(len(picked))
+        picked[i] = _mutate_row_line(rng, picked[i])
+        if rng.random() < 0.2:
+            picked.insert(rng.randrange(len(picked) + 1), rng.choice(("", " ", "\t")))
+        files.append("\n".join(picked) + rng.choice(("\n", "")))
+    path = tmp_path / "t.trace.jsonl"
+
+    def check(text):
+        path.write_text(text, encoding="utf-8")
+        outcome = _read_outcome(path)
+        assert outcome == _reference_read(io.StringIO(text, newline=None), path), text[:300]
+        return outcome
+
+    # a file stops at its first bad row, so each failing text gets a file of
+    # its own while the texts read whole share a file, a few hundred at a time
+    readable = []
+    errors = 0
+    for text in files:
+        if isinstance(_reference_read(io.StringIO(text, newline=None), path), str):
+            check(text)
+            errors += 1
+        else:
+            readable.append(text.removesuffix("\n"))
+    before = len(fallback)
+    read = 0
+    for start in range(0, len(readable), 300):
+        read += len(check("\n".join(readable[start : start + 300]) + rng.choice(("\n", "")))[1])
+    # the fast path, the fallback that reads a row and the one that rejects it
+    # are all exercised, and so is a match whose literal or integer does not decode
+    slow = len(fallback) - before
+    declined = sum(fallback)
+    assert read - slow > 8_000 and slow > 3_000 and errors > 3_000 and declined > 300, (
+        read - slow, slow, errors, declined,
+    )
+
+
+def test_twin_rows_share_one_sip_string():
+    rows, _ = cli._read_trace(str(REPO / "tests" / "golden" / "c3.trace.jsonl"))
+    by_text = {}
+    for row in rows:
+        assert by_text.setdefault(row["sip"], row["sip"]) is row["sip"]
+    assert len(by_text) < len(rows)
 
 
 def test_console_script_installed():

@@ -34,7 +34,7 @@ MINIMAL_HEADERS = "From: sip:+15550001\nTo: sip:+15550002\nCall-ID: x1\nCSeq: 1 
 
 def test_phone_number_validation():
     assert PhoneNumber("+15550100") == "+15550100"
-    for bad in ("15550100", "+123456", "+1234567890123456", "+15 50100", "", "+"):
+    for bad in ("15550100", "+123456", "+1234567890123456", "+15 50100", "", "+", "+15550100\n"):
         with pytest.raises(ValueError):
             PhoneNumber(bad)
 
@@ -317,6 +317,18 @@ def test_parse_matches_general_parser_on_corpus_generated_and_mutated_texts(corp
         rejected += isinstance(outcome, type)
     # both paths and the error paths are exercised, not only the fallback
     assert fast > 2_000 and rejected > 10_000, (fast, rejected)
+
+
+def test_cseq_too_long_for_int_is_bad_header_syntax_on_both_paths():
+    headers = MINIMAL_HEADERS.replace("CSeq: 1 ", "CSeq: 1" + "0" * 5000 + " ")
+    text = "INVITE sip:+15550002 SIP/2.0\n" + headers
+    assert _parse_canonical(text) is None
+    for parse in (parse_message, _parse_general):
+        with pytest.raises(BadHeaderSyntax, match="CSeq sequence has 5001 digits"):
+            parse(text)
+    # ten digits still take the fast path
+    text = text.replace("1" + "0" * 5000, "9" * 10)
+    assert _parse_canonical(text) == _parse_general(text) is not None
 
 
 def test_trailing_space_in_reason_is_stripped_on_both_paths():
