@@ -22,6 +22,7 @@ reaches its destination hop.
 from __future__ import annotations
 
 import heapq
+import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -618,7 +619,27 @@ class Federation:
         )
 
     def write_trace(self, path: str | Path) -> None:
-        Path(path).write_text(self.trace_jsonl(), encoding="utf-8")
+        write_file(path, self.trace_jsonl())
+
+
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, as ``Path.write_text`` would.
+
+    An existing file is overwritten in place and then cut to the new
+    length, rather than truncated to zero first: on a disk that discards
+    freed blocks, releasing and reallocating them costs far more than the
+    write. On POSIX the bytes and, for a new file, the mode (``0o666``
+    less the umask) are those ``open(path, "w")`` gives.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 class _Quoted(dict):

@@ -55,7 +55,7 @@ from .cive import (
     Verdict,
     verify_incoming,
 )
-from .netsim import Federation, GatewayPolicy, PhoneLine
+from .netsim import Federation, GatewayPolicy, PhoneLine, write_file
 from .sip_core import PhoneNumber
 
 
@@ -393,9 +393,8 @@ def run_scenario(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         net.write_trace(out / trace_file)
-        (out / f"{s.name}.report.json").write_text(
-            json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_file(out / f"{s.name}.report.json",
+                   json.dumps(report.to_json_dict(), indent=2) + "\n")
     return report
 
 
@@ -562,8 +561,7 @@ def run_matrix(out_dir: str | Path | None = None) -> MatrixResult:
         tuple(run_scenario(s, cells_dir) for s in sorted(matrix_scenarios(), key=lambda s: s.name))
     )
     if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "matrix.csv").write_text(result.to_csv(), encoding="utf-8")
+        write_file(Path(out_dir) / "matrix.csv", result.to_csv())
     return result
 
 

@@ -1,7 +1,10 @@
 import copy
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import loaded_federation
 
@@ -28,7 +31,14 @@ from cive_sim.cive import (
     verify_incoming,
 )
 from cive_sim.netsim import Direction, Federation, GatewayPolicy
-from cive_sim.scenario import matrix_scenarios, run_scenario
+from cive_sim.scenario import (
+    _MATRIX_E,
+    MATRIX_A_STATES,
+    _matrix_cell,
+    build_federation,
+    matrix_scenarios,
+    run_scenario,
+)
 from cive_sim.sip_core import (
     AlertUrn,
     PemValue,
@@ -431,6 +441,76 @@ def test_launch_traces_are_transaction_legal():
 
 def test_collision_answer_lands_inside_capture_grace():
     assert call_fsm.COLLISION_ANSWER_MS < cive.CAPTURE_GRACE_MS
+
+
+def _race(cw, d_ms):
+    """A calls B at 1000 ms; the attacker calls B claiming A at 1000 + d_ms.
+
+    B's first ring launches the verifier, as in ``run_scenario``. Returns
+    whether the spoofed INVITE rang B first, and the verdict.
+    """
+    net = build_federation(_matrix_cell("idle", cw, False, "spoofed"))
+    line_b = net.lines[B]
+    rung = {}
+
+    def on_ring(invite, t_ms):
+        line_b.ring_hook = None
+        rung["call_id"] = invite.call_id
+        rung["agent"] = launch_verification(net, IncomingCallContext(
+            claimed_id=invite.from_number, callee=B, in_call_id=invite.call_id,
+            phase=CallPhase.RINGING, t_start=t_ms,
+        ))
+
+    line_b.ring_hook = on_ring
+    net.originate_call(A, net.lines[A], B, at_ms=1000)
+    spoof = net.originate_call(A, net.lines[_MATRIX_E], B, at_ms=1000 + d_ms)
+    net.run_until_quiescent()
+    verdict, _ = verify_incoming(rung["agent"])
+    return rung["call_id"] == spoof, verdict
+
+
+_RACE_WINDOW = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="known defect, ROADMAP item 1: a spoof ringing B while A is dialing B is judged Legit",
+)
+
+
+@pytest.mark.parametrize("cw", [False, True], ids=["cw0", "cw1"])
+@pytest.mark.parametrize("d_ms, spoof_rings_first", [
+    (-200, True),  # A is not dialing yet when B's callback reaches it
+    pytest.param(-150, True, marks=_RACE_WINDOW),
+    pytest.param(-100, True, marks=_RACE_WINDOW),
+    pytest.param(-50, True, marks=_RACE_WINDOW),
+    (-40, False),  # the genuine call rings B first and is the one verified
+    (0, False),
+])
+def test_spoof_that_rings_b_first_is_never_legit(cw, d_ms, spoof_rings_first):
+    spoof_rang_first, verdict = _race(cw, d_ms)
+    assert spoof_rang_first is spoof_rings_first
+    if spoof_rang_first:
+        assert verdict.decision is not Decision.LEGIT, verdict
+    else:
+        assert verdict.decision is Decision.LEGIT, verdict
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(
+    a_state=st.sampled_from([s for s in MATRIX_A_STATES if s != "dialing_b"]),
+    cw=st.booleans(),
+    vm=st.booleans(),
+    links=st.tuples(st.integers(0, 300), st.integers(0, 2000),
+                    st.integers(0, 300), st.integers(0, 2000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spoofed_single_origination_is_never_legit(a_state, cw, vm, links, seed):
+    cell = _matrix_cell(a_state, cw, vm, "spoofed")
+    carriers = tuple(
+        dataclasses.replace(c, link_delay_ms=delay, jitter_ms=jitter)
+        for c, delay, jitter in zip(cell.carriers, links[::2], links[1::2])
+    )
+    report = run_scenario(dataclasses.replace(cell, carriers=carriers, seed=seed))
+    assert report.verdict is not None
+    assert report.verdict.decision is not Decision.LEGIT, (report.verdict, carriers)
 
 
 def test_legs_from_trace_rows_round_trip(tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
 import io
 import itertools
 import json
+import os
 import random
+import stat
 import subprocess
 import sys
 
@@ -434,6 +436,42 @@ def test_cli_out_that_is_not_a_directory_is_bad_input(tmp_path, capsys, command,
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
     assert taken.read_text() == "keep me\n"
+
+
+def test_cli_run_onto_a_directory_named_like_an_output_file_is_bad_input(tmp_path, capsys):
+    (tmp_path / "c1.trace.jsonl").mkdir()
+    assert cli.main(["run", str(SCENARIOS / "c1.scn"), "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+
+
+def _output_files(out_dir):
+    return {p.relative_to(out_dir): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("stale", ["longer", "shorter", "missing"])
+@pytest.mark.parametrize("run", [
+    run_matrix,
+    lambda out_dir: run_scenario(load_scenario(SCENARIOS / "c1.scn"), out_dir),
+], ids=["matrix", "c1"])
+def test_rerun_over_stale_out_files_gives_a_fresh_runs_bytes(tmp_path, run, stale):
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    run(fresh)
+    expected = _output_files(fresh)
+    kept_mode = 0o640  # an existing file keeps its mode, as with open("w")
+    for rel, data in expected.items():
+        (rerun / rel).parent.mkdir(parents=True, exist_ok=True)
+        if stale == "missing":
+            continue
+        bad = b"x" * (len(data) + 4096) if stale == "longer" else b"y" * (len(data) // 3)
+        (rerun / rel).write_bytes(bad)
+        (rerun / rel).chmod(kept_mode)
+    run(rerun)
+    assert _output_files(rerun) == expected
+    umask = os.umask(0)
+    os.umask(umask)
+    mode = 0o666 & ~umask if stale == "missing" else kept_mode
+    assert {stat.S_IMODE((rerun / rel).stat().st_mode) for rel in expected} == {mode}
 
 
 def _c3_trace_rows(tmp_path):
