@@ -119,8 +119,8 @@ class LineLeg:
     phase: LegPhase
     invite: SipMessage
     next_cseq: int = 2
-    auto_answer_timer: int | None = None
-    patience_timer: int | None = None
+    auto_answer_timer: object | None = None  # pending netsim timers, for cancel_timer
+    patience_timer: object | None = None
 
     def request(self, method: SipMethod) -> SipMessage:
         """The next in-dialog request on this leg.

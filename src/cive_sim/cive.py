@@ -25,7 +25,7 @@ from typing import Callable
 from .call_fsm import (
     COLLISION_ANSWER_MS, CallPhase, LegPhase, LegRole, LineLeg, expected_caller_state
 )
-from .netsim import Direction, Federation, SimEvent
+from .netsim import Direction, Federation
 from .sip_core import (
     AlertUrn,
     ParseError,
@@ -334,11 +334,11 @@ class _VerifierAgent:
         self.sent_cancel = False
         self.sent_bye = False
         self.done = False
-        self.grace_timer: int | None = None
-        self.timeout_timer: int | None = None
+        self.grace_timer: object | None = None  # pending timers, for cancel_timer
+        self.timeout_timer: object | None = None
 
     def start(self) -> None:
-        self.timeout_timer = self.net.set_timer(self.owner_id, AU_CALL_TIMEOUT_MS, "au_timeout")
+        self.timeout_timer = self.net.set_timer(AU_CALL_TIMEOUT_MS, self._time_out)
         self._send(self.leg.invite)
 
     # -- wire helpers --------------------------------------------------------
@@ -358,8 +358,7 @@ class _VerifierAgent:
 
     # -- event handlers --------------------------------------------------------
 
-    def handle_message(self, event: SimEvent) -> None:
-        msg = event.message
+    def handle_message(self, msg: SipMessage) -> None:
         if self.done:
             return
         self.trace.append(self.net.now, Direction.INGRESS, msg)
@@ -378,7 +377,7 @@ class _VerifierAgent:
             if code == 183:
                 self._send(self.leg.request(SipMethod.PRACK))
             elif code == 180 and msg.pem is not None and self.grace_timer is None:
-                self.grace_timer = self.net.set_timer(self.owner_id, CAPTURE_GRACE_MS, "grace")
+                self.grace_timer = self.net.set_timer(CAPTURE_GRACE_MS, self._grace_over)
             return
         self.final = msg.status
         if self.grace_timer is not None:
@@ -393,14 +392,18 @@ class _VerifierAgent:
             self._send(self.leg.request(SipMethod.ACK))
             self._finish()
 
-    def handle_timer(self, tag: str, data: tuple = ()) -> None:
-        if self.done:
-            return
-        if tag == "grace":
-            self.grace_timer = None
-        else:  # "au_timeout"
-            self.timeout_timer = None
-            self.trace.timed_out = True
+    # -- timer handlers (_finish cancels both timers, so neither fires once done)
+
+    def _grace_over(self) -> None:
+        self.grace_timer = None
+        self._cancel_invite()
+
+    def _time_out(self) -> None:
+        self.timeout_timer = None
+        self.trace.timed_out = True
+        self._cancel_invite()
+
+    def _cancel_invite(self) -> None:
         if self.final is None and not self.sent_cancel:
             self.sent_cancel = True
             self._send(self.leg.request(SipMethod.CANCEL))

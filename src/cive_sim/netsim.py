@@ -4,7 +4,10 @@ A Federation hosts one or more carriers, each with registered subscriber
 lines and a gateway policy. Messages move between hops (subscriber lines,
 per-carrier network cores, voicemail services) over links with fixed delay
 plus optional seeded jitter; events fire in (time, insertion order), so a
-given (scenario, seed) always produces byte-identical traces.
+given (scenario, seed) always produces byte-identical traces. Every queued
+event is a callback with its arguments: a timer calls the handler it was
+set with, and a delivery logs its ingress row and hands the message to the
+destination owner's ``handle_message(msg)``.
 
 Spoofing lives in ``originate_call``: the INVITE's From is whatever the
 originator claims. A carrier whose policy enforces caller ID rejects a
@@ -113,30 +116,17 @@ class Direction(str, Enum):
 
 
 @dataclass(slots=True)
-class SimEvent:
-    """A scheduled message delivery. Ties on ``at`` break by ``seq`` (FIFO).
+class _Event:
+    """A queued call of ``callback(*args)``: a timer or a message delivery.
 
-    ``sip`` is the message's wire text, serialized once when it was sent.
-    A mutable slotted record: one is built per message, so it stays cheap.
+    The heap holds ``(at, seq, event)``, so ties on ``at`` break FIFO by
+    ``seq``. A mutable slotted record: one is built per message, so it
+    stays cheap, and cancelling a timer only sets ``cancelled``.
     """
 
-    at: int
-    seq: int
-    deliver_to: str
-    message: SipMessage
-    from_hop: str
-    to_hop: str
-    sip: str
-
-
-@dataclass(slots=True)
-class _Timer:
-    at: int
-    seq: int
-    owner: str
-    tag: str
-    data: tuple
-    timer_id: int
+    callback: Callable[..., None]
+    args: tuple
+    cancelled: bool = False
 
 
 @dataclass
@@ -192,8 +182,7 @@ class PhoneLine:
 
     # -- event handlers -----------------------------------------------------
 
-    def handle_message(self, event: SimEvent) -> None:
-        msg = event.message
+    def handle_message(self, msg: SipMessage) -> None:
         if msg.is_response:
             self._handle_response(msg)
         elif msg.method is SipMethod.INVITE:
@@ -225,7 +214,7 @@ class PhoneLine:
             self.legs[invite.call_id] = leg
             if auto is not None:
                 leg.auto_answer_timer = self.net.set_timer(
-                    self.owner_id, auto.after_ms, "auto_answer", (invite.call_id,)
+                    auto.after_ms, self._auto_answer, invite.call_id
                 )
         self._execute(actions, leg=self.legs.get(invite.call_id))
         if alerting:
@@ -283,28 +272,23 @@ class PhoneLine:
             self.state = state
             self._execute(actions, leg=leg)
 
-    def handle_timer(self, tag: str, data: tuple) -> None:
-        if tag == "originate":
-            call_id, from_claimed, to = data
-            self._start_call(call_id, PhoneNumber(from_claimed), PhoneNumber(to))
-        elif tag == "auto_answer":
-            (call_id,) = data
-            leg = self.legs.get(call_id)
-            if leg is None or leg.phase is not LegPhase.EARLY:
-                return
-            state, actions = call_fsm.on_auto_answer(self.state, leg.invite)
-            self.state = state
-            leg.phase = LegPhase.ANSWERED
-            leg.auto_answer_timer = None
-            self._execute(actions, leg=leg)
-        elif tag == "patience":
-            (call_id,) = data
-            leg = self.legs.get(call_id)
-            if leg is None or leg.phase is not LegPhase.EARLY:
-                return
-            # Caller gives up on the unanswered INVITE.
-            leg.patience_timer = None
-            self.net.send(self.owner_id, leg.request(SipMethod.CANCEL))
+    def _auto_answer(self, call_id: str) -> None:
+        leg = self.legs.get(call_id)
+        if leg is None or leg.phase is not LegPhase.EARLY:
+            return
+        state, actions = call_fsm.on_auto_answer(self.state, leg.invite)
+        self.state = state
+        leg.phase = LegPhase.ANSWERED
+        leg.auto_answer_timer = None
+        self._execute(actions, leg=leg)
+
+    def _give_up(self, call_id: str) -> None:
+        """The caller's patience ran out: CANCEL the unanswered INVITE."""
+        leg = self.legs.get(call_id)
+        if leg is None or leg.phase is not LegPhase.EARLY:
+            return
+        leg.patience_timer = None
+        self.net.send(self.owner_id, leg.request(SipMethod.CANCEL))
 
     def _start_call(self, call_id: str, from_claimed: PhoneNumber, to: PhoneNumber) -> None:
         invite = SipMessage.request(SipMethod.INVITE, from_claimed, to, call_id)
@@ -312,9 +296,7 @@ class PhoneLine:
         self.legs[call_id] = leg
         if isinstance(self.state, Idle):
             self.state = Dialing(to)
-        leg.patience_timer = self.net.set_timer(
-            self.owner_id, INVITE_PATIENCE_MS, "patience", (call_id,)
-        )
+        leg.patience_timer = self.net.set_timer(INVITE_PATIENCE_MS, self._give_up, call_id)
         self.net.send(self.owner_id, invite)
 
     # -- action execution ----------------------------------------------------
@@ -344,8 +326,7 @@ class _NetworkCore:
         self.carrier_id = carrier_id
         self.owner_id = f"net:{carrier_id}"
 
-    def handle_message(self, event: SimEvent) -> None:
-        msg = event.message
+    def handle_message(self, msg: SipMessage) -> None:
         if msg.is_request and msg.method is SipMethod.INVITE:
             self.net.send(self.owner_id, SipMessage.reply(msg, 480))
         # ACKs to our 480s are absorbed.
@@ -359,8 +340,7 @@ class _VoicemailService:
         self.carrier_id = carrier_id
         self.owner_id = f"vm:{carrier_id}"
 
-    def handle_message(self, event: SimEvent) -> None:
-        msg = event.message
+    def handle_message(self, msg: SipMessage) -> None:
         if msg.is_request and msg.method is SipMethod.BYE:
             self.net.send(self.owner_id, SipMessage.reply(msg, 200))
         # ACKs are absorbed; nothing else reaches voicemail.
@@ -385,10 +365,8 @@ class Federation:
         self.trace: list[dict] = []
         self.policy_violations: list[dict] = []
         self._dialogs: dict[str, _Dialog] = {}
-        self._heap: list[tuple[int, int, object]] = []
+        self._heap: list[tuple[int, int, _Event]] = []
         self._seq = 0
-        self._next_timer_id = 0
-        self._cancelled_timers: set[int] = set()
         self._call_counter = 0
 
     # -- setup ----------------------------------------------------------------
@@ -424,12 +402,14 @@ class Federation:
         return line
 
     def attach_agent(self, owner_id: str, agent: object) -> None:
-        """Attach an event handler (e.g. a verification agent) under ``owner_id``.
+        """Attach a message handler (e.g. a verification agent) under ``owner_id``.
 
-        An agent with a ``carrier_id`` gets a route: line and verifier owners
-        (``line:N``, ``cive:N``) appear as hop ``ep:N`` and are authenticated
-        as the registered number N; any other owner is its own hop. An agent
-        without one only receives timers.
+        The agent's ``handle_message(msg)`` receives every message routed to
+        ``owner_id``. An agent with a ``carrier_id`` gets a route: line and
+        verifier owners (``line:N``, ``cive:N``) appear as hop ``ep:N`` and
+        are authenticated as the registered number N; any other owner is its
+        own hop. An agent without one gets no route, so it can neither send
+        nor be sent to.
         """
         self.owners[owner_id] = agent
         carrier_id = getattr(agent, "carrier_id", None)
@@ -465,27 +445,22 @@ class Federation:
         """
         if self.lines.get(originator.number) is not originator:
             raise UnknownSubscriber(f"{originator.number} is not registered here")
-        PhoneNumber(from_claimed)
-        PhoneNumber(to)
+        claimed, target = PhoneNumber(from_claimed), PhoneNumber(to)
         call_id = self.new_call_id()
         at = self.now if at_ms is None else at_ms
         if at < self.now:
             raise NetsimError("cannot originate in the past")
-        self.set_timer(
-            originator.owner_id, at - self.now, "originate", (call_id, from_claimed, to)
-        )
+        self.set_timer(at - self.now, originator._start_call, call_id, claimed, target)
         return call_id
 
     # -- routing and transport ----------------------------------------------
 
     def _dest_for(self, sender: str, msg: SipMessage) -> str:
         dialog = self._dialogs.get(msg.call_id)
-        if msg.is_response:
-            if dialog is None:
-                raise NetsimError(f"response for unknown dialog {msg.call_id}")
-            return dialog.uac if sender == dialog.uas else dialog.uas
         if dialog is not None:
             return dialog.uac if sender == dialog.uas else dialog.uas
+        if msg.is_response:
+            raise NetsimError(f"response for unknown dialog {msg.call_id}")
         if msg.method is not SipMethod.INVITE:
             # Stray in-dialog request with no dialog state; hand it to the
             # destination line if one exists, else to the core.
@@ -539,8 +514,14 @@ class Federation:
         self.trace.append({"t_ms": now, "carrier": src.id, "from_hop": from_hop,
                            "to_hop": to_hop, "dir": "egress", "sip": sip})
         self._seq = seq = self._seq + 1
-        at = now + delay
-        heapq.heappush(self._heap, (at, seq, SimEvent(at, seq, dest, msg, from_hop, to_hop, sip)))
+        heapq.heappush(self._heap, (now + delay, seq,
+                                    _Event(self._deliver, (dest, msg, from_hop, to_hop, sip))))
+
+    def _deliver(self, dest: str, msg: SipMessage, from_hop: str, to_hop: str, sip: str) -> None:
+        """Log the ingress row of a message reaching its hop and hand it over."""
+        self.trace.append({"t_ms": self.now, "carrier": self._routes[dest][1].id,
+                           "from_hop": from_hop, "to_hop": to_hop, "dir": "ingress", "sip": sip})
+        self.owners[dest].handle_message(msg)  # type: ignore[attr-defined]
 
     def voicemail_answer(self, carrier_id: str, response: SipMessage) -> None:
         """Answer a forwarded leg from the carrier's voicemail service.
@@ -554,15 +535,15 @@ class Federation:
             dialog.uas = vm_owner
         self.send(vm_owner, response)
 
-    def set_timer(self, owner: str, delay_ms: int, tag: str, data: tuple = ()) -> int:
+    def set_timer(self, delay_ms: int, callback: Callable[..., None], *args) -> _Event:
+        """Call ``callback(*args)`` ``delay_ms`` from now; returns the timer."""
         self._seq = seq = self._seq + 1
-        self._next_timer_id = timer_id = self._next_timer_id + 1
-        at = self.now + delay_ms
-        heapq.heappush(self._heap, (at, seq, _Timer(at, seq, owner, tag, data, timer_id)))
-        return timer_id
+        event = _Event(callback, args)
+        heapq.heappush(self._heap, (self.now + delay_ms, seq, event))
+        return event
 
-    def cancel_timer(self, timer_id: int) -> None:
-        self._cancelled_timers.add(timer_id)
+    def cancel_timer(self, timer: _Event) -> None:
+        timer.cancelled = True
 
     # -- event loop ------------------------------------------------------------
 
@@ -572,16 +553,13 @@ class Federation:
         Raises SimBudgetExceeded if live events remain scheduled past
         ``max_sim_ms``; returns the final simulated clock.
         """
-        heap, cancelled = self._heap, self._cancelled_timers
-        owners, routes, trace = self.owners, self._routes, self.trace
+        heap = self._heap
         while heap:
-            at, _, entry = heap[0]
-            is_timer = type(entry) is _Timer
-            if is_timer and entry.timer_id in cancelled:
+            at, _, event = heap[0]
+            if event.cancelled:
                 # A cancelled timer neither advances the clock nor counts
                 # against the budget.
                 heapq.heappop(heap)
-                cancelled.discard(entry.timer_id)
                 continue
             if at > max_sim_ms:
                 raise SimBudgetExceeded(
@@ -589,13 +567,7 @@ class Federation:
                 )
             heapq.heappop(heap)
             self.now = at
-            if is_timer:
-                owners[entry.owner].handle_timer(entry.tag, entry.data)  # type: ignore[attr-defined]
-            else:
-                trace.append({"t_ms": at, "carrier": routes[entry.deliver_to][1].id,
-                              "from_hop": entry.from_hop, "to_hop": entry.to_hop,
-                              "dir": "ingress", "sip": entry.sip})
-                owners[entry.deliver_to].handle_message(entry)  # type: ignore[attr-defined]
+            event.callback(*event.args)
         return self.now
 
     def run_until_quiescent(self, max_sim_ms: int = DEFAULT_MAX_SIM_MS) -> int:

@@ -4,7 +4,7 @@ A scenario file (``.scn``, YAML) declares carriers, parties with their
 initial states and features, one call origination (possibly spoofed), and
 the ground truth label. Schema:
 
-    name: c2
+    name: c2                 # letters, digits, . _ -; starts with a letter or digit
     description: optional free text
     seed: 0                  # optional, default 0
     cive: true               # run verification when the target rings
@@ -41,6 +41,7 @@ writes ``matrix.csv`` with fixed columns
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -79,6 +80,9 @@ class GroundTruth(str, Enum):
 # The party states besides idle, each with the call_fsm state it presets.
 _PRESET_STATES = {"dialing": Dialing, "connected": Connected, "held": Held}
 _PARTY_STATES = ("idle", *_PRESET_STATES)
+# A scenario name names its --out files, so it must be a plain, visible file
+# name: no path separator, no NUL, no leading dot.
+_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True)
@@ -123,6 +127,11 @@ class Scenario:
     description: str = ""
 
     def validate(self) -> None:
+        if _NAME_RE.fullmatch(self.name) is None:
+            raise ScenarioValidationError(
+                f"name {self.name!r} must be a plain file name: letters, digits, '.', '_'"
+                " and '-', starting with a letter or digit"
+            )
         numbers = [p.number for p in self.parties]
         if len(set(numbers)) != len(numbers):
             raise ScenarioValidationError("duplicate party numbers")
@@ -278,18 +287,13 @@ class RunReport:
     trace_file: str | None
 
     def to_json_dict(self) -> dict:
-        trace_ref = (
-            None
-            if self.trace_file is None or self.verdict is None
-            else self.trace_file
-        )
         return {
             "scenario": self.scenario,
             "ground_truth": self.ground_truth.value,
             "cive_enabled": self.cive_enabled,
             "seed": self.seed,
             "b_display": str(self.b_display) if self.b_display else None,
-            "verdict": self.verdict.to_json_dict(trace_ref) if self.verdict else None,
+            "verdict": self.verdict.to_json_dict(self.trace_file) if self.verdict else None,
             "match": self.match,
             "inconclusive": self.inconclusive,
             "policy_violations": self.policy_violations,

@@ -350,7 +350,7 @@ class _Silent:
     def __init__(self, carrier_id):
         self.carrier_id = carrier_id
 
-    def handle_message(self, event):
+    def handle_message(self, msg):
         pass
 
 

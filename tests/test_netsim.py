@@ -438,13 +438,13 @@ def test_each_sent_message_is_serialized_once(monkeypatch, tmp_path, size):
 
 
 class _TimerProbe:
-    """An agent without a carrier: it only receives timers, and records them."""
+    """An agent without a carrier: it schedules its own method, and records the calls."""
 
     def __init__(self, net):
         self.net = net
         self.fired = []
 
-    def handle_timer(self, tag, data):
+    def fire(self, tag):
         self.fired.append((tag, self.net.now))
 
 
@@ -452,20 +452,20 @@ def test_cancelled_timers_never_advance_the_clock_or_trip_the_budget():
     net = Federation()
     probe = _TimerProbe(net)
     net.attach_agent("probe", probe)
-    net.cancel_timer(net.set_timer("probe", 1000, "late"))
+    net.cancel_timer(net.set_timer(1000, probe.fire, "late"))
     assert net.run_until_quiescent(max_sim_ms=150) == 0
-    assert net._heap == [] and net._cancelled_timers == set()
+    assert net._heap == []
 
     # A cancelled timer ahead of a live one is skipped without moving the
     # clock; one after the last live one is dropped without raising, though
     # it lies past the budget.
-    early = net.set_timer("probe", 5, "early")
-    net.set_timer("probe", 20, "live")
+    early = net.set_timer(5, probe.fire, "early")
+    net.set_timer(20, probe.fire, "live")
     net.cancel_timer(early)
-    net.cancel_timer(net.set_timer("probe", 1000, "late"))
+    net.cancel_timer(net.set_timer(1000, probe.fire, "late"))
     assert net.run(max_sim_ms=150) == 20
     assert probe.fired == [("live", 20)]
-    assert net._heap == [] and net._cancelled_timers == set()
+    assert net._heap == []
 
 
 @pytest.mark.parametrize("method", [SipMethod.INVITE, SipMethod.BYE])
@@ -539,3 +539,18 @@ def test_random_federations_pair_rows_repeat_and_police_spoofs(carriers, homes, 
         (o, c) for o, c, _, _ in originations if c != o and home[o] in enforcing
     ]
     assert sorted((v["originator"], v["claimed"]) for v in net.policy_violations) == sorted(spoofs)
+
+    # Every INVITE ends in a final response or a CANCEL, and the patience
+    # and auto-answer timers leave no unanswered leg behind.
+    invited, closed = set(), set()
+    for row in net.trace:
+        msg = parse_message(row["sip"])
+        if msg.method is SipMethod.INVITE and msg.is_request:
+            invited.add(msg.call_id)
+        elif msg.method is SipMethod.INVITE and msg.is_final or msg.method is SipMethod.CANCEL:
+            closed.add(msg.call_id)
+    assert len(invited) == len(originations) and invited <= closed
+    assert not [
+        leg.call_id for line in net.lines.values() for leg in line.legs.values()
+        if leg.phase is LegPhase.EARLY
+    ]

@@ -356,6 +356,24 @@ def test_cli_number_with_trailing_newline_is_bad_input(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["a\\0b", "../escaped", "", "sub/c1", ".hidden", "-dash", "c1\\n", "caf\\u00e9"],
+    ids=["nul", "parent-dir", "empty", "slash", "leading-dot", "leading-dash", "newline",
+         "non-ascii"],
+)
+def test_cli_scenario_name_that_is_not_a_plain_file_name_is_bad_input(tmp_path, capsys, name):
+    path = _c1_with(tmp_path, "name: c1\n", f'name: "{name}"\n')
+    with pytest.raises(ScenarioValidationError, match="must be a plain file name"):
+        load_scenario(path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert cli.main(["run", str(path), "--out", str(out_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.scn", "out"]
+
+
 _PARTY_LINE = "    state: idle\n"
 
 
