@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -175,6 +176,18 @@ def test_equal_seeds_byte_identical_traces():
 
     assert run(7) == run(7)
     assert run(7) != run(8)  # jitter draws actually depend on the seed
+
+
+def test_loaded_federation_trace_bytes_are_pinned():
+    # The goldens are single-call; this pins many concurrent calls over
+    # three carriers: ep, net and vm hops, 480s from the enforcing edge,
+    # call waiting, voicemail and seeded jitter.
+    rows, _ = loaded_federation(seed=17, n_calls=200)
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    assert len(rows) == 2320
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d629e1f550a8d109146fa20eb3b9c6ae67260c01357e00c2269da5da6fa98476"
+    )
 
 
 @pytest.mark.parametrize("key,value", [("link_delay_ms", -100), ("jitter_ms", -3)])
