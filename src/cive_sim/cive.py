@@ -277,7 +277,8 @@ _RULES: tuple[tuple[Callable[[FeatureVector], bool], InferredState, Decision, st
      "rule 7: signaling pattern matched no rule"),
 )
 
-_DECISION = {state: decision for _, state, decision, _ in _RULES}
+# Each state is inferred by exactly one rule, so it alone gives the verdict.
+_VERDICT = {state: (decision, reason) for _, state, decision, reason in _RULES}
 
 
 def classify(features: FeatureVector) -> tuple[InferredState, Decision, str]:
@@ -303,17 +304,21 @@ def decide(
     """The verdict for an inferred far-end state while the inCall rings."""
     if ctx.phase is not CallPhase.RINGING:
         raise UnsupportedPhase("verdicts are only defined for the ringing phase")
+    decision, reason = _VERDICT[inferred]
     return Verdict(
-        decision=_DECISION[inferred],
+        decision=decision,
         inferred=inferred,
         expected=expected_caller_state(ctx.phase, ctx.callee).description,
-        reason=classify(features)[2],
+        reason=reason,
         features=features,
     )
 
 
 class _VerifierAgent:
-    """Event-driven auCall handler living on the callee's line.
+    """Event-driven auCall handler speaking for the callee's line.
+
+    A hop of its own with the line's label, carrier and number: the auCall
+    is sent and policed as the callee's, and its replies reach the agent.
 
     Collects responses until a 180 with early media has aged past the
     capture grace, a final response arrives, or the timeout fires; then
@@ -324,8 +329,8 @@ class _VerifierAgent:
     def __init__(self, net: Federation, ctx: IncomingCallContext):
         self.net = net
         self.ctx = ctx
-        self.carrier_id = net.lines[ctx.callee].carrier_id
-        self.owner_id = f"cive:{ctx.callee}"
+        line = net.lines[ctx.callee]
+        self.hop, self.carrier, self.number = line.hop, line.carrier, line.number
         self.trace = SignalingTrace()
         call_id = net.new_call_id()
         invite = SipMessage.request(SipMethod.INVITE, ctx.callee, ctx.claimed_id, call_id)
@@ -345,7 +350,7 @@ class _VerifierAgent:
 
     def _send(self, msg: SipMessage) -> None:
         self.trace.append(self.net.now, Direction.EGRESS, msg)
-        self.net.send(self.owner_id, msg)
+        self.net.send(self, msg)
 
     def _finish(self) -> None:
         self.done = True
@@ -410,24 +415,23 @@ class _VerifierAgent:
 
 
 def launch_verification(net: Federation, ctx: IncomingCallContext) -> _VerifierAgent:
-    """Place the auCall: attach a verifier agent to the callee and start it.
+    """Place the auCall: start a verifier agent on the callee's line.
 
-    The agent sends its INVITE now and runs as an ordinary owner of the
-    federation's event loop; hand it to verify_incoming once the loop has
-    run. Raises UnsupportedPhase for an answered-phase context, CiveError
-    for an unregistered callee, and LineBusy when a verification is already
+    The agent sends its INVITE now and runs as an ordinary hop of the
+    federation's event loop; it stays on the line as ``PhoneLine.verifier``.
+    Hand it to verify_incoming once the loop has run. Raises
+    UnsupportedPhase for an answered-phase context, CiveError for an
+    unregistered callee, and LineBusy when a verification is already
     running on this callee's line.
     """
     if ctx.phase is not CallPhase.RINGING:
         raise UnsupportedPhase("verification launches only while the inCall rings")
-    if ctx.callee not in net.lines:
+    line = net.lines.get(ctx.callee)
+    if line is None:
         raise CiveError(f"callee {ctx.callee} is not registered")
-    owner_id = f"cive:{ctx.callee}"
-    existing = net.owners.get(owner_id)
-    if existing is not None and not getattr(existing, "done", True):
+    if line.verifier is not None and not line.verifier.done:
         raise LineBusy(f"{ctx.callee} already has a verification in flight")
-    agent = _VerifierAgent(net, ctx)
-    net.attach_agent(owner_id, agent)
+    agent = line.verifier = _VerifierAgent(net, ctx)
     agent.start()
     return agent
 

@@ -7,7 +7,12 @@ plus optional seeded jitter; events fire in (time, insertion order), so a
 given (scenario, seed) always produces byte-identical traces. Every queued
 event is a callback with its arguments: a timer calls the handler it was
 set with, and a delivery logs its ingress row and hands the message to the
-destination owner's ``handle_message(msg)``.
+destination hop's ``handle_message(msg)``.
+
+A hop is an object that routes itself: a subscriber line, a carrier's core
+or voicemail service, or a verifier speaking for a line. It carries its
+trace label ``hop``, its ``carrier`` and its authenticated ``number``
+(``None`` for the carrier's own services), so the router needs no table.
 
 Spoofing lives in ``originate_call``: the INVITE's From is whatever the
 originator claims. A carrier whose policy enforces caller ID rejects a
@@ -103,6 +108,9 @@ class GatewayPolicy:
 class CarrierNetwork:
     id: str
     policy: GatewayPolicy = field(default_factory=GatewayPolicy)
+    # The carrier's own hops; Federation.add_carrier builds them.
+    core: _CarrierService = field(init=False, repr=False)
+    voicemail: _CarrierService = field(init=False, repr=False)
 
 
 class Direction(str, Enum):
@@ -131,8 +139,8 @@ class _Event:
 
 @dataclass
 class _Dialog:
-    uac: str  # owner id of the originating side
-    uas: str  # owner id of the answering side (line, net core, or voicemail)
+    uac: object  # the originating hop: a line or a verifier
+    uas: object  # the answering hop: a line, a net core, or voicemail
 
 
 # The leg phase backing each state preset_state accepts besides Idle.
@@ -145,21 +153,20 @@ class PhoneLine:
     Single-owner: exactly one event loop drives a line.
     """
 
-    def __init__(self, net: "Federation", carrier_id: str, profile: CalleeProfile):
+    def __init__(self, net: "Federation", carrier: CarrierNetwork, profile: CalleeProfile):
         self.net = net
-        self.carrier_id = carrier_id
+        self.carrier = carrier
         self.profile = profile
-        self.owner_id = f"line:{profile.number}"
+        self.number: PhoneNumber = profile.number
+        self.hop = f"ep:{profile.number}"
         self.state: EndpointState = Idle()
         self.legs: dict[str, LineLeg] = {}
         self.display: PhoneNumber | None = None
         # Called with (invite, t_ms) once the phone has sent its 180 for an
         # incoming call; the scenario runner launches verification from it.
         self.ring_hook: Callable[[SipMessage, int], None] | None = None
-
-    @property
-    def number(self) -> PhoneNumber:
-        return self.profile.number
+        # The latest verifier launched on this line (cive.launch_verification).
+        self.verifier = None
 
     # -- preset support (scenario initial conditions) ----------------------
 
@@ -288,7 +295,7 @@ class PhoneLine:
         if leg is None or leg.phase is not LegPhase.EARLY:
             return
         leg.patience_timer = None
-        self.net.send(self.owner_id, leg.request(SipMethod.CANCEL))
+        self.net.send(self, leg.request(SipMethod.CANCEL))
 
     def _start_call(self, call_id: str, from_claimed: PhoneNumber, to: PhoneNumber) -> None:
         invite = SipMessage.request(SipMethod.INVITE, from_claimed, to, call_id)
@@ -297,7 +304,7 @@ class PhoneLine:
         if isinstance(self.state, Idle):
             self.state = Dialing(to)
         leg.patience_timer = self.net.set_timer(INVITE_PATIENCE_MS, self._give_up, call_id)
-        self.net.send(self.owner_id, invite)
+        self.net.send(self, invite)
 
     # -- action execution ----------------------------------------------------
 
@@ -308,42 +315,37 @@ class PhoneLine:
                     action.regarding, action.status, pem=action.pem, alert=action.alert
                 )
                 if action.answered_by_network:
-                    self.net.voicemail_answer(self.carrier_id, resp)
+                    self.net.voicemail_answer(self.carrier, resp)
                 else:
-                    self.net.send(self.owner_id, resp)
+                    self.net.send(self, resp)
             elif isinstance(action, SendRequest):
                 if leg is None:
                     raise NetsimError("request action without a leg")
-                self.net.send(self.owner_id, leg.request(action.method))
+                self.net.send(self, leg.request(action.method))
             # StartRingback has no wire effect.
 
 
-class _NetworkCore:
-    """Per-carrier core: answers undeliverable or policy-rejected INVITEs."""
+class _CarrierService:
+    """A hop the carrier runs itself, labelled ``<kind>:<carrier id>``.
 
-    def __init__(self, net: "Federation", carrier_id: str):
+    It answers each ``method`` request that reaches it with ``code`` and
+    absorbs everything else (ACKs). It has no number, so the caller-ID
+    policy never applies to it.
+    """
+
+    number = None
+
+    def __init__(self, net: "Federation", carrier: CarrierNetwork, kind: str,
+                 method: SipMethod, code: int):
         self.net = net
-        self.carrier_id = carrier_id
-        self.owner_id = f"net:{carrier_id}"
+        self.carrier = carrier
+        self.hop = f"{kind}:{carrier.id}"
+        self.method = method
+        self.code = code
 
     def handle_message(self, msg: SipMessage) -> None:
-        if msg.is_request and msg.method is SipMethod.INVITE:
-            self.net.send(self.owner_id, SipMessage.reply(msg, 480))
-        # ACKs to our 480s are absorbed.
-
-
-class _VoicemailService:
-    """Per-carrier voicemail: owns legs it answered for busy subscribers."""
-
-    def __init__(self, net: "Federation", carrier_id: str):
-        self.net = net
-        self.carrier_id = carrier_id
-        self.owner_id = f"vm:{carrier_id}"
-
-    def handle_message(self, msg: SipMessage) -> None:
-        if msg.is_request and msg.method is SipMethod.BYE:
-            self.net.send(self.owner_id, SipMessage.reply(msg, 200))
-        # ACKs are absorbed; nothing else reaches voicemail.
+        if msg.is_request and msg.method is self.method:
+            self.net.send(self, SipMessage.reply(msg, self.code))
 
 
 class Federation:
@@ -358,9 +360,6 @@ class Federation:
         self.rng = random.Random(seed)
         self.now = 0
         self.carriers: dict[str, CarrierNetwork] = {}
-        self.owners: dict[str, object] = {}
-        # Owner id -> (hop label, carrier, authenticated number or None).
-        self._routes: dict[str, tuple[str, CarrierNetwork, PhoneNumber | None]] = {}
         self.lines: dict[PhoneNumber, PhoneLine] = {}
         self.trace: list[dict] = []
         self.policy_violations: list[dict] = []
@@ -375,9 +374,11 @@ class Federation:
         if carrier_id in self.carriers:
             raise NetsimError(f"carrier {carrier_id} already exists")
         carrier = CarrierNetwork(carrier_id, policy or GatewayPolicy())
+        # The core answers undeliverable or policy-rejected INVITEs; voicemail
+        # owns the legs it answered for busy subscribers and answers their BYE.
+        carrier.core = _CarrierService(self, carrier, "net", SipMethod.INVITE, 480)
+        carrier.voicemail = _CarrierService(self, carrier, "vm", SipMethod.BYE, 200)
         self.carriers[carrier_id] = carrier
-        for owner in (_NetworkCore(self, carrier_id), _VoicemailService(self, carrier_id)):
-            self.attach_agent(owner.owner_id, owner)
         return carrier
 
     def register_subscriber(
@@ -396,32 +397,8 @@ class Federation:
             profile = CalleeProfile(number=num)
         elif profile.number != num:
             raise NetsimError("profile number must match the registered number")
-        line = PhoneLine(self, carrier_id, profile)
-        self.lines[num] = line
-        self.attach_agent(line.owner_id, line)
+        line = self.lines[num] = PhoneLine(self, self.carriers[carrier_id], profile)
         return line
-
-    def attach_agent(self, owner_id: str, agent: object) -> None:
-        """Attach a message handler (e.g. a verification agent) under ``owner_id``.
-
-        The agent's ``handle_message(msg)`` receives every message routed to
-        ``owner_id``. An agent with a ``carrier_id`` gets a route: line and
-        verifier owners (``line:N``, ``cive:N``) appear as hop ``ep:N`` and
-        are authenticated as the registered number N; any other owner is its
-        own hop. An agent without one gets no route, so it can neither send
-        nor be sent to.
-        """
-        self.owners[owner_id] = agent
-        carrier_id = getattr(agent, "carrier_id", None)
-        if carrier_id is None:
-            self._routes.pop(owner_id, None)
-            return
-        kind, _, rest = owner_id.partition(":")
-        if kind in ("line", "cive"):
-            route = (f"ep:{rest}", self.carriers[carrier_id], self.lines[rest].number)
-        else:
-            route = (owner_id, self.carriers[carrier_id], None)
-        self._routes[owner_id] = route
 
     def new_call_id(self) -> str:
         self._call_counter += 1
@@ -455,18 +432,15 @@ class Federation:
 
     # -- routing and transport ----------------------------------------------
 
-    def _dest_for(self, sender: str, msg: SipMessage) -> str:
+    def _dest_for(self, sender, msg: SipMessage):
+        """The other side of ``msg``'s dialog; only an INVITE opens a new one."""
         dialog = self._dialogs.get(msg.call_id)
         if dialog is not None:
-            return dialog.uac if sender == dialog.uas else dialog.uas
-        if msg.is_response:
-            raise NetsimError(f"response for unknown dialog {msg.call_id}")
-        if msg.method is not SipMethod.INVITE:
-            # Stray in-dialog request with no dialog state; hand it to the
-            # destination line if one exists, else to the core.
-            target = self.lines.get(msg.to_number)
-            return target.owner_id if target else f"net:{self._routes[sender][1].id}"
-        _, carrier, auth = self._routes[sender]
+            return dialog.uac if sender is dialog.uas else dialog.uas
+        if msg.is_response or msg.method is not SipMethod.INVITE:
+            what = "response" if msg.is_response else msg.method.value
+            raise NetsimError(f"{what} for unknown dialog {msg.call_id}: only an INVITE opens one")
+        carrier, auth = sender.carrier, sender.number
         if carrier.policy.enforce_caller_id and auth is not None and msg.from_number != auth:
             self.policy_violations.append(
                 {
@@ -478,28 +452,21 @@ class Federation:
                     "call_id": msg.call_id,
                 }
             )
-            dest = f"net:{carrier.id}"
+            dest = carrier.core
         else:
-            target = self.lines.get(msg.to_number)
-            dest = target.owner_id if target else f"net:{carrier.id}"
+            dest = self.lines.get(msg.to_number) or carrier.core
         self._dialogs[msg.call_id] = _Dialog(uac=sender, uas=dest)
         return dest
 
-    def send(self, sender: str, msg: SipMessage) -> None:
+    def send(self, sender, msg: SipMessage) -> None:
         """Emit a message from a hop: route, log egress, schedule delivery.
 
         Link delay applies once per carrier the message crosses, each with
         its own seeded jitter draw; crossing the interconnect costs the
         destination carrier's link as well: one gateway hop.
         """
-        try:
-            dest = self._dest_for(sender, msg)
-            from_hop, src, _ = self._routes[sender]
-            to_hop, dst, _ = self._routes[dest]
-        except KeyError as exc:
-            raise NetsimError(
-                f"owner {exc.args[0]} has no route: it was attached without a carrier_id"
-            ) from None
+        dest = self._dest_for(sender, msg)
+        src, dst = sender.carrier, dest.carrier
         policy = src.policy
         delay = policy.link_delay_ms
         if policy.jitter_ms:
@@ -511,29 +478,27 @@ class Federation:
                 delay += self.rng.randrange(policy.jitter_ms + 1)
         sip = serialize_message(msg)
         now = self.now
+        from_hop = sender.hop
         self.trace.append({"t_ms": now, "carrier": src.id, "from_hop": from_hop,
-                           "to_hop": to_hop, "dir": "egress", "sip": sip})
+                           "to_hop": dest.hop, "dir": "egress", "sip": sip})
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (now + delay, seq,
-                                    _Event(self._deliver, (dest, msg, from_hop, to_hop, sip))))
+                                    _Event(self._deliver, (dest, msg, from_hop, sip))))
 
-    def _deliver(self, dest: str, msg: SipMessage, from_hop: str, to_hop: str, sip: str) -> None:
+    def _deliver(self, dest, msg: SipMessage, from_hop: str, sip: str) -> None:
         """Log the ingress row of a message reaching its hop and hand it over."""
-        self.trace.append({"t_ms": self.now, "carrier": self._routes[dest][1].id,
-                           "from_hop": from_hop, "to_hop": to_hop, "dir": "ingress", "sip": sip})
-        self.owners[dest].handle_message(msg)  # type: ignore[attr-defined]
+        self.trace.append({"t_ms": self.now, "carrier": dest.carrier.id, "from_hop": from_hop,
+                           "to_hop": dest.hop, "dir": "ingress", "sip": sip})
+        dest.handle_message(msg)
 
-    def voicemail_answer(self, carrier_id: str, response: SipMessage) -> None:
+    def voicemail_answer(self, carrier: CarrierNetwork, response: SipMessage) -> None:
         """Answer a forwarded leg from the carrier's voicemail service.
 
         The voicemail service takes over the answering side of the dialog,
         so the later ACK/BYE land there instead of at the subscriber.
         """
-        vm_owner = f"vm:{carrier_id}"
-        dialog = self._dialogs.get(response.call_id)
-        if dialog is not None:
-            dialog.uas = vm_owner
-        self.send(vm_owner, response)
+        self._dialogs[response.call_id].uas = carrier.voicemail
+        self.send(carrier.voicemail, response)
 
     def set_timer(self, delay_ms: int, callback: Callable[..., None], *args) -> _Event:
         """Call ``callback(*args)`` ``delay_ms`` from now; returns the timer."""

@@ -185,6 +185,14 @@ def _flag(mapping: dict, key: str, default: bool, where: str) -> bool:
     return value
 
 
+def _text(mapping: dict, key: str, where: str) -> str:
+    """A required YAML string; an empty value must not load as "None"."""
+    value = _require(mapping, key, where)
+    if not isinstance(value, str):
+        raise ScenarioParseError(f"{where}: {key} must be a string, got {value!r}")
+    return value
+
+
 def _integer(mapping: dict, key: str, default: int, where: str) -> int:
     """A YAML integer; a float or a boolean must not be truncated to one."""
     value = mapping.get(key, default)
@@ -219,7 +227,7 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         carriers = tuple(
             CarrierSpec(
-                id=str(_require(c, "id", "carrier")),
+                id=_text(c, "id", "carrier"),
                 enforce_caller_id=_flag(c, "enforce_caller_id", False, "carrier"),
                 link_delay_ms=_integer(c, "link_delay_ms", CarrierSpec.link_delay_ms, "carrier"),
                 jitter_ms=_integer(c, "jitter_ms", CarrierSpec.jitter_ms, "carrier"),
@@ -229,7 +237,7 @@ def load_scenario(path: str | Path) -> Scenario:
         parties = tuple(
             PartySpec(
                 number=_number(_require(p, "number", "party"), "party number"),
-                carrier=str(_require(p, "carrier", "party")),
+                carrier=_text(p, "carrier", "party"),
                 call_waiting=_flag(p, "call_waiting", False, "party"),
                 voicemail_forward=_flag(p, "voicemail_forward", False, "party"),
                 state=str(p.get("state", "idle")),
@@ -250,7 +258,7 @@ def load_scenario(path: str | Path) -> Scenario:
         except ValueError as exc:
             raise ScenarioValidationError(f"bad ground_truth: {truth_raw!r}") from exc
         scenario = Scenario(
-            name=str(_require(raw, "name", path.name)),
+            name=_text(raw, "name", path.name),
             carriers=carriers,
             parties=parties,
             origination=origination,
@@ -343,10 +351,7 @@ def run_scenario(
     net = build_federation(s, seed=effective_seed)
     target_line: PhoneLine = net.lines[s.origination.target]
 
-    agent = None
-
     def on_ring(invite, t_ms):
-        nonlocal agent
         target_line.ring_hook = None  # only the first ring is verified
         ctx = IncomingCallContext(
             claimed_id=invite.from_number,
@@ -355,7 +360,7 @@ def run_scenario(
             phase=CallPhase.RINGING,
             t_start=t_ms,
         )
-        agent = cive.launch_verification(net, ctx)
+        cive.launch_verification(net, ctx)
 
     if effective_cive:
         target_line.ring_hook = on_ring
@@ -366,9 +371,8 @@ def run_scenario(
         at_ms=s.origination.at_ms,
     )
     net.run_until_quiescent()
-    verdict: Verdict | None = None
-    if agent is not None:
-        verdict, _trace = verify_incoming(agent)
+    agent = target_line.verifier
+    verdict = verify_incoming(agent)[0] if agent is not None else None
 
     match: bool | None = None
     inconclusive = False

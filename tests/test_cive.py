@@ -218,6 +218,15 @@ def test_decision_table(inferred, expected):
     assert verdict.reason.startswith("rule ")
 
 
+def test_each_state_comes_from_one_rule_and_decide_names_it():
+    # decide reads the reason off the state alone, whatever the features.
+    states = [state for _, state, _, _ in cive._RULES]
+    assert len(set(states)) == len(states) == len(InferredState)
+    for number, state in enumerate(states, 1):
+        reason = decide(ctx(), state, FeatureVector()).reason
+        assert reason.startswith(f"rule {number}: "), (state, reason)
+
+
 def test_decide_rejects_answered_phase():
     with pytest.raises(UnsupportedPhase):
         decide(ctx(CallPhase.ANSWERED), InferredState.DIALING, FeatureVector())
@@ -260,13 +269,14 @@ def test_launch_line_busy_while_in_flight():
         done = False
 
     stuck = Stuck()
-    net.attach_agent(f"cive:{B}", stuck)
+    net.lines[B].verifier = stuck
     with pytest.raises(LineBusy):
         launch_verification(net, ctx())
-    # Once it is done, a verifier replaces the agent, which had no carrier
-    # and so no route, and is routed as B's endpoint.
+    # Once it is done, a new verifier replaces it on the line and is routed
+    # as B's endpoint.
     stuck.done = True
     verdict, trace = _verify(net, ctx())
+    assert net.lines[B].verifier is not stuck
     assert verdict.decision is Decision.SPOOFED and verdict.inferred is InferredState.IDLE
     assert not trace.timed_out
 
@@ -287,22 +297,22 @@ def test_launch_sends_the_invite_and_leaves_the_loop_to_the_caller():
 
 
 def test_two_verifications_in_turn_on_one_callee_line():
-    # B's verifier is attached twice under one owner id, on a carrier other
-    # than A's; the second agent must be routed like the first.
+    # B's line runs two verifiers in turn, on a carrier other than A's; the
+    # second agent must be routed like the first.
     net = Federation()
     net.add_carrier("cn-a")
     net.add_carrier("cn-b", GatewayPolicy(link_delay_ms=30))
     line_a = net.register_subscriber("cn-a", A)
     net.register_subscriber("cn-b", B)
     first, first_trace = _verify(net, ctx())
-    first_agent = net.owners[f"cive:{B}"]
+    first_agent = net.lines[B].verifier
     rows_before = len(net.trace)
     line_a.preset_state(Dialing(B))
     again = IncomingCallContext(
         claimed_id=A, callee=B, in_call_id="in-2", phase=CallPhase.RINGING, t_start=net.now
     )
     second, second_trace = _verify(net, again)
-    assert net.owners[f"cive:{B}"] is not first_agent
+    assert net.lines[B].verifier is not first_agent
     assert first.decision is Decision.SPOOFED and first.inferred is InferredState.IDLE
     assert second.decision is Decision.LEGIT
     assert not first_trace.timed_out and not second_trace.timed_out
@@ -344,19 +354,9 @@ def test_verify_unroutable_claimed_is_inconclusive():
     assert verdict.decision is Decision.INCONCLUSIVE
 
 
-class _Silent:
-    """A routed endpoint that answers nothing."""
-
-    def __init__(self, carrier_id):
-        self.carrier_id = carrier_id
-
-    def handle_message(self, msg):
-        pass
-
-
 def test_verify_times_out_when_the_queue_drains_before_the_leg_ends():
     net = _federation()
-    net.attach_agent(f"line:{A}", _Silent("cn-a"))
+    net.lines[A].handle_message = lambda msg: None  # A answers nothing
     verdict, trace = _verify(net, ctx())
     assert verdict.decision is Decision.INCONCLUSIVE
     assert verdict.inferred is InferredState.UNREACHABLE

@@ -49,7 +49,7 @@ def sip_rows(rows):
 
 def test_register_and_duplicate():
     net = two_carrier_fed()
-    assert net.lines[PhoneNumber(A)].carrier_id == "cn-a"
+    assert net.lines[PhoneNumber(A)].carrier.id == "cn-a"
     with pytest.raises(DuplicateNumber):
         net.register_subscriber("cn-x", A)  # cross-carrier collision too
 
@@ -451,7 +451,7 @@ def test_each_sent_message_is_serialized_once(monkeypatch, tmp_path, size):
 
 
 class _TimerProbe:
-    """An agent without a carrier: it schedules its own method, and records the calls."""
+    """Schedules its own method, and records the calls."""
 
     def __init__(self, net):
         self.net = net
@@ -464,7 +464,6 @@ class _TimerProbe:
 def test_cancelled_timers_never_advance_the_clock_or_trip_the_budget():
     net = Federation()
     probe = _TimerProbe(net)
-    net.attach_agent("probe", probe)
     net.cancel_timer(net.set_timer(1000, probe.fire, "late"))
     assert net.run_until_quiescent(max_sim_ms=150) == 0
     assert net._heap == []
@@ -481,17 +480,21 @@ def test_cancelled_timers_never_advance_the_clock_or_trip_the_budget():
     assert net._heap == []
 
 
-@pytest.mark.parametrize("method", [SipMethod.INVITE, SipMethod.BYE])
-def test_send_from_an_owner_without_a_route_names_it(method):
+@pytest.mark.parametrize("kind", ["response", "bye-to-line", "bye-to-unregistered"])
+def test_send_without_a_dialog_is_refused_before_any_row(kind):
+    # Only an INVITE opens a dialog; anything else with an unknown Call-ID
+    # is a program fault, raised at send before a row is logged.
     net = two_carrier_fed()
-    owner = f"cive:{B}"
-    net.attach_agent(owner, _TimerProbe(net))
-    msg = SipMessage(method=method, from_number=PhoneNumber(B), to_number=PhoneNumber(A),
-                     call_id="x-1", cseq=(1, method))
-    with pytest.raises(NetsimError) as info:
-        net.send(owner, msg)
-    assert owner in str(info.value) and "carrier_id" in str(info.value)
+    line_a = net.lines[PhoneNumber(A)]
+    if kind == "response":
+        msg = SipMessage.reply(SipMessage.request(SipMethod.INVITE, B, A, "x-1"), 200)
+    else:
+        to = B if kind == "bye-to-line" else "+19990001111"
+        msg = SipMessage.request(SipMethod.BYE, A, to, "x-1", 2)
+    with pytest.raises(NetsimError, match="unknown dialog x-1"):
+        net.send(line_a, msg)
     assert net.trace == []
+    assert net.run() == 0
 
 
 def test_trace_jsonl_matches_json_dumps_on_awkward_strings():

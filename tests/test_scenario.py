@@ -374,6 +374,28 @@ def test_cli_scenario_name_that_is_not_a_plain_file_name_is_bad_input(tmp_path, 
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.scn", "out"]
 
 
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("name: c1\n", "name:\n"),
+        ("name: c1\n", "name: true\n"),
+        ("  - id: cn-a\n", "  - id:\n"),
+        ("    carrier: cn-a\n", "    carrier:\n"),
+    ],
+    ids=["empty-name", "boolean-name", "empty-carrier-id", "empty-party-carrier"],
+)
+def test_cli_text_field_that_is_not_a_string_is_bad_input(tmp_path, capsys, old, new):
+    path = _c1_with(tmp_path, old, new)
+    with pytest.raises(ScenarioParseError, match="must be a string"):
+        load_scenario(path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert cli.main(["run", str(path), "--out", str(out_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.scn", "out"]
+
+
 _PARTY_LINE = "    state: idle\n"
 
 
