@@ -22,7 +22,6 @@ from .call_fsm import (
     Held,
     Idle,
     Ringing,
-    expected_caller_state,
     on_bye,
     on_cancel,
     on_incoming_invite,

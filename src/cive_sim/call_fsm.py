@@ -3,7 +3,9 @@
 A phone is summarized by one EndpointState at a time. The transition
 functions here are pure: they take the current summary state plus the
 triggering message and return ``(new_state, actions)``. A driver (the
-network simulator) owns leg bookkeeping, timers and the wire.
+network simulator) owns leg bookkeeping, timers and the wire. Every
+action has a wire effect (a response, a request, or the delayed
+collision answer); local effects such as ringback are not modelled.
 
 Callee behavior for an incoming INVITE, by state and service features:
 
@@ -165,11 +167,6 @@ class SendRequest(FsmAction):
 
 
 @dataclass(frozen=True)
-class StartRingback(FsmAction):
-    pass
-
-
-@dataclass(frozen=True)
 class AutoAnswer(FsmAction):
     after_ms: int
 
@@ -324,10 +321,10 @@ def on_response(
     """Caller-side handling of a response to an INVITE we originated.
 
     183 is acknowledged with PRACK (the reliable-provisional dance the
-    traces show), 180 starts local ringback, a 200 is acknowledged and
-    connects, and a non-2xx final is acknowledged and drops back to
-    whatever the remaining legs imply. Responses to non-INVITE
-    transactions (CANCEL, BYE, PRACK) need no caller action.
+    traces show), a 200 is acknowledged and connects, and a non-2xx final
+    is acknowledged and drops back to whatever the remaining legs imply.
+    Other provisionals (100, 180) and responses to non-INVITE transactions
+    (CANCEL, BYE, PRACK) need no caller action.
     """
     if not response.is_response:
         raise ValueError("on_response requires a response")
@@ -336,11 +333,7 @@ def on_response(
     assert response.status is not None
     code = response.status.code
     if code < 200:
-        if code == 183:
-            return state, [SendRequest(SipMethod.PRACK)]
-        if code == 180:
-            return state, [StartRingback()]
-        return state, []
+        return state, [SendRequest(SipMethod.PRACK)] if code == 183 else []
     if code == 200:
         return Connected(response.to_number), [SendRequest(SipMethod.ACK)]
     return summarize_legs(remaining_legs), [SendRequest(SipMethod.ACK)]
@@ -351,35 +344,3 @@ class CallPhase(str, Enum):
 
     RINGING = "ringing"
     ANSWERED = "answered"
-
-
-@dataclass(frozen=True)
-class StatePredicate:
-    """The state a genuine caller must occupy, given the incoming call phase.
-
-    Callable on an EndpointState; ``description`` is the human-readable
-    form used in verdicts.
-    """
-
-    phase: CallPhase
-    callee: PhoneNumber
-
-    def __call__(self, state: EndpointState) -> bool:
-        if self.phase is CallPhase.RINGING:
-            return isinstance(state, Dialing) and state.target == self.callee
-        return isinstance(state, Connected) and state.peer == self.callee
-
-    @property
-    def description(self) -> str:
-        if self.phase is CallPhase.RINGING:
-            return f"dialing toward {self.callee}"
-        return f"connected with {self.callee}"
-
-
-def expected_caller_state(phase: CallPhase, callee: PhoneNumber) -> StatePredicate:
-    """Predicate for the true state of whoever is really calling ``callee``.
-
-    While the incoming call is still ringing the genuine caller must be
-    dialing the callee; once answered, connected with the callee.
-    """
-    return StatePredicate(phase=phase, callee=callee)

@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .call_fsm import (
-    COLLISION_ANSWER_MS, CallPhase, LegPhase, LegRole, LineLeg, expected_caller_state
-)
+from .call_fsm import COLLISION_ANSWER_MS, CallPhase, LegPhase, LegRole, LineLeg
 from .netsim import Direction, Federation
 from .sip_core import (
     AlertUrn,
@@ -215,8 +213,7 @@ def extract_features(trace: SignalingTrace) -> FeatureVector:
     saw_181 = False
     saw_486 = False
     final: StatusCode | None = None
-    sent_bye = False
-    sent_cancel = False
+    sent: set[SipMethod] = set()  # the methods of the requests B sent
     for entry in trace.entries:
         msg = entry.message
         if entry.direction is Direction.INGRESS and msg.is_response:
@@ -231,13 +228,10 @@ def extract_features(trace: SignalingTrace) -> FeatureVector:
             if final is None and msg.is_final and msg.cseq == invite.cseq:
                 final = msg.status
         elif entry.direction is Direction.EGRESS and msg.is_request:
-            sent_bye = sent_bye or msg.method is SipMethod.BYE
-            sent_cancel = sent_cancel or msg.method is SipMethod.CANCEL
+            sent.add(msg.method)
     # BYE is what actually ends an answered leg, so it wins over a CANCEL
     # that crossed the answer in flight.
-    teardown = (
-        SipMethod.BYE if sent_bye else SipMethod.CANCEL if sent_cancel else None
-    )
+    teardown = next((m for m in (SipMethod.BYE, SipMethod.CANCEL) if m in sent), None)
     return FeatureVector(
         pem_180=pem_180,
         alert_180=alert_180,
@@ -301,14 +295,15 @@ def decide(
     inferred: InferredState,
     features: FeatureVector,
 ) -> Verdict:
-    """The verdict for an inferred far-end state while the inCall rings."""
+    """The verdict for an inferred far-end state while the inCall rings,
+    when a genuine caller must be dialing the callee."""
     if ctx.phase is not CallPhase.RINGING:
         raise UnsupportedPhase("verdicts are only defined for the ringing phase")
     decision, reason = _VERDICT[inferred]
     return Verdict(
         decision=decision,
         inferred=inferred,
-        expected=expected_caller_state(ctx.phase, ctx.callee).description,
+        expected=f"dialing toward {ctx.callee}",
         reason=reason,
         features=features,
     )
@@ -320,10 +315,11 @@ class _VerifierAgent:
     A hop of its own with the line's label, carrier and number: the auCall
     is sent and policed as the callee's, and its replies reach the agent.
 
-    Collects responses until a 180 with early media has aged past the
-    capture grace, a final response arrives, or the timeout fires; then
-    tears the leg down: ACK+BYE when the far end answered, CANCEL while the
-    INVITE is still pending, just ACK after a non-2xx final.
+    Records every message of its dialog, as the saved trace holds it. Acts
+    on responses until a 180 with early media has aged past the capture
+    grace, a final response arrives, or the timeout fires; then tears the
+    leg down: ACK+BYE when the far end answered, CANCEL while the INVITE is
+    still pending, just ACK after a non-2xx final.
     """
 
     def __init__(self, net: Federation, ctx: IncomingCallContext):
@@ -337,7 +333,6 @@ class _VerifierAgent:
         self.leg = LineLeg(call_id, ctx.claimed_id, LegRole.CALLER, LegPhase.EARLY, invite)
         self.final: StatusCode | None = None
         self.sent_cancel = False
-        self.sent_bye = False
         self.done = False
         self.grace_timer: object | None = None  # pending timers, for cancel_timer
         self.timeout_timer: object | None = None
@@ -364,15 +359,13 @@ class _VerifierAgent:
     # -- event handlers --------------------------------------------------------
 
     def handle_message(self, msg: SipMessage) -> None:
-        if self.done:
-            return
+        # Recorded even once done: late replies are in the saved trace too.
         self.trace.append(self.net.now, Direction.INGRESS, msg)
-        if not msg.is_response:
+        if self.done or not msg.is_response:
             return
         tx_method = msg.cseq[1]
         if tx_method is SipMethod.BYE:
-            if self.sent_bye:
-                self._finish()
+            self._finish()  # the answer to our own BYE, the only one we send
             return
         if tx_method is not SipMethod.INVITE:
             return  # response to CANCEL (200 or 481); recorded, nothing to do
@@ -390,7 +383,6 @@ class _VerifierAgent:
             self.grace_timer = None
         if code == 200:
             self._send(self.leg.request(SipMethod.ACK))
-            self.sent_bye = True
             self._send(self.leg.request(SipMethod.BYE))
             # done once the BYE is answered
         else:

@@ -62,7 +62,7 @@ from .sip_core import (
 )
 
 INVITE_PATIENCE_MS = 20_000
-DEFAULT_MAX_SIM_MS = 60_000
+MAX_SIM_MS = 60_000
 
 
 class NetsimError(Exception):
@@ -265,19 +265,14 @@ class PhoneLine:
             if leg.patience_timer is not None:
                 self.net.cancel_timer(leg.patience_timer)
                 leg.patience_timer = None
-            remaining = tuple(l for l in self.legs.values() if l is not leg)
-            state, actions = call_fsm.on_response(self.state, msg, remaining)
-            self.state = state
             assert msg.status is not None
             if msg.status.code == 200:
                 leg.phase = LegPhase.ANSWERED
             else:
                 del self.legs[leg.call_id]
-            self._execute(actions, leg=leg)
-        else:
-            state, actions = call_fsm.on_response(self.state, msg, ())
-            self.state = state
-            self._execute(actions, leg=leg)
+        # After a non-2xx final, the legs left are the ones the state falls back to.
+        self.state, actions = call_fsm.on_response(self.state, msg, self.legs.values())
+        self._execute(actions, leg=leg)
 
     def _auto_answer(self, call_id: str) -> None:
         leg = self.legs.get(call_id)
@@ -322,7 +317,6 @@ class PhoneLine:
                 if leg is None:
                     raise NetsimError("request action without a leg")
                 self.net.send(self, leg.request(action.method))
-            # StartRingback has no wire effect.
 
 
 class _CarrierService:
@@ -512,12 +506,13 @@ class Federation:
 
     # -- event loop ------------------------------------------------------------
 
-    def run(self, max_sim_ms: int = DEFAULT_MAX_SIM_MS) -> int:
+    def run(self) -> int:
         """Process events in deterministic order until the queue drains.
 
         Raises SimBudgetExceeded if live events remain scheduled past
-        ``max_sim_ms``; returns the final simulated clock.
+        ``MAX_SIM_MS``, read at call time; returns the final simulated clock.
         """
+        budget = MAX_SIM_MS
         heap = self._heap
         while heap:
             at, _, event = heap[0]
@@ -526,18 +521,18 @@ class Federation:
                 # against the budget.
                 heapq.heappop(heap)
                 continue
-            if at > max_sim_ms:
+            if at > budget:
                 raise SimBudgetExceeded(
-                    f"events still queued at t={at} ms, past the {max_sim_ms} sim-ms budget"
+                    f"events still queued at t={at} ms, past the {budget} sim-ms budget"
                 )
             heapq.heappop(heap)
             self.now = at
             event.callback(*event.args)
         return self.now
 
-    def run_until_quiescent(self, max_sim_ms: int = DEFAULT_MAX_SIM_MS) -> int:
+    def run_until_quiescent(self) -> int:
         """Drain the event queue; returns the final simulated clock."""
-        return self.run(max_sim_ms)
+        return self.run()
 
     # -- trace output ------------------------------------------------------------
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -310,9 +310,9 @@ class RunReport:
         }
 
 
-def build_federation(s: Scenario, seed: int | None = None) -> Federation:
+def build_federation(s: Scenario) -> Federation:
     """Materialize a scenario's carriers, parties and initial states."""
-    net = Federation(seed=s.seed if seed is None else seed)
+    net = Federation(seed=s.seed)
     for c in s.carriers:
         net.add_carrier(c.id, c.policy())
     for p in s.parties:
@@ -343,12 +343,16 @@ def run_scenario(
     callback, which then runs in the same event loop as the call it checks;
     the loop runs once, under the simulation budget, and the verdict is read
     at quiescence. Equal (scenario, seed) pairs produce byte-identical
-    trace and report files.
+    trace and report files. ``seed`` and ``cive_enabled``, when given,
+    override the scenario's own values.
     """
     s.validate()
-    effective_seed = s.seed if seed is None else seed
-    effective_cive = s.cive_enabled if cive_enabled is None else cive_enabled
-    net = build_federation(s, seed=effective_seed)
+    s = replace(
+        s,
+        seed=s.seed if seed is None else seed,
+        cive_enabled=s.cive_enabled if cive_enabled is None else cive_enabled,
+    )
+    net = build_federation(s)
     target_line: PhoneLine = net.lines[s.origination.target]
 
     def on_ring(invite, t_ms):
@@ -362,7 +366,7 @@ def run_scenario(
         )
         cive.launch_verification(net, ctx)
 
-    if effective_cive:
+    if s.cive_enabled:
         target_line.ring_hook = on_ring
     net.originate_call(
         s.origination.claimed,
@@ -387,8 +391,8 @@ def run_scenario(
     report = RunReport(
         scenario=s.name,
         ground_truth=s.ground_truth,
-        cive_enabled=effective_cive,
-        seed=effective_seed,
+        cive_enabled=s.cive_enabled,
+        seed=s.seed,
         b_display=target_line.display,
         verdict=verdict,
         match=match,
@@ -426,32 +430,6 @@ CSV_COLUMNS = (
     "truth",
     "match",
 )
-
-
-@dataclass(frozen=True)
-class MatrixRow:
-    scenario: str
-    a_state: str
-    cw: bool
-    vm: bool
-    origination: str
-    inferred: str
-    verdict: str
-    truth: str
-    match: bool
-
-    def csv_values(self) -> tuple[str, ...]:
-        return (
-            self.scenario,
-            self.a_state,
-            str(self.cw).lower(),
-            str(self.vm).lower(),
-            self.origination,
-            self.inferred,
-            self.verdict,
-            self.truth,
-            str(self.match).lower(),
-        )
 
 
 def _matrix_cell(a_state: str, cw: bool, vm: bool, origination: str) -> Scenario:
@@ -504,19 +482,21 @@ def matrix_scenarios() -> list[Scenario]:
     return cells
 
 
-def _matrix_row(report: RunReport) -> MatrixRow:
+def _csv_values(report: RunReport) -> tuple[str, ...]:
+    """A cell's values in ``CSV_COLUMNS`` order; its coordinates are read
+    off the cell name."""
     assert report.verdict is not None
     _, a_state, cw, vm, origination = report.scenario.split("-")
-    return MatrixRow(
-        scenario=report.scenario,
-        a_state=a_state,
-        cw=cw == "cw1",
-        vm=vm == "vm1",
-        origination=origination,
-        inferred=report.verdict.inferred.value,
-        verdict=report.verdict.decision.value,
-        truth=report.ground_truth.value,
-        match=bool(report.match),
+    return (
+        report.scenario,
+        a_state,
+        str(cw == "cw1").lower(),
+        str(vm == "vm1").lower(),
+        origination,
+        report.verdict.inferred.value,
+        report.verdict.decision.value,
+        report.ground_truth.value,
+        str(bool(report.match)).lower(),
     )
 
 
@@ -525,8 +505,9 @@ class MatrixResult:
     reports: tuple[RunReport, ...]  # one per cell, sorted by scenario name
 
     @property
-    def rows(self) -> tuple[MatrixRow, ...]:
-        return tuple(_matrix_row(r) for r in self.reports)
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        """The CSV values of each cell, in ``CSV_COLUMNS`` order."""
+        return tuple(_csv_values(r) for r in self.reports)
 
     @property
     def all_match(self) -> bool:
@@ -534,16 +515,20 @@ class MatrixResult:
 
     @property
     def spoofed_judged_legit(self) -> int:
-        return sum(1 for r in self.rows if r.truth == "spoofed" and r.verdict == "Legit")
+        return sum(
+            1
+            for r in self.reports
+            if r.ground_truth is GroundTruth.SPOOFED and r.verdict.decision is Decision.LEGIT
+        )
 
     def to_csv(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
-        lines.extend(",".join(r.csv_values()) for r in self.rows)
+        lines.extend(",".join(values) for values in self.rows)
         return "\n".join(lines) + "\n"
 
     def to_table(self) -> str:
         widths = [len(c) for c in CSV_COLUMNS]
-        rows = [r.csv_values() for r in self.rows]
+        rows = self.rows
         for values in rows:
             widths = [max(w, len(v)) for w, v in zip(widths, values)]
         fmt = "  ".join(f"{{:<{w}}}" for w in widths)

@@ -5,7 +5,6 @@ import pytest
 from cive_sim.call_fsm import (
     AutoAnswer,
     CalleeProfile,
-    CallPhase,
     Connected,
     Dialing,
     Held,
@@ -17,8 +16,6 @@ from cive_sim.call_fsm import (
     Ringing,
     SendRequest,
     SendResponse,
-    StartRingback,
-    expected_caller_state,
     on_auto_answer,
     on_bye,
     on_cancel,
@@ -319,8 +316,10 @@ def test_caller_side_prack_on_183():
 
 
 def test_caller_side_ringback_on_180():
-    _, actions = on_response(Dialing(A), _resp(180, pem=PemValue.SENDRECV))
-    assert actions == [StartRingback()]
+    # A 180 needs no caller action: ringback is local, with no wire effect.
+    state, actions = on_response(Dialing(A), _resp(180, pem=PemValue.SENDRECV))
+    assert state == Dialing(A)
+    assert actions == []
 
 
 def test_caller_side_200_connects_and_acks():
@@ -345,18 +344,3 @@ def test_caller_side_ignores_non_invite_transactions():
     )
     state, actions = on_response(Dialing(A), SipMessage.reply(cancel, 200))
     assert state == Dialing(A) and actions == []
-
-
-def test_expected_caller_state_predicates():
-    ringing = expected_caller_state(CallPhase.RINGING, B)
-    assert ringing(Dialing(B))
-    assert not ringing(Dialing(C))
-    assert not ringing(Idle())
-    assert not ringing(Connected(B))
-    assert "dialing" in ringing.description and B in ringing.description
-
-    answered = expected_caller_state(CallPhase.ANSWERED, B)
-    assert answered(Connected(B))
-    assert not answered(Connected(C))
-    assert not answered(Idle())
-    assert not answered(Dialing(B))

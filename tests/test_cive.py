@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -214,7 +215,7 @@ def test_decision_table(inferred, expected):
     verdict = decide(ctx(), inferred, features)
     assert verdict.decision is expected
     assert verdict.inferred is inferred
-    assert "dialing toward" in verdict.expected
+    assert verdict.expected == f"dialing toward {B}"
     assert verdict.reason.startswith("rule ")
 
 
@@ -523,8 +524,14 @@ def test_legs_from_trace_rows_round_trip(tmp_path, monkeypatch):
     rebuilt = extract_features(au[0])
     assert rebuilt == verdict.features
 
-    # Every matrix cell: the leg B observed, rebuilt from the written trace,
-    # is the live trace entry by entry, with the verdict's features.
+    # Every matrix cell, also under jitter, where replies can reach B after
+    # its verifier is done: the leg B observed, rebuilt from the written
+    # trace, is the live trace entry by entry, with the verdict's features.
+    cells = matrix_scenarios()
+    for cell in matrix_scenarios():
+        for jitter, seed in itertools.product((500, 2000), range(3)):
+            carriers = tuple(dataclasses.replace(c, jitter_ms=jitter) for c in cell.carriers)
+            cells.append(dataclasses.replace(cell, carriers=carriers, seed=seed))
     live = []
 
     def capturing(agent):
@@ -533,7 +540,7 @@ def test_legs_from_trace_rows_round_trip(tmp_path, monkeypatch):
         return verdict, trace
 
     monkeypatch.setattr(cive_sim.scenario, "verify_incoming", capturing)
-    for cell in matrix_scenarios():
+    for cell in cells:
         live.clear()
         run_scenario(cell, tmp_path)
         [(verdict, trace)] = live

@@ -160,11 +160,12 @@ def test_empty_queue_returns_immediately():
     assert net.now == 0
 
 
-def test_sim_budget_exceeded():
+def test_sim_budget_exceeded(monkeypatch):
+    monkeypatch.setattr(cive_sim.netsim, "MAX_SIM_MS", 150)
     net = two_carrier_fed()
     net.originate_call(A, net.lines[PhoneNumber(A)], B)
-    with pytest.raises(SimBudgetExceeded):
-        net.run_until_quiescent(max_sim_ms=150)
+    with pytest.raises(SimBudgetExceeded, match="past the 150 sim-ms budget"):
+        net.run_until_quiescent()
 
 
 def test_equal_seeds_byte_identical_traces():
@@ -461,11 +462,12 @@ class _TimerProbe:
         self.fired.append((tag, self.net.now))
 
 
-def test_cancelled_timers_never_advance_the_clock_or_trip_the_budget():
+def test_cancelled_timers_never_advance_the_clock_or_trip_the_budget(monkeypatch):
+    monkeypatch.setattr(cive_sim.netsim, "MAX_SIM_MS", 150)
     net = Federation()
     probe = _TimerProbe(net)
     net.cancel_timer(net.set_timer(1000, probe.fire, "late"))
-    assert net.run_until_quiescent(max_sim_ms=150) == 0
+    assert net.run_until_quiescent() == 0
     assert net._heap == []
 
     # A cancelled timer ahead of a live one is skipped without moving the
@@ -475,7 +477,7 @@ def test_cancelled_timers_never_advance_the_clock_or_trip_the_budget():
     net.set_timer(20, probe.fire, "live")
     net.cancel_timer(early)
     net.cancel_timer(net.set_timer(1000, probe.fire, "late"))
-    assert net.run(max_sim_ms=150) == 20
+    assert net.run() == 20
     assert probe.fired == [("live", 20)]
     assert net._heap == []
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -151,6 +152,23 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_run_overrides_equal_a_replaced_scenario(tmp_path):
+    # The seed and cive_enabled keywords act only as a scenario carrying
+    # those values would; jitter makes the seed show in the trace.
+    s = load_scenario(SCENARIOS / "c2.scn")
+    s = dataclasses.replace(
+        s, carriers=tuple(dataclasses.replace(c, jitter_ms=40) for c in s.carriers)
+    )
+    out1, out2, seed0 = tmp_path / "one", tmp_path / "two", tmp_path / "seed0"
+    report = run_scenario(s, out1, seed=7, cive_enabled=False)
+    run_scenario(dataclasses.replace(s, seed=7, cive_enabled=False), out2)
+    run_scenario(s, seed0, cive_enabled=False)
+    assert (report.seed, report.cive_enabled, report.verdict) == (7, False, None)
+    for name in ("c2.trace.jsonl", "c2.report.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert (out1 / "c2.trace.jsonl").read_bytes() != (seed0 / "c2.trace.jsonl").read_bytes()
+
+
 def test_report_json_shape(tmp_path):
     run_scenario(load_scenario(SCENARIOS / "c2.scn"), tmp_path)
     data = json.loads((tmp_path / "c2.report.json").read_text())
@@ -286,9 +304,9 @@ def test_cli_matrix_exit_code_is_one_for_any_outright_mismatch(monkeypatch, caps
     monkeypatch.setattr(cive_sim.scenario, "verify_incoming", scripted_verify)
     # the rows, all_match and the exit code all read the same reports
     result = run_matrix()
-    assert [(r.verdict, r.match) for r in result.rows] == [
-        ("Spoofed", False),
-        ("Inconclusive", False),
+    assert [(values[6], values[8]) for values in result.rows] == [
+        ("Spoofed", "false"),
+        ("Inconclusive", "false"),
     ]
     assert not result.all_match and exit_code_for(list(result.reports)) == 1
     assert result.to_csv().count(",false\n") == 2
