@@ -31,13 +31,14 @@ from enum import Enum
 from typing import Iterable
 
 from .sip_core import (
-    CANONICAL_REASON,
+    STATUS,
     AlertUrn,
     PemValue,
     PhoneNumber,
     SipMessage,
     SipMethod,
     StatusCode,
+    _message,
 )
 
 # How long a phone that is mid-dial waits before auto-answering the call-back
@@ -85,6 +86,33 @@ class Connected(EndpointState):
 @dataclass(frozen=True)
 class Held(EndpointState):
     peer: PhoneNumber
+
+
+IDLE = Idle()
+
+# The hot records of this module are built by one private builder each,
+# which fills the frozen instance's __dict__ instead of running the
+# generated __init__ (one object.__setattr__ per field); they have no
+# checks to skip.
+_new = object.__new__
+
+
+def _ringing(peer: PhoneNumber) -> Ringing:
+    state = _new(Ringing)
+    state.__dict__["peer"] = peer
+    return state
+
+
+def _connected(peer: PhoneNumber) -> Connected:
+    state = _new(Connected)
+    state.__dict__["peer"] = peer
+    return state
+
+
+def _dialing(target: PhoneNumber) -> Dialing:
+    state = _new(Dialing)
+    state.__dict__["target"] = target
+    return state
 
 
 @dataclass(frozen=True)
@@ -135,13 +163,9 @@ class LineLeg:
         else:
             seq = self.next_cseq
             self.next_cseq += 1
-        return SipMessage(
-            method=method,
-            from_number=self.invite.from_number,
-            to_number=self.invite.to_number,
-            call_id=self.call_id,
-            cseq=(seq, method),
-        )
+        invite = self.invite
+        return _message(method, invite.from_number, invite.to_number, invite.call_id,
+                        (seq, method), None, None, None, (), "")
 
 
 class FsmAction:
@@ -171,6 +195,11 @@ class AutoAnswer(FsmAction):
     after_ms: int
 
 
+_ACK = SendRequest(SipMethod.ACK)
+_PRACK = SendRequest(SipMethod.PRACK)
+_COLLISION_ANSWER = AutoAnswer(COLLISION_ANSWER_MS)
+
+
 def summarize_legs(legs: Iterable) -> EndpointState:
     """Fold a set of legs into the single foreground EndpointState.
 
@@ -181,31 +210,28 @@ def summarize_legs(legs: Iterable) -> EndpointState:
     legs = list(legs)
     answered = [l for l in legs if l.phase is LegPhase.ANSWERED]
     if answered:
-        return Connected(answered[-1].peer)
+        return _connected(answered[-1].peer)
     dialing = [l for l in legs if l.role is LegRole.CALLER and l.phase is LegPhase.EARLY]
     if dialing:
-        return Dialing(dialing[-1].peer)
+        return _dialing(dialing[-1].peer)
     ringing = [l for l in legs if l.role is LegRole.CALLEE and l.phase is LegPhase.EARLY]
     if ringing:
-        return Ringing(ringing[-1].peer)
+        return _ringing(ringing[-1].peer)
     held = [l for l in legs if l.phase is LegPhase.HELD]
     if held:
         return Held(held[-1].peer)
-    return Idle()
-
-
-# One shared (immutable) StatusCode per code, so responses do not rebuild it.
-_STATUS = {code: StatusCode(code) for code in CANONICAL_REASON}
+    return IDLE
 
 
 def _respond(invite: SipMessage, code: int, pem=None, alert=None, by_network=False) -> SendResponse:
-    return SendResponse(
-        status=_STATUS[code],
-        regarding=invite,
-        pem=pem,
-        alert=alert,
-        answered_by_network=by_network,
-    )
+    action = _new(SendResponse)
+    d = action.__dict__
+    d["status"] = STATUS[code]
+    d["regarding"] = invite
+    d["pem"] = pem
+    d["alert"] = alert
+    d["answered_by_network"] = by_network
+    return action
 
 
 def on_incoming_invite(
@@ -229,7 +255,7 @@ def on_incoming_invite(
     trying = _respond(invite, 100)
 
     if isinstance(state, Idle):
-        return Ringing(invite.from_number), [
+        return _ringing(invite.from_number), [
             trying,
             _respond(invite, 183, pem=PemValue.SENDRECV),
             _respond(invite, 180, pem=PemValue.SENDRECV),
@@ -242,7 +268,7 @@ def on_incoming_invite(
             trying,
             _respond(invite, 183, pem=PemValue.SENDONLY),
             _respond(invite, 180, pem=PemValue.SENDONLY),
-            AutoAnswer(after_ms=COLLISION_ANSWER_MS),
+            _COLLISION_ANSWER,
         ]
 
     on_a_call = isinstance(state, (Connected, Held))
@@ -267,7 +293,7 @@ def on_auto_answer(
     state: EndpointState, invite: SipMessage
 ) -> tuple[EndpointState, list[FsmAction]]:
     """Complete a collision auto-answer: send 200 and connect to the inviter."""
-    return Connected(invite.from_number), [_respond(invite, 200)]
+    return _connected(invite.from_number), [_respond(invite, 200)]
 
 
 def on_cancel(
@@ -289,7 +315,7 @@ def on_cancel(
     actions = [_respond(cancel, 200), _respond(pending_invite, 487)]
     new_state: EndpointState = state
     if isinstance(state, Ringing) and state.peer == pending_invite.from_number:
-        new_state = Idle()
+        new_state = IDLE
     return new_state, actions
 
 
@@ -333,10 +359,10 @@ def on_response(
     assert response.status is not None
     code = response.status.code
     if code < 200:
-        return state, [SendRequest(SipMethod.PRACK)] if code == 183 else []
+        return state, [_PRACK] if code == 183 else []
     if code == 200:
-        return Connected(response.to_number), [SendRequest(SipMethod.ACK)]
-    return summarize_legs(remaining_legs), [SendRequest(SipMethod.ACK)]
+        return _connected(response.to_number), [_ACK]
+    return summarize_legs(remaining_legs), [_ACK]
 
 
 class CallPhase(str, Enum):

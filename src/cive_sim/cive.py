@@ -97,6 +97,17 @@ class TraceEntry:
     message: SipMessage
 
 
+def _trace_entry(t_ms: int, direction: Direction, message: SipMessage) -> TraceEntry:
+    """A ``TraceEntry`` built without its generated ``__init__``, which
+    sets each field through ``object.__setattr__``; it has no checks."""
+    entry = object.__new__(TraceEntry)
+    d = entry.__dict__
+    d["t_ms"] = t_ms
+    d["direction"] = direction
+    d["message"] = message
+    return entry
+
+
 @dataclass
 class SignalingTrace:
     """The auCall leg as observed at B: every message sent or received, in order."""
@@ -111,7 +122,7 @@ class SignalingTrace:
             direction is Direction.EGRESS and message.method is SipMethod.INVITE
         ):
             raise ValueError("a trace starts with the sent INVITE")
-        self.entries.append(TraceEntry(t_ms, direction, message))
+        self.entries.append(_trace_entry(t_ms, direction, message))
 
     def __iter__(self):
         return iter(self.entries)

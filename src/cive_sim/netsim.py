@@ -41,6 +41,7 @@ from typing import Callable
 
 from . import call_fsm
 from .call_fsm import (
+    IDLE,
     AutoAnswer,
     CalleeProfile,
     Connected,
@@ -53,6 +54,7 @@ from .call_fsm import (
     LineLeg,
     SendRequest,
     SendResponse,
+    _dialing,
 )
 from .sip_core import (
     PhoneNumber,
@@ -159,7 +161,7 @@ class PhoneLine:
         self.profile = profile
         self.number: PhoneNumber = profile.number
         self.hop = f"ep:{profile.number}"
-        self.state: EndpointState = Idle()
+        self.state: EndpointState = IDLE
         self.legs: dict[str, LineLeg] = {}
         self.display: PhoneNumber | None = None
         # Called with (invite, t_ms) once the phone has sent its 180 for an
@@ -297,7 +299,7 @@ class PhoneLine:
         leg = LineLeg(call_id, to, LegRole.CALLER, LegPhase.EARLY, invite)
         self.legs[call_id] = leg
         if isinstance(self.state, Idle):
-            self.state = Dialing(to)
+            self.state = _dialing(to)
         leg.patience_timer = self.net.set_timer(INVITE_PATIENCE_MS, self._give_up, call_id)
         self.net.send(self, invite)
 

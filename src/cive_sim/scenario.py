@@ -403,8 +403,13 @@ def run_scenario(
     )
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        net.write_trace(out / trace_file)
+        # The directory is made only when it is missing: run_matrix has
+        # already made it for each of its cells.
+        try:
+            net.write_trace(out / trace_file)
+        except FileNotFoundError:
+            out.mkdir(parents=True, exist_ok=True)
+            net.write_trace(out / trace_file)
         write_file(out / f"{s.name}.report.json",
                    json.dumps(report.to_json_dict(), indent=2) + "\n")
     return report

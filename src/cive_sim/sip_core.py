@@ -16,6 +16,20 @@ Parsing has two paths with identical results. Canonical LF text, as
 parsed in one regex match. Everything else, such as CRLF input, another
 header order or decorated addresses from a capture, goes to the general
 line-by-line parser, which is also the reference the tests compare with.
+
+One message is built per simulated send, so its cost bounds every run.
+``SipMessage`` stays a frozen dataclass (equality, hashing, ``repr`` and
+``FrozenInstanceError`` are the generated ones), but ``request``,
+``reply``, ``call_fsm.LineLeg.request`` and the canonical parser build it
+through one private builder, ``_message``. It fills the instance's
+``__dict__`` instead of running the generated ``__init__`` (one
+``object.__setattr__`` per field) and ``__post_init__``, so it may be
+given only what those checks already hold: ``request`` still checks the
+numbers, the Call-ID and the CSeq sequence; ``reply`` and
+``LineLeg.request`` copy them from a request that was checked when it was
+built; the canonical parser's regex has checked them in the text. A code
+of the closed set with its canonical phrase is the shared instance in
+``STATUS``.
 """
 
 from __future__ import annotations
@@ -148,13 +162,27 @@ class StatusCode:
         return f"{self.code} {self.reason}"
 
 
+# One shared StatusCode per code of the closed set, with its canonical phrase.
+STATUS: dict[int, StatusCode] = {code: StatusCode(code) for code in CANONICAL_REASON}
+
+
+def _status(status: StatusCode | int) -> StatusCode:
+    """``status`` itself, or the shared instance for a bare code.
+
+    A code outside the closed set raises ``UnknownStatusCode``.
+    """
+    if isinstance(status, StatusCode):
+        return status
+    return STATUS.get(status) or StatusCode(status)
+
+
 def classify_status(status: StatusCode | int) -> StatusClass:
     """Map a closed-set status code onto its class.
 
     Total on exactly the eleven known codes; anything else raises
     ``UnknownStatusCode`` (via StatusCode construction).
     """
-    code = status.code if isinstance(status, StatusCode) else StatusCode(status).code
+    code = _status(status).code
     if 100 <= code < 200:
         return StatusClass.PROVISIONAL
     if code == 200:
@@ -187,8 +215,7 @@ class SipMessage:
     body: str = ""
 
     def __post_init__(self) -> None:
-        if not self.call_id or _WHITESPACE_RE.search(self.call_id):
-            raise ValueError(f"Call-ID must be a nonempty token: {self.call_id!r}")
+        _check_call_id(self.call_id)
         seq, cseq_method = self.cseq
         if seq < 1:
             raise ValueError(f"CSeq sequence must be >= 1: {seq}")
@@ -221,17 +248,12 @@ class SipMessage:
         extra_headers: tuple[tuple[str, str], ...] = (),
         body: str = "",
     ) -> "SipMessage":
-        return cls(
-            method=method,
-            from_number=PhoneNumber(from_number),
-            to_number=PhoneNumber(to_number),
-            call_id=call_id,
-            cseq=(seq, method),
-            pem=pem,
-            alert=alert,
-            extra_headers=extra_headers,
-            body=body,
-        )
+        from_number, to_number = PhoneNumber(from_number), PhoneNumber(to_number)
+        _check_call_id(call_id)
+        if seq < 1:
+            raise ValueError(f"CSeq sequence must be >= 1: {seq}")
+        return _message(method, from_number, to_number, call_id, (seq, method), None,
+                        pem, alert, extra_headers, body)
 
     @classmethod
     def reply(
@@ -249,20 +271,40 @@ class SipMessage:
         From, To, Call-ID and CSeq are copied verbatim from the request,
         per RFC 3261 section 8.2.6.2.
         """
-        if not to.is_request:
+        if to.status is not None:
             raise ValueError("can only reply to a request")
-        return cls(
-            method=to.method,
-            from_number=to.from_number,
-            to_number=to.to_number,
-            call_id=to.call_id,
-            cseq=to.cseq,
-            status=status if isinstance(status, StatusCode) else StatusCode(status),
-            pem=pem,
-            alert=alert,
-            extra_headers=extra_headers,
-            body=body,
-        )
+        return _message(to.method, to.from_number, to.to_number, to.call_id, to.cseq,
+                        _status(status), pem, alert, extra_headers, body)
+
+
+def _check_call_id(call_id: str) -> None:
+    if not call_id or _WHITESPACE_RE.search(call_id):
+        raise ValueError(f"Call-ID must be a nonempty token: {call_id!r}")
+
+
+_new = object.__new__
+
+
+def _message(method, from_number, to_number, call_id, cseq, status, pem, alert,
+             extra_headers, body) -> SipMessage:
+    """A ``SipMessage`` built without its ``__init__`` and ``__post_init__``.
+
+    The caller guarantees what ``__post_init__`` would check: a Call-ID
+    token, a CSeq of ``(seq >= 1, method)``, and ``PhoneNumber`` numbers.
+    """
+    msg = _new(SipMessage)
+    d = msg.__dict__
+    d["method"] = method
+    d["from_number"] = from_number
+    d["to_number"] = to_number
+    d["call_id"] = call_id
+    d["cseq"] = cseq
+    d["status"] = status
+    d["pem"] = pem
+    d["alert"] = alert
+    d["extra_headers"] = extra_headers
+    d["body"] = body
+    return msg
 
 
 # Accepted address shapes: "+15551234", "sip:+15551234", "<sip:+1@host;p=1>;tag=x".
@@ -476,28 +518,27 @@ def _parse_canonical(text: str) -> SipMessage | None:
      pem, alert, body) = m.groups()
     msg_method = _METHOD_BY_VALUE[cseq_method]
     if method is None:
-        code = int(code)
-        if code not in CANONICAL_REASON:
+        status = STATUS.get(int(code))
+        if status is None:
             return None
-        status = StatusCode(code, reason)
+        if reason != status.reason:
+            status = StatusCode(status.code, reason)
     elif method != cseq_method:
         return None
     else:
         status = None
-    msg = object.__new__(SipMessage)
-    msg.__dict__.update({
-        "method": msg_method,
-        "from_number": str.__new__(PhoneNumber, from_number),
-        "to_number": str.__new__(PhoneNumber, to_number),
-        "call_id": call_id,
-        "cseq": (int(seq), msg_method),
-        "status": status,
-        "pem": _PEM_BY_VALUE[pem] if pem else None,
-        "alert": _ALERT_BY_VALUE[alert] if alert else None,
-        "extra_headers": (),
-        "body": body,
-    })
-    return msg
+    return _message(
+        msg_method,
+        str.__new__(PhoneNumber, from_number),
+        str.__new__(PhoneNumber, to_number),
+        call_id,
+        (int(seq), msg_method),
+        status,
+        _PEM_BY_VALUE[pem] if pem else None,
+        _ALERT_BY_VALUE[alert] if alert else None,
+        (),
+        body,
+    )
 
 
 def serialize_message(msg: SipMessage) -> str:
@@ -509,22 +550,18 @@ def serialize_message(msg: SipMessage) -> str:
     returns a message equal to ``m``. Enum members are read through
     ``_value_``, which skips the ``value`` descriptor.
     """
-    if msg.is_request:
+    status = msg.status
+    if status is None:
         start = f"{msg.method._value_} sip:{msg.to_number} SIP/2.0"
     else:
-        assert msg.status is not None
-        start = f"SIP/2.0 {msg.status.code} {msg.status.reason}"
-    lines = [
-        start,
-        f"From: sip:{msg.from_number}",
-        f"To: sip:{msg.to_number}",
-        f"Call-ID: {msg.call_id}",
-        f"CSeq: {msg.cseq[0]} {msg.cseq[1]._value_}",
-    ]
-    if msg.pem is not None:
-        lines.append(f"P-Early-Media: {msg.pem._value_}")
-    if msg.alert is not None:
-        lines.append(f"Alert-Info: <urn:alert:service:{msg.alert._value_}>")
-    for name, value in msg.extra_headers:
-        lines.append(f"{name}: {value}")
-    return "\n".join(lines) + "\n\n" + msg.body
+        start = f"SIP/2.0 {status.code} {status.reason}"
+    pem, alert = msg.pem, msg.alert
+    pem_line = "" if pem is None else f"P-Early-Media: {pem._value_}\n"
+    alert_line = "" if alert is None else f"Alert-Info: <urn:alert:service:{alert._value_}>\n"
+    extra = "".join([f"{n}: {v}\n" for n, v in msg.extra_headers]) if msg.extra_headers else ""
+    seq, method = msg.cseq
+    return (
+        f"{start}\nFrom: sip:{msg.from_number}\nTo: sip:{msg.to_number}\n"
+        f"Call-ID: {msg.call_id}\nCSeq: {seq} {method._value_}\n"
+        f"{pem_line}{alert_line}{extra}\n{msg.body}"
+    )

@@ -1,0 +1,134 @@
+"""The private builders of the hot frozen records give what the public
+constructor gives: equal objects with equal hashes, still frozen."""
+
+import dataclasses
+import itertools
+
+import pytest
+
+from cive_sim import call_fsm
+from cive_sim.call_fsm import (
+    IDLE,
+    Connected,
+    Dialing,
+    Idle,
+    LegPhase,
+    LegRole,
+    LineLeg,
+    Ringing,
+    SendResponse,
+    _connected,
+    _dialing,
+    _respond,
+    _ringing,
+)
+from cive_sim.cive import TraceEntry, _trace_entry
+from cive_sim.netsim import Direction
+from cive_sim.sip_core import (
+    CANONICAL_REASON,
+    STATUS,
+    AlertUrn,
+    PemValue,
+    PhoneNumber,
+    SipMessage,
+    SipMethod,
+    StatusCode,
+    UnknownStatusCode,
+    _parse_canonical,
+    parse_message,
+    serialize_message,
+)
+
+A = PhoneNumber("+15550100")
+B = PhoneNumber("+15550101")
+SIDE_CHANNELS = list(itertools.product([None, *PemValue], [None, *AlertUrn]))
+METHODS = list(SipMethod)
+CODES = sorted(CANONICAL_REASON)
+
+
+def assert_same_frozen(built, expected):
+    assert type(built) is type(expected)
+    assert built == expected and hash(built) == hash(expected)
+    assert repr(built) == repr(expected)
+    field = dataclasses.fields(built)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, field, getattr(built, field))
+
+
+def constructed(method, seq=3, status=None, pem=None, alert=None):
+    return SipMessage(
+        method=method, from_number=A, to_number=B, call_id="c1@sim", cseq=(seq, method),
+        status=status, pem=pem, alert=alert,
+    )
+
+
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+def test_request_equals_constructor(method):
+    for pem, alert in SIDE_CHANNELS:
+        built = SipMessage.request(method, A, B, "c1@sim", 3, pem=pem, alert=alert)
+        assert_same_frozen(built, constructed(method, pem=pem, alert=alert))
+        assert_same_frozen(_parse_canonical(serialize_message(built)), built)
+
+
+@pytest.mark.parametrize("code", CODES)
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+def test_reply_equals_constructor(method, code):
+    request = SipMessage.request(method, A, B, "c1@sim", 3)
+    for pem, alert in SIDE_CHANNELS:
+        built = SipMessage.reply(request, code, pem=pem, alert=alert)
+        assert built.status is STATUS[code]
+        expected = constructed(method, status=StatusCode(code), pem=pem, alert=alert)
+        assert_same_frozen(built, expected)
+        parsed = _parse_canonical(serialize_message(built))
+        assert parsed.status is STATUS[code]
+        assert_same_frozen(parsed, expected)
+
+
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
+def test_leg_request_equals_constructor(method):
+    invite = SipMessage.request(SipMethod.INVITE, A, B, "c1@sim", 3)
+    leg = LineLeg("c1@sim", B, LegRole.CALLER, LegPhase.EARLY, invite, next_cseq=3)
+    assert_same_frozen(leg.request(method), constructed(method))
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_respond_equals_constructor(code):
+    invite = SipMessage.request(SipMethod.INVITE, A, B, "c1@sim")
+    for (pem, alert), by_network in itertools.product(SIDE_CHANNELS, (False, True)):
+        assert_same_frozen(
+            _respond(invite, code, pem, alert, by_network),
+            SendResponse(StatusCode(code), invite, pem, alert, by_network),
+        )
+
+
+def test_state_builders_equal_constructors():
+    assert_same_frozen(_ringing(B), Ringing(B))
+    assert_same_frozen(_connected(B), Connected(B))
+    assert_same_frozen(_dialing(B), Dialing(B))
+    assert IDLE == Idle() and hash(IDLE) == hash(Idle())
+    assert call_fsm._ACK == call_fsm.SendRequest(SipMethod.ACK)
+    assert call_fsm._PRACK == call_fsm.SendRequest(SipMethod.PRACK)
+    assert call_fsm._COLLISION_ANSWER == call_fsm.AutoAnswer(call_fsm.COLLISION_ANSWER_MS)
+
+
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+def test_trace_entry_builder_equals_constructor(direction):
+    msg = SipMessage.request(SipMethod.INVITE, A, B, "c1@sim")
+    assert_same_frozen(_trace_entry(40, direction, msg), TraceEntry(40, direction, msg))
+
+
+@pytest.mark.parametrize("call_id,seq", [("", 1), ("a b", 1), ("c1@sim", 0)])
+def test_request_still_checks_call_id_and_cseq(call_id, seq):
+    with pytest.raises(ValueError):
+        SipMessage.request(SipMethod.INVITE, A, B, call_id, seq)
+
+
+def test_status_table_is_shared_and_closed():
+    request = SipMessage.request(SipMethod.INVITE, A, B, "c1@sim")
+    with pytest.raises(UnknownStatusCode):
+        SipMessage.reply(request, 999)
+    # A non-canonical wire phrase gets its own instance and round-trips.
+    odd = SipMessage.reply(request, StatusCode(487, "Request Term"))
+    parsed = parse_message(serialize_message(odd))
+    assert parsed.status == StatusCode(487, "Request Term")
+    assert parsed.status is not STATUS[487] and parsed == odd

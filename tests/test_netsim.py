@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import SCENARIOS, loaded_federation
 
 import cive_sim.netsim
+from cive_sim import call_fsm
 from cive_sim.call_fsm import (
     CalleeProfile, Connected, Dialing, Held, Idle, LegPhase, LegRole, LineLeg, Ringing,
 )
@@ -189,6 +191,34 @@ def test_loaded_federation_trace_bytes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "d629e1f550a8d109146fa20eb3b9c6ae67260c01357e00c2269da5da6fa98476"
     )
+
+
+# The names the benchmark's tracer wraps: netsim.serialize_message as a
+# module global of send, and each transition as call_fsm.<name>.
+CALL_FSM_TRANSITIONS = ("on_incoming_invite", "on_cancel", "on_bye", "on_response", "on_auto_answer")
+
+
+def test_traced_names_see_every_message(monkeypatch):
+    # A fast path that serializes or transitions without these names would
+    # hide its work from the traced benchmark run.
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        cive_sim.netsim, "serialize_message", counted("serialize", cive_sim.netsim.serialize_message)
+    )
+    for name in CALL_FSM_TRANSITIONS:
+        monkeypatch.setattr(call_fsm, name, counted("transition", getattr(call_fsm, name)))
+    monkeypatch.setattr(Federation, "send", counted("send", Federation.send))
+    rows, _ = loaded_federation(seed=17, n_calls=200)
+    egress = sum(row["dir"] == "egress" for row in rows)
+    assert calls["serialize"] == calls["send"] == egress == len(rows) // 2
+    assert calls["transition"] > 0
 
 
 @pytest.mark.parametrize("key,value", [("link_delay_ms", -100), ("jitter_ms", -3)])
