@@ -15,7 +15,6 @@ from .sip_core import (
 )
 from .call_fsm import (
     CalleeProfile,
-    CallPhase,
     Connected,
     Dialing,
     EndpointState,

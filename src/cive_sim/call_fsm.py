@@ -1,11 +1,13 @@
 """Per-endpoint call state machine.
 
-A phone is summarized by one EndpointState at a time. The transition
-functions here are pure: they take the current summary state plus the
-triggering message and return ``(new_state, actions)``. A driver (the
-network simulator) owns leg bookkeeping, timers and the wire. Every
-action has a wire effect (a response, a request, or the delayed
-collision answer); local effects such as ringback are not modelled.
+A phone's call state is one EndpointState, folded from the legs it holds
+by ``summarize_legs``; the legs are the only record of it. The transition
+functions here are pure: they take the triggering message plus what they
+need to read (the folded state, the profile, the matching leg or INVITE)
+and return the list of actions. The network simulator owns the legs,
+timers and the wire. Every action has a wire effect (a response, a
+request, or the delayed collision answer); local effects such as
+ringback are not modelled.
 
 Callee behavior for an incoming INVITE, by state and service features:
 
@@ -89,30 +91,6 @@ class Held(EndpointState):
 
 
 IDLE = Idle()
-
-# The hot records of this module are built by one private builder each,
-# which fills the frozen instance's __dict__ instead of running the
-# generated __init__ (one object.__setattr__ per field); they have no
-# checks to skip.
-_new = object.__new__
-
-
-def _ringing(peer: PhoneNumber) -> Ringing:
-    state = _new(Ringing)
-    state.__dict__["peer"] = peer
-    return state
-
-
-def _connected(peer: PhoneNumber) -> Connected:
-    state = _new(Connected)
-    state.__dict__["peer"] = peer
-    return state
-
-
-def _dialing(target: PhoneNumber) -> Dialing:
-    state = _new(Dialing)
-    state.__dict__["target"] = target
-    return state
 
 
 @dataclass(frozen=True)
@@ -210,13 +188,13 @@ def summarize_legs(legs: Iterable) -> EndpointState:
     legs = list(legs)
     answered = [l for l in legs if l.phase is LegPhase.ANSWERED]
     if answered:
-        return _connected(answered[-1].peer)
+        return Connected(answered[-1].peer)
     dialing = [l for l in legs if l.role is LegRole.CALLER and l.phase is LegPhase.EARLY]
     if dialing:
-        return _dialing(dialing[-1].peer)
+        return Dialing(dialing[-1].peer)
     ringing = [l for l in legs if l.role is LegRole.CALLEE and l.phase is LegPhase.EARLY]
     if ringing:
-        return _ringing(ringing[-1].peer)
+        return Ringing(ringing[-1].peer)
     held = [l for l in legs if l.phase is LegPhase.HELD]
     if held:
         return Held(held[-1].peer)
@@ -224,7 +202,9 @@ def summarize_legs(legs: Iterable) -> EndpointState:
 
 
 def _respond(invite: SipMessage, code: int, pem=None, alert=None, by_network=False) -> SendResponse:
-    action = _new(SendResponse)
+    """A ``SendResponse`` built without its generated ``__init__``, which
+    sets each field through ``object.__setattr__``; it has no checks."""
+    action = object.__new__(SendResponse)
     d = action.__dict__
     d["status"] = STATUS[code]
     d["regarding"] = invite
@@ -238,11 +218,12 @@ def on_incoming_invite(
     state: EndpointState,
     profile: CalleeProfile,
     invite: SipMessage,
-) -> tuple[EndpointState, list[FsmAction]]:
+) -> list[FsmAction]:
     """Answer an incoming INVITE per the behavior table in the module doc.
 
+    ``state`` is the callee line's folded state before the INVITE arrives.
     Deterministic: identical (state, profile, invite) always yields the
-    identical result. Raises InviteToWrongNumber when the INVITE is not
+    identical actions. Raises InviteToWrongNumber when the INVITE is not
     addressed to this profile.
     """
     if invite.method is not SipMethod.INVITE or not invite.is_request:
@@ -255,7 +236,7 @@ def on_incoming_invite(
     trying = _respond(invite, 100)
 
     if isinstance(state, Idle):
-        return _ringing(invite.from_number), [
+        return [
             trying,
             _respond(invite, 183, pem=PemValue.SENDRECV),
             _respond(invite, 180, pem=PemValue.SENDRECV),
@@ -264,7 +245,7 @@ def on_incoming_invite(
     if isinstance(state, Dialing) and state.target == invite.from_number:
         # Call-back collision: we are dialing exactly the party now calling
         # us. Grant one-way early media and pick up shortly.
-        return state, [
+        return [
             trying,
             _respond(invite, 183, pem=PemValue.SENDONLY),
             _respond(invite, 180, pem=PemValue.SENDONLY),
@@ -273,34 +254,24 @@ def on_incoming_invite(
 
     on_a_call = isinstance(state, (Connected, Held))
     if on_a_call and profile.call_waiting:
-        return state, [
+        return [
             trying,
             _respond(invite, 183, pem=PemValue.SENDRECV),
             _respond(invite, 180, pem=PemValue.SENDRECV, alert=AlertUrn.CALL_WAITING),
         ]
     if on_a_call and profile.voicemail_forward:
-        return state, [
-            trying,
-            _respond(invite, 181),
-            _respond(invite, 200, by_network=True),
-        ]
+        return [trying, _respond(invite, 181), _respond(invite, 200, by_network=True)]
     # Busy without features; also covers a phone mid-dial toward someone
-    # else and the (unspecified) second INVITE while already ringing.
-    return state, [trying, _respond(invite, 486)]
+    # else and a further INVITE while a call is still ringing.
+    return [trying, _respond(invite, 486)]
 
 
-def on_auto_answer(
-    state: EndpointState, invite: SipMessage
-) -> tuple[EndpointState, list[FsmAction]]:
-    """Complete a collision auto-answer: send 200 and connect to the inviter."""
-    return _connected(invite.from_number), [_respond(invite, 200)]
+def on_auto_answer(invite: SipMessage) -> list[FsmAction]:
+    """Complete a collision auto-answer: send 200 to the inviter."""
+    return [_respond(invite, 200)]
 
 
-def on_cancel(
-    state: EndpointState,
-    cancel: SipMessage,
-    pending_invite: SipMessage | None,
-) -> tuple[EndpointState, list[FsmAction]]:
+def on_cancel(cancel: SipMessage, pending_invite: SipMessage | None) -> list[FsmAction]:
     """Handle a CANCEL against one of our unanswered INVITE transactions.
 
     ``pending_invite`` is the matching un-answered INVITE, or None when
@@ -311,62 +282,34 @@ def on_cancel(
     if cancel.method is not SipMethod.CANCEL or not cancel.is_request:
         raise ValueError("on_cancel requires a CANCEL request")
     if pending_invite is None or pending_invite.call_id != cancel.call_id:
-        return state, [_respond(cancel, 481)]
-    actions = [_respond(cancel, 200), _respond(pending_invite, 487)]
-    new_state: EndpointState = state
-    if isinstance(state, Ringing) and state.peer == pending_invite.from_number:
-        new_state = IDLE
-    return new_state, actions
+        return [_respond(cancel, 481)]
+    return [_respond(cancel, 200), _respond(pending_invite, 487)]
 
 
-def on_bye(
-    state: EndpointState,
-    bye: SipMessage,
-    legs: Iterable,
-) -> tuple[EndpointState, list[FsmAction]]:
-    """Tear down an established leg; the new state follows the other legs."""
+def on_bye(bye: SipMessage, leg: LineLeg | None) -> list[FsmAction]:
+    """Tear down an established leg: 200 when ``leg``, the leg with the
+    BYE's Call-ID, is answered or held, and 481 otherwise."""
     if bye.method is not SipMethod.BYE or not bye.is_request:
         raise ValueError("on_bye requires a BYE request")
-    legs = list(legs)
-    matched = [
-        l
-        for l in legs
-        if l.call_id == bye.call_id and l.phase in (LegPhase.ANSWERED, LegPhase.HELD)
-    ]
-    if not matched:
-        return state, [_respond(bye, 481)]
-    remaining = [l for l in legs if l.call_id != bye.call_id]
-    return summarize_legs(remaining), [_respond(bye, 200)]
+    if leg is None or leg.phase is LegPhase.EARLY:
+        return [_respond(bye, 481)]
+    return [_respond(bye, 200)]
 
 
-def on_response(
-    state: EndpointState,
-    response: SipMessage,
-    remaining_legs: Iterable = (),
-) -> tuple[EndpointState, list[FsmAction]]:
+def on_response(response: SipMessage) -> list[FsmAction]:
     """Caller-side handling of a response to an INVITE we originated.
 
     183 is acknowledged with PRACK (the reliable-provisional dance the
-    traces show), a 200 is acknowledged and connects, and a non-2xx final
-    is acknowledged and drops back to whatever the remaining legs imply.
-    Other provisionals (100, 180) and responses to non-INVITE transactions
-    (CANCEL, BYE, PRACK) need no caller action.
+    traces show), and any final response with ACK. Other provisionals
+    (100, 180) and responses to non-INVITE transactions (CANCEL, BYE,
+    PRACK) need no caller action.
     """
     if not response.is_response:
         raise ValueError("on_response requires a response")
     if response.cseq[1] is not SipMethod.INVITE:
-        return state, []
+        return []
     assert response.status is not None
     code = response.status.code
     if code < 200:
-        return state, [_PRACK] if code == 183 else []
-    if code == 200:
-        return _connected(response.to_number), [_ACK]
-    return summarize_legs(remaining_legs), [_ACK]
-
-
-class CallPhase(str, Enum):
-    """Where an incoming call stands from the callee's point of view."""
-
-    RINGING = "ringing"
-    ANSWERED = "answered"
+        return [_PRACK] if code == 183 else []
+    return [_ACK]

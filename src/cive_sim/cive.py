@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .call_fsm import COLLISION_ANSWER_MS, CallPhase, LegPhase, LegRole, LineLeg
+from .call_fsm import COLLISION_ANSWER_MS, LegPhase, LegRole, LineLeg
 from .netsim import Direction, Federation
 from .sip_core import (
     AlertUrn,
@@ -45,10 +45,6 @@ class EmptyTrace(CiveError):
 
 class LineBusy(CiveError):
     """The callee already has a verification call in flight."""
-
-
-class UnsupportedPhase(CiveError):
-    """Verification launches only while the incoming call is ringing."""
 
 
 class MalformedTraceRow(CiveError):
@@ -85,9 +81,6 @@ class IncomingCallContext:
 
     claimed_id: PhoneNumber
     callee: PhoneNumber
-    in_call_id: str
-    phase: CallPhase
-    t_start: int
 
 
 @dataclass(frozen=True)
@@ -308,8 +301,6 @@ def decide(
 ) -> Verdict:
     """The verdict for an inferred far-end state while the inCall rings,
     when a genuine caller must be dialing the callee."""
-    if ctx.phase is not CallPhase.RINGING:
-        raise UnsupportedPhase("verdicts are only defined for the ringing phase")
     decision, reason = _VERDICT[inferred]
     return Verdict(
         decision=decision,
@@ -422,13 +413,10 @@ def launch_verification(net: Federation, ctx: IncomingCallContext) -> _VerifierA
 
     The agent sends its INVITE now and runs as an ordinary hop of the
     federation's event loop; it stays on the line as ``PhoneLine.verifier``.
-    Hand it to verify_incoming once the loop has run. Raises
-    UnsupportedPhase for an answered-phase context, CiveError for an
-    unregistered callee, and LineBusy when a verification is already
+    Hand it to verify_incoming once the loop has run. Raises CiveError for
+    an unregistered callee, and LineBusy when a verification is already
     running on this callee's line.
     """
-    if ctx.phase is not CallPhase.RINGING:
-        raise UnsupportedPhase("verification launches only while the inCall rings")
     line = net.lines.get(ctx.callee)
     if line is None:
         raise CiveError(f"callee {ctx.callee} is not registered")

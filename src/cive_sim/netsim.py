@@ -41,7 +41,6 @@ from typing import Callable
 
 from . import call_fsm
 from .call_fsm import (
-    IDLE,
     AutoAnswer,
     CalleeProfile,
     Connected,
@@ -54,7 +53,6 @@ from .call_fsm import (
     LineLeg,
     SendRequest,
     SendResponse,
-    _dialing,
 )
 from .sip_core import (
     PhoneNumber,
@@ -152,6 +150,7 @@ _PRESET_PHASE = {Dialing: LegPhase.EARLY, Connected: LegPhase.ANSWERED, Held: Le
 class PhoneLine:
     """A subscriber's phone: FSM driver plus leg and timer bookkeeping.
 
+    The legs are the line's only record of its calls; ``state`` folds them.
     Single-owner: exactly one event loop drives a line.
     """
 
@@ -161,19 +160,23 @@ class PhoneLine:
         self.profile = profile
         self.number: PhoneNumber = profile.number
         self.hop = f"ep:{profile.number}"
-        self.state: EndpointState = IDLE
         self.legs: dict[str, LineLeg] = {}
         self.display: PhoneNumber | None = None
-        # Called with (invite, t_ms) once the phone has sent its 180 for an
+        # Called with the invite once the phone has sent its 180 for an
         # incoming call; the scenario runner launches verification from it.
-        self.ring_hook: Callable[[SipMessage, int], None] | None = None
+        self.ring_hook: Callable[[SipMessage], None] | None = None
         # The latest verifier launched on this line (cive.launch_verification).
         self.verifier = None
+
+    @property
+    def state(self) -> EndpointState:
+        """The foreground call state, folded from the legs."""
+        return call_fsm.summarize_legs(self.legs.values())
 
     # -- preset support (scenario initial conditions) ----------------------
 
     def preset_state(self, state: EndpointState) -> None:
-        """Install a summary initial state with a synthetic backing leg.
+        """Install an initial state as one synthetic backing leg.
 
         Preset legs exist only as local bookkeeping; no signaling is
         replayed for them.
@@ -187,7 +190,6 @@ class PhoneLine:
         call_id = f"preset-{self.number}-{len(self.legs)}"
         invite = SipMessage.request(SipMethod.INVITE, self.number, peer, call_id)
         self.legs[call_id] = LineLeg(call_id, peer, LegRole.CALLER, phase, invite)
-        self.state = state
 
     # -- event handlers -----------------------------------------------------
 
@@ -203,8 +205,7 @@ class PhoneLine:
         # ACK and PRACK are absorbed; this profile does not answer them.
 
     def _handle_invite(self, invite: SipMessage) -> None:
-        state, actions = call_fsm.on_incoming_invite(self.state, self.profile, invite)
-        self.state = state
+        actions = call_fsm.on_incoming_invite(self.state, self.profile, invite)
         alerting = answered = False  # answered: a final response, local or by voicemail
         auto = None
         for a in actions:
@@ -229,7 +230,7 @@ class PhoneLine:
         if alerting:
             self.display = invite.from_number
             if self.ring_hook is not None:
-                self.ring_hook(invite, self.net.now)
+                self.ring_hook(invite)
 
     def _handle_cancel(self, cancel: SipMessage) -> None:
         leg = self.legs.get(cancel.call_id)
@@ -238,8 +239,7 @@ class PhoneLine:
             if leg is not None and leg.role is LegRole.CALLEE and leg.phase is LegPhase.EARLY
             else None
         )
-        state, actions = call_fsm.on_cancel(self.state, cancel, pending)
-        self.state = state
+        actions = call_fsm.on_cancel(cancel, pending)
         if pending is not None and leg is not None:
             if leg.auto_answer_timer is not None:
                 self.net.cancel_timer(leg.auto_answer_timer)
@@ -248,12 +248,8 @@ class PhoneLine:
 
     def _handle_bye(self, bye: SipMessage) -> None:
         leg = self.legs.get(bye.call_id)
-        state, actions = call_fsm.on_bye(self.state, bye, tuple(self.legs.values()))
-        matched = any(
-            isinstance(a, SendResponse) and a.status.code == 200 for a in actions
-        )
-        self.state = state
-        if matched and bye.call_id in self.legs:
+        actions = call_fsm.on_bye(bye, leg)
+        if leg is not None and leg.phase is not LegPhase.EARLY:
             del self.legs[bye.call_id]
         self._execute(actions, leg=leg)
 
@@ -272,16 +268,14 @@ class PhoneLine:
                 leg.phase = LegPhase.ANSWERED
             else:
                 del self.legs[leg.call_id]
-        # After a non-2xx final, the legs left are the ones the state falls back to.
-        self.state, actions = call_fsm.on_response(self.state, msg, self.legs.values())
+        actions = call_fsm.on_response(msg)
         self._execute(actions, leg=leg)
 
     def _auto_answer(self, call_id: str) -> None:
         leg = self.legs.get(call_id)
         if leg is None or leg.phase is not LegPhase.EARLY:
             return
-        state, actions = call_fsm.on_auto_answer(self.state, leg.invite)
-        self.state = state
+        actions = call_fsm.on_auto_answer(leg.invite)
         leg.phase = LegPhase.ANSWERED
         leg.auto_answer_timer = None
         self._execute(actions, leg=leg)
@@ -298,8 +292,6 @@ class PhoneLine:
         invite = SipMessage.request(SipMethod.INVITE, from_claimed, to, call_id)
         leg = LineLeg(call_id, to, LegRole.CALLER, LegPhase.EARLY, invite)
         self.legs[call_id] = leg
-        if isinstance(self.state, Idle):
-            self.state = _dialing(to)
         leg.patience_timer = self.net.set_timer(INVITE_PATIENCE_MS, self._give_up, call_id)
         self.net.send(self, invite)
 

@@ -49,7 +49,7 @@ from pathlib import Path
 import yaml
 
 from . import cive
-from .call_fsm import CalleeProfile, CallPhase, Connected, Dialing, Held
+from .call_fsm import CalleeProfile, Connected, Dialing, Held
 from .cive import (
     Decision,
     IncomingCallContext,
@@ -355,15 +355,9 @@ def run_scenario(
     net = build_federation(s)
     target_line: PhoneLine = net.lines[s.origination.target]
 
-    def on_ring(invite, t_ms):
+    def on_ring(invite):
         target_line.ring_hook = None  # only the first ring is verified
-        ctx = IncomingCallContext(
-            claimed_id=invite.from_number,
-            callee=target_line.number,
-            in_call_id=invite.call_id,
-            phase=CallPhase.RINGING,
-            t_start=t_ms,
-        )
+        ctx = IncomingCallContext(claimed_id=invite.from_number, callee=target_line.number)
         cive.launch_verification(net, ctx)
 
     if s.cive_enabled:

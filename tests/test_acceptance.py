@@ -26,7 +26,6 @@ from cive_sim.cive import (
     infer_state,
     legs_from_trace_rows,
 )
-from cive_sim.call_fsm import CallPhase
 from cive_sim.scenario import (
     CarrierSpec,
     Scenario,
@@ -248,9 +247,6 @@ def test_criterion_8_fail_safe_sweep():
         ctx = IncomingCallContext(
             claimed_id=PhoneNumber("+15550100"),
             callee=PhoneNumber("+15550101"),
-            in_call_id="in-1",
-            phase=CallPhase.RINGING,
-            t_start=0,
         )
         for _ in range(10_000):
             features = _random_feature_vector(rng)

@@ -23,6 +23,7 @@ from cive_sim.call_fsm import (
     on_response,
     summarize_legs,
 )
+from cive_sim.netsim import Federation
 from cive_sim.sip_core import AlertUrn, PemValue, PhoneNumber, SipMessage, SipMethod
 
 A = PhoneNumber("+15550100")
@@ -45,9 +46,25 @@ def response_action(actions, code):
     return next(a for a in actions if isinstance(a, SendResponse) and a.status.code == code)
 
 
+def line_at_a(*presets, profile=PROFILE_PLAIN):
+    """A's line alone, with its initial states preset, and the list of what
+    it sends; nothing goes on the wire."""
+    net = Federation()
+    net.add_carrier("cn-a")
+    line = net.register_subscriber("cn-a", A, profile)
+    sent = []
+    net.send = lambda hop, msg: sent.append(msg)
+    for state in presets:
+        line.preset_state(state)
+    return line, sent
+
+
+def sent_codes(sent):
+    return [m.status.code for m in sent if m.is_response]
+
+
 def test_idle_rings_with_sendrecv_no_alert():
-    state, actions = on_incoming_invite(Idle(), PROFILE_PLAIN, INVITE)
-    assert state == Ringing(B)
+    actions = on_incoming_invite(Idle(), PROFILE_PLAIN, INVITE)
     assert codes(actions) == [100, 183, 180]
     r180 = response_action(actions, 180)
     assert r180.pem is PemValue.SENDRECV and r180.alert is None
@@ -55,35 +72,31 @@ def test_idle_rings_with_sendrecv_no_alert():
 
 
 def test_connected_with_call_waiting_alerts():
-    state, actions = on_incoming_invite(Connected(C), PROFILE_CW, INVITE)
-    assert state == Connected(C)
+    actions = on_incoming_invite(Connected(C), PROFILE_CW, INVITE)
     assert codes(actions) == [100, 183, 180]
     r180 = response_action(actions, 180)
     assert r180.pem is PemValue.SENDRECV and r180.alert is AlertUrn.CALL_WAITING
 
 
 def test_busy_without_features_is_486():
-    state, actions = on_incoming_invite(Connected(C), PROFILE_PLAIN, INVITE)
-    assert state == Connected(C)
+    actions = on_incoming_invite(Connected(C), PROFILE_PLAIN, INVITE)
     assert codes(actions) == [100, 486]
 
 
 def test_busy_with_voicemail_forwards_181_then_200():
-    state, actions = on_incoming_invite(Connected(C), PROFILE_VM, INVITE)
-    assert state == Connected(C)
+    actions = on_incoming_invite(Connected(C), PROFILE_VM, INVITE)
     assert codes(actions) == [100, 181, 200]
     assert response_action(actions, 200).answered_by_network
     assert not response_action(actions, 181).answered_by_network
 
 
 def test_call_waiting_takes_precedence_over_voicemail():
-    _, actions = on_incoming_invite(Connected(C), PROFILE_CW_VM, INVITE)
+    actions = on_incoming_invite(Connected(C), PROFILE_CW_VM, INVITE)
     assert codes(actions) == [100, 183, 180]
 
 
 def test_collision_dialing_the_inviter():
-    state, actions = on_incoming_invite(Dialing(B), PROFILE_PLAIN, INVITE)
-    assert state == Dialing(B)
+    actions = on_incoming_invite(Dialing(B), PROFILE_PLAIN, INVITE)
     assert codes(actions) == [100, 183, 180]
     assert response_action(actions, 183).pem is PemValue.SENDONLY
     assert response_action(actions, 180).pem is PemValue.SENDONLY
@@ -93,8 +106,7 @@ def test_collision_dialing_the_inviter():
 
 def test_dialing_someone_else_is_busy_even_with_features():
     for profile in (PROFILE_PLAIN, PROFILE_CW, PROFILE_VM, PROFILE_CW_VM):
-        state, actions = on_incoming_invite(Dialing(C), profile, INVITE)
-        assert state == Dialing(C)
+        actions = on_incoming_invite(Dialing(C), profile, INVITE)
         assert codes(actions) == [100, 486]
 
 
@@ -104,15 +116,13 @@ def test_held_behaves_like_connected():
         (PROFILE_VM, [100, 181, 200]),
         (PROFILE_PLAIN, [100, 486]),
     ):
-        state, actions = on_incoming_invite(Held(C), profile, INVITE)
-        assert state == Held(C)
+        actions = on_incoming_invite(Held(C), profile, INVITE)
         assert codes(actions) == expect
 
 
 def test_already_ringing_declines_second_invite():
     second = SipMessage.request(SipMethod.INVITE, C, A, "leg-2")
-    state, actions = on_incoming_invite(Ringing(B), PROFILE_CW, second)
-    assert state == Ringing(B)
+    actions = on_incoming_invite(Ringing(B), PROFILE_CW, second)
     assert codes(actions) == [100, 486]
 
 
@@ -131,7 +141,7 @@ def test_sendonly_iff_dialing_the_inviter():
     # marking appears exactly on the call-back collision.
     for state in ALL_STATES:
         for profile in ALL_PROFILES:
-            _, actions = on_incoming_invite(state, profile, INVITE)
+            actions = on_incoming_invite(state, profile, INVITE)
             sendonly = any(
                 isinstance(a, SendResponse) and a.pem is PemValue.SENDONLY
                 for a in actions
@@ -142,7 +152,7 @@ def test_sendonly_iff_dialing_the_inviter():
 def test_call_waiting_alert_iff_on_a_call_with_feature():
     for state in ALL_STATES:
         for profile in ALL_PROFILES:
-            _, actions = on_incoming_invite(state, profile, INVITE)
+            actions = on_incoming_invite(state, profile, INVITE)
             alerted = any(
                 isinstance(a, SendResponse) and a.alert is AlertUrn.CALL_WAITING
                 for a in actions
@@ -158,19 +168,19 @@ INVITE_TX_PATTERN = re.compile(r"^100(,183)?(,180)*(,(200|486|487)|,181,200)$")
 def test_invite_transaction_legality_all_branches():
     for state in ALL_STATES:
         for profile in ALL_PROFILES:
-            new_state, actions = on_incoming_invite(state, profile, INVITE)
+            actions = on_incoming_invite(state, profile, INVITE)
             seq = codes(actions)
             # Complete the open-ended branches: cancel a ringing leg, or let
             # a collision auto-answer fire.
             if any(isinstance(a, AutoAnswer) for a in actions):
-                _, more = on_auto_answer(new_state, INVITE)
+                more = on_auto_answer(INVITE)
                 seq += [a.status.code for a in more if a.regarding.call_id == INVITE.call_id]
             elif seq[-1] < 200:
                 cancel = SipMessage(
                     method=SipMethod.CANCEL, from_number=B, to_number=A,
                     call_id="leg-1", cseq=(1, SipMethod.CANCEL),
                 )
-                _, more = on_cancel(new_state, cancel, INVITE)
+                more = on_cancel(cancel, INVITE)
                 seq += [
                     a.status.code
                     for a in more
@@ -188,41 +198,45 @@ def test_determinism_identical_inputs():
 
 
 def test_auto_answer_connects():
-    state, actions = on_auto_answer(Dialing(B), INVITE)
-    assert state == Connected(B)
-    assert codes(actions) == [200]
+    assert codes(on_auto_answer(INVITE)) == [200]
+    line, sent = line_at_a(Dialing(B))
+    line.handle_message(INVITE)
+    assert line.state == Dialing(B)
+    line._auto_answer(INVITE.call_id)
+    assert line.state == Connected(B)
+    assert sent_codes(sent) == [100, 183, 180, 200]
+
+
+CANCEL = SipMessage(
+    method=SipMethod.CANCEL, from_number=B, to_number=A,
+    call_id="leg-1", cseq=(1, SipMethod.CANCEL),
+)
 
 
 def test_cancel_ringing_leg():
-    cancel = SipMessage(
-        method=SipMethod.CANCEL, from_number=B, to_number=A,
-        call_id="leg-1", cseq=(1, SipMethod.CANCEL),
-    )
-    state, actions = on_cancel(Ringing(B), cancel, INVITE)
-    assert state == Idle()
+    actions = on_cancel(CANCEL, INVITE)
     assert codes(actions) == [200, 487]
-    assert response_action(actions, 200).regarding is cancel
+    assert response_action(actions, 200).regarding is CANCEL
     assert response_action(actions, 487).regarding is INVITE
+    line, sent = line_at_a()
+    line.handle_message(INVITE)
+    assert line.state == Ringing(B)
+    line.handle_message(CANCEL)
+    assert line.state == Idle() and line.legs == {}
+    assert sent_codes(sent) == [100, 183, 180, 200, 487]
 
 
 def test_cancel_waiting_leg_keeps_connected():
-    cancel = SipMessage(
-        method=SipMethod.CANCEL, from_number=B, to_number=A,
-        call_id="leg-1", cseq=(1, SipMethod.CANCEL),
-    )
-    state, actions = on_cancel(Connected(C), cancel, INVITE)
-    assert state == Connected(C)
-    assert codes(actions) == [200, 487]
+    assert codes(on_cancel(CANCEL, INVITE)) == [200, 487]
+    line, sent = line_at_a(Connected(C), profile=PROFILE_CW)
+    line.handle_message(INVITE)
+    line.handle_message(CANCEL)
+    assert line.state == Connected(C)
+    assert sent_codes(sent) == [100, 183, 180, 200, 487]
 
 
 def test_cancel_after_answer_is_481():
-    cancel = SipMessage(
-        method=SipMethod.CANCEL, from_number=B, to_number=A,
-        call_id="leg-1", cseq=(1, SipMethod.CANCEL),
-    )
-    state, actions = on_cancel(Connected(B), cancel, None)
-    assert state == Connected(B)
-    assert codes(actions) == [481]
+    assert codes(on_cancel(CANCEL, None)) == [481]
 
 
 def test_stray_cancel_on_idle_endpoint():
@@ -230,9 +244,7 @@ def test_stray_cancel_on_idle_endpoint():
         method=SipMethod.CANCEL, from_number=B, to_number=A,
         call_id="nope", cseq=(1, SipMethod.CANCEL),
     )
-    state, actions = on_cancel(Idle(), cancel, None)
-    assert state == Idle()
-    assert codes(actions) == [481]
+    assert codes(on_cancel(cancel, None)) == [481]
 
 
 def _bye(call_id):
@@ -250,22 +262,27 @@ def _leg(call_id, peer, role, phase):
 
 
 def test_bye_connected_leg_goes_idle():
-    legs = (_leg("leg-1", B, LegRole.CALLEE, LegPhase.ANSWERED),)
-    state, actions = on_bye(Connected(B), _bye("leg-1"), legs)
-    assert state == Idle()
-    assert codes(actions) == [200]
+    leg = _leg("leg-1", B, LegRole.CALLEE, LegPhase.ANSWERED)
+    assert codes(on_bye(_bye("leg-1"), leg)) == [200]
+    line, sent = line_at_a()
+    line.legs[leg.call_id] = leg
+    line.handle_message(_bye("leg-1"))
+    assert line.state == Idle() and line.legs == {}
+    assert sent_codes(sent) == [200]
 
 
 def test_bye_without_dialog_is_481():
-    state, actions = on_bye(Connected(B), _bye("other"), (_leg("leg-1", B, LegRole.CALLEE, LegPhase.ANSWERED),))
-    assert state == Connected(B)
-    assert codes(actions) == [481]
+    assert codes(on_bye(_bye("other"), None)) == [481]
 
 
 def test_bye_early_leg_is_481():
-    legs = (_leg("leg-1", B, LegRole.CALLEE, LegPhase.EARLY),)
-    state, actions = on_bye(Ringing(B), _bye("leg-1"), legs)
-    assert codes(actions) == [481]
+    leg = _leg("leg-1", B, LegRole.CALLEE, LegPhase.EARLY)
+    assert codes(on_bye(_bye("leg-1"), leg)) == [481]
+    line, sent = line_at_a()
+    line.legs[leg.call_id] = leg
+    line.handle_message(_bye("leg-1"))
+    assert line.state == Ringing(B) and line.legs == {"leg-1": leg}
+    assert sent_codes(sent) == [481]
 
 
 TWO_LEG_CASES = []
@@ -286,11 +303,13 @@ def test_bye_two_leg_enumeration(name, gone_phase, keep, expected):
     # Oracle: the table above was enumerated by hand from the foreground
     # precedence (answered > dialing > ringing > held > idle).
     gone = _leg("gone", B, LegRole.CALLEE, gone_phase)
-    legs = (gone,) if keep is None else (gone, keep)
-    start = Connected(B) if gone_phase is LegPhase.ANSWERED else Held(B)
-    state, actions = on_bye(start, _bye("gone"), legs)
-    assert codes(actions) == [200]
-    assert state == expected
+    assert codes(on_bye(_bye("gone"), gone)) == [200]
+    line, sent = line_at_a()
+    for leg in (gone,) if keep is None else (gone, keep):
+        line.legs[leg.call_id] = leg
+    line.handle_message(_bye("gone"))
+    assert sent_codes(sent) == [200]
+    assert line.state == expected
 
 
 def test_summarize_precedence():
@@ -309,32 +328,39 @@ def _resp(code, *, to=INVITE, pem=None, alert=None):
     return SipMessage.reply(to, code, pem=pem, alert=alert)
 
 
+def dialing_line(*presets):
+    """A's line, dialing C on a new leg after its presets, with that INVITE."""
+    line, _ = line_at_a(*presets)
+    line._start_call("out-1", A, C)
+    return line, line.legs["out-1"].invite
+
+
 def test_caller_side_prack_on_183():
-    state, actions = on_response(Dialing(A), _resp(183, pem=PemValue.SENDRECV))
-    assert state == Dialing(A)
-    assert actions == [SendRequest(SipMethod.PRACK)]
+    assert on_response(_resp(183, pem=PemValue.SENDRECV)) == [SendRequest(SipMethod.PRACK)]
 
 
 def test_caller_side_ringback_on_180():
     # A 180 needs no caller action: ringback is local, with no wire effect.
-    state, actions = on_response(Dialing(A), _resp(180, pem=PemValue.SENDRECV))
-    assert state == Dialing(A)
-    assert actions == []
+    assert on_response(_resp(180, pem=PemValue.SENDRECV)) == []
 
 
 def test_caller_side_200_connects_and_acks():
-    state, actions = on_response(Dialing(A), _resp(200))
-    assert state == Connected(A)
-    assert actions == [SendRequest(SipMethod.ACK)]
+    assert on_response(_resp(200)) == [SendRequest(SipMethod.ACK)]
+    line, invite = dialing_line()
+    assert line.state == Dialing(C)
+    line.handle_message(_resp(200, to=invite))
+    assert line.state == Connected(C)
 
 
 def test_caller_side_486_acks_and_reverts():
-    state, actions = on_response(Dialing(A), _resp(486), remaining_legs=())
-    assert state == Idle()
-    assert actions == [SendRequest(SipMethod.ACK)]
-    held = _leg("h", C, LegRole.CALLER, LegPhase.HELD)
-    state, _ = on_response(Dialing(A), _resp(487), remaining_legs=(held,))
-    assert state == Held(C)
+    assert on_response(_resp(486)) == [SendRequest(SipMethod.ACK)]
+    line, invite = dialing_line()
+    line.handle_message(_resp(486, to=invite))
+    assert line.state == Idle()
+    line, invite = dialing_line(Held(B))
+    assert line.state == Dialing(C)
+    line.handle_message(_resp(487, to=invite))
+    assert line.state == Held(B)
 
 
 def test_caller_side_ignores_non_invite_transactions():
@@ -342,5 +368,4 @@ def test_caller_side_ignores_non_invite_transactions():
         method=SipMethod.CANCEL, from_number=B, to_number=A,
         call_id="leg-1", cseq=(1, SipMethod.CANCEL),
     )
-    state, actions = on_response(Dialing(A), SipMessage.reply(cancel, 200))
-    assert state == Dialing(A) and actions == []
+    assert on_response(SipMessage.reply(cancel, 200)) == []

@@ -12,7 +12,7 @@ from conftest import loaded_federation
 import cive_sim.scenario
 import cive_sim.sip_core
 from cive_sim import call_fsm, cive
-from cive_sim.call_fsm import CalleeProfile, CallPhase, Connected, Dialing
+from cive_sim.call_fsm import CalleeProfile, Connected, Dialing
 from cive_sim.cive import (
     Decision,
     EmptyTrace,
@@ -22,7 +22,6 @@ from cive_sim.cive import (
     LineBusy,
     MalformedTraceRow,
     SignalingTrace,
-    UnsupportedPhase,
     Verdict,
     decide,
     extract_features,
@@ -56,10 +55,8 @@ B = PhoneNumber("+15550101")
 INVITE = SipMessage.request(SipMethod.INVITE, B, A, "au-1")
 
 
-def ctx(phase=CallPhase.RINGING):
-    return IncomingCallContext(
-        claimed_id=A, callee=B, in_call_id="in-1", phase=phase, t_start=50
-    )
+def ctx():
+    return IncomingCallContext(claimed_id=A, callee=B)
 
 
 def trace_of(*steps, timed_out=False):
@@ -228,11 +225,6 @@ def test_each_state_comes_from_one_rule_and_decide_names_it():
         assert reason.startswith(f"rule {number}: "), (state, reason)
 
 
-def test_decide_rejects_answered_phase():
-    with pytest.raises(UnsupportedPhase):
-        decide(ctx(CallPhase.ANSWERED), InferredState.DIALING, FeatureVector())
-
-
 def test_verdict_invariants():
     with pytest.raises(ValueError):
         Verdict(Decision.LEGIT, InferredState.IDLE, "x", "r", FeatureVector())
@@ -255,12 +247,6 @@ def _federation(**profile_kwargs):
     net.register_subscriber("cn-a", A, CalleeProfile(A, **profile_kwargs))
     net.register_subscriber("cn-a", B)
     return net
-
-
-def test_launch_rejects_answered_phase():
-    net = _federation()
-    with pytest.raises(UnsupportedPhase):
-        launch_verification(net, ctx(CallPhase.ANSWERED))
 
 
 def test_launch_line_busy_while_in_flight():
@@ -309,10 +295,7 @@ def test_two_verifications_in_turn_on_one_callee_line():
     first_agent = net.lines[B].verifier
     rows_before = len(net.trace)
     line_a.preset_state(Dialing(B))
-    again = IncomingCallContext(
-        claimed_id=A, callee=B, in_call_id="in-2", phase=CallPhase.RINGING, t_start=net.now
-    )
-    second, second_trace = _verify(net, again)
+    second, second_trace = _verify(net, ctx())
     assert net.lines[B].verifier is not first_agent
     assert first.decision is Decision.SPOOFED and first.inferred is InferredState.IDLE
     assert second.decision is Decision.LEGIT
@@ -340,11 +323,7 @@ def test_verify_unroutable_claimed_is_inconclusive():
     net.add_carrier("cn-a")
     net.register_subscriber("cn-a", B)
     unknown = PhoneNumber("+19990001111")
-    context = IncomingCallContext(
-        claimed_id=unknown, callee=B, in_call_id="in-1",
-        phase=CallPhase.RINGING, t_start=0,
-    )
-    verdict, trace = _verify(net, context)
+    verdict, trace = _verify(net, IncomingCallContext(claimed_id=unknown, callee=B))
     kinds = [
         e.message.method.value if e.message.is_request else e.message.status.code
         for e in trace
@@ -454,13 +433,12 @@ def _race(cw, d_ms):
     line_b = net.lines[B]
     rung = {}
 
-    def on_ring(invite, t_ms):
+    def on_ring(invite):
         line_b.ring_hook = None
         rung["call_id"] = invite.call_id
-        rung["agent"] = launch_verification(net, IncomingCallContext(
-            claimed_id=invite.from_number, callee=B, in_call_id=invite.call_id,
-            phase=CallPhase.RINGING, t_start=t_ms,
-        ))
+        rung["agent"] = launch_verification(
+            net, IncomingCallContext(claimed_id=invite.from_number, callee=B)
+        )
 
     line_b.ring_hook = on_ring
     net.originate_call(A, net.lines[A], B, at_ms=1000)

@@ -298,18 +298,41 @@ def test_preset_state_installs_one_backing_leg_per_state():
     a.preset_state(Idle())
     assert a.legs == {} and a.state == Idle()
     c = PhoneNumber("+15550102")
-    for n, (state, phase) in enumerate(
-        ((Dialing(c), LegPhase.EARLY), (Connected(c), LegPhase.ANSWERED), (Held(c), LegPhase.HELD))
+    call_id = f"preset-{A}-0"
+    for state, phase in (
+        (Dialing(c), LegPhase.EARLY), (Connected(c), LegPhase.ANSWERED), (Held(c), LegPhase.HELD)
     ):
+        net = two_carrier_fed()
+        a = net.lines[PhoneNumber(A)]
         a.preset_state(state)
-        call_id = f"preset-{A}-{n}"
+        assert list(a.legs) == [call_id]
         leg = a.legs[call_id]
         assert (leg.peer, leg.role, leg.phase) == (c, LegRole.CALLER, phase)
         assert leg.invite == SipMessage.request(SipMethod.INVITE, A, c, call_id)
         assert a.state == state
-    with pytest.raises(ValueError):
-        a.preset_state(Ringing(c))
-    assert net.trace == []  # presets replay no signaling
+        with pytest.raises(ValueError):
+            a.preset_state(Ringing(c))
+        assert net.trace == []  # presets replay no signaling
+
+
+def test_held_line_with_a_ringing_call_is_busy_to_a_further_invite():
+    # A line holding a call, whose call-waiting call from B still rings,
+    # reads as ringing: E's INVITE gets 486, not a second alert.
+    net = two_carrier_fed()
+    a_num, c_num = PhoneNumber("+15550103"), PhoneNumber("+15550102")
+    a = net.register_subscriber("cn-a", a_num, CalleeProfile(a_num, call_waiting=True))
+    net.register_subscriber("cn-a", c_num)
+    a.preset_state(Held(c_num))
+    net.originate_call(B, net.lines[PhoneNumber(B)], a_num, at_ms=0)
+    net.originate_call(E, net.lines[PhoneNumber(E)], a_num, at_ms=1000)
+    net.run_until_quiescent()
+    to_b, to_e = (
+        [m.status.code for _, m in sip_rows(rows_with(net, dir="ingress", to_hop=f"ep:{n}"))
+         if m.is_response and m.cseq[1] is SipMethod.INVITE]
+        for n in (B, E)
+    )
+    assert to_b == [100, 183, 180, 487]
+    assert to_e == [100, 486]
 
 
 # -- conservation / causality / policy soundness over random scenarios ------

@@ -98,6 +98,23 @@ def test_run_c1_legit(tmp_path):
     assert (tmp_path / "c1.report.json").exists()
 
 
+@pytest.mark.parametrize("cw", [False, True], ids=["cw0", "cw1"])
+@pytest.mark.parametrize("vm", [False, True], ids=["vm0", "vm1"])
+def test_genuine_call_from_a_held_line_is_legit(tmp_path, cw, vm):
+    # A holds a call with E and dials B: its line reads as dialing B, so
+    # B's callback meets the collision whatever A's service features.
+    s = load_scenario(SCENARIOS / "c1.scn")
+    parties = tuple(
+        dataclasses.replace(p, state="held", peer="+15559900", call_waiting=cw, voicemail_forward=vm)
+        if p.number == s.origination.originator else p
+        for p in s.parties
+    )
+    report = run_scenario(dataclasses.replace(s, parties=parties), tmp_path)
+    assert report.verdict.decision is Decision.LEGIT
+    assert report.verdict.inferred is InferredState.DIALING
+    assert report.match is True
+
+
 def test_run_c2_spoofed_idle(tmp_path):
     report = run_scenario(load_scenario(SCENARIOS / "c2.scn"), tmp_path)
     assert report.verdict.decision is Decision.SPOOFED
