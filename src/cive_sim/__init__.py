@@ -14,6 +14,7 @@ from .sip_core import (
     serialize_message,
 )
 from .call_fsm import (
+    Answer,
     CalleeProfile,
     Connected,
     Dialing,

@@ -4,10 +4,12 @@ A phone's call state is one EndpointState, folded from the legs it holds
 by ``summarize_legs``; the legs are the only record of it. The transition
 functions here are pure: they take the triggering message plus what they
 need to read (the folded state, the profile, the matching leg or INVITE)
-and return the list of actions. The network simulator owns the legs,
-timers and the wire. Every action has a wire effect (a response, a
-request, or the delayed collision answer); local effects such as
-ringback are not modelled.
+and return the SIP messages the line sends: the responses, each built by
+``SipMessage.reply``, or for a caller the method of the request to send
+on the leg. ``on_incoming_invite`` may end its list with one deferred
+``Answer``: the line's own collision answer after ``COLLISION_ANSWER_MS``,
+or the carrier voicemail's 200. The network simulator owns the legs,
+timers and the wire; local effects such as ringback are not modelled.
 
 Callee behavior for an incoming INVITE, by state and service features:
 
@@ -32,16 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .sip_core import (
-    STATUS,
-    AlertUrn,
-    PemValue,
-    PhoneNumber,
-    SipMessage,
-    SipMethod,
-    StatusCode,
-    _message,
-)
+from .sip_core import AlertUrn, PemValue, PhoneNumber, SipMessage, SipMethod, _message
 
 # How long a phone that is mid-dial waits before auto-answering the call-back
 # collision. Must stay below the verifier's capture grace (200 ms): the answer
@@ -146,36 +139,11 @@ class LineLeg:
                         (seq, method), None, None, None, (), "")
 
 
-class FsmAction:
-    """Base of the closed action set emitted by transitions."""
+class Answer(Enum):
+    """The deferred answer that may end ``on_incoming_invite``'s list."""
 
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class SendResponse(FsmAction):
-    status: StatusCode
-    regarding: SipMessage
-    pem: PemValue | None = None
-    alert: AlertUrn | None = None
-    # True when the response is produced by a network service (voicemail)
-    # on the subscriber's behalf; the endpoint state does not change.
-    answered_by_network: bool = False
-
-
-@dataclass(frozen=True)
-class SendRequest(FsmAction):
-    method: SipMethod
-
-
-@dataclass(frozen=True)
-class AutoAnswer(FsmAction):
-    after_ms: int
-
-
-_ACK = SendRequest(SipMethod.ACK)
-_PRACK = SendRequest(SipMethod.PRACK)
-_COLLISION_ANSWER = AutoAnswer(COLLISION_ANSWER_MS)
+    COLLISION = "collision"  # the line's own 200, COLLISION_ANSWER_MS later
+    VOICEMAIL = "voicemail"  # a 200 the carrier's voicemail sends now
 
 
 def summarize_legs(legs: Iterable) -> EndpointState:
@@ -201,30 +169,18 @@ def summarize_legs(legs: Iterable) -> EndpointState:
     return IDLE
 
 
-def _respond(invite: SipMessage, code: int, pem=None, alert=None, by_network=False) -> SendResponse:
-    """A ``SendResponse`` built without its generated ``__init__``, which
-    sets each field through ``object.__setattr__``; it has no checks."""
-    action = object.__new__(SendResponse)
-    d = action.__dict__
-    d["status"] = STATUS[code]
-    d["regarding"] = invite
-    d["pem"] = pem
-    d["alert"] = alert
-    d["answered_by_network"] = by_network
-    return action
-
-
 def on_incoming_invite(
     state: EndpointState,
     profile: CalleeProfile,
     invite: SipMessage,
-) -> list[FsmAction]:
+) -> list[SipMessage | Answer]:
     """Answer an incoming INVITE per the behavior table in the module doc.
 
     ``state`` is the callee line's folded state before the INVITE arrives.
-    Deterministic: identical (state, profile, invite) always yields the
-    identical actions. Raises InviteToWrongNumber when the INVITE is not
-    addressed to this profile.
+    Returns the responses the line sends now, in order, then at most one
+    ``Answer`` marker. Deterministic: identical (state, profile, invite)
+    always yields equal lists. Raises InviteToWrongNumber when the INVITE
+    is not addressed to this profile.
     """
     if invite.method is not SipMethod.INVITE or not invite.is_request:
         raise ValueError("on_incoming_invite requires an INVITE request")
@@ -233,13 +189,14 @@ def on_incoming_invite(
             f"INVITE for {invite.to_number} delivered to {profile.number}"
         )
 
-    trying = _respond(invite, 100)
+    reply = SipMessage.reply
+    trying = reply(invite, 100)
 
     if isinstance(state, Idle):
         return [
             trying,
-            _respond(invite, 183, pem=PemValue.SENDRECV),
-            _respond(invite, 180, pem=PemValue.SENDRECV),
+            reply(invite, 183, pem=PemValue.SENDRECV),
+            reply(invite, 180, pem=PemValue.SENDRECV),
         ]
 
     if isinstance(state, Dialing) and state.target == invite.from_number:
@@ -247,31 +204,31 @@ def on_incoming_invite(
         # us. Grant one-way early media and pick up shortly.
         return [
             trying,
-            _respond(invite, 183, pem=PemValue.SENDONLY),
-            _respond(invite, 180, pem=PemValue.SENDONLY),
-            _COLLISION_ANSWER,
+            reply(invite, 183, pem=PemValue.SENDONLY),
+            reply(invite, 180, pem=PemValue.SENDONLY),
+            Answer.COLLISION,
         ]
 
     on_a_call = isinstance(state, (Connected, Held))
     if on_a_call and profile.call_waiting:
         return [
             trying,
-            _respond(invite, 183, pem=PemValue.SENDRECV),
-            _respond(invite, 180, pem=PemValue.SENDRECV, alert=AlertUrn.CALL_WAITING),
+            reply(invite, 183, pem=PemValue.SENDRECV),
+            reply(invite, 180, pem=PemValue.SENDRECV, alert=AlertUrn.CALL_WAITING),
         ]
     if on_a_call and profile.voicemail_forward:
-        return [trying, _respond(invite, 181), _respond(invite, 200, by_network=True)]
+        return [trying, reply(invite, 181), Answer.VOICEMAIL]
     # Busy without features; also covers a phone mid-dial toward someone
     # else and a further INVITE while a call is still ringing.
-    return [trying, _respond(invite, 486)]
+    return [trying, reply(invite, 486)]
 
 
-def on_auto_answer(invite: SipMessage) -> list[FsmAction]:
+def on_auto_answer(invite: SipMessage) -> list[SipMessage]:
     """Complete a collision auto-answer: send 200 to the inviter."""
-    return [_respond(invite, 200)]
+    return [SipMessage.reply(invite, 200)]
 
 
-def on_cancel(cancel: SipMessage, pending_invite: SipMessage | None) -> list[FsmAction]:
+def on_cancel(cancel: SipMessage, pending_invite: SipMessage | None) -> list[SipMessage]:
     """Handle a CANCEL against one of our unanswered INVITE transactions.
 
     ``pending_invite`` is the matching un-answered INVITE, or None when
@@ -282,34 +239,34 @@ def on_cancel(cancel: SipMessage, pending_invite: SipMessage | None) -> list[Fsm
     if cancel.method is not SipMethod.CANCEL or not cancel.is_request:
         raise ValueError("on_cancel requires a CANCEL request")
     if pending_invite is None or pending_invite.call_id != cancel.call_id:
-        return [_respond(cancel, 481)]
-    return [_respond(cancel, 200), _respond(pending_invite, 487)]
+        return [SipMessage.reply(cancel, 481)]
+    return [SipMessage.reply(cancel, 200), SipMessage.reply(pending_invite, 487)]
 
 
-def on_bye(bye: SipMessage, leg: LineLeg | None) -> list[FsmAction]:
+def on_bye(bye: SipMessage, leg: LineLeg | None) -> list[SipMessage]:
     """Tear down an established leg: 200 when ``leg``, the leg with the
     BYE's Call-ID, is answered or held, and 481 otherwise."""
     if bye.method is not SipMethod.BYE or not bye.is_request:
         raise ValueError("on_bye requires a BYE request")
     if leg is None or leg.phase is LegPhase.EARLY:
-        return [_respond(bye, 481)]
-    return [_respond(bye, 200)]
+        return [SipMessage.reply(bye, 481)]
+    return [SipMessage.reply(bye, 200)]
 
 
-def on_response(response: SipMessage) -> list[FsmAction]:
+def on_response(response: SipMessage) -> SipMethod | None:
     """Caller-side handling of a response to an INVITE we originated.
 
-    183 is acknowledged with PRACK (the reliable-provisional dance the
-    traces show), and any final response with ACK. Other provisionals
-    (100, 180) and responses to non-INVITE transactions (CANCEL, BYE,
-    PRACK) need no caller action.
+    Returns the request to send on the leg: PRACK for a 183 (the
+    reliable-provisional dance the traces show) and ACK for any final
+    response. Other provisionals (100, 180) and responses to non-INVITE
+    transactions (CANCEL, BYE, PRACK) need none: None.
     """
     if not response.is_response:
         raise ValueError("on_response requires a response")
     if response.cseq[1] is not SipMethod.INVITE:
-        return []
+        return None
     assert response.status is not None
     code = response.status.code
     if code < 200:
-        return [_PRACK] if code == 183 else []
-    return [_ACK]
+        return SipMethod.PRACK if code == 183 else None
+    return SipMethod.ACK

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Callable
 
 from .call_fsm import COLLISION_ANSWER_MS, LegPhase, LegRole, LineLeg
-from .netsim import Direction, Federation
+from .netsim import Direction, Federation, PhoneLine
 from .sip_core import (
     AlertUrn,
     ParseError,
@@ -324,10 +324,9 @@ class _VerifierAgent:
     still pending, just ACK after a non-2xx final.
     """
 
-    def __init__(self, net: Federation, ctx: IncomingCallContext):
+    def __init__(self, net: Federation, ctx: IncomingCallContext, line: PhoneLine):
         self.net = net
         self.ctx = ctx
-        line = net.lines[ctx.callee]
         self.hop, self.carrier, self.number = line.hop, line.carrier, line.number
         self.trace = SignalingTrace()
         call_id = net.new_call_id()
@@ -422,20 +421,19 @@ def launch_verification(net: Federation, ctx: IncomingCallContext) -> _VerifierA
         raise CiveError(f"callee {ctx.callee} is not registered")
     if line.verifier is not None and not line.verifier.done:
         raise LineBusy(f"{ctx.callee} already has a verification in flight")
-    agent = line.verifier = _VerifierAgent(net, ctx)
+    agent = line.verifier = _VerifierAgent(net, ctx, line)
     agent.start()
     return agent
 
 
-def verify_incoming(agent: _VerifierAgent) -> tuple[Verdict, SignalingTrace]:
+def verify_incoming(agent: _VerifierAgent) -> Verdict:
     """Feature extraction, inference and verdict for a launched verification.
 
-    Call it after the federation has run.
+    Call it after the federation has run; the leg it judges is
+    ``agent.trace``.
     """
-    trace = agent.trace
-    features = extract_features(trace)
-    inferred = infer_state(features)
-    return decide(agent.ctx, inferred, features), trace
+    features = extract_features(agent.trace)
+    return decide(agent.ctx, infer_state(features), features)
 
 
 def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, SignalingTrace]]:

@@ -41,7 +41,8 @@ from typing import Callable
 
 from . import call_fsm
 from .call_fsm import (
-    AutoAnswer,
+    COLLISION_ANSWER_MS,
+    Answer,
     CalleeProfile,
     Connected,
     Dialing,
@@ -51,8 +52,6 @@ from .call_fsm import (
     LegPhase,
     LegRole,
     LineLeg,
-    SendRequest,
-    SendResponse,
 )
 from .sip_core import (
     PhoneNumber,
@@ -205,29 +204,25 @@ class PhoneLine:
         # ACK and PRACK are absorbed; this profile does not answer them.
 
     def _handle_invite(self, invite: SipMessage) -> None:
-        actions = call_fsm.on_incoming_invite(self.state, self.profile, invite)
-        alerting = answered = False  # answered: a final response, local or by voicemail
-        auto = None
-        for a in actions:
-            if isinstance(a, SendResponse):
-                code = a.status.code
-                alerting = alerting or code == 180
-                answered = answered or code >= 200 or a.answered_by_network
-            elif isinstance(a, AutoAnswer):
-                auto = auto or a
-        if not answered:
+        responses = call_fsm.on_incoming_invite(self.state, self.profile, invite)
+        answer = responses.pop() if isinstance(responses[-1], Answer) else None
+        last = responses[-1]
+        if answer is not Answer.VOICEMAIL and not last.is_final:
             # Leg stays open at this endpoint: ringing, waiting, or a
             # pending collision answer.
             leg = LineLeg(
                 invite.call_id, invite.from_number, LegRole.CALLEE, LegPhase.EARLY, invite
             )
             self.legs[invite.call_id] = leg
-            if auto is not None:
+            if answer is Answer.COLLISION:
                 leg.auto_answer_timer = self.net.set_timer(
-                    auto.after_ms, self._auto_answer, invite.call_id
+                    COLLISION_ANSWER_MS, self._auto_answer, invite.call_id
                 )
-        self._execute(actions, leg=self.legs.get(invite.call_id))
-        if alerting:
+        for msg in responses:
+            self.net.send(self, msg)
+        if answer is Answer.VOICEMAIL:
+            self.net.voicemail_answer(self.carrier, SipMessage.reply(invite, 200))
+        elif last.status.code == 180:
             self.display = invite.from_number
             if self.ring_hook is not None:
                 self.ring_hook(invite)
@@ -239,19 +234,21 @@ class PhoneLine:
             if leg is not None and leg.role is LegRole.CALLEE and leg.phase is LegPhase.EARLY
             else None
         )
-        actions = call_fsm.on_cancel(cancel, pending)
+        responses = call_fsm.on_cancel(cancel, pending)
         if pending is not None and leg is not None:
             if leg.auto_answer_timer is not None:
                 self.net.cancel_timer(leg.auto_answer_timer)
             del self.legs[cancel.call_id]
-        self._execute(actions, leg=leg)
+        for msg in responses:
+            self.net.send(self, msg)
 
     def _handle_bye(self, bye: SipMessage) -> None:
         leg = self.legs.get(bye.call_id)
-        actions = call_fsm.on_bye(bye, leg)
+        responses = call_fsm.on_bye(bye, leg)
         if leg is not None and leg.phase is not LegPhase.EARLY:
             del self.legs[bye.call_id]
-        self._execute(actions, leg=leg)
+        for msg in responses:
+            self.net.send(self, msg)
 
     def _handle_response(self, msg: SipMessage) -> None:
         leg = self.legs.get(msg.call_id)
@@ -268,17 +265,19 @@ class PhoneLine:
                 leg.phase = LegPhase.ANSWERED
             else:
                 del self.legs[leg.call_id]
-        actions = call_fsm.on_response(msg)
-        self._execute(actions, leg=leg)
+        method = call_fsm.on_response(msg)
+        if method is not None:
+            self.net.send(self, leg.request(method))
 
     def _auto_answer(self, call_id: str) -> None:
         leg = self.legs.get(call_id)
         if leg is None or leg.phase is not LegPhase.EARLY:
             return
-        actions = call_fsm.on_auto_answer(leg.invite)
+        responses = call_fsm.on_auto_answer(leg.invite)
         leg.phase = LegPhase.ANSWERED
         leg.auto_answer_timer = None
-        self._execute(actions, leg=leg)
+        for msg in responses:
+            self.net.send(self, msg)
 
     def _give_up(self, call_id: str) -> None:
         """The caller's patience ran out: CANCEL the unanswered INVITE."""
@@ -294,23 +293,6 @@ class PhoneLine:
         self.legs[call_id] = leg
         leg.patience_timer = self.net.set_timer(INVITE_PATIENCE_MS, self._give_up, call_id)
         self.net.send(self, invite)
-
-    # -- action execution ----------------------------------------------------
-
-    def _execute(self, actions: list, leg: LineLeg | None) -> None:
-        for action in actions:
-            if isinstance(action, SendResponse):
-                resp = SipMessage.reply(
-                    action.regarding, action.status, pem=action.pem, alert=action.alert
-                )
-                if action.answered_by_network:
-                    self.net.voicemail_answer(self.carrier, resp)
-                else:
-                    self.net.send(self, resp)
-            elif isinstance(action, SendRequest):
-                if leg is None:
-                    raise NetsimError("request action without a leg")
-                self.net.send(self, leg.request(action.method))
 
 
 class _CarrierService:
@@ -407,10 +389,14 @@ class Federation:
         this is the spoofing launch; whether it gets through is the
         originating carrier's policy decision, made when the INVITE hits
         the edge. An unroutable destination is answered 480 by the core.
+        A line cannot call its own number: its caller and callee legs
+        would share one Call-ID.
         """
         if self.lines.get(originator.number) is not originator:
             raise UnknownSubscriber(f"{originator.number} is not registered here")
         claimed, target = PhoneNumber(from_claimed), PhoneNumber(to)
+        if target == originator.number:
+            raise NetsimError(f"{target} cannot call itself")
         call_id = self.new_call_id()
         at = self.now if at_ms is None else at_ms
         if at < self.now:

@@ -158,6 +158,8 @@ class Scenario:
         for role, num in (("originator", o.originator), ("claimed", o.claimed), ("target", o.target)):
             if num not in registered:
                 raise ScenarioValidationError(f"origination {role} {num} not registered")
+        if o.target == o.originator:
+            raise ScenarioValidationError(f"origination target {o.target} is its own originator")
         if o.at_ms < 0:
             raise ScenarioValidationError("origination at_ms must be >= 0")
         spoofed = o.claimed != o.originator
@@ -370,7 +372,7 @@ def run_scenario(
     )
     net.run_until_quiescent()
     agent = target_line.verifier
-    verdict = verify_incoming(agent)[0] if agent is not None else None
+    verdict = verify_incoming(agent) if agent is not None else None
 
     match: bool | None = None
     inconclusive = False

@@ -6,16 +6,7 @@ import itertools
 
 import pytest
 
-from cive_sim import call_fsm
-from cive_sim.call_fsm import (
-    IDLE,
-    Idle,
-    LegPhase,
-    LegRole,
-    LineLeg,
-    SendResponse,
-    _respond,
-)
+from cive_sim.call_fsm import IDLE, Idle, LegPhase, LegRole, LineLeg
 from cive_sim.cive import TraceEntry, _trace_entry
 from cive_sim.netsim import Direction
 from cive_sim.sip_core import (
@@ -85,21 +76,8 @@ def test_leg_request_equals_constructor(method):
     assert_same_frozen(leg.request(method), constructed(method))
 
 
-@pytest.mark.parametrize("code", CODES)
-def test_respond_equals_constructor(code):
-    invite = SipMessage.request(SipMethod.INVITE, A, B, "c1@sim")
-    for (pem, alert), by_network in itertools.product(SIDE_CHANNELS, (False, True)):
-        assert_same_frozen(
-            _respond(invite, code, pem, alert, by_network),
-            SendResponse(StatusCode(code), invite, pem, alert, by_network),
-        )
-
-
 def test_shared_instances_equal_constructors():
     assert IDLE == Idle() and hash(IDLE) == hash(Idle())
-    assert call_fsm._ACK == call_fsm.SendRequest(SipMethod.ACK)
-    assert call_fsm._PRACK == call_fsm.SendRequest(SipMethod.PRACK)
-    assert call_fsm._COLLISION_ANSWER == call_fsm.AutoAnswer(call_fsm.COLLISION_ANSWER_MS)
 
 
 @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)

@@ -3,7 +3,8 @@ import re
 import pytest
 
 from cive_sim.call_fsm import (
-    AutoAnswer,
+    COLLISION_ANSWER_MS,
+    Answer,
     CalleeProfile,
     Connected,
     Dialing,
@@ -14,8 +15,6 @@ from cive_sim.call_fsm import (
     LegRole,
     LineLeg,
     Ringing,
-    SendRequest,
-    SendResponse,
     on_auto_answer,
     on_bye,
     on_cancel,
@@ -38,12 +37,29 @@ PROFILE_CW_VM = CalleeProfile(A, call_waiting=True, voicemail_forward=True)
 INVITE = SipMessage.request(SipMethod.INVITE, B, A, "leg-1")
 
 
-def codes(actions):
-    return [a.status.code for a in actions if isinstance(a, SendResponse)]
+def reply(code, *, to=INVITE, pem=None, alert=None):
+    return SipMessage.reply(to, code, pem=pem, alert=alert)
 
 
-def response_action(actions, code):
-    return next(a for a in actions if isinstance(a, SendResponse) and a.status.code == code)
+RINGING = [reply(100), reply(183, pem=PemValue.SENDRECV), reply(180, pem=PemValue.SENDRECV)]
+CALL_WAITING = [
+    reply(100),
+    reply(183, pem=PemValue.SENDRECV),
+    reply(180, pem=PemValue.SENDRECV, alert=AlertUrn.CALL_WAITING),
+]
+BUSY = [reply(100), reply(486)]
+VOICEMAIL = [reply(100), reply(181), Answer.VOICEMAIL]
+COLLISION = [
+    reply(100),
+    reply(183, pem=PemValue.SENDONLY),
+    reply(180, pem=PemValue.SENDONLY),
+    Answer.COLLISION,
+]
+
+
+def responses(sent):
+    """The messages of a transition's list, without its Answer marker."""
+    return [m for m in sent if isinstance(m, SipMessage)]
 
 
 def line_at_a(*presets, profile=PROFILE_PLAIN):
@@ -64,66 +80,51 @@ def sent_codes(sent):
 
 
 def test_idle_rings_with_sendrecv_no_alert():
-    actions = on_incoming_invite(Idle(), PROFILE_PLAIN, INVITE)
-    assert codes(actions) == [100, 183, 180]
-    r180 = response_action(actions, 180)
-    assert r180.pem is PemValue.SENDRECV and r180.alert is None
-    assert response_action(actions, 183).pem is PemValue.SENDRECV
+    assert on_incoming_invite(Idle(), PROFILE_PLAIN, INVITE) == RINGING
 
 
 def test_connected_with_call_waiting_alerts():
-    actions = on_incoming_invite(Connected(C), PROFILE_CW, INVITE)
-    assert codes(actions) == [100, 183, 180]
-    r180 = response_action(actions, 180)
-    assert r180.pem is PemValue.SENDRECV and r180.alert is AlertUrn.CALL_WAITING
+    assert on_incoming_invite(Connected(C), PROFILE_CW, INVITE) == CALL_WAITING
 
 
 def test_busy_without_features_is_486():
-    actions = on_incoming_invite(Connected(C), PROFILE_PLAIN, INVITE)
-    assert codes(actions) == [100, 486]
+    assert on_incoming_invite(Connected(C), PROFILE_PLAIN, INVITE) == BUSY
 
 
 def test_busy_with_voicemail_forwards_181_then_200():
-    actions = on_incoming_invite(Connected(C), PROFILE_VM, INVITE)
-    assert codes(actions) == [100, 181, 200]
-    assert response_action(actions, 200).answered_by_network
-    assert not response_action(actions, 181).answered_by_network
+    # The line sends 100 and 181; the 200 is the voicemail's, sent now.
+    assert on_incoming_invite(Connected(C), PROFILE_VM, INVITE) == VOICEMAIL
 
 
 def test_call_waiting_takes_precedence_over_voicemail():
-    actions = on_incoming_invite(Connected(C), PROFILE_CW_VM, INVITE)
-    assert codes(actions) == [100, 183, 180]
+    assert on_incoming_invite(Connected(C), PROFILE_CW_VM, INVITE) == CALL_WAITING
 
 
 def test_collision_dialing_the_inviter():
-    actions = on_incoming_invite(Dialing(B), PROFILE_PLAIN, INVITE)
-    assert codes(actions) == [100, 183, 180]
-    assert response_action(actions, 183).pem is PemValue.SENDONLY
-    assert response_action(actions, 180).pem is PemValue.SENDONLY
-    auto = [a for a in actions if isinstance(a, AutoAnswer)]
-    assert len(auto) == 1 and auto[0].after_ms > 0
+    assert on_incoming_invite(Dialing(B), PROFILE_PLAIN, INVITE) == COLLISION
+    assert COLLISION_ANSWER_MS > 0
 
 
 def test_dialing_someone_else_is_busy_even_with_features():
     for profile in (PROFILE_PLAIN, PROFILE_CW, PROFILE_VM, PROFILE_CW_VM):
-        actions = on_incoming_invite(Dialing(C), profile, INVITE)
-        assert codes(actions) == [100, 486]
+        assert on_incoming_invite(Dialing(C), profile, INVITE) == BUSY
 
 
 def test_held_behaves_like_connected():
     for profile, expect in (
-        (PROFILE_CW, [100, 183, 180]),
-        (PROFILE_VM, [100, 181, 200]),
-        (PROFILE_PLAIN, [100, 486]),
+        (PROFILE_CW, CALL_WAITING),
+        (PROFILE_VM, VOICEMAIL),
+        (PROFILE_PLAIN, BUSY),
     ):
-        actions = on_incoming_invite(Held(C), profile, INVITE)
-        assert codes(actions) == expect
+        assert on_incoming_invite(Held(C), profile, INVITE) == expect
 
 
 def test_already_ringing_declines_second_invite():
     second = SipMessage.request(SipMethod.INVITE, C, A, "leg-2")
-    actions = on_incoming_invite(Ringing(B), PROFILE_CW, second)
-    assert codes(actions) == [100, 486]
+    assert on_incoming_invite(Ringing(B), PROFILE_CW, second) == [
+        reply(100, to=second),
+        reply(486, to=second),
+    ]
 
 
 def test_invite_to_wrong_number():
@@ -141,22 +142,16 @@ def test_sendonly_iff_dialing_the_inviter():
     # marking appears exactly on the call-back collision.
     for state in ALL_STATES:
         for profile in ALL_PROFILES:
-            actions = on_incoming_invite(state, profile, INVITE)
-            sendonly = any(
-                isinstance(a, SendResponse) and a.pem is PemValue.SENDONLY
-                for a in actions
-            )
+            sent = responses(on_incoming_invite(state, profile, INVITE))
+            sendonly = any(m.pem is PemValue.SENDONLY for m in sent)
             assert sendonly == (isinstance(state, Dialing) and state.target == B)
 
 
 def test_call_waiting_alert_iff_on_a_call_with_feature():
     for state in ALL_STATES:
         for profile in ALL_PROFILES:
-            actions = on_incoming_invite(state, profile, INVITE)
-            alerted = any(
-                isinstance(a, SendResponse) and a.alert is AlertUrn.CALL_WAITING
-                for a in actions
-            )
+            sent = responses(on_incoming_invite(state, profile, INVITE))
+            alerted = any(m.alert is AlertUrn.CALL_WAITING for m in sent)
             assert alerted == (
                 isinstance(state, (Connected, Held)) and profile.call_waiting
             )
@@ -168,24 +163,16 @@ INVITE_TX_PATTERN = re.compile(r"^100(,183)?(,180)*(,(200|486|487)|,181,200)$")
 def test_invite_transaction_legality_all_branches():
     for state in ALL_STATES:
         for profile in ALL_PROFILES:
-            actions = on_incoming_invite(state, profile, INVITE)
-            seq = codes(actions)
-            # Complete the open-ended branches: cancel a ringing leg, or let
-            # a collision auto-answer fire.
-            if any(isinstance(a, AutoAnswer) for a in actions):
-                more = on_auto_answer(INVITE)
-                seq += [a.status.code for a in more if a.regarding.call_id == INVITE.call_id]
-            elif seq[-1] < 200:
-                cancel = SipMessage(
-                    method=SipMethod.CANCEL, from_number=B, to_number=A,
-                    call_id="leg-1", cseq=(1, SipMethod.CANCEL),
-                )
-                more = on_cancel(cancel, INVITE)
-                seq += [
-                    a.status.code
-                    for a in more
-                    if isinstance(a, SendResponse) and a.regarding.method is SipMethod.INVITE
-                ]
+            sent = on_incoming_invite(state, profile, INVITE)
+            # Complete the open-ended branches: let a collision auto-answer
+            # fire, add the voicemail's 200, or cancel a ringing leg.
+            if sent[-1] is Answer.COLLISION:
+                sent = sent[:-1] + on_auto_answer(INVITE)
+            elif sent[-1] is Answer.VOICEMAIL:
+                sent = sent[:-1] + [reply(200)]
+            elif not sent[-1].is_final:
+                sent += on_cancel(CANCEL, INVITE)
+            seq = [m.status.code for m in sent if m.cseq[1] is SipMethod.INVITE]
             assert INVITE_TX_PATTERN.match(",".join(map(str, seq))), seq
 
 
@@ -198,7 +185,7 @@ def test_determinism_identical_inputs():
 
 
 def test_auto_answer_connects():
-    assert codes(on_auto_answer(INVITE)) == [200]
+    assert on_auto_answer(INVITE) == [reply(200)]
     line, sent = line_at_a(Dialing(B))
     line.handle_message(INVITE)
     assert line.state == Dialing(B)
@@ -214,10 +201,7 @@ CANCEL = SipMessage(
 
 
 def test_cancel_ringing_leg():
-    actions = on_cancel(CANCEL, INVITE)
-    assert codes(actions) == [200, 487]
-    assert response_action(actions, 200).regarding is CANCEL
-    assert response_action(actions, 487).regarding is INVITE
+    assert on_cancel(CANCEL, INVITE) == [reply(200, to=CANCEL), reply(487)]
     line, sent = line_at_a()
     line.handle_message(INVITE)
     assert line.state == Ringing(B)
@@ -227,7 +211,7 @@ def test_cancel_ringing_leg():
 
 
 def test_cancel_waiting_leg_keeps_connected():
-    assert codes(on_cancel(CANCEL, INVITE)) == [200, 487]
+    assert on_cancel(CANCEL, INVITE) == [reply(200, to=CANCEL), reply(487)]
     line, sent = line_at_a(Connected(C), profile=PROFILE_CW)
     line.handle_message(INVITE)
     line.handle_message(CANCEL)
@@ -236,7 +220,7 @@ def test_cancel_waiting_leg_keeps_connected():
 
 
 def test_cancel_after_answer_is_481():
-    assert codes(on_cancel(CANCEL, None)) == [481]
+    assert on_cancel(CANCEL, None) == [reply(481, to=CANCEL)]
 
 
 def test_stray_cancel_on_idle_endpoint():
@@ -244,7 +228,7 @@ def test_stray_cancel_on_idle_endpoint():
         method=SipMethod.CANCEL, from_number=B, to_number=A,
         call_id="nope", cseq=(1, SipMethod.CANCEL),
     )
-    assert codes(on_cancel(cancel, None)) == [481]
+    assert on_cancel(cancel, None) == [reply(481, to=cancel)]
 
 
 def _bye(call_id):
@@ -263,7 +247,7 @@ def _leg(call_id, peer, role, phase):
 
 def test_bye_connected_leg_goes_idle():
     leg = _leg("leg-1", B, LegRole.CALLEE, LegPhase.ANSWERED)
-    assert codes(on_bye(_bye("leg-1"), leg)) == [200]
+    assert on_bye(_bye("leg-1"), leg) == [reply(200, to=_bye("leg-1"))]
     line, sent = line_at_a()
     line.legs[leg.call_id] = leg
     line.handle_message(_bye("leg-1"))
@@ -272,12 +256,12 @@ def test_bye_connected_leg_goes_idle():
 
 
 def test_bye_without_dialog_is_481():
-    assert codes(on_bye(_bye("other"), None)) == [481]
+    assert on_bye(_bye("other"), None) == [reply(481, to=_bye("other"))]
 
 
 def test_bye_early_leg_is_481():
     leg = _leg("leg-1", B, LegRole.CALLEE, LegPhase.EARLY)
-    assert codes(on_bye(_bye("leg-1"), leg)) == [481]
+    assert on_bye(_bye("leg-1"), leg) == [reply(481, to=_bye("leg-1"))]
     line, sent = line_at_a()
     line.legs[leg.call_id] = leg
     line.handle_message(_bye("leg-1"))
@@ -303,7 +287,7 @@ def test_bye_two_leg_enumeration(name, gone_phase, keep, expected):
     # Oracle: the table above was enumerated by hand from the foreground
     # precedence (answered > dialing > ringing > held > idle).
     gone = _leg("gone", B, LegRole.CALLEE, gone_phase)
-    assert codes(on_bye(_bye("gone"), gone)) == [200]
+    assert on_bye(_bye("gone"), gone) == [reply(200, to=_bye("gone"))]
     line, sent = line_at_a()
     for leg in (gone,) if keep is None else (gone, keep):
         line.legs[leg.call_id] = leg
@@ -324,10 +308,6 @@ def test_summarize_precedence():
     assert summarize_legs([]) == Idle()
 
 
-def _resp(code, *, to=INVITE, pem=None, alert=None):
-    return SipMessage.reply(to, code, pem=pem, alert=alert)
-
-
 def dialing_line(*presets):
     """A's line, dialing C on a new leg after its presets, with that INVITE."""
     line, _ = line_at_a(*presets)
@@ -336,30 +316,30 @@ def dialing_line(*presets):
 
 
 def test_caller_side_prack_on_183():
-    assert on_response(_resp(183, pem=PemValue.SENDRECV)) == [SendRequest(SipMethod.PRACK)]
+    assert on_response(reply(183, pem=PemValue.SENDRECV)) is SipMethod.PRACK
 
 
 def test_caller_side_ringback_on_180():
     # A 180 needs no caller action: ringback is local, with no wire effect.
-    assert on_response(_resp(180, pem=PemValue.SENDRECV)) == []
+    assert on_response(reply(180, pem=PemValue.SENDRECV)) is None
 
 
 def test_caller_side_200_connects_and_acks():
-    assert on_response(_resp(200)) == [SendRequest(SipMethod.ACK)]
+    assert on_response(reply(200)) is SipMethod.ACK
     line, invite = dialing_line()
     assert line.state == Dialing(C)
-    line.handle_message(_resp(200, to=invite))
+    line.handle_message(reply(200, to=invite))
     assert line.state == Connected(C)
 
 
 def test_caller_side_486_acks_and_reverts():
-    assert on_response(_resp(486)) == [SendRequest(SipMethod.ACK)]
+    assert on_response(reply(486)) is SipMethod.ACK
     line, invite = dialing_line()
-    line.handle_message(_resp(486, to=invite))
+    line.handle_message(reply(486, to=invite))
     assert line.state == Idle()
     line, invite = dialing_line(Held(B))
     assert line.state == Dialing(C)
-    line.handle_message(_resp(487, to=invite))
+    line.handle_message(reply(487, to=invite))
     assert line.state == Held(B)
 
 
@@ -368,4 +348,4 @@ def test_caller_side_ignores_non_invite_transactions():
         method=SipMethod.CANCEL, from_number=B, to_number=A,
         call_id="leg-1", cseq=(1, SipMethod.CANCEL),
     )
-    assert on_response(SipMessage.reply(cancel, 200)) == []
+    assert on_response(SipMessage.reply(cancel, 200)) is None

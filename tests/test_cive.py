@@ -235,10 +235,11 @@ def test_verdict_invariants():
 
 
 def _verify(net, context):
-    """Launch a verification, run the federation to quiescence, read the verdict."""
+    """Launch a verification, run the federation to quiescence, and return
+    the verdict with the leg it judged."""
     agent = launch_verification(net, context)
     net.run_until_quiescent()
-    return verify_incoming(agent)
+    return verify_incoming(agent), agent.trace
 
 
 def _federation(**profile_kwargs):
@@ -278,8 +279,8 @@ def test_launch_sends_the_invite_and_leaves_the_loop_to_the_caller():
     with pytest.raises(LineBusy):
         launch_verification(net, ctx())
     net.run_until_quiescent()
-    verdict, trace = verify_incoming(agent)
-    assert agent.done and trace is agent.trace
+    verdict = verify_incoming(agent)
+    assert agent.done
     assert verdict.decision is Decision.SPOOFED and verdict.inferred is InferredState.IDLE
 
 
@@ -354,7 +355,7 @@ def test_verify_before_the_loop_runs_is_never_legit():
     net = _federation()
     net.lines[A].preset_state(Dialing(B))
     agent = launch_verification(net, ctx())
-    verdict, trace = verify_incoming(agent)
+    verdict, trace = verify_incoming(agent), agent.trace
     assert verdict.decision is Decision.INCONCLUSIVE
     assert verdict.inferred is InferredState.UNREACHABLE
     assert len(trace) == 1 and not trace.timed_out
@@ -444,7 +445,7 @@ def _race(cw, d_ms):
     net.originate_call(A, net.lines[A], B, at_ms=1000)
     spoof = net.originate_call(A, net.lines[_MATRIX_E], B, at_ms=1000 + d_ms)
     net.run_until_quiescent()
-    verdict, _ = verify_incoming(rung["agent"])
+    verdict = verify_incoming(rung["agent"])
     return rung["call_id"] == spoof, verdict
 
 
@@ -513,9 +514,9 @@ def test_legs_from_trace_rows_round_trip(tmp_path, monkeypatch):
     live = []
 
     def capturing(agent):
-        verdict, trace = verify_incoming(agent)
-        live.append((verdict, trace))
-        return verdict, trace
+        verdict = verify_incoming(agent)
+        live.append((verdict, agent.trace))
+        return verdict
 
     monkeypatch.setattr(cive_sim.scenario, "verify_incoming", capturing)
     for cell in cells:

@@ -162,6 +162,20 @@ def test_empty_queue_returns_immediately():
     assert net.now == 0
 
 
+def test_originate_call_to_the_originators_own_number_is_refused():
+    # Its caller and callee legs would share one Call-ID on the one line.
+    net = two_carrier_fed()
+    with pytest.raises(NetsimError, match="cannot call itself"):
+        net.originate_call(A, net.lines[PhoneNumber(A)], A)
+    with pytest.raises(NetsimError, match="cannot call itself"):
+        net.originate_call(B, net.lines[PhoneNumber(A)], A, at_ms=500)
+    assert net.run_until_quiescent() == 0 and net.trace == []
+    # A spoof claiming the callee's own number is an attack, not a self-call.
+    net.originate_call(B, net.lines[PhoneNumber(E)], B)
+    net.run_until_quiescent()
+    assert net.lines[PhoneNumber(B)].display == B
+
+
 def test_sim_budget_exceeded(monkeypatch):
     monkeypatch.setattr(cive_sim.netsim, "MAX_SIM_MS", 150)
     net = two_carrier_fed()

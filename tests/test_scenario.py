@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -230,6 +231,16 @@ def test_matrix_covers_grid_and_matches_golden(tmp_path):
     assert result.to_csv() == golden
 
 
+def test_matrix_cell_files_are_pinned(tmp_path):
+    # Every trace and report of the 20 cells, byte for byte: together they
+    # reach every row of the callee's response table.
+    run_matrix(tmp_path)
+    cells = b"".join(p.read_bytes() for p in sorted((tmp_path / "cells").iterdir()))
+    assert hashlib.sha256(cells).hexdigest() == (
+        "128aa6c53ce0a46fd88cc053ed980a4f7ec7931a3d97155bd6e1faee031b9715"
+    )
+
+
 def test_exit_code_logic():
     def report(match, inconclusive=False):
         return RunReport(
@@ -314,8 +325,8 @@ def test_cli_matrix_exit_code_is_one_for_any_outright_mismatch(monkeypatch, caps
     scripted = itertools.cycle([InferredState.IDLE, InferredState.UNREACHABLE])
 
     def scripted_verify(agent):
-        verdict, trace = cive.verify_incoming(agent)
-        return cive.decide(agent.ctx, next(scripted), verdict.features), trace
+        verdict = cive.verify_incoming(agent)
+        return cive.decide(agent.ctx, next(scripted), verdict.features)
 
     monkeypatch.setattr(cive_sim.scenario, "matrix_scenarios", lambda: cells)
     monkeypatch.setattr(cive_sim.scenario, "verify_incoming", scripted_verify)
@@ -373,6 +384,18 @@ _CARRIER_LINE = "    enforce_caller_id: false\n"
 def test_cli_non_integer_value_is_bad_input(tmp_path, capsys, old, new):
     path = _c1_with(tmp_path, old, new)
     with pytest.raises(ScenarioParseError):
+        load_scenario(path)
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_self_call_is_bad_input(tmp_path, capsys):
+    # A line calling its own number would put both of its legs under one
+    # Call-ID, and the callback would find the line busy with itself.
+    path = _c1_with(tmp_path, 'target: "+15550101"', 'target: "+15550100"')
+    with pytest.raises(ScenarioValidationError, match="is its own originator"):
         load_scenario(path)
     assert cli.main(["run", str(path)]) == 3
     out, err = capsys.readouterr()
