@@ -110,18 +110,24 @@ class LegPhase(str, Enum):
 class LineLeg:
     """One call leg as an endpoint tracks it, with the INVITE that opened it.
 
-    The transition functions read only call_id, peer, role and phase; the
-    rest is the endpoint's own bookkeeping.
+    The leg's Call-ID is its INVITE's, and its peer is read off the INVITE
+    too. The transition functions read only peer, role and phase; the rest
+    is the endpoint's own bookkeeping.
     """
 
-    call_id: str
-    peer: PhoneNumber
     role: LegRole
     phase: LegPhase
     invite: SipMessage
     next_cseq: int = 2
     auto_answer_timer: object | None = None  # pending netsim timers, for cancel_timer
     patience_timer: object | None = None
+
+    @property
+    def peer(self) -> PhoneNumber:
+        """The far end: the INVITE's To for a caller, and its From (the
+        claimed, possibly forged, number) for a callee."""
+        invite = self.invite
+        return invite.to_number if self.role is LegRole.CALLER else invite.from_number
 
     def request(self, method: SipMethod) -> SipMessage:
         """The next in-dialog request on this leg.
@@ -130,13 +136,13 @@ class LineLeg:
         17.1.1.3 and 9.1); any other request takes the next one: 2, 3, ...
         """
         if method is SipMethod.ACK or method is SipMethod.CANCEL:
-            seq = self.invite.cseq[0]
+            seq = self.invite.seq
         else:
             seq = self.next_cseq
             self.next_cseq += 1
         invite = self.invite
         return _message(method, invite.from_number, invite.to_number, invite.call_id,
-                        (seq, method), None, None, None, (), "")
+                        seq, None, None, None, (), "")
 
 
 class Answer(Enum):
@@ -263,7 +269,7 @@ def on_response(response: SipMessage) -> SipMethod | None:
     """
     if not response.is_response:
         raise ValueError("on_response requires a response")
-    if response.cseq[1] is not SipMethod.INVITE:
+    if response.method is not SipMethod.INVITE:
         return None
     assert response.status is not None
     code = response.status.code

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .call_fsm import COLLISION_ANSWER_MS, LegPhase, LegRole, LineLeg
 from .netsim import Direction, Federation, PhoneLine
@@ -83,22 +83,10 @@ class IncomingCallContext:
     callee: PhoneNumber
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     t_ms: int
     direction: Direction  # EGRESS: sent by the observer; INGRESS: received by it
     message: SipMessage
-
-
-def _trace_entry(t_ms: int, direction: Direction, message: SipMessage) -> TraceEntry:
-    """A ``TraceEntry`` built without its generated ``__init__``, which
-    sets each field through ``object.__setattr__``; it has no checks."""
-    entry = object.__new__(TraceEntry)
-    d = entry.__dict__
-    d["t_ms"] = t_ms
-    d["direction"] = direction
-    d["message"] = message
-    return entry
 
 
 @dataclass
@@ -115,7 +103,7 @@ class SignalingTrace:
             direction is Direction.EGRESS and message.method is SipMethod.INVITE
         ):
             raise ValueError("a trace starts with the sent INVITE")
-        self.entries.append(_trace_entry(t_ms, direction, message))
+        self.entries.append(TraceEntry(t_ms, direction, message))
 
     def __iter__(self):
         return iter(self.entries)
@@ -229,7 +217,8 @@ def extract_features(trace: SignalingTrace) -> FeatureVector:
                 alert_180 = msg.alert
             saw_181 = saw_181 or code == 181
             saw_486 = saw_486 or code == 486
-            if final is None and msg.is_final and msg.cseq == invite.cseq:
+            if (final is None and msg.is_final and msg.method is SipMethod.INVITE
+                    and msg.seq == invite.seq):
                 final = msg.status
         elif entry.direction is Direction.EGRESS and msg.is_request:
             sent.add(msg.method)
@@ -329,9 +318,8 @@ class _VerifierAgent:
         self.ctx = ctx
         self.hop, self.carrier, self.number = line.hop, line.carrier, line.number
         self.trace = SignalingTrace()
-        call_id = net.new_call_id()
-        invite = SipMessage.request(SipMethod.INVITE, ctx.callee, ctx.claimed_id, call_id)
-        self.leg = LineLeg(call_id, ctx.claimed_id, LegRole.CALLER, LegPhase.EARLY, invite)
+        invite = SipMessage.request(SipMethod.INVITE, ctx.callee, ctx.claimed_id, net.new_call_id())
+        self.leg = LineLeg(LegRole.CALLER, LegPhase.EARLY, invite)
         self.final: StatusCode | None = None
         self.sent_cancel = False
         self.done = False
@@ -364,7 +352,7 @@ class _VerifierAgent:
         self.trace.append(self.net.now, Direction.INGRESS, msg)
         if self.done or not msg.is_response:
             return
-        tx_method = msg.cseq[1]
+        tx_method = msg.method
         if tx_method is SipMethod.BYE:
             self._finish()  # the answer to our own BYE, the only one we send
             return
@@ -436,6 +424,10 @@ def verify_incoming(agent: _VerifierAgent) -> Verdict:
     return decide(agent.ctx, infer_state(features), features)
 
 
+# The ``dir`` string of a trace row -> its Direction.
+_DIRECTIONS = {d.value: d for d in Direction}
+
+
 def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, SignalingTrace]]:
     """Rebuild per-leg signaling traces from a saved federation trace.
 
@@ -447,15 +439,19 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, SignalingTrac
 
     One pass groups the rows by Call-ID, parsing each distinct wire text
     once, so the cost is linear in the row count; ``rows`` is left as it
-    was. Raises MalformedTraceRow for a row whose message falls outside the
-    SIP profile or that breaks its leg's ordering.
+    was. Raises MalformedTraceRow for a row whose ``dir`` is not a
+    ``Direction`` value, whose message falls outside the SIP profile, or
+    that breaks its leg's ordering.
     """
     from .sip_core import parse_message
 
     parsed: dict[str, SipMessage] = {}
-    by_call: dict[str, list[tuple[int, dict, SipMessage]]] = {}
+    by_call: dict[str, list[tuple[int, dict, Direction, SipMessage]]] = {}
     first_egress: dict[str, tuple[dict, SipMessage]] = {}
     for index, row in enumerate(rows):
+        direction = _DIRECTIONS.get(row["dir"])
+        if direction is None:
+            raise MalformedTraceRow(index, f"dir {row['dir']!r} is not one of {sorted(_DIRECTIONS)}")
         text = row["sip"]
         msg = parsed.get(text)
         if msg is None:
@@ -464,8 +460,8 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, SignalingTrac
             except ParseError as exc:
                 raise MalformedTraceRow(index, f"{type(exc).__name__}: {exc}") from exc
         cid = msg.call_id
-        by_call.setdefault(cid, []).append((index, row, msg))
-        if cid not in first_egress and row["dir"] == "egress":
+        by_call.setdefault(cid, []).append((index, row, direction, msg))
+        if cid not in first_egress and direction is Direction.EGRESS:
             first_egress[cid] = (row, msg)
     legs: list[tuple[str, str, SignalingTrace]] = []
     for cid, (first, first_msg) in first_egress.items():
@@ -475,12 +471,8 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, SignalingTrac
         if not observer.startswith("ep:"):
             continue
         trace = SignalingTrace()
-        for index, row, msg in by_call[cid]:
-            if row["dir"] == "egress" and row["from_hop"] == observer:
-                direction = Direction.EGRESS
-            elif row["dir"] == "ingress" and row["to_hop"] == observer:
-                direction = Direction.INGRESS
-            else:
+        for index, row, direction, msg in by_call[cid]:
+            if row["from_hop" if direction is Direction.EGRESS else "to_hop"] != observer:
                 continue
             try:
                 trace.append(row["t_ms"], direction, msg)

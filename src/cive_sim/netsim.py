@@ -188,7 +188,7 @@ class PhoneLine:
         peer = state.target if isinstance(state, Dialing) else state.peer  # type: ignore[attr-defined]
         call_id = f"preset-{self.number}-{len(self.legs)}"
         invite = SipMessage.request(SipMethod.INVITE, self.number, peer, call_id)
-        self.legs[call_id] = LineLeg(call_id, peer, LegRole.CALLER, phase, invite)
+        self.legs[call_id] = LineLeg(LegRole.CALLER, phase, invite)
 
     # -- event handlers -----------------------------------------------------
 
@@ -210,10 +210,7 @@ class PhoneLine:
         if answer is not Answer.VOICEMAIL and not last.is_final:
             # Leg stays open at this endpoint: ringing, waiting, or a
             # pending collision answer.
-            leg = LineLeg(
-                invite.call_id, invite.from_number, LegRole.CALLEE, LegPhase.EARLY, invite
-            )
-            self.legs[invite.call_id] = leg
+            leg = self.legs[invite.call_id] = LineLeg(LegRole.CALLEE, LegPhase.EARLY, invite)
             if answer is Answer.COLLISION:
                 leg.auto_answer_timer = self.net.set_timer(
                     COLLISION_ANSWER_MS, self._auto_answer, invite.call_id
@@ -254,7 +251,7 @@ class PhoneLine:
         leg = self.legs.get(msg.call_id)
         if leg is None or leg.role is not LegRole.CALLER:
             return  # late or out-of-dialog response; nothing to do
-        if msg.cseq[1] is not SipMethod.INVITE:
+        if msg.method is not SipMethod.INVITE:
             return  # 200 to our CANCEL, 481, etc.
         if msg.is_final:
             if leg.patience_timer is not None:
@@ -264,7 +261,7 @@ class PhoneLine:
             if msg.status.code == 200:
                 leg.phase = LegPhase.ANSWERED
             else:
-                del self.legs[leg.call_id]
+                del self.legs[msg.call_id]
         method = call_fsm.on_response(msg)
         if method is not None:
             self.net.send(self, leg.request(method))
@@ -289,8 +286,7 @@ class PhoneLine:
 
     def _start_call(self, call_id: str, from_claimed: PhoneNumber, to: PhoneNumber) -> None:
         invite = SipMessage.request(SipMethod.INVITE, from_claimed, to, call_id)
-        leg = LineLeg(call_id, to, LegRole.CALLER, LegPhase.EARLY, invite)
-        self.legs[call_id] = leg
+        leg = self.legs[call_id] = LineLeg(LegRole.CALLER, LegPhase.EARLY, invite)
         leg.patience_timer = self.net.set_timer(INVITE_PATIENCE_MS, self._give_up, call_id)
         self.net.send(self, invite)
 

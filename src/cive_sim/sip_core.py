@@ -25,7 +25,7 @@ through one private builder, ``_message``. It fills the instance's
 ``__dict__`` instead of running the generated ``__init__`` (one
 ``object.__setattr__`` per field) and ``__post_init__``, so it may be
 given only what those checks already hold: ``request`` still checks the
-numbers, the Call-ID and the CSeq sequence; ``reply`` and
+numbers, the Call-ID and the CSeq sequence ``seq``; ``reply`` and
 ``LineLeg.request`` copy them from a request that was checked when it was
 built; the canonical parser's regex has checked them in the text. A code
 of the closed set with its canonical phrase is the shared instance in
@@ -197,8 +197,8 @@ class SipMessage:
     """A parsed request or response.
 
     ``method`` is the request method; for responses it is the transaction
-    method echoed in CSeq. ``cseq`` is (sequence, method) and its method
-    always equals ``method``. ``pem``/``alert`` hold the recognized
+    method echoed in CSeq. ``seq`` is the CSeq sequence number; the CSeq
+    header is ``seq`` then ``method``. ``pem``/``alert`` hold the recognized
     side-channel headers; anything unrecognized lands in ``extra_headers``
     in original order and survives round-trips untouched.
     """
@@ -207,7 +207,7 @@ class SipMessage:
     from_number: PhoneNumber
     to_number: PhoneNumber
     call_id: str
-    cseq: tuple[int, SipMethod]
+    seq: int
     status: StatusCode | None = None
     pem: PemValue | None = None
     alert: AlertUrn | None = None
@@ -216,11 +216,8 @@ class SipMessage:
 
     def __post_init__(self) -> None:
         _check_call_id(self.call_id)
-        seq, cseq_method = self.cseq
-        if seq < 1:
-            raise ValueError(f"CSeq sequence must be >= 1: {seq}")
-        if cseq_method is not self.method:
-            raise ValueError(f"CSeq method {cseq_method} does not match {self.method}")
+        if self.seq < 1:
+            raise ValueError(f"CSeq sequence must be >= 1: {self.seq}")
 
     @property
     def is_request(self) -> bool:
@@ -252,7 +249,7 @@ class SipMessage:
         _check_call_id(call_id)
         if seq < 1:
             raise ValueError(f"CSeq sequence must be >= 1: {seq}")
-        return _message(method, from_number, to_number, call_id, (seq, method), None,
+        return _message(method, from_number, to_number, call_id, seq, None,
                         pem, alert, extra_headers, body)
 
     @classmethod
@@ -273,7 +270,7 @@ class SipMessage:
         """
         if to.status is not None:
             raise ValueError("can only reply to a request")
-        return _message(to.method, to.from_number, to.to_number, to.call_id, to.cseq,
+        return _message(to.method, to.from_number, to.to_number, to.call_id, to.seq,
                         _status(status), pem, alert, extra_headers, body)
 
 
@@ -285,12 +282,12 @@ def _check_call_id(call_id: str) -> None:
 _new = object.__new__
 
 
-def _message(method, from_number, to_number, call_id, cseq, status, pem, alert,
+def _message(method, from_number, to_number, call_id, seq, status, pem, alert,
              extra_headers, body) -> SipMessage:
     """A ``SipMessage`` built without its ``__init__`` and ``__post_init__``.
 
     The caller guarantees what ``__post_init__`` would check: a Call-ID
-    token, a CSeq of ``(seq >= 1, method)``, and ``PhoneNumber`` numbers.
+    token, ``seq >= 1``, and ``PhoneNumber`` numbers.
     """
     msg = _new(SipMessage)
     d = msg.__dict__
@@ -298,7 +295,7 @@ def _message(method, from_number, to_number, call_id, cseq, status, pem, alert,
     d["from_number"] = from_number
     d["to_number"] = to_number
     d["call_id"] = call_id
-    d["cseq"] = cseq
+    d["seq"] = seq
     d["status"] = status
     d["pem"] = pem
     d["alert"] = alert
@@ -383,7 +380,8 @@ def _parse_general(text: str) -> SipMessage:
     from_number: PhoneNumber | None = None
     to_number: PhoneNumber | None = None
     call_id: str | None = None
-    cseq: tuple[int, SipMethod] | None = None
+    seq: int | None = None
+    cseq_method: SipMethod | None = None
     pem: PemValue | None = None
     alert: AlertUrn | None = None
     extras: list[tuple[str, str]] = []
@@ -426,7 +424,6 @@ def _parse_general(text: str) -> SipMessage:
                 raise BadHeaderSyntax(f"CSeq method outside the closed set: {value!r}")
             if seq < 1:
                 raise BadHeaderSyntax(f"CSeq sequence must be >= 1: {value!r}")
-            cseq = (seq, cseq_method)
         elif lname == "p-early-media":
             pem = _PEM_BY_VALUE.get(value)
             if pem is None:
@@ -445,31 +442,27 @@ def _parse_general(text: str) -> SipMessage:
             ("From", from_number),
             ("To", to_number),
             ("Call-ID", call_id),
-            ("CSeq", cseq),
+            ("CSeq", seq),
         )
         if v is None
     ]
     if missing:
         raise MissingMandatoryHeader(f"missing: {', '.join(missing)}")
-    assert from_number and to_number and call_id and cseq
+    assert from_number and to_number and call_id and seq and cseq_method
 
-    if status is None:
-        # For a request the CSeq method must repeat the request method
-        # (CANCEL and ACK reuse the INVITE sequence number, not its method).
-        if cseq[1] is not method:
-            raise BadHeaderSyntax(
-                f"CSeq method {cseq[1].value} does not match request method {method.value}"
-            )
-        msg_method = method
-    else:
-        msg_method = cseq[1]
+    # For a request the CSeq method must repeat the request method
+    # (CANCEL and ACK reuse the INVITE sequence number, not its method).
+    if status is None and cseq_method is not method:
+        raise BadHeaderSyntax(
+            f"CSeq method {cseq_method.value} does not match request method {method.value}"
+        )
 
     return SipMessage(
-        method=msg_method,
+        method=cseq_method,
         from_number=from_number,
         to_number=to_number,
         call_id=call_id,
-        cseq=cseq,
+        seq=seq,
         status=status,
         pem=pem,
         alert=alert,
@@ -508,8 +501,8 @@ def _parse_canonical(text: str) -> SipMessage | None:
     request whose CSeq method differs from its own method returns None, so
     the general parser raises the error. The match has already checked what
     ``PhoneNumber`` and ``SipMessage.__post_init__`` check (both numbers,
-    a Call-ID with no whitespace, a CSeq of at least 1 whose method is the
-    message's method), so the message is built without checking it again.
+    a Call-ID with no whitespace, a CSeq of at least 1), so the message is
+    built without checking it again.
     """
     m = _CANONICAL_RE.fullmatch(text)
     if m is None:
@@ -532,7 +525,7 @@ def _parse_canonical(text: str) -> SipMessage | None:
         str.__new__(PhoneNumber, from_number),
         str.__new__(PhoneNumber, to_number),
         call_id,
-        (int(seq), msg_method),
+        int(seq),
         status,
         _PEM_BY_VALUE[pem] if pem else None,
         _ALERT_BY_VALUE[alert] if alert else None,
@@ -550,18 +543,18 @@ def serialize_message(msg: SipMessage) -> str:
     returns a message equal to ``m``. Enum members are read through
     ``_value_``, which skips the ``value`` descriptor.
     """
+    method = msg.method._value_
     status = msg.status
     if status is None:
-        start = f"{msg.method._value_} sip:{msg.to_number} SIP/2.0"
+        start = f"{method} sip:{msg.to_number} SIP/2.0"
     else:
         start = f"SIP/2.0 {status.code} {status.reason}"
     pem, alert = msg.pem, msg.alert
     pem_line = "" if pem is None else f"P-Early-Media: {pem._value_}\n"
     alert_line = "" if alert is None else f"Alert-Info: <urn:alert:service:{alert._value_}>\n"
     extra = "".join([f"{n}: {v}\n" for n, v in msg.extra_headers]) if msg.extra_headers else ""
-    seq, method = msg.cseq
     return (
         f"{start}\nFrom: sip:{msg.from_number}\nTo: sip:{msg.to_number}\n"
-        f"Call-ID: {msg.call_id}\nCSeq: {seq} {method._value_}\n"
+        f"Call-ID: {msg.call_id}\nCSeq: {msg.seq} {method}\n"
         f"{pem_line}{alert_line}{extra}\n{msg.body}"
     )

@@ -7,8 +7,6 @@ import itertools
 import pytest
 
 from cive_sim.call_fsm import IDLE, Idle, LegPhase, LegRole, LineLeg
-from cive_sim.cive import TraceEntry, _trace_entry
-from cive_sim.netsim import Direction
 from cive_sim.sip_core import (
     CANONICAL_REASON,
     STATUS,
@@ -42,7 +40,7 @@ def assert_same_frozen(built, expected):
 
 def constructed(method, seq=3, status=None, pem=None, alert=None):
     return SipMessage(
-        method=method, from_number=A, to_number=B, call_id="c1@sim", cseq=(seq, method),
+        method=method, from_number=A, to_number=B, call_id="c1@sim", seq=seq,
         status=status, pem=pem, alert=alert,
     )
 
@@ -72,18 +70,12 @@ def test_reply_equals_constructor(method, code):
 @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.value)
 def test_leg_request_equals_constructor(method):
     invite = SipMessage.request(SipMethod.INVITE, A, B, "c1@sim", 3)
-    leg = LineLeg("c1@sim", B, LegRole.CALLER, LegPhase.EARLY, invite, next_cseq=3)
+    leg = LineLeg(LegRole.CALLER, LegPhase.EARLY, invite, next_cseq=3)
     assert_same_frozen(leg.request(method), constructed(method))
 
 
 def test_shared_instances_equal_constructors():
     assert IDLE == Idle() and hash(IDLE) == hash(Idle())
-
-
-@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
-def test_trace_entry_builder_equals_constructor(direction):
-    msg = SipMessage.request(SipMethod.INVITE, A, B, "c1@sim")
-    assert_same_frozen(_trace_entry(40, direction, msg), TraceEntry(40, direction, msg))
 
 
 @pytest.mark.parametrize("call_id,seq", [("", 1), ("a b", 1), ("c1@sim", 0)])

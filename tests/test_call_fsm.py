@@ -172,7 +172,7 @@ def test_invite_transaction_legality_all_branches():
                 sent = sent[:-1] + [reply(200)]
             elif not sent[-1].is_final:
                 sent += on_cancel(CANCEL, INVITE)
-            seq = [m.status.code for m in sent if m.cseq[1] is SipMethod.INVITE]
+            seq = [m.status.code for m in sent if m.method is SipMethod.INVITE]
             assert INVITE_TX_PATTERN.match(",".join(map(str, seq))), seq
 
 
@@ -196,7 +196,7 @@ def test_auto_answer_connects():
 
 CANCEL = SipMessage(
     method=SipMethod.CANCEL, from_number=B, to_number=A,
-    call_id="leg-1", cseq=(1, SipMethod.CANCEL),
+    call_id="leg-1", seq=1,
 )
 
 
@@ -226,7 +226,7 @@ def test_cancel_after_answer_is_481():
 def test_stray_cancel_on_idle_endpoint():
     cancel = SipMessage(
         method=SipMethod.CANCEL, from_number=B, to_number=A,
-        call_id="nope", cseq=(1, SipMethod.CANCEL),
+        call_id="nope", seq=1,
     )
     assert on_cancel(cancel, None) == [reply(481, to=cancel)]
 
@@ -234,7 +234,7 @@ def test_stray_cancel_on_idle_endpoint():
 def _bye(call_id):
     return SipMessage(
         method=SipMethod.BYE, from_number=B, to_number=A,
-        call_id=call_id, cseq=(2, SipMethod.BYE),
+        call_id=call_id, seq=2,
     )
 
 
@@ -242,14 +242,14 @@ def _leg(call_id, peer, role, phase):
     """A leg at endpoint A, with the INVITE that opened it."""
     caller, callee = (A, peer) if role is LegRole.CALLER else (peer, A)
     invite = SipMessage.request(SipMethod.INVITE, caller, callee, call_id)
-    return LineLeg(call_id, peer, role, phase, invite)
+    return LineLeg(role, phase, invite)
 
 
 def test_bye_connected_leg_goes_idle():
     leg = _leg("leg-1", B, LegRole.CALLEE, LegPhase.ANSWERED)
     assert on_bye(_bye("leg-1"), leg) == [reply(200, to=_bye("leg-1"))]
     line, sent = line_at_a()
-    line.legs[leg.call_id] = leg
+    line.legs[leg.invite.call_id] = leg
     line.handle_message(_bye("leg-1"))
     assert line.state == Idle() and line.legs == {}
     assert sent_codes(sent) == [200]
@@ -263,7 +263,7 @@ def test_bye_early_leg_is_481():
     leg = _leg("leg-1", B, LegRole.CALLEE, LegPhase.EARLY)
     assert on_bye(_bye("leg-1"), leg) == [reply(481, to=_bye("leg-1"))]
     line, sent = line_at_a()
-    line.legs[leg.call_id] = leg
+    line.legs[leg.invite.call_id] = leg
     line.handle_message(_bye("leg-1"))
     assert line.state == Ringing(B) and line.legs == {"leg-1": leg}
     assert sent_codes(sent) == [481]
@@ -290,7 +290,7 @@ def test_bye_two_leg_enumeration(name, gone_phase, keep, expected):
     assert on_bye(_bye("gone"), gone) == [reply(200, to=_bye("gone"))]
     line, sent = line_at_a()
     for leg in (gone,) if keep is None else (gone, keep):
-        line.legs[leg.call_id] = leg
+        line.legs[leg.invite.call_id] = leg
     line.handle_message(_bye("gone"))
     assert sent_codes(sent) == [200]
     assert line.state == expected
@@ -346,6 +346,6 @@ def test_caller_side_486_acks_and_reverts():
 def test_caller_side_ignores_non_invite_transactions():
     cancel = SipMessage(
         method=SipMethod.CANCEL, from_number=B, to_number=A,
-        call_id="leg-1", cseq=(1, SipMethod.CANCEL),
+        call_id="leg-1", seq=1,
     )
     assert on_response(SipMessage.reply(cancel, 200)) is None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loaded_federation
+from conftest import SCENARIOS, loaded_federation
 
 import cive_sim.scenario
 import cive_sim.sip_core
@@ -36,6 +36,7 @@ from cive_sim.scenario import (
     MATRIX_A_STATES,
     _matrix_cell,
     build_federation,
+    load_scenario,
     matrix_scenarios,
     run_scenario,
 )
@@ -82,7 +83,7 @@ def reply(code, *, pem=None, alert=None, to=INVITE):
 
 def req(method, seq):
     return SipMessage(
-        method=method, from_number=B, to_number=A, call_id="au-1", cseq=(seq, method)
+        method=method, from_number=B, to_number=A, call_id="au-1", seq=seq
     )
 
 
@@ -105,6 +106,23 @@ def test_extract_features_connected_shape():
     assert f.final_to_invite == StatusCode(487)
     assert f.teardown is SipMethod.CANCEL
     assert not f.saw_181 and not f.saw_486 and not f.timed_out
+
+
+def test_extract_features_prefers_bye_to_a_crossed_cancel():
+    # The far end's 200 crossed B's CANCEL in flight, so B sent both; the
+    # BYE is what ended the answered leg.
+    cancel, bye = req(SipMethod.CANCEL, 1), req(SipMethod.BYE, 2)
+    trace = trace_of(
+        sent(INVITE),
+        recv(reply(180, pem=PemValue.SENDONLY)),
+        sent(cancel),
+        recv(reply(200)),
+        sent(req(SipMethod.ACK, 1)),
+        sent(bye),
+        recv(reply(481, to=cancel)),
+        recv(reply(200, to=bye)),
+    )
+    assert extract_features(trace).teardown is SipMethod.BYE
 
 
 def test_extract_features_collision_shape():
@@ -349,6 +367,26 @@ def test_verify_times_out_when_the_queue_drains_before_the_leg_ends():
     assert net.now == 10_050
 
 
+def test_timeout_after_the_grace_cancel_sends_no_second_cancel(tmp_path):
+    # With 3,000 ms links on A's carrier, B's verifier cancels when the
+    # capture grace ends (9,250 ms); its 10 s timeout fires (13,050 ms)
+    # before that CANCEL is answered, and must not send another.
+    s = load_scenario(SCENARIOS / "c2.scn")
+    carriers = tuple(
+        dataclasses.replace(c, link_delay_ms=3000) if c.id == "cn-a" else c for c in s.carriers
+    )
+    report = run_scenario(dataclasses.replace(s, carriers=carriers), tmp_path)
+    text = (tmp_path / "c2.trace.jsonl").read_text(encoding="utf-8")
+    rows = [json.loads(line) for line in text.splitlines()]
+    cancels = [
+        row for row in rows
+        if row["dir"] == "egress" and row["from_hop"] == f"ep:{B}"
+        and row["sip"].startswith("CANCEL ")
+    ]
+    assert len(cancels) == 1
+    assert report.verdict.features.timed_out and report.sim_ms == 29150
+
+
 def test_verify_before_the_loop_runs_is_never_legit():
     # A's phone is dialing B, so a run would judge this callback Legit;
     # before the run only the INVITE is on the leg.
@@ -415,7 +453,7 @@ def test_launch_traces_are_transaction_legal():
             for e in trace
             if e.direction is Direction.INGRESS
             and e.message.is_response
-            and e.message.cseq[1] is SipMethod.INVITE
+            and e.message.method is SipMethod.INVITE
         ]
         assert pattern.match(",".join(map(str, codes))), codes
 
@@ -616,6 +654,12 @@ def test_legs_name_the_offending_row():
     with pytest.raises(MalformedTraceRow) as info:
         legs_from_trace_rows(bad)
     assert info.value.index == 4 and "MalformedStartLine" in info.value.reason
+    # a direction that is not a Direction value, rather than a skipped row
+    upper = copy.deepcopy(rows)
+    upper[5]["dir"] = "EGRESS"
+    with pytest.raises(MalformedTraceRow) as info:
+        legs_from_trace_rows(upper)
+    assert info.value.index == 5 and "dir 'EGRESS' is not one of" in info.value.reason
     # the originator's first received response moved before its INVITE left
     invite_t = rows[0]["t_ms"]
     late = next(

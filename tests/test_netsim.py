@@ -294,15 +294,15 @@ def test_voicemail_answers_for_busy_subscriber():
 
 def test_leg_request_numbers_cseq_per_rfc3261():
     invite = SipMessage.request(SipMethod.INVITE, A, B, "leg-1", 7)
-    leg = LineLeg("leg-1", PhoneNumber(B), LegRole.CALLER, LegPhase.EARLY, invite)
+    leg = LineLeg(LegRole.CALLER, LegPhase.EARLY, invite)
     methods = [SipMethod.PRACK, SipMethod.ACK, SipMethod.BYE, SipMethod.CANCEL, SipMethod.PRACK]
     sent = [leg.request(m) for m in methods]
     # ACK and CANCEL reuse the INVITE's number; the others count up from 2
-    assert [m.cseq for m in sent] == [(2, SipMethod.PRACK), (7, SipMethod.ACK),
-                                      (3, SipMethod.BYE), (7, SipMethod.CANCEL),
-                                      (4, SipMethod.PRACK)]
+    assert [(m.seq, m.method) for m in sent] == [(2, SipMethod.PRACK), (7, SipMethod.ACK),
+                                                 (3, SipMethod.BYE), (7, SipMethod.CANCEL),
+                                                 (4, SipMethod.PRACK)]
     for m in sent:
-        assert (m.method, m.from_number, m.to_number, m.call_id) == (m.cseq[1], A, B, "leg-1")
+        assert (m.from_number, m.to_number, m.call_id) == (A, B, "leg-1")
         assert m.is_request and not m.extra_headers and m.body == ""
 
 
@@ -342,7 +342,7 @@ def test_held_line_with_a_ringing_call_is_busy_to_a_further_invite():
     net.run_until_quiescent()
     to_b, to_e = (
         [m.status.code for _, m in sip_rows(rows_with(net, dir="ingress", to_hop=f"ep:{n}"))
-         if m.is_response and m.cseq[1] is SipMethod.INVITE]
+         if m.is_response and m.method is SipMethod.INVITE]
         for n in (B, E)
     )
     assert to_b == [100, 183, 180, 487]
@@ -363,7 +363,7 @@ def assert_conserved(rows):
             continue
         if msg.method in (SipMethod.ACK, SipMethod.PRACK):
             continue
-        finals_needed.append((row["from_hop"], msg.call_id, msg.cseq))
+        finals_needed.append((row["from_hop"], msg.call_id, (msg.seq, msg.method)))
     assert finals_needed, "nothing happened on the wire"
     for sender, call_id, cseq in finals_needed:
         answered = any(
@@ -371,7 +371,7 @@ def assert_conserved(rows):
             and row["to_hop"] == sender
             and msg.is_response
             and msg.call_id == call_id
-            and msg.cseq == cseq
+            and (msg.seq, msg.method) == cseq
             and msg.status.code >= 200
             for row, msg in parsed
         )
@@ -636,6 +636,6 @@ def test_random_federations_pair_rows_repeat_and_police_spoofs(carriers, homes, 
             closed.add(msg.call_id)
     assert len(invited) == len(originations) and invited <= closed
     assert not [
-        leg.call_id for line in net.lines.values() for leg in line.legs.values()
+        call_id for line in net.lines.values() for call_id, leg in line.legs.items()
         if leg.phase is LegPhase.EARLY
     ]

@@ -116,6 +116,19 @@ def test_genuine_call_from_a_held_line_is_legit(tmp_path, cw, vm):
     assert report.match is True
 
 
+def test_final_response_stops_the_callers_patience_timer():
+    # B is on a call with E and has no features, so A's INVITE gets 486 at
+    # 150 ms; A's 20 s patience timer must not keep the run going.
+    s = load_scenario(SCENARIOS / "c1.scn")
+    parties = tuple(
+        dataclasses.replace(p, state="connected", peer="+15559900")
+        if p.number == s.origination.target else p
+        for p in s.parties
+    )
+    report = run_scenario(dataclasses.replace(s, parties=parties), cive_enabled=False)
+    assert report.verdict is None and report.sim_ms == 150
+
+
 def test_run_c2_spoofed_idle(tmp_path):
     report = run_scenario(load_scenario(SCENARIOS / "c2.scn"), tmp_path)
     assert report.verdict.decision is Decision.SPOOFED
@@ -623,6 +636,13 @@ def test_cli_parse_message_outside_profile(tmp_path, capsys):
     rows[6]["sip"] = "HELLO sip:+15550100\nCall-ID: x\n\n"
     err = _parse_fails(tmp_path, capsys, [json.dumps(row) for row in rows])
     assert "bad.trace.jsonl:7: MalformedStartLine: " in err
+
+
+def test_cli_parse_unknown_direction(tmp_path, capsys):
+    golden = (REPO / "tests" / "golden" / "c2.trace.jsonl").read_text(encoding="utf-8")
+    lines = golden.replace('"dir": "egress"', '"dir": "EGRESS"').splitlines()
+    err = _parse_fails(tmp_path, capsys, lines)
+    assert "bad.trace.jsonl:1: dir 'EGRESS' is not one of ['egress', 'ingress']" in err
 
 
 def test_cli_parse_leg_out_of_order(tmp_path, capsys):
