@@ -7,9 +7,7 @@ from .sip_core import (
     PhoneNumber,
     SipMessage,
     SipMethod,
-    StatusClass,
     StatusCode,
-    classify_status,
     parse_message,
     serialize_message,
 )
@@ -36,7 +34,6 @@ from .netsim import (
 from .cive import (
     Decision,
     FeatureVector,
-    IncomingCallContext,
     InferredState,
     SignalingTrace,
     Verdict,

@@ -14,6 +14,10 @@ end's true call state leaks through that signaling:
 If the inferred state is anything a genuine caller cannot be in while B's
 phone rings, the claimed ID is judged spoofed. Inference failures are
 never judged legitimate.
+
+The verifier reads what it needs off the ringing INVITE itself: its To is
+the callee B, its From the claimed number. ``infer_state`` is the one scan
+of the rule table ``_RULES``.
 """
 
 from __future__ import annotations
@@ -73,14 +77,6 @@ if COLLISION_ANSWER_MS >= CAPTURE_GRACE_MS:
         f"collision auto-answer ({COLLISION_ANSWER_MS} ms) must be shorter than "
         f"the capture grace ({CAPTURE_GRACE_MS} ms)"
     )
-
-
-@dataclass(frozen=True)
-class IncomingCallContext:
-    """What B knows about the suspicious incoming call when it rings."""
-
-    claimed_id: PhoneNumber
-    callee: PhoneNumber
 
 
 class TraceEntry(NamedTuple):
@@ -268,33 +264,20 @@ _RULES: tuple[tuple[Callable[[FeatureVector], bool], InferredState, Decision, st
 _VERDICT = {state: (decision, reason) for _, state, decision, reason in _RULES}
 
 
-def classify(features: FeatureVector) -> tuple[InferredState, Decision, str]:
-    """Total and pure: the inferred far-end state, its decision and the
-    reason, from the first rule in ``_RULES`` that matches."""
-    return next(
-        (state, decision, reason)
-        for matches, state, decision, reason in _RULES
-        if matches(features)
-    )
-
-
 def infer_state(features: FeatureVector) -> InferredState:
-    """The far end's call state inferred from the feature vector."""
-    return classify(features)[0]
+    """Total and pure: the far end's call state, from the first rule in
+    ``_RULES`` that matches the feature vector."""
+    return next(state for matches, state, _, _ in _RULES if matches(features))
 
 
-def decide(
-    ctx: IncomingCallContext,
-    inferred: InferredState,
-    features: FeatureVector,
-) -> Verdict:
-    """The verdict for an inferred far-end state while the inCall rings,
-    when a genuine caller must be dialing the callee."""
+def decide(callee: PhoneNumber, inferred: InferredState, features: FeatureVector) -> Verdict:
+    """The verdict for an inferred far-end state while the inCall rings at
+    ``callee``, when a genuine caller must be dialing the callee."""
     decision, reason = _VERDICT[inferred]
     return Verdict(
         decision=decision,
         inferred=inferred,
-        expected=f"dialing toward {ctx.callee}",
+        expected=f"dialing toward {callee}",
         reason=reason,
         features=features,
     )
@@ -313,12 +296,11 @@ class _VerifierAgent:
     still pending, just ACK after a non-2xx final.
     """
 
-    def __init__(self, net: Federation, ctx: IncomingCallContext, line: PhoneLine):
+    def __init__(self, net: Federation, line: PhoneLine, claimed: PhoneNumber):
         self.net = net
-        self.ctx = ctx
         self.hop, self.carrier, self.number = line.hop, line.carrier, line.number
         self.trace = SignalingTrace()
-        invite = SipMessage.request(SipMethod.INVITE, ctx.callee, ctx.claimed_id, net.new_call_id())
+        invite = SipMessage.request(SipMethod.INVITE, line.number, claimed, net.new_call_id())
         self.leg = LineLeg(LegRole.CALLER, LegPhase.EARLY, invite)
         self.final: StatusCode | None = None
         self.sent_cancel = False
@@ -395,21 +377,24 @@ class _VerifierAgent:
             self._send(self.leg.request(SipMethod.CANCEL))
 
 
-def launch_verification(net: Federation, ctx: IncomingCallContext) -> _VerifierAgent:
-    """Place the auCall: start a verifier agent on the callee's line.
+def launch_verification(net: Federation, in_call: SipMessage) -> _VerifierAgent:
+    """Place the auCall for the ringing INVITE ``in_call``.
 
-    The agent sends its INVITE now and runs as an ordinary hop of the
-    federation's event loop; it stays on the line as ``PhoneLine.verifier``.
-    Hand it to verify_incoming once the loop has run. Raises CiveError for
-    an unregistered callee, and LineBusy when a verification is already
+    The callee is the INVITE's To and the claimed caller its From. A
+    verifier agent starts on the callee's line: it sends its INVITE to the
+    claimed number now and runs as an ordinary hop of the federation's
+    event loop; it stays on the line as ``PhoneLine.verifier``. Hand it to
+    verify_incoming once the loop has run. Raises CiveError for an
+    unregistered callee, and LineBusy when a verification is already
     running on this callee's line.
     """
-    line = net.lines.get(ctx.callee)
+    callee = in_call.to_number
+    line = net.lines.get(callee)
     if line is None:
-        raise CiveError(f"callee {ctx.callee} is not registered")
+        raise CiveError(f"callee {callee} is not registered")
     if line.verifier is not None and not line.verifier.done:
-        raise LineBusy(f"{ctx.callee} already has a verification in flight")
-    agent = line.verifier = _VerifierAgent(net, ctx, line)
+        raise LineBusy(f"{callee} already has a verification in flight")
+    agent = line.verifier = _VerifierAgent(net, line, in_call.from_number)
     agent.start()
     return agent
 
@@ -421,7 +406,7 @@ def verify_incoming(agent: _VerifierAgent) -> Verdict:
     ``agent.trace``.
     """
     features = extract_features(agent.trace)
-    return decide(agent.ctx, infer_state(features), features)
+    return decide(agent.number, infer_state(features), features)
 
 
 # The ``dir`` string of a trace row -> its Direction.

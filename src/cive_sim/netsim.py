@@ -178,7 +178,8 @@ class PhoneLine:
         """Install an initial state as one synthetic backing leg.
 
         Preset legs exist only as local bookkeeping; no signaling is
-        replayed for them.
+        replayed for them. A line cannot be on a call with its own number,
+        so a peer or target equal to it raises ValueError.
         """
         if isinstance(state, Idle):
             return
@@ -186,6 +187,8 @@ class PhoneLine:
         if phase is None:
             raise ValueError(f"cannot preset state {state!r}")
         peer = state.target if isinstance(state, Dialing) else state.peer  # type: ignore[attr-defined]
+        if peer == self.number:
+            raise ValueError(f"{self.number} cannot be on a call with itself")
         call_id = f"preset-{self.number}-{len(self.legs)}"
         invite = SipMessage.request(SipMethod.INVITE, self.number, peer, call_id)
         self.legs[call_id] = LineLeg(LegRole.CALLER, phase, invite)
@@ -322,7 +325,6 @@ class Federation:
     """
 
     def __init__(self, seed: int = 0):
-        self.seed = seed
         self.rng = random.Random(seed)
         self.now = 0
         self.carriers: dict[str, CarrierNetwork] = {}
@@ -515,14 +517,14 @@ class Federation:
     def trace_jsonl(self) -> str:
         """The trace as JSON lines, byte for byte what ``json.dumps(row)`` gives.
 
-        Lines are built from the fixed field order; each distinct string is
-        escaped once, since an egress row and its ingress row share the same
-        wire text. ``TRACE_LINE_RE`` is the inverse of this layout.
+        Lines are built from the fixed field order, each string escaped as
+        ``json.dumps`` escapes it. ``TRACE_LINE_RE`` is the inverse of this
+        layout.
         """
-        q = _Quoted()
+        q = encode_basestring_ascii
         return "".join(
-            f'{{"t_ms": {r["t_ms"]}, "carrier": {q[r["carrier"]]}, "from_hop": {q[r["from_hop"]]}, '
-            f'"to_hop": {q[r["to_hop"]]}, "dir": {q[r["dir"]]}, "sip": {q[r["sip"]]}}}\n'
+            f'{{"t_ms": {r["t_ms"]}, "carrier": {q(r["carrier"])}, "from_hop": {q(r["from_hop"])}, '
+            f'"to_hop": {q(r["to_hop"])}, "dir": {q(r["dir"])}, "sip": {q(r["sip"])}}}\n'
             for r in self.trace
         )
 
@@ -548,14 +550,6 @@ def write_file(path: str | Path, text: str) -> None:
         os.ftruncate(fd, written)
     finally:
         os.close(fd)
-
-
-class _Quoted(dict):
-    """Memo of JSON string literals, as ``json.dumps`` writes them."""
-
-    def __missing__(self, text: str) -> str:
-        quoted = self[text] = encode_basestring_ascii(text)
-        return quoted
 
 
 # The exact inverse of one trace_jsonl line, for readers that take such a

@@ -50,12 +50,7 @@ import yaml
 
 from . import cive
 from .call_fsm import CalleeProfile, Connected, Dialing, Held
-from .cive import (
-    Decision,
-    IncomingCallContext,
-    Verdict,
-    verify_incoming,
-)
+from .cive import Decision, Verdict, verify_incoming
 from .netsim import Federation, GatewayPolicy, PhoneLine, write_file
 from .sip_core import PhoneNumber
 
@@ -154,6 +149,8 @@ class Scenario:
                     raise ScenarioValidationError(f"party {p.number}: state {p.state} needs a peer")
                 if p.peer not in registered:
                     raise ScenarioValidationError(f"party {p.number}: peer {p.peer} not registered")
+                if p.peer == p.number:
+                    raise ScenarioValidationError(f"party {p.number}: peer {p.peer} is its own number")
         o = self.origination
         for role, num in (("originator", o.originator), ("claimed", o.claimed), ("target", o.target)):
             if num not in registered:
@@ -359,8 +356,7 @@ def run_scenario(
 
     def on_ring(invite):
         target_line.ring_hook = None  # only the first ring is verified
-        ctx = IncomingCallContext(claimed_id=invite.from_number, callee=target_line.number)
-        cive.launch_verification(net, ctx)
+        cive.launch_verification(net, invite)
 
     if s.cive_enabled:
         target_line.ring_hook = on_ring

@@ -117,13 +117,6 @@ class AlertUrn(str, Enum):
     RECALL_TRANSFER = "recall:transfer"
 
 
-class StatusClass(str, Enum):
-    PROVISIONAL = "provisional"
-    SUCCESS = "success"
-    REDIRECT = "redirect"
-    CLIENT_FAILURE = "client-failure"
-
-
 # The only response codes this profile knows. Everything else is rejected at
 # parse/construction time so downstream state inference stays total.
 CANONICAL_REASON: dict[int, str] = {
@@ -158,9 +151,6 @@ class StatusCode:
         if not self.reason:
             object.__setattr__(self, "reason", CANONICAL_REASON[self.code])
 
-    def __str__(self) -> str:
-        return f"{self.code} {self.reason}"
-
 
 # One shared StatusCode per code of the closed set, with its canonical phrase.
 STATUS: dict[int, StatusCode] = {code: StatusCode(code) for code in CANONICAL_REASON}
@@ -174,22 +164,6 @@ def _status(status: StatusCode | int) -> StatusCode:
     if isinstance(status, StatusCode):
         return status
     return STATUS.get(status) or StatusCode(status)
-
-
-def classify_status(status: StatusCode | int) -> StatusClass:
-    """Map a closed-set status code onto its class.
-
-    Total on exactly the eleven known codes; anything else raises
-    ``UnknownStatusCode`` (via StatusCode construction).
-    """
-    code = _status(status).code
-    if 100 <= code < 200:
-        return StatusClass.PROVISIONAL
-    if code == 200:
-        return StatusClass.SUCCESS
-    if code == 301:
-        return StatusClass.REDIRECT
-    return StatusClass.CLIENT_FAILURE
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ import cive_sim.sip_core
 from cive_sim import call_fsm, cive
 from cive_sim.call_fsm import CalleeProfile, Connected, Dialing
 from cive_sim.cive import (
+    CiveError,
     Decision,
     EmptyTrace,
     FeatureVector,
-    IncomingCallContext,
     InferredState,
     LineBusy,
     MalformedTraceRow,
@@ -56,8 +56,9 @@ B = PhoneNumber("+15550101")
 INVITE = SipMessage.request(SipMethod.INVITE, B, A, "au-1")
 
 
-def ctx():
-    return IncomingCallContext(claimed_id=A, callee=B)
+def ringing(claimed=A):
+    """An INVITE ringing at B that claims to come from ``claimed``."""
+    return SipMessage.request(SipMethod.INVITE, claimed, B, "in-1")
 
 
 def trace_of(*steps, timed_out=False):
@@ -227,7 +228,7 @@ DECISION_TABLE = [
 @pytest.mark.parametrize("inferred,expected", DECISION_TABLE)
 def test_decision_table(inferred, expected):
     features = FeatureVector()
-    verdict = decide(ctx(), inferred, features)
+    verdict = decide(B, inferred, features)
     assert verdict.decision is expected
     assert verdict.inferred is inferred
     assert verdict.expected == f"dialing toward {B}"
@@ -239,7 +240,7 @@ def test_each_state_comes_from_one_rule_and_decide_names_it():
     states = [state for _, state, _, _ in cive._RULES]
     assert len(set(states)) == len(states) == len(InferredState)
     for number, state in enumerate(states, 1):
-        reason = decide(ctx(), state, FeatureVector()).reason
+        reason = decide(B, state, FeatureVector()).reason
         assert reason.startswith(f"rule {number}: "), (state, reason)
 
 
@@ -252,10 +253,10 @@ def test_verdict_invariants():
         Verdict(Decision.SPOOFED, InferredState.UNKNOWN, "x", "r", FeatureVector())
 
 
-def _verify(net, context):
+def _verify(net, in_call):
     """Launch a verification, run the federation to quiescence, and return
     the verdict with the leg it judged."""
-    agent = launch_verification(net, context)
+    agent = launch_verification(net, in_call)
     net.run_until_quiescent()
     return verify_incoming(agent), agent.trace
 
@@ -277,25 +278,35 @@ def test_launch_line_busy_while_in_flight():
     stuck = Stuck()
     net.lines[B].verifier = stuck
     with pytest.raises(LineBusy):
-        launch_verification(net, ctx())
+        launch_verification(net, ringing())
     # Once it is done, a new verifier replaces it on the line and is routed
     # as B's endpoint.
     stuck.done = True
-    verdict, trace = _verify(net, ctx())
+    verdict, trace = _verify(net, ringing())
     assert net.lines[B].verifier is not stuck
     assert verdict.decision is Decision.SPOOFED and verdict.inferred is InferredState.IDLE
     assert not trace.timed_out
 
 
+def test_launch_for_an_unregistered_callee_raises_and_leaves_no_trace():
+    net = _federation()
+    unknown = PhoneNumber("+19990001111")
+    with pytest.raises(CiveError, match="is not registered") as raised:
+        launch_verification(net, SipMessage.request(SipMethod.INVITE, A, unknown, "in-1"))
+    assert type(raised.value) is CiveError
+    assert net.trace == []
+    assert all(line.verifier is None for line in net.lines.values())
+
+
 def test_launch_sends_the_invite_and_leaves_the_loop_to_the_caller():
     net = _federation()
-    agent = launch_verification(net, ctx())
+    agent = launch_verification(net, ringing())
     assert net.now == 0 and not agent.done
     assert [(r["dir"], r["from_hop"]) for r in net.trace] == [("egress", f"ep:{B}")]
     # A launch no longer blocks, so a second one before the loop runs finds
     # the first still in flight.
     with pytest.raises(LineBusy):
-        launch_verification(net, ctx())
+        launch_verification(net, ringing())
     net.run_until_quiescent()
     verdict = verify_incoming(agent)
     assert agent.done
@@ -310,11 +321,11 @@ def test_two_verifications_in_turn_on_one_callee_line():
     net.add_carrier("cn-b", GatewayPolicy(link_delay_ms=30))
     line_a = net.register_subscriber("cn-a", A)
     net.register_subscriber("cn-b", B)
-    first, first_trace = _verify(net, ctx())
+    first, first_trace = _verify(net, ringing())
     first_agent = net.lines[B].verifier
     rows_before = len(net.trace)
     line_a.preset_state(Dialing(B))
-    second, second_trace = _verify(net, ctx())
+    second, second_trace = _verify(net, ringing())
     assert net.lines[B].verifier is not first_agent
     assert first.decision is Decision.SPOOFED and first.inferred is InferredState.IDLE
     assert second.decision is Decision.LEGIT
@@ -330,7 +341,7 @@ def test_two_verifications_in_turn_on_one_callee_line():
 
 def test_verify_idle_target_infers_idle():
     net = _federation()
-    verdict, trace = _verify(net, ctx())
+    verdict, trace = _verify(net, ringing())
     assert verdict.decision is Decision.SPOOFED
     assert verdict.inferred is InferredState.IDLE
     assert trace.entries[0].message.method is SipMethod.INVITE
@@ -342,7 +353,7 @@ def test_verify_unroutable_claimed_is_inconclusive():
     net.add_carrier("cn-a")
     net.register_subscriber("cn-a", B)
     unknown = PhoneNumber("+19990001111")
-    verdict, trace = _verify(net, IncomingCallContext(claimed_id=unknown, callee=B))
+    verdict, trace = _verify(net, ringing(unknown))
     kinds = [
         e.message.method.value if e.message.is_request else e.message.status.code
         for e in trace
@@ -356,7 +367,7 @@ def test_verify_unroutable_claimed_is_inconclusive():
 def test_verify_times_out_when_the_queue_drains_before_the_leg_ends():
     net = _federation()
     net.lines[A].handle_message = lambda msg: None  # A answers nothing
-    verdict, trace = _verify(net, ctx())
+    verdict, trace = _verify(net, ringing())
     assert verdict.decision is Decision.INCONCLUSIVE
     assert verdict.inferred is InferredState.UNREACHABLE
     assert trace.timed_out and verdict.features.timed_out
@@ -392,7 +403,7 @@ def test_verify_before_the_loop_runs_is_never_legit():
     # before the run only the INVITE is on the leg.
     net = _federation()
     net.lines[A].preset_state(Dialing(B))
-    agent = launch_verification(net, ctx())
+    agent = launch_verification(net, ringing())
     verdict, trace = verify_incoming(agent), agent.trace
     assert verdict.decision is Decision.INCONCLUSIVE
     assert verdict.inferred is InferredState.UNREACHABLE
@@ -403,7 +414,7 @@ def test_verify_connected_no_features_is_busy():
     net = _federation()
     net.register_subscriber("cn-a", "+15550102")
     net.lines[A].preset_state(Connected(PhoneNumber("+15550102")))
-    verdict, trace = _verify(net, ctx())
+    verdict, trace = _verify(net, ringing())
     assert verdict.inferred is InferredState.BUSY_NO_WAITING
     assert verdict.decision is Decision.SPOOFED
     f = verdict.features
@@ -415,7 +426,7 @@ def test_verify_voicemail_forward_detected():
     net = _federation(voicemail_forward=True)
     net.register_subscriber("cn-a", "+15550102")
     net.lines[A].preset_state(Connected(PhoneNumber("+15550102")))
-    verdict, trace = _verify(net, ctx())
+    verdict, trace = _verify(net, ringing())
     assert verdict.inferred is InferredState.FORWARDED_TO_VOICEMAIL
     assert verdict.features.saw_181
     assert verdict.features.teardown is SipMethod.BYE
@@ -446,7 +457,7 @@ def test_launch_traces_are_transaction_legal():
         net.register_subscriber("cn-a", "+15550102")
         if preset is not None:
             net.lines[A].preset_state(preset)
-        variants.append(_verify(net, ctx())[1])
+        variants.append(_verify(net, ringing())[1])
     for trace in variants:
         codes = [
             e.message.status.code
@@ -456,6 +467,26 @@ def test_launch_traces_are_transaction_legal():
             and e.message.method is SipMethod.INVITE
         ]
         assert pattern.match(",".join(map(str, codes))), codes
+
+
+def test_capture_grace_runs_from_the_first_180_with_early_media():
+    # With jitter the 183 and the 180 reach B at different instants; the
+    # grace CANCEL must be timed from the 180, whichever arrives first.
+    for seed in range(4):
+        net = Federation(seed=seed)
+        net.add_carrier("cn-a", GatewayPolicy(jitter_ms=100))
+        net.register_subscriber("cn-a", A)
+        net.register_subscriber("cn-a", B)
+        _, trace = _verify(net, ringing())
+        received = {
+            e.message.status.code: e.t_ms
+            for e in reversed(trace.entries)
+            if e.direction is Direction.INGRESS and e.message.is_response
+        }
+        (cancel,) = [e.t_ms for e in trace if e.message.method is SipMethod.CANCEL
+                     and e.direction is Direction.EGRESS]
+        assert received[183] != received[180], seed
+        assert cancel == received[180] + cive.CAPTURE_GRACE_MS, seed
 
 
 def test_collision_answer_lands_inside_capture_grace():
@@ -475,9 +506,7 @@ def _race(cw, d_ms):
     def on_ring(invite):
         line_b.ring_hook = None
         rung["call_id"] = invite.call_id
-        rung["agent"] = launch_verification(
-            net, IncomingCallContext(claimed_id=invite.from_number, callee=B)
-        )
+        rung["agent"] = launch_verification(net, invite)
 
     line_b.ring_hook = on_ring
     net.originate_call(A, net.lines[A], B, at_ms=1000)
@@ -533,7 +562,7 @@ def test_spoofed_single_origination_is_never_legit(a_state, cw, vm, links, seed)
 
 def test_legs_from_trace_rows_round_trip(tmp_path, monkeypatch):
     net = _federation()
-    verdict, trace = _verify(net, ctx())
+    verdict, trace = _verify(net, ringing())
     rows = [json.loads(line) for line in net.trace_jsonl().splitlines()]
     legs = legs_from_trace_rows(rows)
     au = [t for cid, obs, t in legs if obs == f"ep:{B}"]

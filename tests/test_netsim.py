@@ -329,6 +329,15 @@ def test_preset_state_installs_one_backing_leg_per_state():
         assert net.trace == []  # presets replay no signaling
 
 
+def test_preset_state_refuses_a_call_with_the_lines_own_number():
+    net = two_carrier_fed()
+    a = net.lines[PhoneNumber(A)]
+    for state in (Dialing(a.number), Connected(a.number), Held(a.number)):
+        with pytest.raises(ValueError, match="cannot be on a call with itself"):
+            a.preset_state(state)
+    assert a.legs == {} and a.state == Idle()
+
+
 def test_held_line_with_a_ringing_call_is_busy_to_a_further_invite():
     # A line holding a call, whose call-waiting call from B still rings,
     # reads as ringing: E's INVITE gets 486, not a second alert.

@@ -339,7 +339,7 @@ def test_cli_matrix_exit_code_is_one_for_any_outright_mismatch(monkeypatch, caps
 
     def scripted_verify(agent):
         verdict = cive.verify_incoming(agent)
-        return cive.decide(agent.ctx, next(scripted), verdict.features)
+        return cive.decide(agent.number, next(scripted), verdict.features)
 
     monkeypatch.setattr(cive_sim.scenario, "matrix_scenarios", lambda: cells)
     monkeypatch.setattr(cive_sim.scenario, "verify_incoming", scripted_verify)
@@ -406,14 +406,20 @@ def test_cli_non_integer_value_is_bad_input(tmp_path, capsys, old, new):
 
 def test_cli_self_call_is_bad_input(tmp_path, capsys):
     # A line calling its own number would put both of its legs under one
-    # Call-ID, and the callback would find the line busy with itself.
-    path = _c1_with(tmp_path, 'target: "+15550101"', 'target: "+15550100"')
-    with pytest.raises(ScenarioValidationError, match="is its own originator"):
-        load_scenario(path)
-    assert cli.main(["run", str(path)]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    # Call-ID, and the callback would find the line busy with itself; a
+    # party preset on a call with its own number is the same impossible state.
+    for old, new, message in (
+        ('target: "+15550101"', 'target: "+15550100"', "is its own originator"),
+        ("state: idle\n", 'state: connected\n    peer: "+15550100"\n',
+         r"party \+15550100: peer \+15550100 is its own number"),
+    ):
+        path = _c1_with(tmp_path, old, new)
+        with pytest.raises(ScenarioValidationError, match=message):
+            load_scenario(path)
+        assert cli.main(["run", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cli_number_with_trailing_newline_is_bad_input(tmp_path, capsys):

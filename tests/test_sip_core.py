@@ -18,13 +18,11 @@ from cive_sim.sip_core import (
     PhoneNumber,
     SipMessage,
     SipMethod,
-    StatusClass,
     StatusCode,
     UnknownMethod,
     UnknownStatusCode,
     _parse_canonical,
     _parse_general,
-    classify_status,
     parse_message,
     serialize_message,
 )
@@ -201,32 +199,6 @@ def test_generated_round_trip_1000():
         text = serialize_message(msg)
         assert parse_message(text) == msg
         assert serialize_message(parse_message(text)) == text
-
-
-def test_classify_all_eleven_codes():
-    expected = {
-        100: StatusClass.PROVISIONAL,
-        180: StatusClass.PROVISIONAL,
-        181: StatusClass.PROVISIONAL,
-        182: StatusClass.PROVISIONAL,
-        183: StatusClass.PROVISIONAL,
-        200: StatusClass.SUCCESS,
-        301: StatusClass.REDIRECT,
-        480: StatusClass.CLIENT_FAILURE,
-        481: StatusClass.CLIENT_FAILURE,
-        486: StatusClass.CLIENT_FAILURE,
-        487: StatusClass.CLIENT_FAILURE,
-    }
-    assert set(expected) == set(CANONICAL_REASON)
-    for code, cls in expected.items():
-        assert classify_status(code) is cls
-        assert classify_status(StatusCode(code)) is cls
-
-
-def test_classify_rejects_outside_closed_set():
-    for code in (0, 101, 302, 404, 488, 500, 503):
-        with pytest.raises(UnknownStatusCode):
-            classify_status(code)
 
 
 def test_status_reason_defaults_canonical():

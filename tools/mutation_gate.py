@@ -1,0 +1,167 @@
+"""Mutation gate for the verdict path.
+
+Each mutant in ``MUTANTS`` replaces one exact source snippet of
+``src/cive_sim``. For each one the script copies ``src/`` to a temporary
+directory, applies the mutant to the copy (never to the checkout), and runs
+the tier-1 suite against it as ``pytest -q -x -p no:cacheprovider`` with
+``PYTHONPATH`` set to the copy. A mutant is killed when the suite fails.
+The unmutated copy runs first and must pass.
+
+    python tools/mutation_gate.py
+
+Prints one line per mutant, then ``killed K of N``. Exits 1 when a mutant
+that is not in ``EQUIVALENT`` survives, or when one that is gets killed,
+and 2 when a snippet is not found exactly once or the gate cannot run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name under src/cive_sim
+    old: str
+    new: str
+
+
+MUTANTS = (
+    Mutant("cancel-sent-twice", "cive.py",
+           "if self.final is None and not self.sent_cancel:",
+           "if self.final is None:"),
+    Mutant("teardown-prefers-cancel", "cive.py",
+           "(SipMethod.BYE, SipMethod.CANCEL) if m in sent",
+           "(SipMethod.CANCEL, SipMethod.BYE) if m in sent"),
+    Mutant("patience-outlives-final", "netsim.py",
+           "self.net.cancel_timer(leg.patience_timer)\n                leg.patience_timer = None",
+           "leg.patience_timer = None"),
+    Mutant("grace-armed-on-183", "cive.py",
+           "elif code == 180 and msg.pem is not None",
+           "if code == 183 and msg.pem is not None"),
+    Mutant("busy-rule-scanned-last", "cive.py",
+           "for matches, state, _, _ in _RULES if",
+           "for matches, state, _, _ in _RULES[1:] + _RULES[:1] if"),
+    Mutant("line-busy-inverted", "cive.py",
+           "if line.verifier is not None and not line.verifier.done:",
+           "if line.verifier is not None and line.verifier.done:"),
+    Mutant("decide-gets-claimed-number", "cive.py",
+           "decide(agent.number, ",
+           "decide(agent.leg.invite.to_number, "),
+    Mutant("sip-field-unescaped", "netsim.py",
+           '"sip": {q(r["sip"])}}}',
+           '"sip": "{r["sip"]}"}}'),
+    Mutant("first-180-overwritten", "cive.py",
+           "if code == 180 and not saw_180:",
+           "if code == 180:"),
+    Mutant("any-dialing-phone-collides", "call_fsm.py",
+           "isinstance(state, Dialing) and state.target == invite.from_number",
+           "isinstance(state, Dialing)"),
+    Mutant("policy-checks-to-header", "netsim.py",
+           "auth is not None and msg.from_number != auth",
+           "auth is not None and msg.to_number != auth"),
+    Mutant("cancelled-timers-fire", "netsim.py",
+           "if event.cancelled:",
+           "if False:"),
+    Mutant("preset-self-peer-allowed", "netsim.py",
+           "if peer == self.number:",
+           "if False:"),
+    Mutant("scenario-self-peer-allowed", "scenario.py",
+           "if p.peer == p.number:",
+           "if False:"),
+)
+
+# Mutants no test can kill because they change no observable behaviour,
+# each with the reason: name -> reason.
+EQUIVALENT: dict[str, str] = {}
+
+# Run in the child: refuse to test anything but the copy (exit 99, which
+# pytest never uses), then run tier-1.
+_CHILD = """\
+import sys
+from pathlib import Path
+import cive_sim
+copy = Path(sys.argv[1]).resolve()
+if copy not in Path(cive_sim.__file__).resolve().parents:
+    print(f"cive_sim was imported from {cive_sim.__file__}, not from {copy}")
+    sys.exit(99)
+import pytest
+sys.exit(pytest.main(["-q", "-x", "-p", "no:cacheprovider", sys.argv[2]]))
+"""
+
+
+def _fail(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _apply(src: str, mutant: Mutant) -> str:
+    count = src.count(mutant.old)
+    if count != 1:
+        _fail(f"mutant {mutant.name}: snippet found {count} times in {mutant.module}, "
+              "expected exactly once")
+    return src.replace(mutant.old, mutant.new)
+
+
+def _run_suite(mutant: Mutant | None) -> str:
+    """``killed``, ``survived`` or ``timeout`` for one mutant (None: no mutant)."""
+    with tempfile.TemporaryDirectory(prefix="mutation-gate-") as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(REPO / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            path = copy / "cive_sim" / mutant.module
+            path.write_text(_apply(path.read_text(encoding="utf-8"), mutant), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", _CHILD, str(copy), str(REPO / "tests")],
+                cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return "timeout"
+    if proc.returncode == 0:
+        return "survived"
+    if proc.returncode in (1, 2):  # tests failed, or the mutant broke collection
+        return "killed"
+    sys.stdout.write(proc.stdout[-2000:])
+    _fail(f"the suite exited {proc.returncode}, so the gate cannot judge "
+          f"{mutant.name if mutant else 'the unmutated copy'}")
+
+
+def main() -> int:
+    for mutant in MUTANTS:  # every snippet must match before anything runs
+        _apply((REPO / "src" / "cive_sim" / mutant.module).read_text(encoding="utf-8"), mutant)
+    if _run_suite(None) != "survived":
+        _fail("tier-1 fails without any mutant")
+    killed = 0
+    wrong = []
+    for mutant in MUTANTS:
+        outcome = _run_suite(mutant)
+        reason = EQUIVALENT.get(mutant.name)
+        if outcome == "survived":
+            if reason is None:
+                wrong.append(f"{mutant.name} survived")
+            print(f"survived  {mutant.name}" + (f" (equivalent: {reason})" if reason else ""))
+        else:
+            killed += 1
+            if reason is not None:
+                wrong.append(f"{mutant.name} is listed as equivalent but was killed")
+            print(f"{outcome:<9} {mutant.name}")
+    print(f"killed {killed} of {len(MUTANTS)}")
+    for line in wrong:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
