@@ -106,7 +106,7 @@ class LegPhase(str, Enum):
     HELD = "held"
 
 
-@dataclass
+@dataclass(slots=True)
 class LineLeg:
     """One call leg as an endpoint tracks it, with the INVITE that opened it.
 
@@ -119,8 +119,8 @@ class LineLeg:
     phase: LegPhase
     invite: SipMessage
     next_cseq: int = 2
-    auto_answer_timer: object | None = None  # pending netsim timers, for cancel_timer
-    patience_timer: object | None = None
+    auto_answer_timer: int | None = None  # pending netsim timers, for cancel_timer
+    patience_timer: int | None = None
 
     @property
     def peer(self) -> PhoneNumber:

@@ -305,8 +305,8 @@ class _VerifierAgent:
         self.final: StatusCode | None = None
         self.sent_cancel = False
         self.done = False
-        self.grace_timer: object | None = None  # pending timers, for cancel_timer
-        self.timeout_timer: object | None = None
+        self.grace_timer: int | None = None  # pending timers, for cancel_timer
+        self.timeout_timer: int | None = None
 
     def start(self) -> None:
         self.timeout_timer = self.net.set_timer(AU_CALL_TIMEOUT_MS, self._time_out)

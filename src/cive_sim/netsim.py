@@ -4,10 +4,11 @@ A Federation hosts one or more carriers, each with registered subscriber
 lines and a gateway policy. Messages move between hops (subscriber lines,
 per-carrier network cores, voicemail services) over links with fixed delay
 plus optional seeded jitter; events fire in (time, insertion order), so a
-given (scenario, seed) always produces byte-identical traces. Every queued
-event is a callback with its arguments: a timer calls the handler it was
-set with, and a delivery logs its ingress row and hands the message to the
-destination hop's ``handle_message(msg)``.
+given (scenario, seed) always produces byte-identical traces. The event
+queue is a heap of plain ``(at, seq, callback, args)`` tuples: a timer
+calls the handler it was set with, and a delivery logs its ingress row and
+hands the message to the destination hop's ``handle_message(msg)``. A timer
+is cancelled by its ``seq``, the handle ``set_timer`` returns.
 
 A hop is an object that routes itself: a subscriber line, a carrier's core
 or voicemail service, or a verifier speaking for a line. It carries its
@@ -97,9 +98,14 @@ class GatewayPolicy:
 
     def __post_init__(self) -> None:
         # A negative delay would run the clock backwards; a negative jitter
-        # has no draw range.
+        # has no draw range. A float would put a non-integer t_ms in the
+        # trace, which parse rejects; a bool is refused as the scenario
+        # loader refuses it.
         for key in ("link_delay_ms", "jitter_ms"):
-            if getattr(self, key) < 0:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{key} must be >= 0")
 
 
@@ -123,20 +129,6 @@ class Direction(str, Enum):
 
 
 @dataclass(slots=True)
-class _Event:
-    """A queued call of ``callback(*args)``: a timer or a message delivery.
-
-    The heap holds ``(at, seq, event)``, so ties on ``at`` break FIFO by
-    ``seq``. A mutable slotted record: one is built per message, so it
-    stays cheap, and cancelling a timer only sets ``cancelled``.
-    """
-
-    callback: Callable[..., None]
-    args: tuple
-    cancelled: bool = False
-
-
-@dataclass
 class _Dialog:
     uac: object  # the originating hop: a line or a verifier
     uas: object  # the answering hop: a line, a net core, or voicemail
@@ -317,6 +309,16 @@ class _CarrierService:
             self.net.send(self, SipMessage.reply(msg, self.code))
 
 
+def _draw_below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A draw in ``0..n-1``: the value and the bits ``Random.randrange(n)``
+    consumes, without its two Python frames."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class Federation:
     """The simulation: carriers, subscribers, router, clock and event queue.
 
@@ -332,8 +334,10 @@ class Federation:
         self.trace: list[dict] = []
         self.policy_violations: list[dict] = []
         self._dialogs: dict[str, _Dialog] = {}
-        self._heap: list[tuple[int, int, _Event]] = []
+        # (at, seq, callback, args): ties on ``at`` break FIFO by ``seq``.
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
+        self._cancelled: set[int] = set()  # seqs of cancelled timers still queued
         self._call_counter = 0
 
     # -- setup ----------------------------------------------------------------
@@ -354,17 +358,19 @@ class Federation:
     ) -> PhoneLine:
         """Register a number on a carrier; the number is its authenticated id.
 
-        Numbers are unique across the whole federation (no portability).
+        Numbers are unique across the whole federation (no portability). A
+        profile's number must equal ``number``; it is then the line's
+        number, and a ``PhoneNumber`` is not validated again.
         """
         if carrier_id not in self.carriers:
             raise NetsimError(f"no such carrier: {carrier_id}")
-        num = PhoneNumber(number)
+        if profile is None:
+            profile = CalleeProfile(number=PhoneNumber(number))
+        elif profile.number != number:
+            raise NetsimError("profile number must match the registered number")
+        num = PhoneNumber(profile.number)
         if num in self.lines:
             raise DuplicateNumber(f"{num} is already registered")
-        if profile is None:
-            profile = CalleeProfile(number=num)
-        elif profile.number != num:
-            raise NetsimError("profile number must match the registered number")
         line = self.lines[num] = PhoneLine(self, self.carriers[carrier_id], profile)
         return line
 
@@ -388,11 +394,16 @@ class Federation:
         originating carrier's policy decision, made when the INVITE hits
         the edge. An unroutable destination is answered 480 by the core.
         A line cannot call its own number: its caller and callee legs
-        would share one Call-ID.
+        would share one Call-ID. A registered number is taken from its line;
+        any other is validated.
         """
-        if self.lines.get(originator.number) is not originator:
+        lines = self.lines
+        if lines.get(originator.number) is not originator:
             raise UnknownSubscriber(f"{originator.number} is not registered here")
-        claimed, target = PhoneNumber(from_claimed), PhoneNumber(to)
+        line = lines.get(from_claimed)
+        claimed = PhoneNumber(from_claimed) if line is None else line.number
+        line = lines.get(to)
+        target = PhoneNumber(to) if line is None else line.number
         if target == originator.number:
             raise NetsimError(f"{target} cannot call itself")
         call_id = self.new_call_id()
@@ -442,20 +453,19 @@ class Federation:
         policy = src.policy
         delay = policy.link_delay_ms
         if policy.jitter_ms:
-            delay += self.rng.randrange(policy.jitter_ms + 1)
+            delay += _draw_below(self.rng.getrandbits, policy.jitter_ms + 1)
         if dst is not src:
             policy = dst.policy
             delay += policy.link_delay_ms
             if policy.jitter_ms:
-                delay += self.rng.randrange(policy.jitter_ms + 1)
+                delay += _draw_below(self.rng.getrandbits, policy.jitter_ms + 1)
         sip = serialize_message(msg)
         now = self.now
         from_hop = sender.hop
         self.trace.append({"t_ms": now, "carrier": src.id, "from_hop": from_hop,
                            "to_hop": dest.hop, "dir": "egress", "sip": sip})
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (now + delay, seq,
-                                    _Event(self._deliver, (dest, msg, from_hop, sip))))
+        heapq.heappush(self._heap, (now + delay, seq, self._deliver, (dest, msg, from_hop, sip)))
 
     def _deliver(self, dest, msg: SipMessage, from_hop: str, sip: str) -> None:
         """Log the ingress row of a message reaching its hop and hand it over."""
@@ -472,15 +482,16 @@ class Federation:
         self._dialogs[response.call_id].uas = carrier.voicemail
         self.send(carrier.voicemail, response)
 
-    def set_timer(self, delay_ms: int, callback: Callable[..., None], *args) -> _Event:
-        """Call ``callback(*args)`` ``delay_ms`` from now; returns the timer."""
+    def set_timer(self, delay_ms: int, callback: Callable[..., None], *args) -> int:
+        """Call ``callback(*args)`` ``delay_ms`` from now; returns the timer's
+        handle for ``cancel_timer``."""
         self._seq = seq = self._seq + 1
-        event = _Event(callback, args)
-        heapq.heappush(self._heap, (self.now + delay_ms, seq, event))
-        return event
+        heapq.heappush(self._heap, (self.now + delay_ms, seq, callback, args))
+        return seq
 
-    def cancel_timer(self, timer: _Event) -> None:
-        timer.cancelled = True
+    def cancel_timer(self, timer: int) -> None:
+        """Drop a queued timer; the handle of one that has fired changes nothing."""
+        self._cancelled.add(timer)
 
     # -- event loop ------------------------------------------------------------
 
@@ -491,21 +502,21 @@ class Federation:
         ``MAX_SIM_MS``, read at call time; returns the final simulated clock.
         """
         budget = MAX_SIM_MS
-        heap = self._heap
+        heap, cancelled, pop = self._heap, self._cancelled, heapq.heappop
         while heap:
-            at, _, event = heap[0]
-            if event.cancelled:
+            at, seq, callback, args = pop(heap)
+            if seq in cancelled:
                 # A cancelled timer neither advances the clock nor counts
                 # against the budget.
-                heapq.heappop(heap)
+                cancelled.discard(seq)
                 continue
             if at > budget:
+                heapq.heappush(heap, (at, seq, callback, args))  # left queued, as found
                 raise SimBudgetExceeded(
                     f"events still queued at t={at} ms, past the {budget} sim-ms budget"
                 )
-            heapq.heappop(heap)
             self.now = at
-            event.callback(*event.args)
+            callback(*args)
         return self.now
 
     def run_until_quiescent(self) -> int:

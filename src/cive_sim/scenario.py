@@ -366,7 +366,7 @@ def run_scenario(
         s.origination.target,
         at_ms=s.origination.at_ms,
     )
-    net.run_until_quiescent()
+    net.run()
     agent = target_line.verifier
     verdict = verify_incoming(agent) if agent is not None else None
 

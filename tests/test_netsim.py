@@ -244,27 +244,72 @@ def test_gateway_policy_rejects_negative_timing(key, value):
     assert getattr(GatewayPolicy(**{key: 0}), key) == 0
 
 
+@pytest.mark.parametrize("key", ["link_delay_ms", "jitter_ms"])
+@pytest.mark.parametrize("value", [2.5, 50.0, True, "50"])
+def test_gateway_policy_rejects_non_integer_timing(key, value):
+    # A float delay wrote a trace with a non-integer t_ms that parse
+    # rejected; a float jitter raised inside send, mid-run.
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+        GatewayPolicy(**{key: value})
+
+
 def test_jitter_draws_follow_the_seeded_randint_sequence():
     # Each link a message crosses draws randint(0, jitter_ms) from
     # Random(seed), source carrier first, in the order messages are sent.
-    net = Federation(seed=11)
-    net.add_carrier("cn-a", GatewayPolicy(jitter_ms=20))
-    net.add_carrier("cn-x", GatewayPolicy(link_delay_ms=30, jitter_ms=7))
-    net.register_subscriber("cn-a", B)
-    net.register_subscriber("cn-x", E)
-    net.originate_call(E, net.lines[PhoneNumber(E)], B)
-    net.run_until_quiescent()
-    arrivals = {(r["from_hop"], r["to_hop"], r["sip"]): r["t_ms"] for r in rows_with(net, dir="ingress")}
-    assert len(arrivals) == len(net.trace) // 2 > 4
-    rng = random.Random(11)
-    jitter = {"cn-a": 20, "cn-x": 7}
+    # The bounds include 1, 3, 7 and 1023, where jitter_ms + 1 is a power
+    # of two, and 8 and 1024, one more, where the draw rejects most often.
     base = {"cn-a": 50, "cn-x": 30}
-    for row in rows_with(net, dir="egress"):
-        other = "cn-x" if row["carrier"] == "cn-a" else "cn-a"
-        expected = base[row["carrier"]] + rng.randint(0, jitter[row["carrier"]])
-        expected += base[other] + rng.randint(0, jitter[other])
-        key = (row["from_hop"], row["to_hop"], row["sip"])
-        assert arrivals[key] - row["t_ms"] == expected, row
+    for seed, (ja, jx) in enumerate([(20, 7), (1, 3), (8, 1023), (1024, 7), (3, 8), (1, 1024)]):
+        net = Federation(seed=seed)
+        net.add_carrier("cn-a", GatewayPolicy(jitter_ms=ja))
+        net.add_carrier("cn-x", GatewayPolicy(link_delay_ms=30, jitter_ms=jx))
+        net.register_subscriber("cn-a", B)
+        net.register_subscriber("cn-x", E)
+        net.originate_call(E, net.lines[PhoneNumber(E)], B)
+        net.run_until_quiescent()
+        arrivals = {(r["from_hop"], r["to_hop"], r["sip"]): r["t_ms"]
+                    for r in rows_with(net, dir="ingress")}
+        assert len(arrivals) == len(net.trace) // 2 > 4
+        rng = random.Random(seed)
+        jitter = {"cn-a": ja, "cn-x": jx}
+        for row in rows_with(net, dir="egress"):
+            other = "cn-x" if row["carrier"] == "cn-a" else "cn-a"
+            expected = base[row["carrier"]] + rng.randint(0, jitter[row["carrier"]])
+            expected += base[other] + rng.randint(0, jitter[other])
+            key = (row["from_hop"], row["to_hop"], row["sip"])
+            assert arrivals[key] - row["t_ms"] == expected, (ja, jx, row)
+
+
+def test_register_subscriber_still_checks_numbers_it_cannot_reuse():
+    net = two_carrier_fed()
+    with pytest.raises(ValueError, match="not an E.164-style number"):
+        net.register_subscriber("cn-a", "5550123")
+    with pytest.raises(NetsimError, match="profile number must match"):
+        net.register_subscriber("cn-a", "+15550123", CalleeProfile(PhoneNumber("+15550124")))
+    assert sorted(net.lines) == sorted([A, B, E])
+    # A matching profile's number becomes the line's number and its key.
+    profile = CalleeProfile(PhoneNumber("+15550123"))
+    line = net.register_subscriber("cn-a", "+15550123", profile)
+    assert line.number is profile.number and net.lines[PhoneNumber("+15550123")] is line
+
+
+def test_originate_call_validates_numbers_that_are_not_registered():
+    net = two_carrier_fed()
+    a = net.lines[PhoneNumber(A)]
+    for claimed, to in [("bogus", B), (A, "+1")]:
+        with pytest.raises(ValueError, match="not an E.164-style number"):
+            net.originate_call(claimed, a, to, at_ms=10)
+    assert net._heap == [] and net._call_counter == 0
+    assert net.run() == 0 and net.trace == []
+    # A valid number nobody holds is routed to the core, which answers 480;
+    # an unregistered claim is sent as it is.
+    net.originate_call("+19990000001", net.lines[PhoneNumber(E)], "+19995550000")
+    net.run()
+    (row, invite), (_, ack) = sip_rows(rows_with(net, dir="ingress", from_hop=f"ep:{E}"))
+    assert row["to_hop"] == "net:cn-x" and ack.method is SipMethod.ACK
+    assert (invite.from_number, invite.to_number) == ("+19990000001", "+19995550000")
+    back = [m.status.code for _, m in sip_rows(rows_with(net, dir="ingress", to_hop=f"ep:{E}"))]
+    assert back == [480]
 
 
 def test_voicemail_answers_for_busy_subscriber():

@@ -70,8 +70,14 @@ MUTANTS = (
            "auth is not None and msg.from_number != auth",
            "auth is not None and msg.to_number != auth"),
     Mutant("cancelled-timers-fire", "netsim.py",
-           "if event.cancelled:",
+           "if seq in cancelled:",
            "if False:"),
+    Mutant("jitter-draw-rejects-once", "netsim.py",
+           "while r >= n:",
+           "if r >= n:"),
+    Mutant("profile-number-mismatch-accepted", "netsim.py",
+           "elif profile.number != number:",
+           "elif False:"),
     Mutant("preset-self-peer-allowed", "netsim.py",
            "if peer == self.number:",
            "if False:"),
