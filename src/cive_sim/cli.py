@@ -11,7 +11,8 @@ run past the simulation budget, a malformed trace file, a scenario or trace
 holding an integer too long for int() or a value nested too deep, a
 non-integer CIVE_SIM_SEED, an --out that cannot be written), reported as
 one ``error: ...`` line on stderr.
-CIVE_SIM_SEED provides the default seed when --seed is absent.
+``run`` sets the scenario's seed from --seed, or from CIVE_SIM_SEED when
+--seed is absent, and turns verification off with --no-cive.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from json.decoder import scanstring
 
 from . import cive, netsim, scenario
@@ -46,12 +48,11 @@ def _default_seed() -> int | None:
 def _cmd_run(args: argparse.Namespace) -> int:
     s = scenario.load_scenario(args.scenario)
     seed = args.seed if args.seed is not None else _default_seed()
-    report = scenario.run_scenario(
-        s,
-        out_dir=args.out,
-        seed=seed,
-        cive_enabled=False if args.no_cive else None,
-    )
+    if seed is not None:
+        s = replace(s, seed=seed)
+    if args.no_cive:
+        s = replace(s, cive_enabled=False)
+    report = scenario.run_scenario(s, out_dir=args.out)
     print(json.dumps(report.to_json_dict(), indent=2))
     return scenario.exit_code_for([report])
 

@@ -128,6 +128,10 @@ class Direction(str, Enum):
     EGRESS = "egress"
 
 
+# The plain ``str`` values that trace rows carry in ``dir``.
+_INGRESS, _EGRESS = Direction.INGRESS.value, Direction.EGRESS.value
+
+
 @dataclass(slots=True)
 class _Dialog:
     uac: object  # the originating hop: a line or a verifier
@@ -463,14 +467,14 @@ class Federation:
         now = self.now
         from_hop = sender.hop
         self.trace.append({"t_ms": now, "carrier": src.id, "from_hop": from_hop,
-                           "to_hop": dest.hop, "dir": "egress", "sip": sip})
+                           "to_hop": dest.hop, "dir": _EGRESS, "sip": sip})
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (now + delay, seq, self._deliver, (dest, msg, from_hop, sip)))
 
     def _deliver(self, dest, msg: SipMessage, from_hop: str, sip: str) -> None:
         """Log the ingress row of a message reaching its hop and hand it over."""
         self.trace.append({"t_ms": self.now, "carrier": dest.carrier.id, "from_hop": from_hop,
-                           "to_hop": dest.hop, "dir": "ingress", "sip": sip})
+                           "to_hop": dest.hop, "dir": _INGRESS, "sip": sip})
         dest.handle_message(msg)
 
     def voicemail_answer(self, carrier: CarrierNetwork, response: SipMessage) -> None:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -329,28 +329,17 @@ def build_federation(s: Scenario) -> Federation:
     return net
 
 
-def run_scenario(
-    s: Scenario,
-    out_dir: str | Path | None = None,
-    *,
-    seed: int | None = None,
-    cive_enabled: bool | None = None,
-) -> RunReport:
-    """Run one scenario to quiescence and score the verdict.
+def run_scenario(s: Scenario, out_dir: str | Path | None = None) -> RunReport:
+    """Run one scenario, with its own seed and ``cive_enabled``, to
+    quiescence and score the verdict.
 
     With verification enabled, the target line's first ring launches the
     callback, which then runs in the same event loop as the call it checks;
     the loop runs once, under the simulation budget, and the verdict is read
     at quiescence. Equal (scenario, seed) pairs produce byte-identical
-    trace and report files. ``seed`` and ``cive_enabled``, when given,
-    override the scenario's own values.
+    trace and report files.
     """
     s.validate()
-    s = replace(
-        s,
-        seed=s.seed if seed is None else seed,
-        cive_enabled=s.cive_enabled if cive_enabled is None else cive_enabled,
-    )
     net = build_federation(s)
     target_line: PhoneLine = net.lines[s.origination.target]
 
@@ -505,10 +494,6 @@ class MatrixResult:
     def rows(self) -> tuple[tuple[str, ...], ...]:
         """The CSV values of each cell, in ``CSV_COLUMNS`` order."""
         return tuple(_csv_values(r) for r in self.reports)
-
-    @property
-    def all_match(self) -> bool:
-        return all(r.match for r in self.reports)
 
     @property
     def spoofed_judged_legit(self) -> int:

@@ -24,12 +24,14 @@ One message is built per simulated send, so its cost bounds every run.
 through one private builder, ``_message``. It fills the instance's
 ``__dict__`` instead of running the generated ``__init__`` (one
 ``object.__setattr__`` per field) and ``__post_init__``, so it may be
-given only what those checks already hold: ``request`` still checks the
-numbers, the Call-ID and the CSeq sequence ``seq``; ``reply`` and
+given only what those checks already hold: ``request`` checks the
+numbers and the Call-ID and always uses CSeq 1; ``reply`` and
 ``LineLeg.request`` copy them from a request that was checked when it was
 built; the canonical parser's regex has checked them in the text. A code
 of the closed set with its canonical phrase is the shared instance in
-``STATUS``.
+``STATUS``; ``reply`` takes only such codes. A message with another CSeq,
+an odd reason phrase, extra headers or a body is built with the
+``SipMessage(...)`` constructor, which checks it.
 """
 
 from __future__ import annotations
@@ -156,16 +158,6 @@ class StatusCode:
 STATUS: dict[int, StatusCode] = {code: StatusCode(code) for code in CANONICAL_REASON}
 
 
-def _status(status: StatusCode | int) -> StatusCode:
-    """``status`` itself, or the shared instance for a bare code.
-
-    A code outside the closed set raises ``UnknownStatusCode``.
-    """
-    if isinstance(status, StatusCode):
-        return status
-    return STATUS.get(status) or StatusCode(status)
-
-
 @dataclass(frozen=True)
 class SipMessage:
     """A parsed request or response.
@@ -207,45 +199,36 @@ class SipMessage:
 
     @classmethod
     def request(
-        cls,
-        method: SipMethod,
-        from_number: str,
-        to_number: str,
-        call_id: str,
-        seq: int = 1,
-        *,
-        pem: PemValue | None = None,
-        alert: AlertUrn | None = None,
-        extra_headers: tuple[tuple[str, str], ...] = (),
-        body: str = "",
+        cls, method: SipMethod, from_number: str, to_number: str, call_id: str
     ) -> "SipMessage":
+        """Build a request with CSeq 1 and no optional header or body."""
         from_number, to_number = PhoneNumber(from_number), PhoneNumber(to_number)
         _check_call_id(call_id)
-        if seq < 1:
-            raise ValueError(f"CSeq sequence must be >= 1: {seq}")
-        return _message(method, from_number, to_number, call_id, seq, None,
-                        pem, alert, extra_headers, body)
+        return _message(method, from_number, to_number, call_id, 1, None, None, None, (), "")
 
     @classmethod
     def reply(
         cls,
         to: "SipMessage",
-        status: StatusCode | int,
+        code: int,
         *,
         pem: PemValue | None = None,
         alert: AlertUrn | None = None,
-        extra_headers: tuple[tuple[str, str], ...] = (),
-        body: str = "",
     ) -> "SipMessage":
         """Build a response to a request, echoing its identity headers.
 
         From, To, Call-ID and CSeq are copied verbatim from the request,
-        per RFC 3261 section 8.2.6.2.
+        per RFC 3261 section 8.2.6.2. The status is the shared ``STATUS``
+        instance of ``code``; a code outside the closed set raises
+        ``UnknownStatusCode``.
         """
         if to.status is not None:
             raise ValueError("can only reply to a request")
+        status = STATUS.get(code)
+        if status is None:
+            raise UnknownStatusCode(f"status code outside the closed set: {code}")
         return _message(to.method, to.from_number, to.to_number, to.call_id, to.seq,
-                        _status(status), pem, alert, extra_headers, body)
+                        status, pem, alert, (), "")
 
 
 def _check_call_id(call_id: str) -> None:

@@ -13,6 +13,7 @@ from cive_sim.sip_core import (
     PhoneNumber,
     SipMessage,
     SipMethod,
+    STATUS,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -50,12 +51,10 @@ def random_valid_message(rng: random.Random) -> SipMessage:
             for _ in range(rng.randint(1, 5))
         ]
         body = "\n".join(lines)
-    kwargs = dict(pem=pem, alert=alert, extra_headers=extras, body=body)
-    if rng.random() < 0.5:
-        return SipMessage.request(method, number(), number(), call_id, seq, **kwargs)
-    req = SipMessage.request(method, number(), number(), call_id, seq)
-    code = rng.choice(list(CANONICAL_REASON))
-    return SipMessage.reply(req, code, **kwargs)
+    is_request = rng.random() < 0.5
+    from_number, to_number = PhoneNumber(number()), PhoneNumber(number())
+    status = None if is_request else STATUS[rng.choice(list(CANONICAL_REASON))]
+    return SipMessage(method, from_number, to_number, call_id, seq, status, pem, alert, extras, body)
 
 
 def loaded_federation(seed, n_calls):

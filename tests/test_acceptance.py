@@ -6,6 +6,7 @@ the full matrix run once per session; criteria assert exact values, no
 tolerances.
 """
 
+import dataclasses
 import json
 import random
 import sys
@@ -145,7 +146,7 @@ def test_criterion_4_verdicts_and_matrix(corpus_runs, tmp_path):
         t0 = time.perf_counter()
         result = run_matrix(tmp_path)
         wall = time.perf_counter() - t0
-        assert result.all_match
+        assert all(r.match for r in result.reports)
         assert result.spoofed_judged_legit == 0
         assert len(result.rows) == 20
         assert wall < 10.0, wall
@@ -154,7 +155,7 @@ def test_criterion_4_verdicts_and_matrix(corpus_runs, tmp_path):
 def test_criterion_5_attack_demo(tmp_path):
     with criterion(5, "lax gateway shows the forged ID at the callee; strict gateway blocks it"):
         s = load_scenario(SCENARIOS / "c2.scn")
-        lax = run_scenario(s, tmp_path / "lax", cive_enabled=False)
+        lax = run_scenario(dataclasses.replace(s, cive_enabled=False), tmp_path / "lax")
         assert lax.b_display == PhoneNumber("+15550100")
         assert lax.policy_violations == 0
         rows = [

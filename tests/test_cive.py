@@ -560,7 +560,7 @@ def test_spoofed_single_origination_is_never_legit(a_state, cw, vm, links, seed)
     assert report.verdict.decision is not Decision.LEGIT, (report.verdict, carriers)
 
 
-def test_legs_from_trace_rows_round_trip(tmp_path, monkeypatch):
+def test_legs_from_trace_rows_round_trip(monkeypatch):
     net = _federation()
     verdict, trace = _verify(net, ringing())
     rows = [json.loads(line) for line in net.trace_jsonl().splitlines()]
@@ -570,31 +570,37 @@ def test_legs_from_trace_rows_round_trip(tmp_path, monkeypatch):
     rebuilt = extract_features(au[0])
     assert rebuilt == verdict.features
 
-    # Every matrix cell, also under jitter, where replies can reach B after
-    # its verifier is done: the leg B observed, rebuilt from the written
-    # trace, is the live trace entry by entry, with the verdict's features.
-    cells = matrix_scenarios()
-    for cell in matrix_scenarios():
-        for jitter, seed in itertools.product((500, 2000), range(3)):
-            carriers = tuple(dataclasses.replace(c, jitter_ms=jitter) for c in cell.carriers)
-            cells.append(dataclasses.replace(cell, carriers=carriers, seed=seed))
-    live = []
+    # c1-c3 and every matrix cell, also under jitter and on slow links,
+    # where replies can reach B after its verifier is done: the leg
+    # rebuilt from the federation's rows is the live trace entry by entry.
+    # Only timed_out differs: it is set live, and the rows do not record it.
+    cells = [load_scenario(SCENARIOS / f"c{n}.scn") for n in (1, 2, 3)] + matrix_scenarios()
+    links = ((None, 0), (None, 500), (None, 2000), (3000, 0), (3000, 2000), (5000, 2500))
+    agents = []
 
     def capturing(agent):
-        verdict = verify_incoming(agent)
-        live.append((verdict, agent.trace))
-        return verdict
+        agents.append(agent)
+        return verify_incoming(agent)
 
     monkeypatch.setattr(cive_sim.scenario, "verify_incoming", capturing)
-    for cell in cells:
-        live.clear()
-        run_scenario(cell, tmp_path)
-        [(verdict, trace)] = live
-        text = (tmp_path / f"{cell.name}.trace.jsonl").read_text(encoding="utf-8")
-        legs = legs_from_trace_rows([json.loads(line) for line in text.splitlines()])
-        [rebuilt] = [t for _, obs, t in legs if obs == f"ep:{B}"]
-        assert rebuilt.entries == trace.entries, cell.name
-        assert extract_features(rebuilt) == verdict.features, cell.name
+    timed_out = 0
+    for cell, (delay, jitter) in itertools.product(cells, links):
+        carriers = tuple(
+            dataclasses.replace(c, link_delay_ms=delay or c.link_delay_ms, jitter_ms=jitter)
+            for c in cell.carriers
+        )
+        for seed in range(3) if jitter else (cell.seed,):
+            agents.clear()
+            run_scenario(dataclasses.replace(cell, carriers=carriers, seed=seed))
+            [agent] = agents
+            rebuilt = {cid: t for cid, _, t in legs_from_trace_rows(agent.net.trace)}
+            trace = rebuilt[agent.leg.invite.call_id]
+            where = (cell.name, delay, jitter, seed)
+            assert trace.entries == agent.trace.entries, where
+            live = extract_features(agent.trace)
+            assert extract_features(trace) == dataclasses.replace(live, timed_out=False), where
+            timed_out += live.timed_out
+    assert timed_out > 0  # the slow links do reach the auCall timeout
 
 
 def _reference_legs(rows):

@@ -338,7 +338,7 @@ def test_voicemail_answers_for_busy_subscriber():
 
 
 def test_leg_request_numbers_cseq_per_rfc3261():
-    invite = SipMessage.request(SipMethod.INVITE, A, B, "leg-1", 7)
+    invite = SipMessage(SipMethod.INVITE, PhoneNumber(A), PhoneNumber(B), "leg-1", 7)
     leg = LineLeg(LegRole.CALLER, LegPhase.EARLY, invite)
     methods = [SipMethod.PRACK, SipMethod.ACK, SipMethod.BYE, SipMethod.CANCEL, SipMethod.PRACK]
     sent = [leg.request(m) for m in methods]
@@ -613,7 +613,7 @@ def test_send_without_a_dialog_is_refused_before_any_row(kind):
         msg = SipMessage.reply(SipMessage.request(SipMethod.INVITE, B, A, "x-1"), 200)
     else:
         to = B if kind == "bye-to-line" else "+19990001111"
-        msg = SipMessage.request(SipMethod.BYE, A, to, "x-1", 2)
+        msg = SipMessage(SipMethod.BYE, PhoneNumber(A), PhoneNumber(to), "x-1", 2)
     with pytest.raises(NetsimError, match="unknown dialog x-1"):
         net.send(line_a, msg)
     assert net.trace == []

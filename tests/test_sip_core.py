@@ -166,9 +166,8 @@ def test_carrier_decorated_address_forms():
 
 def test_body_is_opaque_and_preserved():
     body = "line one\n\nline after blank\nk=v\n"
-    m = SipMessage.request(
-        SipMethod.INVITE, "+15550001", "+15550002", "a1", body=body
-    )
+    m = SipMessage(SipMethod.INVITE, PhoneNumber("+15550001"), PhoneNumber("+15550002"),
+                   "a1", 1, body=body)
     again = parse_message(serialize_message(m))
     assert again.body == body
     assert again == m
@@ -176,9 +175,8 @@ def test_body_is_opaque_and_preserved():
 
 def test_extra_headers_survive_in_order():
     extras = (("X-One", "1"), ("Zulu", "z;q=2"), ("X-One", "again"))
-    m = SipMessage.request(
-        SipMethod.INVITE, "+15550001", "+15550002", "a1", extra_headers=extras
-    )
+    m = SipMessage(SipMethod.INVITE, PhoneNumber("+15550001"), PhoneNumber("+15550002"),
+                   "a1", 1, extra_headers=extras)
     assert parse_message(serialize_message(m)).extra_headers == extras
 
 
@@ -213,7 +211,7 @@ def test_message_invariants():
     with pytest.raises(ValueError):
         SipMessage.request(SipMethod.INVITE, "+15550001", "+15550002", "a b")
     with pytest.raises(ValueError):
-        SipMessage.request(SipMethod.INVITE, "+15550001", "+15550002", "a", seq=0)
+        SipMessage(SipMethod.INVITE, PhoneNumber("+15550001"), PhoneNumber("+15550002"), "a", 0)
     req = SipMessage.request(SipMethod.INVITE, "+15550001", "+15550002", "a")
     with pytest.raises(ValueError):
         SipMessage.reply(SipMessage.reply(req, 200), 200)  # reply to a response

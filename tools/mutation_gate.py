@@ -84,6 +84,12 @@ MUTANTS = (
     Mutant("scenario-self-peer-allowed", "scenario.py",
            "if p.peer == p.number:",
            "if False:"),
+    Mutant("late-replies-unrecorded", "cive.py",
+           "self.trace.append(self.net.now, Direction.INGRESS, msg)\n"
+           "        if self.done or not msg.is_response:",
+           "if self.done:\n            return\n"
+           "        self.trace.append(self.net.now, Direction.INGRESS, msg)\n"
+           "        if not msg.is_response:"),
 )
 
 # Mutants no test can kill because they change no observable behaviour,
