@@ -35,7 +35,6 @@ from .cive import (
     Decision,
     FeatureVector,
     InferredState,
-    SignalingTrace,
     Verdict,
     decide,
     extract_features,

@@ -18,11 +18,16 @@ never judged legitimate.
 The verifier reads what it needs off the ringing INVITE itself: its To is
 the callee B, its From the claimed number. ``infer_state`` is the one scan
 of the rule table ``_RULES``.
+
+A call leg is a plain list of ``TraceEntry``, in order, starting with the
+sent INVITE. The live verifier keeps its leg in ``entries`` and its own
+``timed_out`` flag, set when its timer fires; ``legs_from_trace_rows``
+rebuilds legs from a saved trace, which records no timer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -83,29 +88,6 @@ class TraceEntry(NamedTuple):
     t_ms: int
     direction: Direction  # EGRESS: sent by the observer; INGRESS: received by it
     message: SipMessage
-
-
-@dataclass
-class SignalingTrace:
-    """The auCall leg as observed at B: every message sent or received, in order."""
-
-    entries: list[TraceEntry] = field(default_factory=list)
-    timed_out: bool = False
-
-    def append(self, t_ms: int, direction: Direction, message: SipMessage) -> None:
-        if self.entries and t_ms < self.entries[-1].t_ms:
-            raise ValueError("trace timestamps must be non-decreasing")
-        if not self.entries and not (
-            direction is Direction.EGRESS and message.method is SipMethod.INVITE
-        ):
-            raise ValueError("a trace starts with the sent INVITE")
-        self.entries.append(TraceEntry(t_ms, direction, message))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -190,11 +172,13 @@ class Verdict:
         }
 
 
-def extract_features(trace: SignalingTrace) -> FeatureVector:
-    """Pure feature extraction from one auCall trace."""
-    if not trace.entries:
+def extract_features(leg: list[TraceEntry], timed_out: bool) -> FeatureVector:
+    """Pure feature extraction from one auCall leg, its entries in order
+    and starting with the sent INVITE; ``timed_out`` says whether the
+    verifier's timer fired."""
+    if not leg:
         raise EmptyTrace("cannot extract features from an empty trace")
-    invite = trace.entries[0].message
+    invite = leg[0].message
     pem_180: PemValue | None = None
     alert_180: AlertUrn | None = None
     saw_180 = False
@@ -202,7 +186,7 @@ def extract_features(trace: SignalingTrace) -> FeatureVector:
     saw_486 = False
     final: StatusCode | None = None
     sent: set[SipMethod] = set()  # the methods of the requests B sent
-    for entry in trace.entries:
+    for entry in leg:
         msg = entry.message
         if entry.direction is Direction.INGRESS and msg.is_response:
             assert msg.status is not None
@@ -228,7 +212,7 @@ def extract_features(trace: SignalingTrace) -> FeatureVector:
         saw_486=saw_486,
         final_to_invite=final,
         teardown=teardown,
-        timed_out=trace.timed_out,
+        timed_out=timed_out,
     )
 
 
@@ -289,7 +273,8 @@ class _VerifierAgent:
     A hop of its own with the line's label, carrier and number: the auCall
     is sent and policed as the callee's, and its replies reach the agent.
 
-    Records every message of its dialog, as the saved trace holds it. Acts
+    Records every message of its dialog in ``entries``, as the saved trace
+    holds it, and sets ``timed_out`` when its timeout fires. Acts
     on responses until a 180 with early media has aged past the capture
     grace, a final response arrives, or the timeout fires; then tears the
     leg down: ACK+BYE when the far end answered, CANCEL while the INVITE is
@@ -299,7 +284,8 @@ class _VerifierAgent:
     def __init__(self, net: Federation, line: PhoneLine, claimed: PhoneNumber):
         self.net = net
         self.hop, self.carrier, self.number = line.hop, line.carrier, line.number
-        self.trace = SignalingTrace()
+        self.entries: list[TraceEntry] = []
+        self.timed_out = False
         invite = SipMessage.request(SipMethod.INVITE, line.number, claimed, net.new_call_id())
         self.leg = LineLeg(LegRole.CALLER, LegPhase.EARLY, invite)
         self.final: StatusCode | None = None
@@ -315,7 +301,7 @@ class _VerifierAgent:
     # -- wire helpers --------------------------------------------------------
 
     def _send(self, msg: SipMessage) -> None:
-        self.trace.append(self.net.now, Direction.EGRESS, msg)
+        self.entries.append(TraceEntry(self.net.now, Direction.EGRESS, msg))
         self.net.send(self, msg)
 
     def _finish(self) -> None:
@@ -331,7 +317,7 @@ class _VerifierAgent:
 
     def handle_message(self, msg: SipMessage) -> None:
         # Recorded even once done: late replies are in the saved trace too.
-        self.trace.append(self.net.now, Direction.INGRESS, msg)
+        self.entries.append(TraceEntry(self.net.now, Direction.INGRESS, msg))
         if self.done or not msg.is_response:
             return
         tx_method = msg.method
@@ -368,7 +354,7 @@ class _VerifierAgent:
 
     def _time_out(self) -> None:
         self.timeout_timer = None
-        self.trace.timed_out = True
+        self.timed_out = True
         self._cancel_invite()
 
     def _cancel_invite(self) -> None:
@@ -403,9 +389,9 @@ def verify_incoming(agent: _VerifierAgent) -> Verdict:
     """Feature extraction, inference and verdict for a launched verification.
 
     Call it after the federation has run; the leg it judges is
-    ``agent.trace``.
+    ``agent.entries``, and ``agent.timed_out`` says whether its timer fired.
     """
-    features = extract_features(agent.trace)
+    features = extract_features(agent.entries, agent.timed_out)
     return decide(agent.number, infer_state(features), features)
 
 
@@ -413,20 +399,22 @@ def verify_incoming(agent: _VerifierAgent) -> Verdict:
 _DIRECTIONS = {d.value: d for d in Direction}
 
 
-def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, SignalingTrace]]:
-    """Rebuild per-leg signaling traces from a saved federation trace.
+def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEntry]]]:
+    """Rebuild per-leg signaling from a saved federation trace.
 
     For every call id whose first egress row is an INVITE leaving an
     endpoint hop, reconstructs the leg as seen by that endpoint: its egress
     rows become sent entries, ingress rows addressed to it become received
-    entries, in row order. Returns (call_id, observer_hop, trace) triples in
-    the file order of each call id's first egress row.
+    entries, in row order. Returns (call_id, observer_hop, entries) triples
+    in the file order of each call id's first egress row.
 
     One pass groups the rows by Call-ID, parsing each distinct wire text
     once, so the cost is linear in the row count; ``rows`` is left as it
     was. Raises MalformedTraceRow for a row whose ``dir`` is not a
     ``Direction`` value, whose message falls outside the SIP profile, or
-    that breaks its leg's ordering.
+    that breaks its leg's ordering: a leg starts with its sent INVITE and
+    its timestamps never decrease. Only such outside input can break that
+    order; the live verifier's leg keeps it by construction.
     """
     from .sip_core import parse_message
 
@@ -448,20 +436,23 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, SignalingTrac
         by_call.setdefault(cid, []).append((index, row, direction, msg))
         if cid not in first_egress and direction is Direction.EGRESS:
             first_egress[cid] = (row, msg)
-    legs: list[tuple[str, str, SignalingTrace]] = []
+    legs: list[tuple[str, str, list[TraceEntry]]] = []
     for cid, (first, first_msg) in first_egress.items():
         if not (first_msg.is_request and first_msg.method is SipMethod.INVITE):
             continue
         observer = first["from_hop"]
         if not observer.startswith("ep:"):
             continue
-        trace = SignalingTrace()
+        leg: list[TraceEntry] = []
         for index, row, direction, msg in by_call[cid]:
             if row["from_hop" if direction is Direction.EGRESS else "to_hop"] != observer:
                 continue
-            try:
-                trace.append(row["t_ms"], direction, msg)
-            except ValueError as exc:
-                raise MalformedTraceRow(index, f"call {cid}: {exc}") from exc
-        legs.append((cid, observer, trace))
+            t_ms = row["t_ms"]
+            if leg and t_ms < leg[-1].t_ms:
+                raise MalformedTraceRow(
+                    index, f"call {cid}: trace timestamps must be non-decreasing")
+            if not leg and not (direction is Direction.EGRESS and msg.method is SipMethod.INVITE):
+                raise MalformedTraceRow(index, f"call {cid}: a trace starts with the sent INVITE")
+            leg.append(TraceEntry(t_ms, direction, msg))
+        legs.append((cid, observer, leg))
     return legs

@@ -154,15 +154,16 @@ def _cmd_parse(args: argparse.Namespace) -> int:
         legs = cive.legs_from_trace_rows(rows)
     except cive.MalformedTraceRow as exc:
         raise TraceFileError(f"{args.trace}:{line_numbers[exc.index]}: {exc.reason}") from None
-    for call_id, observer, trace in legs:
-        features = cive.extract_features(trace)
+    for call_id, observer, leg in legs:
+        # No trace row records the verifier's timer, so no leg reads as timed out.
+        features = cive.extract_features(leg, False)
         inferred = cive.infer_state(features)
         print(
             json.dumps(
                 {
                     "call_id": call_id,
                     "observer": observer,
-                    "messages": len(trace),
+                    "messages": len(leg),
                     "features": features.to_json_dict(),
                     "inferred": inferred.value,
                 }

@@ -6,7 +6,7 @@ the ground truth label. Schema:
 
     name: c2                 # letters, digits, . _ -; starts with a letter or digit
     description: optional free text
-    seed: 0                  # optional, default 0
+    seed: 0                  # optional, >= 0, default 0
     cive: true               # run verification when the target rings
     ground_truth: spoofed    # spoofed | genuine
     carriers:
@@ -127,6 +127,8 @@ class Scenario:
                 f"name {self.name!r} must be a plain file name: letters, digits, '.', '_'"
                 " and '-', starting with a letter or digit"
             )
+        if self.seed < 0:  # Random(-n) would silently seed like Random(n)
+            raise ScenarioValidationError("seed must be >= 0")
         numbers = [p.number for p in self.parties]
         if len(set(numbers)) != len(numbers):
             raise ScenarioValidationError("duplicate party numbers")

@@ -70,8 +70,8 @@ def corpus_runs(tmp_path_factory):
             for line in (out / name / f"{name}.trace.jsonl").read_text().splitlines()
         ]
         aucall = [
-            trace
-            for _cid, observer, trace in legs_from_trace_rows(rows)
+            leg
+            for _cid, observer, leg in legs_from_trace_rows(rows)
             if observer == "ep:+15550101"  # the verifying callee's leg
         ]
         assert len(aucall) == 1
@@ -95,7 +95,7 @@ def test_criterion_1_ringing_features(corpus_runs):
             "c3": (PemValue.SENDRECV, AlertUrn.CALL_WAITING),
         }
         for name, (pem, alert) in expected.items():
-            features = extract_features(corpus_runs["runs"][name]["aucall"])
+            features = extract_features(corpus_runs["runs"][name]["aucall"], False)
             assert features.pem_180 is pem, (name, features)
             assert features.alert_180 is alert, (name, features)
         assert corpus_runs["wall_s"] < 1.0, corpus_runs["wall_s"]
@@ -110,7 +110,7 @@ def test_criterion_2_c2_signaling_sequence(corpus_runs):
 def test_criterion_3_teardown_signatures(corpus_runs):
     with criterion(3, "c1 tears down with 200-to-INVITE then BYE; c2/c3 with CANCEL then 487"):
         c1 = corpus_runs["runs"]["c1"]["aucall"]
-        f1 = extract_features(c1)
+        f1 = extract_features(c1, False)
         assert f1.final_to_invite == StatusCode(200)
         assert f1.teardown is SipMethod.BYE
         kinds = _kinds(c1)
@@ -123,7 +123,7 @@ def test_criterion_3_teardown_signatures(corpus_runs):
 
         for name in ("c2", "c3"):
             trace = corpus_runs["runs"][name]["aucall"]
-            f = extract_features(trace)
+            f = extract_features(trace, False)
             assert f.final_to_invite == StatusCode(487), (name, f)
             assert f.teardown is SipMethod.CANCEL, (name, f)
             kinds = _kinds(trace)

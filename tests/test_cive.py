@@ -21,7 +21,7 @@ from cive_sim.cive import (
     InferredState,
     LineBusy,
     MalformedTraceRow,
-    SignalingTrace,
+    TraceEntry,
     Verdict,
     decide,
     extract_features,
@@ -61,13 +61,8 @@ def ringing(claimed=A):
     return SipMessage.request(SipMethod.INVITE, claimed, B, "in-1")
 
 
-def trace_of(*steps, timed_out=False):
-    trace = SignalingTrace(timed_out=timed_out)
-    t = 0
-    for direction, msg in steps:
-        trace.append(t, direction, msg)
-        t += 50
-    return trace
+def trace_of(*steps):
+    return [TraceEntry(50 * i, direction, msg) for i, (direction, msg) in enumerate(steps)]
 
 
 def sent(msg):
@@ -101,7 +96,7 @@ def test_extract_features_connected_shape():
         recv(reply(487)),
         sent(req(SipMethod.ACK, 1)),
     )
-    f = extract_features(trace)
+    f = extract_features(trace, False)
     assert f.pem_180 is PemValue.SENDRECV
     assert f.alert_180 is AlertUrn.CALL_WAITING
     assert f.final_to_invite == StatusCode(487)
@@ -123,7 +118,7 @@ def test_extract_features_prefers_bye_to_a_crossed_cancel():
         recv(reply(481, to=cancel)),
         recv(reply(200, to=bye)),
     )
-    assert extract_features(trace).teardown is SipMethod.BYE
+    assert extract_features(trace, False).teardown is SipMethod.BYE
 
 
 def test_extract_features_collision_shape():
@@ -138,7 +133,7 @@ def test_extract_features_collision_shape():
         sent(req(SipMethod.BYE, 3)),
         recv(reply(200, to=req(SipMethod.BYE, 3))),
     )
-    f = extract_features(trace)
+    f = extract_features(trace, False)
     assert f.pem_180 is PemValue.SENDONLY
     assert f.final_to_invite == StatusCode(200)
     assert f.teardown is SipMethod.BYE
@@ -155,25 +150,16 @@ def test_extract_features_uses_first_180_and_invite_final_only():
         recv(reply(487)),
         sent(req(SipMethod.ACK, 1)),
     )
-    f = extract_features(trace)
+    f = extract_features(trace, False)
     assert f.pem_180 is PemValue.SENDONLY
     assert f.final_to_invite == StatusCode(487)
 
 
 def test_extract_features_degenerate_and_empty():
-    f = extract_features(trace_of(sent(INVITE), timed_out=True))
+    f = extract_features(trace_of(sent(INVITE)), True)
     assert f == FeatureVector(timed_out=True)
     with pytest.raises(EmptyTrace):
-        extract_features(SignalingTrace())
-
-
-def test_trace_invariants():
-    trace = SignalingTrace()
-    with pytest.raises(ValueError):
-        trace.append(0, Direction.INGRESS, reply(100))
-    trace.append(10, Direction.EGRESS, INVITE)
-    with pytest.raises(ValueError):
-        trace.append(5, Direction.INGRESS, reply(100))
+        extract_features([], False)
 
 
 INFERENCE_TABLE = [
@@ -211,7 +197,8 @@ def test_inference_table(features, expected):
 def test_inference_pure():
     f = FeatureVector(pem_180=PemValue.SENDRECV)
     assert infer_state(f) is infer_state(f)
-    assert extract_features(trace_of(sent(INVITE))) == extract_features(trace_of(sent(INVITE)))
+    leg = trace_of(sent(INVITE))
+    assert extract_features(leg, False) == extract_features(leg, False)
 
 
 DECISION_TABLE = [
@@ -255,10 +242,10 @@ def test_verdict_invariants():
 
 def _verify(net, in_call):
     """Launch a verification, run the federation to quiescence, and return
-    the verdict with the leg it judged."""
+    the verdict with the agent whose leg it judged."""
     agent = launch_verification(net, in_call)
     net.run_until_quiescent()
-    return verify_incoming(agent), agent.trace
+    return verify_incoming(agent), agent
 
 
 def _federation(**profile_kwargs):
@@ -282,10 +269,10 @@ def test_launch_line_busy_while_in_flight():
     # Once it is done, a new verifier replaces it on the line and is routed
     # as B's endpoint.
     stuck.done = True
-    verdict, trace = _verify(net, ringing())
+    verdict, agent = _verify(net, ringing())
     assert net.lines[B].verifier is not stuck
     assert verdict.decision is Decision.SPOOFED and verdict.inferred is InferredState.IDLE
-    assert not trace.timed_out
+    assert not agent.timed_out
 
 
 def test_launch_for_an_unregistered_callee_raises_and_leaves_no_trace():
@@ -321,31 +308,30 @@ def test_two_verifications_in_turn_on_one_callee_line():
     net.add_carrier("cn-b", GatewayPolicy(link_delay_ms=30))
     line_a = net.register_subscriber("cn-a", A)
     net.register_subscriber("cn-b", B)
-    first, first_trace = _verify(net, ringing())
-    first_agent = net.lines[B].verifier
+    first, first_agent = _verify(net, ringing())
     rows_before = len(net.trace)
     line_a.preset_state(Dialing(B))
-    second, second_trace = _verify(net, ringing())
+    second, second_agent = _verify(net, ringing())
     assert net.lines[B].verifier is not first_agent
     assert first.decision is Decision.SPOOFED and first.inferred is InferredState.IDLE
     assert second.decision is Decision.LEGIT
-    assert not first_trace.timed_out and not second_trace.timed_out
+    assert not first_agent.timed_out and not second_agent.timed_out
     sent_by_b = [
         row for row in net.trace[rows_before:]
         if row["dir"] == "egress" and row["from_hop"] == f"ep:{B}"
     ]
     assert sent_by_b and all(row["carrier"] == "cn-b" for row in sent_by_b)
     # one 30 ms + 50 ms interconnect crossing each way
-    assert second_trace.entries[1].t_ms - second_trace.entries[0].t_ms == 160
+    assert second_agent.entries[1].t_ms - second_agent.entries[0].t_ms == 160
 
 
 def test_verify_idle_target_infers_idle():
     net = _federation()
-    verdict, trace = _verify(net, ringing())
+    verdict, agent = _verify(net, ringing())
     assert verdict.decision is Decision.SPOOFED
     assert verdict.inferred is InferredState.IDLE
-    assert trace.entries[0].message.method is SipMethod.INVITE
-    assert not trace.timed_out
+    assert agent.entries[0].message.method is SipMethod.INVITE
+    assert not agent.timed_out
 
 
 def test_verify_unroutable_claimed_is_inconclusive():
@@ -353,13 +339,13 @@ def test_verify_unroutable_claimed_is_inconclusive():
     net.add_carrier("cn-a")
     net.register_subscriber("cn-a", B)
     unknown = PhoneNumber("+19990001111")
-    verdict, trace = _verify(net, ringing(unknown))
+    verdict, agent = _verify(net, ringing(unknown))
     kinds = [
         e.message.method.value if e.message.is_request else e.message.status.code
-        for e in trace
+        for e in agent.entries
     ]
     assert kinds == ["INVITE", 480, "ACK"]
-    assert not trace.timed_out
+    assert not agent.timed_out
     assert verdict.inferred is InferredState.UNREACHABLE
     assert verdict.decision is Decision.INCONCLUSIVE
 
@@ -367,11 +353,11 @@ def test_verify_unroutable_claimed_is_inconclusive():
 def test_verify_times_out_when_the_queue_drains_before_the_leg_ends():
     net = _federation()
     net.lines[A].handle_message = lambda msg: None  # A answers nothing
-    verdict, trace = _verify(net, ringing())
+    verdict, agent = _verify(net, ringing())
     assert verdict.decision is Decision.INCONCLUSIVE
     assert verdict.inferred is InferredState.UNREACHABLE
-    assert trace.timed_out and verdict.features.timed_out
-    assert [(e.t_ms, e.direction, e.message.method) for e in trace] == [
+    assert agent.timed_out and verdict.features.timed_out
+    assert [(e.t_ms, e.direction, e.message.method) for e in agent.entries] == [
         (0, Direction.EGRESS, SipMethod.INVITE),
         (10_000, Direction.EGRESS, SipMethod.CANCEL),
     ]
@@ -404,17 +390,17 @@ def test_verify_before_the_loop_runs_is_never_legit():
     net = _federation()
     net.lines[A].preset_state(Dialing(B))
     agent = launch_verification(net, ringing())
-    verdict, trace = verify_incoming(agent), agent.trace
+    verdict = verify_incoming(agent)
     assert verdict.decision is Decision.INCONCLUSIVE
     assert verdict.inferred is InferredState.UNREACHABLE
-    assert len(trace) == 1 and not trace.timed_out
+    assert len(agent.entries) == 1 and not agent.timed_out
 
 
 def test_verify_connected_no_features_is_busy():
     net = _federation()
     net.register_subscriber("cn-a", "+15550102")
     net.lines[A].preset_state(Connected(PhoneNumber("+15550102")))
-    verdict, trace = _verify(net, ringing())
+    verdict, _ = _verify(net, ringing())
     assert verdict.inferred is InferredState.BUSY_NO_WAITING
     assert verdict.decision is Decision.SPOOFED
     f = verdict.features
@@ -426,14 +412,14 @@ def test_verify_voicemail_forward_detected():
     net = _federation(voicemail_forward=True)
     net.register_subscriber("cn-a", "+15550102")
     net.lines[A].preset_state(Connected(PhoneNumber("+15550102")))
-    verdict, trace = _verify(net, ringing())
+    verdict, agent = _verify(net, ringing())
     assert verdict.inferred is InferredState.FORWARDED_TO_VOICEMAIL
     assert verdict.features.saw_181
     assert verdict.features.teardown is SipMethod.BYE
     # the voicemail leg is answered and released cleanly
     kinds = [
         e.message.method.value if e.message.is_request else e.message.status.code
-        for e in trace
+        for e in agent.entries
     ]
     assert kinds == ["INVITE", 100, 181, 200, "ACK", "BYE", 200]
 
@@ -457,11 +443,11 @@ def test_launch_traces_are_transaction_legal():
         net.register_subscriber("cn-a", "+15550102")
         if preset is not None:
             net.lines[A].preset_state(preset)
-        variants.append(_verify(net, ringing())[1])
-    for trace in variants:
+        variants.append(_verify(net, ringing())[1].entries)
+    for leg in variants:
         codes = [
             e.message.status.code
-            for e in trace
+            for e in leg
             if e.direction is Direction.INGRESS
             and e.message.is_response
             and e.message.method is SipMethod.INVITE
@@ -477,13 +463,13 @@ def test_capture_grace_runs_from_the_first_180_with_early_media():
         net.add_carrier("cn-a", GatewayPolicy(jitter_ms=100))
         net.register_subscriber("cn-a", A)
         net.register_subscriber("cn-a", B)
-        _, trace = _verify(net, ringing())
+        _, agent = _verify(net, ringing())
         received = {
             e.message.status.code: e.t_ms
-            for e in reversed(trace.entries)
+            for e in reversed(agent.entries)
             if e.direction is Direction.INGRESS and e.message.is_response
         }
-        (cancel,) = [e.t_ms for e in trace if e.message.method is SipMethod.CANCEL
+        (cancel,) = [e.t_ms for e in agent.entries if e.message.method is SipMethod.CANCEL
                      and e.direction is Direction.EGRESS]
         assert received[183] != received[180], seed
         assert cancel == received[180] + cive.CAPTURE_GRACE_MS, seed
@@ -562,17 +548,17 @@ def test_spoofed_single_origination_is_never_legit(a_state, cw, vm, links, seed)
 
 def test_legs_from_trace_rows_round_trip(monkeypatch):
     net = _federation()
-    verdict, trace = _verify(net, ringing())
+    verdict, _ = _verify(net, ringing())
     rows = [json.loads(line) for line in net.trace_jsonl().splitlines()]
     legs = legs_from_trace_rows(rows)
-    au = [t for cid, obs, t in legs if obs == f"ep:{B}"]
+    au = [leg for cid, obs, leg in legs if obs == f"ep:{B}"]
     assert len(au) == 1
-    rebuilt = extract_features(au[0])
+    rebuilt = extract_features(au[0], False)
     assert rebuilt == verdict.features
 
     # c1-c3 and every matrix cell, also under jitter and on slow links,
     # where replies can reach B after its verifier is done: the leg
-    # rebuilt from the federation's rows is the live trace entry by entry.
+    # rebuilt from the federation's rows is the live leg entry by entry.
     # Only timed_out differs: it is set live, and the rows do not record it.
     cells = [load_scenario(SCENARIOS / f"c{n}.scn") for n in (1, 2, 3)] + matrix_scenarios()
     links = ((None, 0), (None, 500), (None, 2000), (3000, 0), (3000, 2000), (5000, 2500))
@@ -593,12 +579,12 @@ def test_legs_from_trace_rows_round_trip(monkeypatch):
             agents.clear()
             run_scenario(dataclasses.replace(cell, carriers=carriers, seed=seed))
             [agent] = agents
-            rebuilt = {cid: t for cid, _, t in legs_from_trace_rows(agent.net.trace)}
-            trace = rebuilt[agent.leg.invite.call_id]
+            rebuilt = {cid: leg for cid, _, leg in legs_from_trace_rows(agent.net.trace)}
+            leg = rebuilt[agent.leg.invite.call_id]
             where = (cell.name, delay, jitter, seed)
-            assert trace.entries == agent.trace.entries, where
-            live = extract_features(agent.trace)
-            assert extract_features(trace) == dataclasses.replace(live, timed_out=False), where
+            assert leg == agent.entries, where
+            live = extract_features(agent.entries, agent.timed_out)
+            assert extract_features(leg, False) == dataclasses.replace(live, timed_out=False), where
             timed_out += live.timed_out
     assert timed_out > 0  # the slow links do reach the auCall timeout
 
@@ -618,15 +604,15 @@ def _reference_legs(rows):
             continue
         if not observer.startswith("ep:"):
             continue
-        trace = SignalingTrace()
+        leg = []
         for row, msg in zip(rows, messages):
             if msg.call_id != cid:
                 continue
             if row["dir"] == "egress" and row["from_hop"] == observer:
-                trace.append(row["t_ms"], Direction.EGRESS, msg)
+                leg.append(TraceEntry(row["t_ms"], Direction.EGRESS, msg))
             elif row["dir"] == "ingress" and row["to_hop"] == observer:
-                trace.append(row["t_ms"], Direction.INGRESS, msg)
-        legs.append((cid, observer, trace))
+                leg.append(TraceEntry(row["t_ms"], Direction.INGRESS, msg))
+        legs.append((cid, observer, leg))
     return legs
 
 
@@ -706,3 +692,11 @@ def test_legs_name_the_offending_row():
     with pytest.raises(MalformedTraceRow) as info:
         legs_from_trace_rows(swapped)
     assert info.value.index == 0 and "starts with the sent INVITE" in info.value.reason
+    # the same response left in place but stamped before its INVITE left
+    early = copy.deepcopy(rows)
+    early[late]["t_ms"] = invite_t - 1
+    with pytest.raises(MalformedTraceRow) as info:
+        legs_from_trace_rows(early)
+    cid = parse_message(rows[0]["sip"]).call_id
+    assert info.value.index == late
+    assert info.value.reason == f"call {cid}: trace timestamps must be non-decreasing"

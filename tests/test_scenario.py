@@ -325,6 +325,22 @@ def test_cli_seed_flag_beats_env(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["seed"] == 3
 
 
+@pytest.mark.parametrize("source", ["scenario", "flag", "env"])
+def test_cli_negative_seed_is_bad_input(tmp_path, capsys, monkeypatch, source):
+    # random.Random(-1) seeds like Random(1), so -1 would silently rerun seed 1.
+    monkeypatch.delenv("CIVE_SIM_SEED", raising=False)
+    path, args = SCENARIOS / "c1.scn", []
+    if source == "scenario":
+        path = _c1_with(tmp_path, "seed: 0\n", "seed: -1\n")
+    elif source == "flag":
+        args = ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("CIVE_SIM_SEED", "-1")
+    assert cli.main(["run", str(path), *args, "--out", str(tmp_path / "out")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: seed must be >= 0\n"
+
+
 def test_cli_matrix(tmp_path, capsys):
     code = cli.main(["matrix", "--out", str(tmp_path)])
     assert code == 0

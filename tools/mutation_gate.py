@@ -85,11 +85,20 @@ MUTANTS = (
            "if p.peer == p.number:",
            "if False:"),
     Mutant("late-replies-unrecorded", "cive.py",
-           "self.trace.append(self.net.now, Direction.INGRESS, msg)\n"
+           "self.entries.append(TraceEntry(self.net.now, Direction.INGRESS, msg))\n"
            "        if self.done or not msg.is_response:",
            "if self.done:\n            return\n"
-           "        self.trace.append(self.net.now, Direction.INGRESS, msg)\n"
+           "        self.entries.append(TraceEntry(self.net.now, Direction.INGRESS, msg))\n"
            "        if not msg.is_response:"),
+    Mutant("leg-order-unchecked", "cive.py",
+           "if leg and t_ms < leg[-1].t_ms:",
+           "if False:"),
+    Mutant("leg-start-unchecked", "cive.py",
+           "if not leg and not (direction is Direction.EGRESS and msg.method is SipMethod.INVITE):",
+           "if False:"),
+    Mutant("live-timeout-dropped", "cive.py",
+           "extract_features(agent.entries, agent.timed_out)",
+           "extract_features(agent.entries, False)"),
 )
 
 # Mutants no test can kill because they change no observable behaviour,
