@@ -1,15 +1,17 @@
 """Per-endpoint call state machine.
 
 A phone's call state is one EndpointState, folded from the legs it holds
-by ``summarize_legs``; the legs are the only record of it. The transition
-functions here are pure: they take the triggering message plus what they
-need to read (the folded state, the profile, the matching leg or INVITE)
-and return the SIP messages the line sends: the responses, each built by
-``SipMessage.reply``, or for a caller the method of the request to send
-on the leg. ``on_incoming_invite`` may end its list with one deferred
-``Answer``: the line's own collision answer after ``COLLISION_ANSWER_MS``,
-or the carrier voicemail's 200. The network simulator owns the legs,
-timers and the wire; local effects such as ringback are not modelled.
+by ``summarize_legs``; the legs are the only record of it. Every state but
+Idle names its far end ``peer``; ``Dialing.peer`` is the number dialed.
+The transition functions here are pure: they take the triggering message
+plus what they need to read (the folded state, the profile, the matching
+leg or INVITE) and return the SIP messages the line sends: the responses,
+each built by ``SipMessage.reply``, or for a caller the method of the
+request to send on the leg. ``on_incoming_invite`` may end its list with
+one deferred ``Answer``: the line's own collision answer after
+``COLLISION_ANSWER_MS``, or the carrier voicemail's 200. The network
+simulator owns the legs, timers and the wire; local effects such as
+ringback are not modelled.
 
 Callee behavior for an incoming INVITE, by state and service features:
 
@@ -65,7 +67,7 @@ class Idle(EndpointState):
 
 @dataclass(frozen=True)
 class Dialing(EndpointState):
-    target: PhoneNumber
+    peer: PhoneNumber
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,7 @@ def on_incoming_invite(
             reply(invite, 180, pem=PemValue.SENDRECV),
         ]
 
-    if isinstance(state, Dialing) and state.target == invite.from_number:
+    if isinstance(state, Dialing) and state.peer == invite.from_number:
         # Call-back collision: we are dialing exactly the party now calling
         # us. Grant one-way early media and pick up shortly.
         return [

@@ -306,9 +306,6 @@ class _VerifierAgent:
 
     def _finish(self) -> None:
         self.done = True
-        if self.grace_timer is not None:
-            self.net.cancel_timer(self.grace_timer)
-            self.grace_timer = None
         if self.timeout_timer is not None:
             self.net.cancel_timer(self.timeout_timer)
             self.timeout_timer = None
@@ -324,8 +321,8 @@ class _VerifierAgent:
         if tx_method is SipMethod.BYE:
             self._finish()  # the answer to our own BYE, the only one we send
             return
-        if tx_method is not SipMethod.INVITE:
-            return  # response to CANCEL (200 or 481); recorded, nothing to do
+        if tx_method is not SipMethod.INVITE or self.final is not None:
+            return  # to our CANCEL, or after the final: recorded, nothing to do
         assert msg.status is not None
         code = msg.status.code
         if code < 200:
@@ -346,7 +343,7 @@ class _VerifierAgent:
             self._send(self.leg.request(SipMethod.ACK))
             self._finish()
 
-    # -- timer handlers (_finish cancels both timers, so neither fires once done)
+    # -- timer handlers (the final cancels the grace timer and _finish the timeout)
 
     def _grace_over(self) -> None:
         self.grace_timer = None

@@ -175,14 +175,14 @@ class PhoneLine:
 
         Preset legs exist only as local bookkeeping; no signaling is
         replayed for them. A line cannot be on a call with its own number,
-        so a peer or target equal to it raises ValueError.
+        so a peer equal to it raises ValueError.
         """
         if isinstance(state, Idle):
             return
         phase = _PRESET_PHASE.get(type(state))
         if phase is None:
             raise ValueError(f"cannot preset state {state!r}")
-        peer = state.target if isinstance(state, Dialing) else state.peer  # type: ignore[attr-defined]
+        peer = state.peer  # type: ignore[attr-defined]
         if peer == self.number:
             raise ValueError(f"{self.number} cannot be on a call with itself")
         call_id = f"preset-{self.number}-{len(self.legs)}"

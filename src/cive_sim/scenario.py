@@ -31,6 +31,12 @@ Ground truth must be consistent with the origination: a claimed From that
 differs from the originator's own number is spoofed, same number is
 genuine. Every referenced number must be registered by some party.
 
+The loader reads this schema straight into the simulator's own records:
+``Scenario.carriers`` maps each carrier id to its ``GatewayPolicy``, and
+each party is a ``PartySpec`` of its carrier, its ``CalleeProfile`` and the
+``EndpointState`` it starts in (``IDLE``, or ``Dialing``, ``Connected`` or
+``Held`` with the party's ``peer``).
+
 Outputs per run: ``<name>.trace.jsonl`` (the federation event log) and
 ``<name>.report.json`` (verdict, match, display). The matrix command runs
 the full deterministic grid of callee states x features x origination and
@@ -49,7 +55,7 @@ from pathlib import Path
 import yaml
 
 from . import cive
-from .call_fsm import CalleeProfile, Connected, Dialing, Held
+from .call_fsm import IDLE, CalleeProfile, Connected, Dialing, EndpointState, Held, Idle
 from .cive import Decision, Verdict, verify_incoming
 from .netsim import Federation, GatewayPolicy, PhoneLine, write_file
 from .sip_core import PhoneNumber
@@ -72,34 +78,16 @@ class GroundTruth(str, Enum):
     SPOOFED = "spoofed"
 
 
-# The party states besides idle, each with the call_fsm state it presets.
-_PRESET_STATES = {"dialing": Dialing, "connected": Connected, "held": Held}
-_PARTY_STATES = ("idle", *_PRESET_STATES)
 # A scenario name names its --out files, so it must be a plain, visible file
 # name: no path separator, no NUL, no leading dot.
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True)
-class CarrierSpec:
-    id: str
-    enforce_caller_id: bool = False
-    link_delay_ms: int = GatewayPolicy.link_delay_ms
-    jitter_ms: int = GatewayPolicy.jitter_ms
-
-    def policy(self) -> GatewayPolicy:
-        """This carrier's gateway policy; ValueError names a negative timing value."""
-        return GatewayPolicy(self.enforce_caller_id, self.link_delay_ms, self.jitter_ms)
-
-
-@dataclass(frozen=True)
 class PartySpec:
-    number: PhoneNumber
     carrier: str
-    call_waiting: bool = False
-    voicemail_forward: bool = False
-    state: str = "idle"
-    peer: PhoneNumber | None = None
+    profile: CalleeProfile
+    state: EndpointState = IDLE
 
 
 @dataclass(frozen=True)
@@ -113,7 +101,7 @@ class OriginationSpec:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    carriers: tuple[CarrierSpec, ...]
+    carriers: dict[str, GatewayPolicy]
     parties: tuple[PartySpec, ...]
     origination: OriginationSpec
     cive_enabled: bool = True
@@ -129,30 +117,21 @@ class Scenario:
             )
         if self.seed < 0:  # Random(-n) would silently seed like Random(n)
             raise ScenarioValidationError("seed must be >= 0")
-        numbers = [p.number for p in self.parties]
+        numbers = [p.profile.number for p in self.parties]
         if len(set(numbers)) != len(numbers):
             raise ScenarioValidationError("duplicate party numbers")
-        carrier_ids = {c.id for c in self.carriers}
-        if len(carrier_ids) != len(self.carriers):
-            raise ScenarioValidationError("duplicate carrier ids")
-        for c in self.carriers:
-            try:
-                c.policy()
-            except ValueError as exc:
-                raise ScenarioValidationError(f"carrier {c.id}: {exc}") from None
         registered = set(numbers)
         for p in self.parties:
-            if p.carrier not in carrier_ids:
-                raise ScenarioValidationError(f"party {p.number}: unknown carrier {p.carrier}")
-            if p.state not in _PARTY_STATES:
-                raise ScenarioValidationError(f"party {p.number}: bad state {p.state!r}")
-            if p.state != "idle":
-                if p.peer is None:
-                    raise ScenarioValidationError(f"party {p.number}: state {p.state} needs a peer")
-                if p.peer not in registered:
-                    raise ScenarioValidationError(f"party {p.number}: peer {p.peer} not registered")
-                if p.peer == p.number:
-                    raise ScenarioValidationError(f"party {p.number}: peer {p.peer} is its own number")
+            number = p.profile.number
+            if p.carrier not in self.carriers:
+                raise ScenarioValidationError(f"party {number}: unknown carrier {p.carrier}")
+            if isinstance(p.state, Idle):
+                continue
+            peer = p.state.peer  # type: ignore[attr-defined]
+            if peer not in registered:
+                raise ScenarioValidationError(f"party {number}: peer {peer} not registered")
+            if peer == number:
+                raise ScenarioValidationError(f"party {number}: peer {peer} is its own number")
         o = self.origination
         for role, num in (("originator", o.originator), ("claimed", o.claimed), ("target", o.target)):
             if num not in registered:
@@ -209,6 +188,28 @@ def _number(value, where: str) -> PhoneNumber:
         raise ScenarioValidationError(f"{where}: {exc}") from exc
 
 
+# A party's ``state`` besides idle -> the call_fsm state it starts in.
+_PRESET_STATES = {"dialing": Dialing, "connected": Connected, "held": Held}
+
+
+def _party(p: dict) -> PartySpec:
+    """One ``parties`` entry, its ``state`` and ``peer`` read into a call_fsm state."""
+    number = _number(_require(p, "number", "party"), "party number")
+    carrier = _text(p, "carrier", "party")
+    profile = CalleeProfile(
+        number, _flag(p, "call_waiting", False, "party"), _flag(p, "voicemail_forward", False, "party")
+    )
+    state = str(p.get("state", "idle"))
+    peer = _number(p["peer"], "party peer") if p.get("peer") is not None else None
+    if state == "idle":
+        return PartySpec(carrier, profile)
+    if state not in _PRESET_STATES:
+        raise ScenarioValidationError(f"party {number}: bad state {state!r}")
+    if peer is None:
+        raise ScenarioValidationError(f"party {number}: state {state} needs a peer")
+    return PartySpec(carrier, profile, _PRESET_STATES[state](peer))
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate one ``.scn`` file."""
     path = Path(path)
@@ -226,26 +227,20 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioParseError(f"{path}: expected a mapping at top level")
 
     try:
-        carriers = tuple(
-            CarrierSpec(
-                id=_text(c, "id", "carrier"),
-                enforce_caller_id=_flag(c, "enforce_caller_id", False, "carrier"),
-                link_delay_ms=_integer(c, "link_delay_ms", CarrierSpec.link_delay_ms, "carrier"),
-                jitter_ms=_integer(c, "jitter_ms", CarrierSpec.jitter_ms, "carrier"),
-            )
-            for c in _require(raw, "carriers", path.name)
-        )
-        parties = tuple(
-            PartySpec(
-                number=_number(_require(p, "number", "party"), "party number"),
-                carrier=_text(p, "carrier", "party"),
-                call_waiting=_flag(p, "call_waiting", False, "party"),
-                voicemail_forward=_flag(p, "voicemail_forward", False, "party"),
-                state=str(p.get("state", "idle")),
-                peer=_number(p["peer"], "party peer") if p.get("peer") is not None else None,
-            )
-            for p in _require(raw, "parties", path.name)
-        )
+        carriers: dict[str, GatewayPolicy] = {}
+        for c in _require(raw, "carriers", path.name):
+            carrier_id = _text(c, "id", "carrier")
+            if carrier_id in carriers:
+                raise ScenarioValidationError("duplicate carrier ids")
+            try:
+                carriers[carrier_id] = GatewayPolicy(
+                    _flag(c, "enforce_caller_id", False, "carrier"),
+                    _integer(c, "link_delay_ms", GatewayPolicy.link_delay_ms, "carrier"),
+                    _integer(c, "jitter_ms", GatewayPolicy.jitter_ms, "carrier"),
+                )
+            except ValueError as exc:  # a negative delay or jitter
+                raise ScenarioValidationError(f"carrier {carrier_id}: {exc}") from None
+        parties = tuple(_party(p) for p in _require(raw, "parties", path.name))
         o = _require(raw, "origination", path.name)
         origination = OriginationSpec(
             originator=_number(_require(o, "originator", "origination"), "originator"),
@@ -314,20 +309,10 @@ class RunReport:
 def build_federation(s: Scenario) -> Federation:
     """Materialize a scenario's carriers, parties and initial states."""
     net = Federation(seed=s.seed)
-    for c in s.carriers:
-        net.add_carrier(c.id, c.policy())
+    for carrier_id, policy in s.carriers.items():
+        net.add_carrier(carrier_id, policy)
     for p in s.parties:
-        line = net.register_subscriber(
-            p.carrier,
-            p.number,
-            CalleeProfile(
-                number=p.number,
-                call_waiting=p.call_waiting,
-                voicemail_forward=p.voicemail_forward,
-            ),
-        )
-        if p.state in _PRESET_STATES:
-            line.preset_state(_PRESET_STATES[p.state](p.peer))
+        net.register_subscriber(p.carrier, p.profile.number, p.profile).preset_state(p.state)
     return net
 
 
@@ -421,23 +406,23 @@ CSV_COLUMNS = (
 
 
 def _matrix_cell(a_state: str, cw: bool, vm: bool, origination: str) -> Scenario:
-    party_state = {
-        "idle": ("idle", None),
-        "dialing_b": ("idle", None),  # the origination itself dials B
-        "dialing_other": ("dialing", _MATRIX_C),
-        "connected": ("connected", _MATRIX_C),
-        "held": ("held", _MATRIX_C),
+    a_preset = {
+        "idle": IDLE,
+        "dialing_b": IDLE,  # the origination itself dials B
+        "dialing_other": Dialing(_MATRIX_C),
+        "connected": Connected(_MATRIX_C),
+        "held": Held(_MATRIX_C),
     }[a_state]
     genuine = origination == "genuine"
     name = f"matrix-{a_state}-cw{int(cw)}-vm{int(vm)}-{origination}"
     return Scenario(
         name=name,
-        carriers=(CarrierSpec("cn-a"), CarrierSpec("cn-x")),
+        carriers={"cn-a": GatewayPolicy(), "cn-x": GatewayPolicy()},
         parties=(
-            PartySpec(_MATRIX_A, "cn-a", cw, vm, party_state[0], party_state[1]),
-            PartySpec(_MATRIX_B, "cn-a"),
-            PartySpec(_MATRIX_C, "cn-a"),
-            PartySpec(_MATRIX_E, "cn-x"),
+            PartySpec("cn-a", CalleeProfile(_MATRIX_A, cw, vm), a_preset),
+            PartySpec("cn-a", CalleeProfile(_MATRIX_B)),
+            PartySpec("cn-a", CalleeProfile(_MATRIX_C)),
+            PartySpec("cn-x", CalleeProfile(_MATRIX_E)),
         ),
         origination=OriginationSpec(
             originator=_MATRIX_A if genuine else _MATRIX_E,

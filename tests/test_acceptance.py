@@ -27,7 +27,6 @@ from cive_sim.cive import (
     legs_from_trace_rows,
 )
 from cive_sim.scenario import (
-    CarrierSpec,
     Scenario,
     load_scenario,
     run_matrix,
@@ -169,9 +168,10 @@ def test_criterion_5_attack_demo(tmp_path):
 
         strict = Scenario(
             name=s.name,
-            carriers=tuple(
-                CarrierSpec(c.id, enforce_caller_id=(c.id == "cn-x")) for c in s.carriers
-            ),
+            carriers={
+                cid: dataclasses.replace(c, enforce_caller_id=(cid == "cn-x"))
+                for cid, c in s.carriers.items()
+            },
             parties=s.parties,
             origination=s.origination,
             cive_enabled=False,

@@ -144,7 +144,7 @@ def test_sendonly_iff_dialing_the_inviter():
         for profile in ALL_PROFILES:
             sent = responses(on_incoming_invite(state, profile, INVITE))
             sendonly = any(m.pem is PemValue.SENDONLY for m in sent)
-            assert sendonly == (isinstance(state, Dialing) and state.target == B)
+            assert sendonly == (isinstance(state, Dialing) and state.peer == B)
 
 
 def test_call_waiting_alert_iff_on_a_call_with_feature():

@@ -369,9 +369,10 @@ def test_timeout_after_the_grace_cancel_sends_no_second_cancel(tmp_path):
     # capture grace ends (9,250 ms); its 10 s timeout fires (13,050 ms)
     # before that CANCEL is answered, and must not send another.
     s = load_scenario(SCENARIOS / "c2.scn")
-    carriers = tuple(
-        dataclasses.replace(c, link_delay_ms=3000) if c.id == "cn-a" else c for c in s.carriers
-    )
+    carriers = {
+        cid: dataclasses.replace(c, link_delay_ms=3000) if cid == "cn-a" else c
+        for cid, c in s.carriers.items()
+    }
     report = run_scenario(dataclasses.replace(s, carriers=carriers), tmp_path)
     text = (tmp_path / "c2.trace.jsonl").read_text(encoding="utf-8")
     rows = [json.loads(line) for line in text.splitlines()]
@@ -537,13 +538,41 @@ def test_spoof_that_rings_b_first_is_never_legit(cw, d_ms, spoof_rings_first):
 )
 def test_spoofed_single_origination_is_never_legit(a_state, cw, vm, links, seed):
     cell = _matrix_cell(a_state, cw, vm, "spoofed")
-    carriers = tuple(
-        dataclasses.replace(c, link_delay_ms=delay, jitter_ms=jitter)
-        for c, delay, jitter in zip(cell.carriers, links[::2], links[1::2])
-    )
+    carriers = {
+        cid: dataclasses.replace(c, link_delay_ms=delay, jitter_ms=jitter)
+        for (cid, c), delay, jitter in zip(cell.carriers.items(), links[::2], links[1::2])
+    }
     report = run_scenario(dataclasses.replace(cell, carriers=carriers, seed=seed))
     assert report.verdict is not None
     assert report.verdict.decision is not Decision.LEGIT, (report.verdict, carriers)
+
+
+def test_invite_responses_after_the_final_are_recorded_not_acted_on(monkeypatch):
+    # With 200 ms of jitter at seed 3, A's 200 to the callback overtakes its
+    # 183 and 180: the verifier records both, but sends no PRACK.
+    cell = _matrix_cell("dialing_b", False, False, "genuine")
+    carriers = {cid: dataclasses.replace(c, jitter_ms=200) for cid, c in cell.carriers.items()}
+    agents = []
+
+    def capturing(agent):
+        agents.append(agent)
+        return verify_incoming(agent)
+
+    monkeypatch.setattr(cive_sim.scenario, "verify_incoming", capturing)
+    report = run_scenario(dataclasses.replace(cell, carriers=carriers, seed=3))
+    [agent] = agents
+    final = next(
+        i for i, e in enumerate(agent.entries)
+        if e.direction is Direction.INGRESS and e.message.method is SipMethod.INVITE
+        and e.message.is_response and e.message.status.code >= 200
+    )
+    after = [
+        (e.direction, e.message.method, e.message.status and e.message.status.code)
+        for e in agent.entries[final + 1:]
+    ]
+    assert (Direction.INGRESS, SipMethod.INVITE, 183) in after
+    assert (Direction.EGRESS, SipMethod.PRACK, None) not in after
+    assert report.verdict.decision is Decision.LEGIT
 
 
 def test_legs_from_trace_rows_round_trip(monkeypatch):
@@ -571,10 +600,10 @@ def test_legs_from_trace_rows_round_trip(monkeypatch):
     monkeypatch.setattr(cive_sim.scenario, "verify_incoming", capturing)
     timed_out = 0
     for cell, (delay, jitter) in itertools.product(cells, links):
-        carriers = tuple(
-            dataclasses.replace(c, link_delay_ms=delay or c.link_delay_ms, jitter_ms=jitter)
-            for c in cell.carriers
-        )
+        carriers = {
+            cid: dataclasses.replace(c, link_delay_ms=delay or c.link_delay_ms, jitter_ms=jitter)
+            for cid, c in cell.carriers.items()
+        }
         for seed in range(3) if jitter else (cell.seed,):
             agents.clear()
             run_scenario(dataclasses.replace(cell, carriers=carriers, seed=seed))

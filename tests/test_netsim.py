@@ -523,7 +523,7 @@ def test_corpus_scenarios_hold_network_invariants(tmp_path):
         ]
         assert_conserved(rows)
         assert_causal(rows)
-        strict = {c.id for c in s.carriers if c.enforce_caller_id}
+        strict = {cid for cid, c in s.carriers.items() if c.enforce_caller_id}
         assert_policy_sound(rows, strict_carriers=strict)
 
 

@@ -19,7 +19,6 @@ from cive_sim.cive import Decision, InferredState
 from cive_sim.scenario import (
     GroundTruth,
     RunReport,
-    CarrierSpec,
     OriginationSpec,
     PartySpec,
     Scenario,
@@ -32,6 +31,7 @@ from cive_sim.scenario import (
     run_scenario,
 )
 from cive_sim import cive, cli
+from cive_sim.call_fsm import Connected, Held
 from cive_sim.netsim import TRACE_LINE_RE, Federation
 from cive_sim.sip_core import PhoneNumber
 
@@ -50,8 +50,8 @@ def test_load_c3():
     assert s.ground_truth is GroundTruth.SPOOFED
     assert s.origination.originator == "+15559900"
     assert s.origination.claimed == "+15550100"
-    a = next(p for p in s.parties if p.number == "+15550100")
-    assert a.state == "connected" and a.call_waiting and a.peer == "+15550102"
+    a = next(p for p in s.parties if p.profile.number == "+15550100")
+    assert a.state == Connected(PhoneNumber("+15550102")) and a.profile.call_waiting
 
 
 def _write(tmp_path, text):
@@ -107,8 +107,12 @@ def test_genuine_call_from_a_held_line_is_legit(tmp_path, cw, vm):
     # B's callback meets the collision whatever A's service features.
     s = load_scenario(SCENARIOS / "c1.scn")
     parties = tuple(
-        dataclasses.replace(p, state="held", peer="+15559900", call_waiting=cw, voicemail_forward=vm)
-        if p.number == s.origination.originator else p
+        PartySpec(
+            p.carrier,
+            dataclasses.replace(p.profile, call_waiting=cw, voicemail_forward=vm),
+            Held(PhoneNumber("+15559900")),
+        )
+        if p.profile.number == s.origination.originator else p
         for p in s.parties
     )
     report = run_scenario(dataclasses.replace(s, parties=parties), tmp_path)
@@ -122,8 +126,8 @@ def test_final_response_stops_the_callers_patience_timer():
     # 150 ms; A's 20 s patience timer must not keep the run going.
     s = load_scenario(SCENARIOS / "c1.scn")
     parties = tuple(
-        dataclasses.replace(p, state="connected", peer="+15559900")
-        if p.number == s.origination.target else p
+        dataclasses.replace(p, state=Connected(PhoneNumber("+15559900")))
+        if p.profile.number == s.origination.target else p
         for p in s.parties
     )
     report = run_scenario(dataclasses.replace(s, parties=parties, cive_enabled=False))
@@ -159,10 +163,10 @@ def test_run_c2_without_cive_attack_succeeds(tmp_path):
 
 def test_run_c2_strict_policy_blocks(tmp_path):
     s = load_scenario(SCENARIOS / "c2.scn")
-    carriers = tuple(
-        CarrierSpec(c.id, enforce_caller_id=(c.id == "cn-x"), link_delay_ms=c.link_delay_ms)
-        for c in s.carriers
-    )
+    carriers = {
+        cid: dataclasses.replace(c, enforce_caller_id=(cid == "cn-x"))
+        for cid, c in s.carriers.items()
+    }
     strict = Scenario(
         name=s.name, carriers=carriers, parties=s.parties,
         origination=s.origination, cive_enabled=True, seed=s.seed,
@@ -192,7 +196,7 @@ def test_cli_run_flags_equal_a_replaced_scenario(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c2.scn"
     path.write_text(re.sub(r"(?m)^(  - id: cn-\w+)$", r"\1\n    jitter_ms: 40", text), encoding="utf-8")
     s = load_scenario(path)
-    assert [c.jitter_ms for c in s.carriers] == [40, 40]
+    assert [c.jitter_ms for c in s.carriers.values()] == [40, 40]
     cli_out, replaced, seed0 = tmp_path / "cli", tmp_path / "replaced", tmp_path / "seed0"
     assert cli.main(["run", str(path), "--seed", "7", "--no-cive", "--out", str(cli_out)]) == 0
     printed = json.loads(capsys.readouterr().out)
@@ -440,6 +444,35 @@ def test_cli_self_call_is_bad_input(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ('"+15559900"   # E', '"+15550102"   # E', "duplicate party numbers"),
+        ("  - id: cn-x\n", "  - id: cn-a\n", "duplicate carrier ids"),
+        ("    carrier: cn-x\n", "    carrier: cn-z\n", "party +15559900: unknown carrier cn-z"),
+        ("state: connected\n", "state: ringing\n", "party +15550100: bad state 'ringing'"),
+        ('    peer: "+15550102"\n', "", "party +15550100: state connected needs a peer"),
+        ('peer: "+15550102"', 'peer: "+15550177"', "party +15550100: peer +15550177 not registered"),
+        ("at_ms: 0", "at_ms: -5", "origination at_ms must be >= 0"),
+        ("ground_truth: spoofed", "ground_truth: maybe", "bad ground_truth: 'maybe'"),
+        ("carriers:\n", "carriers: 5\nunused:\n", "malformed scenario: 'int' object is not iterable"),
+        ("    state: idle\n", "    state: idle\n    peer: B\n",
+         "party peer: not an E.164-style number: 'B'"),
+    ],
+    ids=["duplicate-number", "duplicate-carrier", "unknown-carrier", "bad-state", "no-peer",
+         "unregistered-peer", "negative-at_ms", "bad-ground-truth", "carriers-not-a-list",
+         "idle-peer-not-a-number"],
+)
+def test_cli_bad_c3_is_bad_input(tmp_path, capsys, old, new, message):
+    text = (SCENARIOS / "c3.scn").read_text(encoding="utf-8")
+    assert old in text
+    path = _write(tmp_path, text.replace(old, new, 1))
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    prefix = f"{path}: " if message.startswith("malformed") else ""
+    assert out == "" and err == f"error: {prefix}{message}\n"
 
 
 def test_cli_number_with_trailing_newline_is_bad_input(tmp_path, capsys):

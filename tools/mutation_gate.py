@@ -64,7 +64,7 @@ MUTANTS = (
            "if code == 180 and not saw_180:",
            "if code == 180:"),
     Mutant("any-dialing-phone-collides", "call_fsm.py",
-           "isinstance(state, Dialing) and state.target == invite.from_number",
+           "isinstance(state, Dialing) and state.peer == invite.from_number",
            "isinstance(state, Dialing)"),
     Mutant("policy-checks-to-header", "netsim.py",
            "auth is not None and msg.from_number != auth",
@@ -82,7 +82,13 @@ MUTANTS = (
            "if peer == self.number:",
            "if False:"),
     Mutant("scenario-self-peer-allowed", "scenario.py",
-           "if p.peer == p.number:",
+           "if peer == number:",
+           "if False:"),
+    Mutant("scenario-duplicate-carrier-accepted", "scenario.py",
+           "if carrier_id in carriers:",
+           "if False:"),
+    Mutant("scenario-unknown-carrier-accepted", "scenario.py",
+           "if p.carrier not in self.carriers:",
            "if False:"),
     Mutant("late-replies-unrecorded", "cive.py",
            "self.entries.append(TraceEntry(self.net.now, Direction.INGRESS, msg))\n"
@@ -99,6 +105,9 @@ MUTANTS = (
     Mutant("live-timeout-dropped", "cive.py",
            "extract_features(agent.entries, agent.timed_out)",
            "extract_features(agent.entries, False)"),
+    Mutant("late-response-acted-on", "cive.py",
+           "if tx_method is not SipMethod.INVITE or self.final is not None:",
+           "if tx_method is not SipMethod.INVITE:"),
 )
 
 # Mutants no test can kill because they change no observable behaviour,
