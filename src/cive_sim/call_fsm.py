@@ -261,12 +261,13 @@ def on_bye(bye: SipMessage, leg: LineLeg | None) -> list[SipMessage]:
     return [SipMessage.reply(bye, 200)]
 
 
-def on_response(response: SipMessage) -> SipMethod | None:
-    """Caller-side handling of a response to an INVITE we originated.
+def on_response(response: SipMessage, leg: LineLeg) -> SipMethod | None:
+    """Caller-side handling of a response to the INVITE that opened ``leg``.
 
-    Returns the request to send on the leg: PRACK for a 183 (the
-    reliable-provisional dance the traces show) and ACK for any final
-    response. Other provisionals (100, 180) and responses to non-INVITE
+    Returns the request to send on the leg: PRACK for a 183 while the leg
+    is still early (the reliable-provisional dance the traces show) and ACK
+    for any final response. A 183 that jitter delivers after the final
+    answer, other provisionals (100, 180) and responses to non-INVITE
     transactions (CANCEL, BYE, PRACK) need none: None.
     """
     if not response.is_response:
@@ -276,5 +277,5 @@ def on_response(response: SipMessage) -> SipMethod | None:
     assert response.status is not None
     code = response.status.code
     if code < 200:
-        return SipMethod.PRACK if code == 183 else None
+        return SipMethod.PRACK if code == 183 and leg.phase is LegPhase.EARLY else None
     return SipMethod.ACK

@@ -261,7 +261,7 @@ class PhoneLine:
                 leg.phase = LegPhase.ANSWERED
             else:
                 del self.legs[msg.call_id]
-        method = call_fsm.on_response(msg)
+        method = call_fsm.on_response(msg, leg)
         if method is not None:
             self.net.send(self, leg.request(method))
 

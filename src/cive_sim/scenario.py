@@ -27,9 +27,11 @@ the ground truth label. Schema:
       target: "+15550101"
       at_ms: 0               # optional
 
-Ground truth must be consistent with the origination: a claimed From that
-differs from the originator's own number is spoofed, same number is
-genuine. Every referenced number must be registered by some party.
+A scenario's ground truth is read off its origination: a claimed From
+that differs from the originator's own number is spoofed, the same number
+is genuine. The file's ``ground_truth`` label is required all the same,
+and the loader rejects a label that disagrees. Every referenced number must
+be registered by some party.
 
 The loader reads this schema straight into the simulator's own records:
 ``Scenario.carriers`` maps each carrier id to its ``GatewayPolicy``, and
@@ -38,10 +40,12 @@ each party is a ``PartySpec`` of its carrier, its ``CalleeProfile`` and the
 ``Held`` with the party's ``peer``).
 
 Outputs per run: ``<name>.trace.jsonl`` (the federation event log) and
-``<name>.report.json`` (verdict, match, display). The matrix command runs
-the full deterministic grid of callee states x features x origination and
-writes ``matrix.csv`` with fixed columns
-``scenario,a_state,cw,vm,origination,inferred,verdict,truth,match``.
+``<name>.report.json`` (verdict, match, display). A ``RunReport`` holds the
+``Scenario`` it ran and the run's own outcome; its ``match`` and
+``inconclusive`` are computed from the verdict and the scenario's ground
+truth. The matrix command runs the full deterministic grid of callee
+states x features x origination and writes ``matrix.csv`` with fixed
+columns ``scenario,a_state,cw,vm,origination,inferred,verdict,truth,match``.
 """
 
 from __future__ import annotations
@@ -106,8 +110,13 @@ class Scenario:
     origination: OriginationSpec
     cive_enabled: bool = True
     seed: int = 0
-    ground_truth: GroundTruth = GroundTruth.GENUINE
     description: str = ""
+
+    @property
+    def ground_truth(self) -> GroundTruth:
+        """Spoofed when the claimed From is not the originator's own number."""
+        o = self.origination
+        return GroundTruth.SPOOFED if o.claimed != o.originator else GroundTruth.GENUINE
 
     def validate(self) -> None:
         if _NAME_RE.fullmatch(self.name) is None:
@@ -140,15 +149,6 @@ class Scenario:
             raise ScenarioValidationError(f"origination target {o.target} is its own originator")
         if o.at_ms < 0:
             raise ScenarioValidationError("origination at_ms must be >= 0")
-        spoofed = o.claimed != o.originator
-        if spoofed and self.ground_truth is not GroundTruth.SPOOFED:
-            raise ScenarioValidationError(
-                "claimed differs from originator but ground_truth is not spoofed"
-            )
-        if not spoofed and self.ground_truth is not GroundTruth.GENUINE:
-            raise ScenarioValidationError(
-                "claimed equals originator but ground_truth is not genuine"
-            )
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -211,7 +211,8 @@ def _party(p: dict) -> PartySpec:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load and validate one ``.scn`` file."""
+    """Load and validate one ``.scn`` file; its ``ground_truth`` label must
+    agree with the ground truth its origination gives."""
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -260,42 +261,56 @@ def load_scenario(path: str | Path) -> Scenario:
             origination=origination,
             cive_enabled=_flag(raw, "cive", True, path.name),
             seed=_integer(raw, "seed", 0, path.name),
-            ground_truth=truth,
             description=str(raw.get("description", "")),
         )
     except (TypeError, KeyError, AttributeError, ValueError) as exc:
         raise ScenarioParseError(f"{path}: malformed scenario: {exc}") from exc
     scenario.validate()
+    if truth is not scenario.ground_truth:
+        raise ScenarioValidationError(
+            "claimed differs from originator but ground_truth is not spoofed"
+            if truth is GroundTruth.GENUINE
+            else "claimed equals originator but ground_truth is not genuine"
+        )
     return scenario
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of one scenario run, scored against its ground truth.
+    """One scenario run: the ``Scenario`` it ran and what the run produced.
 
-    ``match`` is True when (Legit <=> genuine); an Inconclusive verdict is
-    a non-match with the ``inconclusive`` flag set. Runs without
-    verification carry match=None.
+    The verdict is scored against the scenario's ground truth, which is
+    derived from its origination. ``match`` is True when (Legit <=>
+    genuine); an Inconclusive verdict is a non-match with ``inconclusive``
+    set. A run without a verdict has match None.
     """
 
-    scenario: str
-    ground_truth: GroundTruth
-    cive_enabled: bool
-    seed: int
-    b_display: PhoneNumber | None
+    scenario: Scenario
     verdict: Verdict | None
-    match: bool | None
-    inconclusive: bool
+    b_display: PhoneNumber | None
     policy_violations: int
     sim_ms: int
     trace_file: str | None
 
+    @property
+    def inconclusive(self) -> bool:
+        return self.verdict is not None and self.verdict.decision is Decision.INCONCLUSIVE
+
+    @property
+    def match(self) -> bool | None:
+        if self.verdict is None:
+            return None
+        legit = self.verdict.decision is Decision.LEGIT
+        genuine = self.scenario.ground_truth is GroundTruth.GENUINE
+        return not self.inconclusive and legit == genuine
+
     def to_json_dict(self) -> dict:
+        s = self.scenario
         return {
-            "scenario": self.scenario,
-            "ground_truth": self.ground_truth.value,
-            "cive_enabled": self.cive_enabled,
-            "seed": self.seed,
+            "scenario": s.name,
+            "ground_truth": s.ground_truth.value,
+            "cive_enabled": s.cive_enabled,
+            "seed": s.seed,
             "b_display": str(self.b_display) if self.b_display else None,
             "verdict": self.verdict.to_json_dict(self.trace_file) if self.verdict else None,
             "match": self.match,
@@ -318,7 +333,7 @@ def build_federation(s: Scenario) -> Federation:
 
 def run_scenario(s: Scenario, out_dir: str | Path | None = None) -> RunReport:
     """Run one scenario, with its own seed and ``cive_enabled``, to
-    quiescence and score the verdict.
+    quiescence and report its verdict.
 
     With verification enabled, the target line's first ring launches the
     callback, which then runs in the same event loop as the call it checks;
@@ -345,29 +360,9 @@ def run_scenario(s: Scenario, out_dir: str | Path | None = None) -> RunReport:
     net.run()
     agent = target_line.verifier
     verdict = verify_incoming(agent) if agent is not None else None
-
-    match: bool | None = None
-    inconclusive = False
-    if verdict is not None:
-        inconclusive = verdict.decision is Decision.INCONCLUSIVE
-        match = not inconclusive and (
-            (verdict.decision is Decision.LEGIT)
-            == (s.ground_truth is GroundTruth.GENUINE)
-        )
-
     trace_file = f"{s.name}.trace.jsonl" if out_dir is not None else None
     report = RunReport(
-        scenario=s.name,
-        ground_truth=s.ground_truth,
-        cive_enabled=s.cive_enabled,
-        seed=s.seed,
-        b_display=target_line.display,
-        verdict=verdict,
-        match=match,
-        inconclusive=inconclusive,
-        policy_violations=len(net.policy_violations),
-        sim_ms=net.now,
-        trace_file=trace_file,
+        s, verdict, target_line.display, len(net.policy_violations), net.now, trace_file
     )
     if out_dir is not None:
         out = Path(out_dir)
@@ -413,7 +408,6 @@ def _matrix_cell(a_state: str, cw: bool, vm: bool, origination: str) -> Scenario
         "connected": Connected(_MATRIX_C),
         "held": Held(_MATRIX_C),
     }[a_state]
-    genuine = origination == "genuine"
     name = f"matrix-{a_state}-cw{int(cw)}-vm{int(vm)}-{origination}"
     return Scenario(
         name=name,
@@ -425,13 +419,12 @@ def _matrix_cell(a_state: str, cw: bool, vm: bool, origination: str) -> Scenario
             PartySpec("cn-x", CalleeProfile(_MATRIX_E)),
         ),
         origination=OriginationSpec(
-            originator=_MATRIX_A if genuine else _MATRIX_E,
+            originator=_MATRIX_A if origination == "genuine" else _MATRIX_E,
             claimed=_MATRIX_A,
             target=_MATRIX_B,
         ),
         cive_enabled=True,
         seed=0,
-        ground_truth=GroundTruth.GENUINE if genuine else GroundTruth.SPOOFED,
     )
 
 
@@ -459,16 +452,17 @@ def _csv_values(report: RunReport) -> tuple[str, ...]:
     """A cell's values in ``CSV_COLUMNS`` order; its coordinates are read
     off the cell name."""
     assert report.verdict is not None
-    _, a_state, cw, vm, origination = report.scenario.split("-")
+    name = report.scenario.name
+    _, a_state, cw, vm, origination = name.split("-")
     return (
-        report.scenario,
+        name,
         a_state,
         str(cw == "cw1").lower(),
         str(vm == "vm1").lower(),
         origination,
         report.verdict.inferred.value,
         report.verdict.decision.value,
-        report.ground_truth.value,
+        report.scenario.ground_truth.value,
         str(bool(report.match)).lower(),
     )
 
@@ -487,7 +481,8 @@ class MatrixResult:
         return sum(
             1
             for r in self.reports
-            if r.ground_truth is GroundTruth.SPOOFED and r.verdict.decision is Decision.LEGIT
+            if r.scenario.ground_truth is GroundTruth.SPOOFED
+            and r.verdict.decision is Decision.LEGIT
         )
 
     def to_csv(self) -> str:

@@ -176,7 +176,6 @@ def test_criterion_5_attack_demo(tmp_path):
             origination=s.origination,
             cive_enabled=False,
             seed=s.seed,
-            ground_truth=s.ground_truth,
         )
         blocked = run_scenario(strict, tmp_path / "strict")
         assert blocked.b_display is None

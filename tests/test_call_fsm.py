@@ -22,8 +22,8 @@ from cive_sim.call_fsm import (
     on_response,
     summarize_legs,
 )
-from cive_sim.netsim import Federation
-from cive_sim.sip_core import AlertUrn, PemValue, PhoneNumber, SipMessage, SipMethod
+from cive_sim.netsim import Federation, GatewayPolicy
+from cive_sim.sip_core import AlertUrn, PemValue, PhoneNumber, SipMessage, SipMethod, parse_message
 
 A = PhoneNumber("+15550100")
 B = PhoneNumber("+15550101")
@@ -315,17 +315,51 @@ def dialing_line(*presets):
     return line, line.legs["out-1"].invite
 
 
+def caller_leg(phase=LegPhase.EARLY):
+    """The caller's leg of ``INVITE``, in ``phase``."""
+    return LineLeg(LegRole.CALLER, phase, INVITE)
+
+
 def test_caller_side_prack_on_183():
-    assert on_response(reply(183, pem=PemValue.SENDRECV)) is SipMethod.PRACK
+    assert on_response(reply(183, pem=PemValue.SENDRECV), caller_leg()) is SipMethod.PRACK
+    # A 183 that arrives after the 200 finds the leg answered: no PRACK.
+    answered = caller_leg(LegPhase.ANSWERED)
+    assert on_response(reply(183, pem=PemValue.SENDONLY), answered) is None
+    assert on_response(reply(200), answered) is SipMethod.ACK
+
+
+def test_a_183_delivered_after_the_collision_answer_gets_no_prack():
+    # B is dialing A when A calls it, so B answers the call-back collision
+    # 100 ms after its 183; 500 ms of jitter can deliver that 183 after
+    # the 200. A sends PRACK only while its leg is early.
+    late_183s = 0
+    for seed in range(10):
+        net = Federation(seed=seed)
+        net.add_carrier("cn-a", GatewayPolicy(jitter_ms=500))
+        a = net.register_subscriber("cn-a", A)
+        net.register_subscriber("cn-a", B).preset_state(Dialing(A))
+        net.originate_call(A, a, B)
+        net.run()
+        answered = False
+        for row in net.trace:
+            msg = parse_message(row["sip"])
+            if row["dir"] == "ingress" and row["to_hop"] == f"ep:{A}" and msg.is_response:
+                if msg.method is SipMethod.INVITE and msg.status.code == 200:
+                    answered = True
+                elif answered and msg.status.code == 183:
+                    late_183s += 1
+            elif row["dir"] == "egress" and row["from_hop"] == f"ep:{A}":
+                assert not (answered and msg.method is SipMethod.PRACK), f"seed {seed}"
+    assert late_183s > 0  # the race happened
 
 
 def test_caller_side_ringback_on_180():
     # A 180 needs no caller action: ringback is local, with no wire effect.
-    assert on_response(reply(180, pem=PemValue.SENDRECV)) is None
+    assert on_response(reply(180, pem=PemValue.SENDRECV), caller_leg()) is None
 
 
 def test_caller_side_200_connects_and_acks():
-    assert on_response(reply(200)) is SipMethod.ACK
+    assert on_response(reply(200), caller_leg()) is SipMethod.ACK
     line, invite = dialing_line()
     assert line.state == Dialing(C)
     line.handle_message(reply(200, to=invite))
@@ -333,7 +367,7 @@ def test_caller_side_200_connects_and_acks():
 
 
 def test_caller_side_486_acks_and_reverts():
-    assert on_response(reply(486)) is SipMethod.ACK
+    assert on_response(reply(486), caller_leg()) is SipMethod.ACK
     line, invite = dialing_line()
     line.handle_message(reply(486, to=invite))
     assert line.state == Idle()
@@ -348,4 +382,4 @@ def test_caller_side_ignores_non_invite_transactions():
         method=SipMethod.CANCEL, from_number=B, to_number=A,
         call_id="leg-1", seq=1,
     )
-    assert on_response(SipMessage.reply(cancel, 200)) is None
+    assert on_response(SipMessage.reply(cancel, 200), caller_leg()) is None

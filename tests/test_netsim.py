@@ -56,6 +56,29 @@ def test_register_and_duplicate():
         net.register_subscriber("cn-x", A)  # cross-carrier collision too
 
 
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda net: net.add_carrier("cn-a"), "carrier cn-a already exists"),
+        (lambda net: net.register_subscriber("cn-z", "+15551111"), "no such carrier: cn-z"),
+        (
+            lambda net: net.originate_call(A, net.lines[PhoneNumber(A)], B, at_ms=net.now - 1),
+            "cannot originate in the past",
+        ),
+    ],
+    ids=["duplicate-carrier", "unknown-carrier", "at-ms-in-the-past"],
+)
+def test_refused_setup_call_changes_nothing(refused, message):
+    net = two_carrier_fed()
+    net.originate_call(A, net.lines[PhoneNumber(A)], B)
+    net.run()
+    before = (dict(net.carriers), dict(net.lines), list(net.trace), net.now)
+    with pytest.raises(NetsimError, match=f"^{message}$"):
+        refused(net)
+    net.run()  # a queued event would run here
+    assert (net.carriers, net.lines, net.trace, net.now) == before
+
+
 def test_originator_must_be_registered():
     net = two_carrier_fed()
     other = Federation()

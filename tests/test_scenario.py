@@ -62,14 +62,16 @@ def _write(tmp_path, text):
 
 def test_load_rejects_claimed_truth_contradiction(tmp_path):
     text = (SCENARIOS / "c2.scn").read_text().replace("ground_truth: spoofed", "ground_truth: genuine")
-    with pytest.raises(ScenarioValidationError):
+    with pytest.raises(ScenarioValidationError) as err:
         load_scenario(_write(tmp_path, text))
+    assert str(err.value) == "claimed differs from originator but ground_truth is not spoofed"
 
 
 def test_load_rejects_genuine_labelled_spoofed(tmp_path):
     text = (SCENARIOS / "c1.scn").read_text().replace("ground_truth: genuine", "ground_truth: spoofed")
-    with pytest.raises(ScenarioValidationError):
+    with pytest.raises(ScenarioValidationError) as err:
         load_scenario(_write(tmp_path, text))
+    assert str(err.value) == "claimed equals originator but ground_truth is not genuine"
 
 
 def test_load_rejects_unregistered_numbers(tmp_path):
@@ -83,12 +85,6 @@ def test_load_rejects_bad_yaml(tmp_path):
         load_scenario(_write(tmp_path, "name: [unclosed"))
     with pytest.raises(ScenarioParseError):
         load_scenario(_write(tmp_path, "- just\n- a list\n"))
-
-
-def test_load_rejects_missing_peer(tmp_path):
-    text = (SCENARIOS / "c3.scn").read_text().replace('    peer: "+15550102"\n', "", 1)
-    with pytest.raises(ScenarioValidationError):
-        load_scenario(_write(tmp_path, text))
 
 
 def test_run_c1_legit(tmp_path):
@@ -170,7 +166,6 @@ def test_run_c2_strict_policy_blocks(tmp_path):
     strict = Scenario(
         name=s.name, carriers=carriers, parties=s.parties,
         origination=s.origination, cive_enabled=True, seed=s.seed,
-        ground_truth=s.ground_truth,
     )
     report = run_scenario(strict, tmp_path)
     assert report.b_display is None
@@ -263,19 +258,34 @@ def test_matrix_cell_files_are_pinned(tmp_path):
 
 
 def test_exit_code_logic():
-    def report(match, inconclusive=False):
-        return RunReport(
-            scenario="x", ground_truth=GroundTruth.GENUINE, cive_enabled=True,
-            seed=0, b_display=None, verdict=None, match=match,
-            inconclusive=inconclusive, policy_violations=0, sim_ms=0,
-            trace_file=None,
-        )
+    # A report is scored from its verdict and its scenario's ground truth,
+    # which c1 (genuine) and c2 (spoofed) take from their originations.
+    genuine = load_scenario(SCENARIOS / "c1.scn")
+    spoofed = load_scenario(SCENARIOS / "c2.scn")
 
-    assert exit_code_for([report(True)]) == 0
-    assert exit_code_for([report(None)]) == 0  # no verification ran
-    assert exit_code_for([report(False, inconclusive=True)]) == 2
-    assert exit_code_for([report(False)]) == 1
-    assert exit_code_for([report(False), report(False, inconclusive=True)]) == 1
+    def report(s, inferred):
+        verdict = (
+            None if inferred is None
+            else cive.decide(s.origination.target, inferred, cive.FeatureVector())
+        )
+        return RunReport(s, verdict, None, 0, 0, None)
+
+    legit = report(genuine, InferredState.DIALING)
+    caught = report(spoofed, InferredState.IDLE)
+    unverified = report(genuine, None)
+    unsure = report(spoofed, InferredState.UNKNOWN)
+    fooled = report(spoofed, InferredState.DIALING)
+    wronged = report(genuine, InferredState.IDLE)
+    assert (legit.match, caught.match, unverified.match) == (True, True, None)
+    # Inconclusive is a non-match, on a spoofed call too.
+    assert (unsure.match, unsure.inconclusive) == (False, True)
+    assert (fooled.match, wronged.match) == (False, False)
+    assert not any(r.inconclusive for r in (legit, caught, unverified, fooled, wronged))
+    assert exit_code_for([legit, caught]) == 0
+    assert exit_code_for([unverified]) == 0  # no verification ran
+    assert exit_code_for([unsure]) == 2
+    assert exit_code_for([fooled]) == 1
+    assert exit_code_for([wronged, unsure]) == 1
 
 
 def test_one_event_loop_per_scenario(monkeypatch):
@@ -457,13 +467,15 @@ def test_cli_self_call_is_bad_input(tmp_path, capsys):
         ('peer: "+15550102"', 'peer: "+15550177"', "party +15550100: peer +15550177 not registered"),
         ("at_ms: 0", "at_ms: -5", "origination at_ms must be >= 0"),
         ("ground_truth: spoofed", "ground_truth: maybe", "bad ground_truth: 'maybe'"),
+        ("ground_truth: spoofed", "ground_truth: genuine",
+         "claimed differs from originator but ground_truth is not spoofed"),
         ("carriers:\n", "carriers: 5\nunused:\n", "malformed scenario: 'int' object is not iterable"),
         ("    state: idle\n", "    state: idle\n    peer: B\n",
          "party peer: not an E.164-style number: 'B'"),
     ],
     ids=["duplicate-number", "duplicate-carrier", "unknown-carrier", "bad-state", "no-peer",
-         "unregistered-peer", "negative-at_ms", "bad-ground-truth", "carriers-not-a-list",
-         "idle-peer-not-a-number"],
+         "unregistered-peer", "negative-at_ms", "bad-ground-truth", "label-contradicts-origination",
+         "carriers-not-a-list", "idle-peer-not-a-number"],
 )
 def test_cli_bad_c3_is_bad_input(tmp_path, capsys, old, new, message):
     text = (SCENARIOS / "c3.scn").read_text(encoding="utf-8")
@@ -667,6 +679,30 @@ def test_cli_parse_missing_file(tmp_path, capsys):
     assert cli.main(["parse", str(missing)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
+
+
+def test_cli_parse_non_utf8_file(tmp_path, capsys):
+    golden = (REPO / "tests" / "golden" / "c2.trace.jsonl").read_bytes()
+    path = tmp_path / "bad.trace.jsonl"
+    path.write_bytes(golden.replace(b"Trying", b"Tr\xe9ying", 1))
+    assert cli.main(["parse", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}: not UTF-8 text\n"
+
+
+def test_cli_parse_skips_a_call_whose_invite_leaves_a_network_hop(tmp_path, capsys):
+    # c2's first row is the spoofed INVITE leaving E's phone; sent from a
+    # network hop instead, its call has no endpoint to observe it.
+    golden = REPO / "tests" / "golden"
+    lines = (golden / "c2.trace.jsonl").read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
+    rows[0]["from_hop"] = "net:cn-x"
+    path = tmp_path / "c2.trace.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert cli.main(["parse", str(path)]) == 0
+    out, err = capsys.readouterr()
+    expected = (golden / "c2.parse.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert err == "" and [out] == [line for line in expected if '"c0002@sim"' in line]
 
 
 def test_cli_parse_malformed_json(tmp_path, capsys):

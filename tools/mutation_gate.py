@@ -108,6 +108,15 @@ MUTANTS = (
     Mutant("late-response-acted-on", "cive.py",
            "if tx_method is not SipMethod.INVITE or self.final is not None:",
            "if tx_method is not SipMethod.INVITE:"),
+    Mutant("ground-truth-inverted", "scenario.py",
+           "if o.claimed != o.originator else",
+           "if o.claimed == o.originator else"),
+    Mutant("inconclusive-matches", "scenario.py",
+           "return not self.inconclusive and legit == genuine",
+           "return legit == genuine"),
+    Mutant("late-183-pracked", "call_fsm.py",
+           "code == 183 and leg.phase is LegPhase.EARLY",
+           "code == 183"),
 )
 
 # Mutants no test can kill because they change no observable behaviour,
