@@ -392,8 +392,15 @@ def verify_incoming(agent: _VerifierAgent) -> Verdict:
     return decide(agent.number, infer_state(features), features)
 
 
-# The ``dir`` string of a trace row -> its Direction.
-_DIRECTIONS = {d.value: d for d in Direction}
+# The ``dir`` string of a trace row -> its Direction, and the field naming the
+# hop that sent (egress) or received (ingress) the row's message: a leg holds
+# the rows whose field names its observer.
+_DIRECTIONS = {
+    Direction.EGRESS.value: (Direction.EGRESS, "from_hop"),
+    Direction.INGRESS.value: (Direction.INGRESS, "to_hop"),
+}
+# The state of a call whose leg is not built: no hop is None, so it has no rows.
+_NO_LEG = (None, None)
 
 
 def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEntry]]]:
@@ -405,23 +412,34 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
     entries, in row order. Returns (call_id, observer_hop, entries) triples
     in the file order of each call id's first egress row.
 
-    One pass groups the rows by Call-ID, parsing each distinct wire text
-    once, so the cost is linear in the row count; ``rows`` is left as it
-    was. Raises MalformedTraceRow for a row whose ``dir`` is not a
-    ``Direction`` value, whose message falls outside the SIP profile, or
-    that breaks its leg's ordering: a leg starts with its sent INVITE and
-    its timestamps never decrease. Only such outside input can break that
-    order; the live verifier's leg keeps it by construction.
+    One pass reads the rows, parsing each distinct wire text once. A call's
+    observer is known from its first egress row; the ingress rows read
+    before it wait in a small list, and only the observer's rows become
+    entries. ``rows`` is left as it was. Raises MalformedTraceRow for a row
+    whose ``dir`` is not a ``Direction`` value, whose message falls outside
+    the SIP profile, or that breaks its leg's ordering: a leg starts with
+    its sent INVITE and its timestamps never decrease. Only such outside
+    input can break that order; the live verifier's leg keeps it by
+    construction. A bad ``dir`` or message is raised at the first such
+    row; an ordering error is raised after every row was read, for the
+    first broken leg in the order of the returned triples, at its first
+    offending row.
     """
     from .sip_core import parse_message
 
     parsed: dict[str, SipMessage] = {}
-    by_call: dict[str, list[tuple[int, dict, Direction, SipMessage]]] = {}
-    first_egress: dict[str, tuple[dict, SipMessage]] = {}
+    # Call-ID -> (observer hop, leg) once its first egress row is read;
+    # _NO_LEG for a call with no leg to build, or one whose leg is broken.
+    observed: dict[str, tuple] = {}
+    # Call-ID -> (index, to_hop) of its ingress rows read before its first egress row.
+    waiting: dict[str, list[tuple[int, str]]] = {}
+    broken: dict[str, MalformedTraceRow] = {}
+    legs: list[tuple[str, str, list[TraceEntry]]] = []
     for index, row in enumerate(rows):
-        direction = _DIRECTIONS.get(row["dir"])
-        if direction is None:
+        known = _DIRECTIONS.get(row["dir"])
+        if known is None:
             raise MalformedTraceRow(index, f"dir {row['dir']!r} is not one of {sorted(_DIRECTIONS)}")
+        direction, hop = known
         text = row["sip"]
         msg = parsed.get(text)
         if msg is None:
@@ -430,26 +448,36 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
             except ParseError as exc:
                 raise MalformedTraceRow(index, f"{type(exc).__name__}: {exc}") from exc
         cid = msg.call_id
-        by_call.setdefault(cid, []).append((index, row, direction, msg))
-        if cid not in first_egress and direction is Direction.EGRESS:
-            first_egress[cid] = (row, msg)
-    legs: list[tuple[str, str, list[TraceEntry]]] = []
-    for cid, (first, first_msg) in first_egress.items():
-        if not (first_msg.is_request and first_msg.method is SipMethod.INVITE):
-            continue
-        observer = first["from_hop"]
-        if not observer.startswith("ep:"):
-            continue
-        leg: list[TraceEntry] = []
-        for index, row, direction, msg in by_call[cid]:
-            if row["from_hop" if direction is Direction.EGRESS else "to_hop"] != observer:
+        known = observed.get(cid)
+        if known is not None:
+            observer, leg = known
+            if row[hop] != observer:
                 continue
             t_ms = row["t_ms"]
-            if leg and t_ms < leg[-1].t_ms:
-                raise MalformedTraceRow(
+            if t_ms < leg[-1].t_ms:
+                observed[cid] = _NO_LEG
+                broken[cid] = MalformedTraceRow(
                     index, f"call {cid}: trace timestamps must be non-decreasing")
-            if not leg and not (direction is Direction.EGRESS and msg.method is SipMethod.INVITE):
-                raise MalformedTraceRow(index, f"call {cid}: a trace starts with the sent INVITE")
+                continue
             leg.append(TraceEntry(t_ms, direction, msg))
-        legs.append((cid, observer, leg))
+        elif direction is Direction.INGRESS:
+            waiting.setdefault(cid, []).append((index, row["to_hop"]))
+        else:
+            observer = row["from_hop"]
+            early = waiting.pop(cid, ())
+            if not (msg.is_request and msg.method is SipMethod.INVITE
+                    and observer.startswith("ep:")):
+                observed[cid] = _NO_LEG
+                continue
+            leg = [TraceEntry(row["t_ms"], direction, msg)]
+            legs.append((cid, observer, leg))
+            observed[cid] = (observer, leg)
+            for early_index, to_hop in early:
+                if to_hop == observer:
+                    observed[cid] = _NO_LEG
+                    broken[cid] = MalformedTraceRow(
+                        early_index, f"call {cid}: a trace starts with the sent INVITE")
+                    break
+    if broken:
+        raise next(broken[cid] for cid, _, _ in legs if cid in broken)
     return legs

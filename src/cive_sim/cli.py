@@ -103,28 +103,37 @@ def _general_row(line: str, path: str, lineno: int) -> dict:
 def _read_trace(path: str) -> tuple[list[dict], list[int]]:
     """The rows of a trace file, and the line number each row came from.
 
-    A line as ``Federation.trace_jsonl`` writes it is read by one
-    ``netsim.TRACE_LINE_RE`` match, its sip literal decoded once per file,
-    so a row and its twin share one string. Any other line, or one whose
-    literal or integer does not decode, goes to ``json.loads``; both give
-    the same row, or the same error on the same line.
+    A line as ``Federation.trace_jsonl`` writes it is read in one pass:
+    ``netsim.TRACE_HEAD_RE`` matches its fixed head, the rest of the line
+    must be one sip literal, ``}`` and an optional newline, and that literal
+    is decoded once per file, so a row and its twin share one string. The
+    tail is checked before the literal is looked up, on a cache hit too.
+    Any other line, or one whose literal or integer does not decode, goes
+    to ``json.loads``; both give the same row, or the same error on the
+    same line.
     """
     rows: list[dict] = []
     line_numbers: list[int] = []
     texts: dict[str, str] = {}  # sip literal -> its decoded text
-    match = netsim.TRACE_LINE_RE.fullmatch
+    head = netsim.TRACE_HEAD_RE.match
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                m = match(line)
-                if m is None:
+                m = head(line)
+                literal = None
+                if m is not None:  # the rest must be the sip literal, "}" and an optional newline
+                    if line.endswith("}\n"):
+                        literal = line[m.end() : -2]
+                    elif line.endswith("}"):
+                        literal = line[m.end() : -1]
+                if literal is None:
                     if not line.strip():
                         continue
                     row = _general_row(line, path, lineno)
                 else:
-                    t_ms, carrier, from_hop, to_hop, direction, literal = m.groups()
-                    sip = texts.get(literal)
+                    t_ms, carrier, from_hop, to_hop, direction = m.groups()
                     try:
+                        sip = texts.get(literal)
                         if sip is None:
                             sip = texts[literal] = _decode_literal(literal)
                         t_ms = int(t_ms)

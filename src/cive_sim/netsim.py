@@ -410,10 +410,10 @@ class Federation:
         target = PhoneNumber(to) if line is None else line.number
         if target == originator.number:
             raise NetsimError(f"{target} cannot call itself")
-        call_id = self.new_call_id()
         at = self.now if at_ms is None else at_ms
         if at < self.now:
             raise NetsimError("cannot originate in the past")
+        call_id = self.new_call_id()
         self.set_timer(at - self.now, originator._start_call, call_id, claimed, target)
         return call_id
 
@@ -533,8 +533,8 @@ class Federation:
         """The trace as JSON lines, byte for byte what ``json.dumps(row)`` gives.
 
         Lines are built from the fixed field order, each string escaped as
-        ``json.dumps`` escapes it. ``TRACE_LINE_RE`` is the inverse of this
-        layout.
+        ``json.dumps`` escapes it. ``TRACE_HEAD_RE`` matches the head of
+        each line, up to its sip literal.
         """
         q = encode_basestring_ascii
         return "".join(
@@ -567,13 +567,14 @@ def write_file(path: str | Path, text: str) -> None:
         os.close(fd)
 
 
-# The exact inverse of one trace_jsonl line, for readers that take such a
-# line in one match: the fixed key order and spacing, a plain decimal t_ms,
-# four strings with nothing to unescape, and the sip field captured as its
-# raw JSON string literal.
+# The fixed head of one trace_jsonl line, up to the opening quote of its
+# sip literal: the fixed key order and spacing, a plain decimal t_ms, and four
+# strings with nothing to unescape. A reader that matches it still has to
+# check the rest of the line: one JSON string literal, "}" and an optional
+# newline. Matching only the head keeps the long sip literal out of the scan.
 _PLAIN_STR = r'"([^"\\\x00-\x1f]*)"'
-TRACE_LINE_RE = re.compile(
+TRACE_HEAD_RE = re.compile(
     r'\{"t_ms": (0|[1-9][0-9]*), "carrier": ' + _PLAIN_STR
     + r', "from_hop": ' + _PLAIN_STR + r', "to_hop": ' + _PLAIN_STR
-    + r', "dir": ' + _PLAIN_STR + r', "sip": ("[^"\\]*(?:\\.[^"\\]*)*")\}\n?'
+    + r', "dir": ' + _PLAIN_STR + r', "sip": (?=")'
 )

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -729,3 +731,136 @@ def test_legs_name_the_offending_row():
     cid = parse_message(rows[0]["sip"]).call_id
     assert info.value.index == late
     assert info.value.reason == f"call {cid}: trace timestamps must be non-decreasing"
+
+
+def _two_phase_legs(rows):
+    """The leg builder as it was before it read the rows in one pass: group
+    every row by Call-ID, then rescan each call's rows for its leg,
+    raising an ordering error as soon as it is found. The reference for
+    ``test_one_pass_legs_equal_the_two_phase_builder``."""
+    directions = {d.value: d for d in Direction}
+    parsed = {}
+    by_call = {}
+    first_egress = {}
+    for index, row in enumerate(rows):
+        direction = directions.get(row["dir"])
+        if direction is None:
+            raise MalformedTraceRow(index, f"dir {row['dir']!r} is not one of {sorted(directions)}")
+        text = row["sip"]
+        msg = parsed.get(text)
+        if msg is None:
+            try:
+                msg = parsed[text] = parse_message(text)
+            except cive_sim.sip_core.ParseError as exc:
+                raise MalformedTraceRow(index, f"{type(exc).__name__}: {exc}") from exc
+        cid = msg.call_id
+        by_call.setdefault(cid, []).append((index, row, direction, msg))
+        if cid not in first_egress and direction is Direction.EGRESS:
+            first_egress[cid] = (row, msg)
+    legs = []
+    for cid, (first, first_msg) in first_egress.items():
+        if not (first_msg.is_request and first_msg.method is SipMethod.INVITE):
+            continue
+        observer = first["from_hop"]
+        if not observer.startswith("ep:"):
+            continue
+        leg = []
+        for index, row, direction, msg in by_call[cid]:
+            if row["from_hop" if direction is Direction.EGRESS else "to_hop"] != observer:
+                continue
+            t_ms = row["t_ms"]
+            if leg and t_ms < leg[-1].t_ms:
+                raise MalformedTraceRow(
+                    index, f"call {cid}: trace timestamps must be non-decreasing")
+            if not leg and not (direction is Direction.EGRESS and msg.method is SipMethod.INVITE):
+                raise MalformedTraceRow(index, f"call {cid}: a trace starts with the sent INVITE")
+            leg.append(TraceEntry(t_ms, direction, msg))
+        legs.append((cid, observer, leg))
+    return legs
+
+
+def _legs_outcome(build, rows):
+    try:
+        return build(rows)
+    except MalformedTraceRow as exc:
+        return exc.index, exc.reason
+
+
+@functools.cache
+def _parsed(text):
+    return parse_message(text)
+
+
+def _mutate_rows(rng, rows):
+    """The rows changed in one way: reordered, restamped, or with a call's
+    first egress row replaced by a row that cannot start its leg."""
+    rows = list(rows)
+    cids = [_parsed(row["sip"]).call_id for row in rows]
+    calls = list(dict.fromkeys(cids))
+    kind = rng.randrange(5)
+    if kind == 0:  # shuffled: a short run of rows, or all of them
+        start = rng.randrange(len(rows))
+        stop = start + rng.randint(2, 6)
+        if rng.random() < 0.2:
+            start, stop = 0, len(rows)
+        window = rows[start:stop]
+        rng.shuffle(window)
+        rows[start:stop] = window
+    elif kind == 1:  # t_ms lowered in two calls
+        for cid in rng.sample(calls, 2):
+            i = rng.choice([i for i, c in enumerate(cids) if c == cid])
+            rows[i] = dict(rows[i], t_ms=rows[i]["t_ms"] - rng.randint(1, 300))
+    elif kind == 2:  # ingress rows moved before their call's first egress
+        cid = rng.choice(calls)
+        first = next(i for i, c in enumerate(cids) if c == cid and rows[i]["dir"] == "egress")
+        ingress = [i for i, c in enumerate(cids) if c == cid and rows[i]["dir"] == "ingress"]
+        moved = [rows[i] for i in rng.sample(ingress, rng.randint(1, min(3, len(ingress))))]
+        rows = [row for row in rows if all(row is not m for m in moved)]
+        at = rng.randint(0, first)
+        rows[at:at] = moved
+    elif kind == 3:  # a call's first egress is not a request INVITE
+        cid = rng.choice(calls)
+        egress = [i for i, c in enumerate(cids) if c == cid and rows[i]["dir"] == "egress"]
+        other = [i for i in egress if _parsed(rows[i]["sip"]).method is not SipMethod.INVITE]
+        later = rows.pop(rng.choice(other))
+        rows.insert(rng.randint(0, egress[0]), later)
+    else:  # a call's first egress leaves a network hop
+        cid = rng.choice(calls)
+        first = next(i for i, c in enumerate(cids) if c == cid and rows[i]["dir"] == "egress")
+        rows[first] = dict(rows[first], from_hop="net:cn-x")
+    return rows
+
+
+def _break_a_row_after_a_late_one(rng, rows):
+    """A row stamped too early, then a later row with a bad ``dir`` or message."""
+    rows = list(rows)
+    i = rng.randrange(1, len(rows) - 1)
+    rows[i] = dict(rows[i], t_ms=rows[i]["t_ms"] - rng.randint(1, 300))
+    j = rng.randrange(i + 1, len(rows))
+    if rng.random() < 0.5:
+        rows[j] = dict(rows[j], dir=rng.choice(("EGRESS", "in", "")))
+    else:
+        rows[j] = dict(rows[j], sip=rng.choice(("HELLO there\n\n", "", "INVITE\n\n")))
+    return rows
+
+
+def test_one_pass_legs_equal_the_two_phase_builder():
+    rng = random.Random(20261019)
+    seeded = [loaded_federation(seed, 12)[0] for seed in (1, 2, 3)]
+    outcomes = []
+    for i in range(600):
+        rows = seeded[i % len(seeded)]
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            rows = _mutate_rows(rng, rows)
+        if rng.random() < 0.2:
+            rows = _break_a_row_after_a_late_one(rng, rows)
+        expected = _legs_outcome(_two_phase_legs, rows)
+        assert _legs_outcome(legs_from_trace_rows, rows) == expected, i
+        outcomes.append(expected if isinstance(expected, tuple) else len(expected))
+    # every error, and traces read whole with fewer legs than calls, are exercised
+    reasons = [outcome[1] for outcome in outcomes if isinstance(outcome, tuple)]
+    assert sum(r.endswith("timestamps must be non-decreasing") for r in reasons) > 70
+    assert sum(r.endswith("a trace starts with the sent INVITE") for r in reasons) > 70
+    assert sum(r.startswith("dir ") for r in reasons) > 40
+    assert sum(r.startswith("MalformedStartLine") for r in reasons) > 40
+    assert sum(outcome in (9, 10, 11) for outcome in outcomes) > 120

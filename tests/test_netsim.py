@@ -77,6 +77,7 @@ def test_refused_setup_call_changes_nothing(refused, message):
         refused(net)
     net.run()  # a queued event would run here
     assert (net.carriers, net.lines, net.trace, net.now) == before
+    assert net.originate_call(A, net.lines[PhoneNumber(A)], B) == "c0002@sim"
 
 
 def test_originator_must_be_registered():

@@ -32,7 +32,7 @@ from cive_sim.scenario import (
 )
 from cive_sim import cive, cli
 from cive_sim.call_fsm import Connected, Held
-from cive_sim.netsim import TRACE_LINE_RE, Federation
+from cive_sim.netsim import TRACE_HEAD_RE, Federation
 from cive_sim.sip_core import PhoneNumber
 
 
@@ -849,12 +849,14 @@ def test_read_trace_matches_json_loads_on_golden_seeded_and_mutated_rows(tmp_pat
     ]
     rows, _ = loaded_federation(7, 40)
     traces.append([json.dumps(row) for row in rows])
-    assert all(TRACE_LINE_RE.fullmatch(line) for trace in traces for line in trace)
-    fallback = []  # for each line json.loads read: whether the fast regex matched it
+    assert all(
+        TRACE_HEAD_RE.match(line) and line.endswith("}") for trace in traces for line in trace
+    )
+    fallback = []  # for each line json.loads read: whether the row head matched it
     general_row = cli._general_row
 
     def counted_general_row(line, path, lineno):
-        fallback.append(TRACE_LINE_RE.fullmatch(line) is not None)
+        fallback.append(TRACE_HEAD_RE.match(line) is not None)
         return general_row(line, path, lineno)
 
     monkeypatch.setattr(cli, "_general_row", counted_general_row)
@@ -890,12 +892,58 @@ def test_read_trace_matches_json_loads_on_golden_seeded_and_mutated_rows(tmp_pat
     for start in range(0, len(readable), 300):
         read += len(check("\n".join(readable[start : start + 300]) + rng.choice(("\n", "")))[1])
     # the fast path, the fallback that reads a row and the one that rejects it
-    # are all exercised, and so is a match whose literal or integer does not decode
+    # are all exercised, and so is a head match whose tail, literal or integer
+    # does not decode
     slow = len(fallback) - before
     declined = sum(fallback)
     assert read - slow > 8_000 and slow > 3_000 and errors > 3_000 and declined > 300, (
         read - slow, slow, errors, declined,
     )
+
+
+@pytest.mark.parametrize(
+    "lineno, edit, error",
+    [
+        (3, lambda line: line[:-1] + "]", ":3: malformed JSON: "),
+        (3, lambda line: line[:-1], ":3: malformed JSON: "),
+        (3, lambda line: line[:-1] + ' , "note": 1}', None),
+        (3, lambda line: line[:-1] + " }", None),
+        (2, lambda line: line[:-1] + "]", ":2: malformed JSON: "),
+        (2, lambda line: line[:-1], ":2: malformed JSON: "),
+    ],
+    ids=[
+        "not-brace-after-literal",
+        "no-closing-brace",
+        "literal-then-a-field",
+        "literal-then-a-space",
+        "cached-literal-not-brace-after",
+        "cached-literal-no-closing-brace",
+    ],
+)
+def test_read_trace_checks_what_follows_the_row_head(tmp_path, lineno, edit, error):
+    # c3's lines 1 and 2 carry the same sip literal, so line 2's is cached
+    # when it is read; line 3's is new to the file
+    lines = (REPO / "tests" / "golden" / "c3.trace.jsonl").read_text(encoding="utf-8").splitlines()
+    literals = [line.split('"sip": ', 1)[1] for line in lines[:3]]
+    assert literals[0] == literals[1] != literals[2]
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    assert TRACE_HEAD_RE.match(lines[lineno - 1])
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "t.trace.jsonl"
+    path.write_text(text, encoding="utf-8")
+    outcome = _read_outcome(path)
+    assert outcome == _reference_read(io.StringIO(text, newline=None), path)
+    if error is None:
+        assert outcome[1] == list(range(1, len(lines) + 1))
+    else:
+        assert outcome.startswith(f"{path}{error}")
+
+
+def test_decode_literal_takes_one_whole_literal():
+    assert cli._decode_literal('"a\\nb"') == "a\nb"
+    for literal in ('"ab" ', '"ab"x', '"a"b"', '"ab'):
+        with pytest.raises(ValueError):
+            cli._decode_literal(literal)
 
 
 def test_twin_rows_share_one_sip_string():

@@ -97,11 +97,18 @@ MUTANTS = (
            "        self.entries.append(TraceEntry(self.net.now, Direction.INGRESS, msg))\n"
            "        if not msg.is_response:"),
     Mutant("leg-order-unchecked", "cive.py",
-           "if leg and t_ms < leg[-1].t_ms:",
+           "if t_ms < leg[-1].t_ms:",
            "if False:"),
     Mutant("leg-start-unchecked", "cive.py",
-           "if not leg and not (direction is Direction.EGRESS and msg.method is SipMethod.INVITE):",
+           "if to_hop == observer:",
            "if False:"),
+    Mutant("trace-tail-unchecked", "cli.py",
+           'if line.endswith("}\\n"):\n'
+           "                        literal = line[m.end() : -2]\n"
+           '                    elif line.endswith("}"):',
+           'if line.endswith("\\n"):\n'
+           "                        literal = line[m.end() : -2]\n"
+           "                    elif True:"),
     Mutant("live-timeout-dropped", "cive.py",
            "extract_features(agent.entries, agent.timed_out)",
            "extract_features(agent.entries, False)"),
