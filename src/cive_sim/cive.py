@@ -20,9 +20,9 @@ the callee B, its From the claimed number. ``infer_state`` is the one scan
 of the rule table ``_RULES``.
 
 A call leg is a plain list of ``TraceEntry``, in order, starting with the
-sent INVITE. The live verifier keeps its leg in ``entries`` and its own
-``timed_out`` flag, set when its timer fires; ``legs_from_trace_rows``
-rebuilds legs from a saved trace, which records no timer.
+sent INVITE. The live verifier keeps its leg in ``entries``;
+``legs_from_trace_rows`` rebuilds legs from a saved trace. Every feature is
+read off the leg alone, so both give the same features.
 """
 
 from __future__ import annotations
@@ -172,13 +172,17 @@ class Verdict:
         }
 
 
-def extract_features(leg: list[TraceEntry], timed_out: bool) -> FeatureVector:
+def extract_features(leg: list[TraceEntry]) -> FeatureVector:
     """Pure feature extraction from one auCall leg, its entries in order
-    and starting with the sent INVITE; ``timed_out`` says whether the
-    verifier's timer fired."""
+    and starting with the sent INVITE."""
     if not leg:
         raise EmptyTrace("cannot extract features from an empty trace")
     invite = leg[0].message
+    # The verifier sets its timeout with the INVITE, so at a tie it fires before
+    # the grace timer or any delivery: a CANCEL sent exactly AU_CALL_TIMEOUT_MS
+    # after the INVITE is the timeout's. A phone's own CANCEL comes at 20 s.
+    timeout_at = leg[0].t_ms + AU_CALL_TIMEOUT_MS
+    timed_out = False
     pem_180: PemValue | None = None
     alert_180: AlertUrn | None = None
     saw_180 = False
@@ -202,6 +206,7 @@ def extract_features(leg: list[TraceEntry], timed_out: bool) -> FeatureVector:
                 final = msg.status
         elif entry.direction is Direction.EGRESS and msg.is_request:
             sent.add(msg.method)
+            timed_out = timed_out or (msg.method is SipMethod.CANCEL and entry.t_ms == timeout_at)
     # BYE is what actually ends an answered leg, so it wins over a CANCEL
     # that crossed the answer in flight.
     teardown = next((m for m in (SipMethod.BYE, SipMethod.CANCEL) if m in sent), None)
@@ -274,18 +279,16 @@ class _VerifierAgent:
     is sent and policed as the callee's, and its replies reach the agent.
 
     Records every message of its dialog in ``entries``, as the saved trace
-    holds it, and sets ``timed_out`` when its timeout fires. Acts
-    on responses until a 180 with early media has aged past the capture
-    grace, a final response arrives, or the timeout fires; then tears the
-    leg down: ACK+BYE when the far end answered, CANCEL while the INVITE is
-    still pending, just ACK after a non-2xx final.
+    holds it. Acts on responses until a 180 with early media has aged past
+    the capture grace, a final response arrives, or the timeout fires; then
+    tears the leg down: ACK+BYE when the far end answered, CANCEL while the
+    INVITE is still pending, just ACK after a non-2xx final.
     """
 
     def __init__(self, net: Federation, line: PhoneLine, claimed: PhoneNumber):
         self.net = net
         self.hop, self.carrier, self.number = line.hop, line.carrier, line.number
         self.entries: list[TraceEntry] = []
-        self.timed_out = False
         invite = SipMessage.request(SipMethod.INVITE, line.number, claimed, net.new_call_id())
         self.leg = LineLeg(LegRole.CALLER, LegPhase.EARLY, invite)
         self.final: StatusCode | None = None
@@ -351,7 +354,6 @@ class _VerifierAgent:
 
     def _time_out(self) -> None:
         self.timeout_timer = None
-        self.timed_out = True
         self._cancel_invite()
 
     def _cancel_invite(self) -> None:
@@ -385,10 +387,8 @@ def launch_verification(net: Federation, in_call: SipMessage) -> _VerifierAgent:
 def verify_incoming(agent: _VerifierAgent) -> Verdict:
     """Feature extraction, inference and verdict for a launched verification.
 
-    Call it after the federation has run; the leg it judges is
-    ``agent.entries``, and ``agent.timed_out`` says whether its timer fired.
-    """
-    features = extract_features(agent.entries, agent.timed_out)
+    Call it after the federation has run; it judges the leg ``agent.entries``."""
+    features = extract_features(agent.entries)
     return decide(agent.number, infer_state(features), features)
 
 

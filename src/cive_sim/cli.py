@@ -164,8 +164,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     except cive.MalformedTraceRow as exc:
         raise TraceFileError(f"{args.trace}:{line_numbers[exc.index]}: {exc.reason}") from None
     for call_id, observer, leg in legs:
-        # No trace row records the verifier's timer, so no leg reads as timed out.
-        features = cive.extract_features(leg, False)
+        features = cive.extract_features(leg)
         inferred = cive.infer_state(features)
         print(
             json.dumps(

@@ -225,13 +225,9 @@ class PhoneLine:
 
     def _handle_cancel(self, cancel: SipMessage) -> None:
         leg = self.legs.get(cancel.call_id)
-        pending = (
-            leg.invite
-            if leg is not None and leg.role is LegRole.CALLEE and leg.phase is LegPhase.EARLY
-            else None
-        )
-        responses = call_fsm.on_cancel(cancel, pending)
-        if pending is not None and leg is not None:
+        early = leg is not None and leg.role is LegRole.CALLEE and leg.phase is LegPhase.EARLY
+        responses = call_fsm.on_cancel(cancel, leg.invite if early else None)
+        if early:
             if leg.auto_answer_timer is not None:
                 self.net.cancel_timer(leg.auto_answer_timer)
             del self.legs[cancel.call_id]
@@ -265,10 +261,10 @@ class PhoneLine:
         if method is not None:
             self.net.send(self, leg.request(method))
 
+    # -- timer handlers (whatever ends an early leg cancels its timers first) --
+
     def _auto_answer(self, call_id: str) -> None:
-        leg = self.legs.get(call_id)
-        if leg is None or leg.phase is not LegPhase.EARLY:
-            return
+        leg = self.legs[call_id]
         responses = call_fsm.on_auto_answer(leg.invite)
         leg.phase = LegPhase.ANSWERED
         leg.auto_answer_timer = None
@@ -277,13 +273,14 @@ class PhoneLine:
 
     def _give_up(self, call_id: str) -> None:
         """The caller's patience ran out: CANCEL the unanswered INVITE."""
-        leg = self.legs.get(call_id)
-        if leg is None or leg.phase is not LegPhase.EARLY:
-            return
+        leg = self.legs[call_id]
         leg.patience_timer = None
         self.net.send(self, leg.request(SipMethod.CANCEL))
 
     def _start_call(self, call_id: str, from_claimed: PhoneNumber, to: PhoneNumber) -> None:
+        for leg in self.legs.values():  # a phone holds its answered call before it dials
+            if leg.phase is LegPhase.ANSWERED:
+                leg.phase = LegPhase.HELD
         invite = SipMessage.request(SipMethod.INVITE, from_claimed, to, call_id)
         leg = self.legs[call_id] = LineLeg(LegRole.CALLER, LegPhase.EARLY, invite)
         leg.patience_timer = self.net.set_timer(INVITE_PATIENCE_MS, self._give_up, call_id)

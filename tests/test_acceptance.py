@@ -94,7 +94,7 @@ def test_criterion_1_ringing_features(corpus_runs):
             "c3": (PemValue.SENDRECV, AlertUrn.CALL_WAITING),
         }
         for name, (pem, alert) in expected.items():
-            features = extract_features(corpus_runs["runs"][name]["aucall"], False)
+            features = extract_features(corpus_runs["runs"][name]["aucall"])
             assert features.pem_180 is pem, (name, features)
             assert features.alert_180 is alert, (name, features)
         assert corpus_runs["wall_s"] < 1.0, corpus_runs["wall_s"]
@@ -109,7 +109,7 @@ def test_criterion_2_c2_signaling_sequence(corpus_runs):
 def test_criterion_3_teardown_signatures(corpus_runs):
     with criterion(3, "c1 tears down with 200-to-INVITE then BYE; c2/c3 with CANCEL then 487"):
         c1 = corpus_runs["runs"]["c1"]["aucall"]
-        f1 = extract_features(c1, False)
+        f1 = extract_features(c1)
         assert f1.final_to_invite == StatusCode(200)
         assert f1.teardown is SipMethod.BYE
         kinds = _kinds(c1)
@@ -122,7 +122,7 @@ def test_criterion_3_teardown_signatures(corpus_runs):
 
         for name in ("c2", "c3"):
             trace = corpus_runs["runs"][name]["aucall"]
-            f = extract_features(trace, False)
+            f = extract_features(trace)
             assert f.final_to_invite == StatusCode(487), (name, f)
             assert f.teardown is SipMethod.CANCEL, (name, f)
             kinds = _kinds(trace)

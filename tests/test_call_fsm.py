@@ -210,6 +210,18 @@ def test_cancel_ringing_leg():
     assert sent_codes(sent) == [100, 183, 180, 200, 487]
 
 
+def test_cancel_inside_the_collision_answer_stops_it():
+    # A is dialing B when B's INVITE arrives, so A would answer it
+    # COLLISION_ANSWER_MS later; B's CANCEL lands first, and no 200 to the
+    # INVITE follows. The cancelled timer never moves the clock.
+    line, sent = line_at_a(Dialing(B))
+    line.handle_message(INVITE)
+    line.handle_message(CANCEL)
+    line.net.run()
+    assert sent == [*COLLISION[:-1], reply(200, to=CANCEL), reply(487)]
+    assert line.state == Dialing(B) and line.net.now == 0
+
+
 def test_cancel_waiting_leg_keeps_connected():
     assert on_cancel(CANCEL, INVITE) == [reply(200, to=CANCEL), reply(487)]
     line, sent = line_at_a(Connected(C), profile=PROFILE_CW)
@@ -375,6 +387,24 @@ def test_caller_side_486_acks_and_reverts():
     assert line.state == Dialing(C)
     line.handle_message(reply(487, to=invite))
     assert line.state == Held(B)
+
+
+@pytest.mark.parametrize("transition, wrong, message", [
+    (lambda msg: on_incoming_invite(Idle(), PROFILE_PLAIN, msg), CANCEL,
+     "on_incoming_invite requires an INVITE request"),
+    (lambda msg: on_incoming_invite(Idle(), PROFILE_PLAIN, msg), reply(180),
+     "on_incoming_invite requires an INVITE request"),
+    (lambda msg: on_cancel(msg, INVITE), INVITE, "on_cancel requires a CANCEL request"),
+    (lambda msg: on_cancel(msg, INVITE), reply(200, to=CANCEL),
+     "on_cancel requires a CANCEL request"),
+    (lambda msg: on_bye(msg, None), CANCEL, "on_bye requires a BYE request"),
+    (lambda msg: on_bye(msg, None), reply(200, to=_bye("leg-1")), "on_bye requires a BYE request"),
+    (lambda msg: on_response(msg, caller_leg()), INVITE, "on_response requires a response"),
+], ids=["invite-cancel", "invite-180", "cancel-invite", "cancel-200", "bye-cancel", "bye-200",
+        "response-invite"])
+def test_transitions_reject_the_wrong_message(transition, wrong, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        transition(wrong)
 
 
 def test_caller_side_ignores_non_invite_transactions():

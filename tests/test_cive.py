@@ -98,7 +98,7 @@ def test_extract_features_connected_shape():
         recv(reply(487)),
         sent(req(SipMethod.ACK, 1)),
     )
-    f = extract_features(trace, False)
+    f = extract_features(trace)
     assert f.pem_180 is PemValue.SENDRECV
     assert f.alert_180 is AlertUrn.CALL_WAITING
     assert f.final_to_invite == StatusCode(487)
@@ -120,7 +120,7 @@ def test_extract_features_prefers_bye_to_a_crossed_cancel():
         recv(reply(481, to=cancel)),
         recv(reply(200, to=bye)),
     )
-    assert extract_features(trace, False).teardown is SipMethod.BYE
+    assert extract_features(trace).teardown is SipMethod.BYE
 
 
 def test_extract_features_collision_shape():
@@ -135,7 +135,7 @@ def test_extract_features_collision_shape():
         sent(req(SipMethod.BYE, 3)),
         recv(reply(200, to=req(SipMethod.BYE, 3))),
     )
-    f = extract_features(trace, False)
+    f = extract_features(trace)
     assert f.pem_180 is PemValue.SENDONLY
     assert f.final_to_invite == StatusCode(200)
     assert f.teardown is SipMethod.BYE
@@ -152,16 +152,26 @@ def test_extract_features_uses_first_180_and_invite_final_only():
         recv(reply(487)),
         sent(req(SipMethod.ACK, 1)),
     )
-    f = extract_features(trace, False)
+    f = extract_features(trace)
     assert f.pem_180 is PemValue.SENDONLY
     assert f.final_to_invite == StatusCode(487)
 
 
 def test_extract_features_degenerate_and_empty():
-    f = extract_features(trace_of(sent(INVITE)), True)
-    assert f == FeatureVector(timed_out=True)
+    assert extract_features(trace_of(sent(INVITE))) == FeatureVector()
+    # A CANCEL exactly AU_CALL_TIMEOUT_MS after the INVITE is the verifier's
+    # timeout; one a millisecond off either way is not.
+    cancel = req(SipMethod.CANCEL, 1)
+    for delta, timed_out in ((0, True), (-1, False), (1, False)):
+        leg = [TraceEntry(7, Direction.EGRESS, INVITE),
+               TraceEntry(7 + cive.AU_CALL_TIMEOUT_MS + delta, Direction.EGRESS, cancel)]
+        assert extract_features(leg) == FeatureVector(
+            teardown=SipMethod.CANCEL, timed_out=timed_out), delta
+    # A received CANCEL at that instant is not one B sent.
+    leg[1] = TraceEntry(7 + cive.AU_CALL_TIMEOUT_MS, Direction.INGRESS, cancel)
+    assert not extract_features(leg).timed_out
     with pytest.raises(EmptyTrace):
-        extract_features([], False)
+        extract_features([])
 
 
 INFERENCE_TABLE = [
@@ -200,7 +210,7 @@ def test_inference_pure():
     f = FeatureVector(pem_180=PemValue.SENDRECV)
     assert infer_state(f) is infer_state(f)
     leg = trace_of(sent(INVITE))
-    assert extract_features(leg, False) == extract_features(leg, False)
+    assert extract_features(leg) == extract_features(leg)
 
 
 DECISION_TABLE = [
@@ -242,6 +252,13 @@ def test_verdict_invariants():
         Verdict(Decision.SPOOFED, InferredState.UNKNOWN, "x", "r", FeatureVector())
 
 
+def test_feature_vector_teardown_is_bye_or_cancel():
+    for method in (SipMethod.BYE, SipMethod.CANCEL, None):
+        assert FeatureVector(teardown=method).teardown is method
+    with pytest.raises(ValueError, match="^teardown must be BYE or CANCEL when present$"):
+        FeatureVector(teardown=SipMethod.ACK)
+
+
 def _verify(net, in_call):
     """Launch a verification, run the federation to quiescence, and return
     the verdict with the agent whose leg it judged."""
@@ -271,10 +288,10 @@ def test_launch_line_busy_while_in_flight():
     # Once it is done, a new verifier replaces it on the line and is routed
     # as B's endpoint.
     stuck.done = True
-    verdict, agent = _verify(net, ringing())
+    verdict, _ = _verify(net, ringing())
     assert net.lines[B].verifier is not stuck
     assert verdict.decision is Decision.SPOOFED and verdict.inferred is InferredState.IDLE
-    assert not agent.timed_out
+    assert not verdict.features.timed_out
 
 
 def test_launch_for_an_unregistered_callee_raises_and_leaves_no_trace():
@@ -317,7 +334,7 @@ def test_two_verifications_in_turn_on_one_callee_line():
     assert net.lines[B].verifier is not first_agent
     assert first.decision is Decision.SPOOFED and first.inferred is InferredState.IDLE
     assert second.decision is Decision.LEGIT
-    assert not first_agent.timed_out and not second_agent.timed_out
+    assert not first.features.timed_out and not second.features.timed_out
     sent_by_b = [
         row for row in net.trace[rows_before:]
         if row["dir"] == "egress" and row["from_hop"] == f"ep:{B}"
@@ -333,7 +350,7 @@ def test_verify_idle_target_infers_idle():
     assert verdict.decision is Decision.SPOOFED
     assert verdict.inferred is InferredState.IDLE
     assert agent.entries[0].message.method is SipMethod.INVITE
-    assert not agent.timed_out
+    assert not verdict.features.timed_out
 
 
 def test_verify_unroutable_claimed_is_inconclusive():
@@ -347,7 +364,7 @@ def test_verify_unroutable_claimed_is_inconclusive():
         for e in agent.entries
     ]
     assert kinds == ["INVITE", 480, "ACK"]
-    assert not agent.timed_out
+    assert not verdict.features.timed_out
     assert verdict.inferred is InferredState.UNREACHABLE
     assert verdict.decision is Decision.INCONCLUSIVE
 
@@ -358,7 +375,7 @@ def test_verify_times_out_when_the_queue_drains_before_the_leg_ends():
     verdict, agent = _verify(net, ringing())
     assert verdict.decision is Decision.INCONCLUSIVE
     assert verdict.inferred is InferredState.UNREACHABLE
-    assert agent.timed_out and verdict.features.timed_out
+    assert verdict.features.timed_out
     assert [(e.t_ms, e.direction, e.message.method) for e in agent.entries] == [
         (0, Direction.EGRESS, SipMethod.INVITE),
         (10_000, Direction.EGRESS, SipMethod.CANCEL),
@@ -369,7 +386,8 @@ def test_verify_times_out_when_the_queue_drains_before_the_leg_ends():
 def test_timeout_after_the_grace_cancel_sends_no_second_cancel(tmp_path):
     # With 3,000 ms links on A's carrier, B's verifier cancels when the
     # capture grace ends (9,250 ms); its 10 s timeout fires (13,050 ms)
-    # before that CANCEL is answered, and must not send another.
+    # before that CANCEL is answered, and must not send another. The leg's
+    # one CANCEL is the grace's, so it does not read as timed out.
     s = load_scenario(SCENARIOS / "c2.scn")
     carriers = {
         cid: dataclasses.replace(c, link_delay_ms=3000) if cid == "cn-a" else c
@@ -384,7 +402,8 @@ def test_timeout_after_the_grace_cancel_sends_no_second_cancel(tmp_path):
         and row["sip"].startswith("CANCEL ")
     ]
     assert len(cancels) == 1
-    assert report.verdict.features.timed_out and report.sim_ms == 29150
+    assert not report.verdict.features.timed_out and report.sim_ms == 29150
+    assert report.verdict.inferred is InferredState.IDLE
 
 
 def test_verify_before_the_loop_runs_is_never_legit():
@@ -396,7 +415,7 @@ def test_verify_before_the_loop_runs_is_never_legit():
     verdict = verify_incoming(agent)
     assert verdict.decision is Decision.INCONCLUSIVE
     assert verdict.inferred is InferredState.UNREACHABLE
-    assert len(agent.entries) == 1 and not agent.timed_out
+    assert len(agent.entries) == 1 and not verdict.features.timed_out
 
 
 def test_verify_connected_no_features_is_busy():
@@ -584,13 +603,12 @@ def test_legs_from_trace_rows_round_trip(monkeypatch):
     legs = legs_from_trace_rows(rows)
     au = [leg for cid, obs, leg in legs if obs == f"ep:{B}"]
     assert len(au) == 1
-    rebuilt = extract_features(au[0], False)
-    assert rebuilt == verdict.features
+    assert extract_features(au[0]) == verdict.features
 
     # c1-c3 and every matrix cell, also under jitter and on slow links,
     # where replies can reach B after its verifier is done: the leg
-    # rebuilt from the federation's rows is the live leg entry by entry.
-    # Only timed_out differs: it is set live, and the rows do not record it.
+    # rebuilt from the federation's rows is the live leg entry by entry,
+    # and so gives the same features, timed_out included.
     cells = [load_scenario(SCENARIOS / f"c{n}.scn") for n in (1, 2, 3)] + matrix_scenarios()
     links = ((None, 0), (None, 500), (None, 2000), (3000, 0), (3000, 2000), (5000, 2500))
     agents = []
@@ -614,8 +632,8 @@ def test_legs_from_trace_rows_round_trip(monkeypatch):
             leg = rebuilt[agent.leg.invite.call_id]
             where = (cell.name, delay, jitter, seed)
             assert leg == agent.entries, where
-            live = extract_features(agent.entries, agent.timed_out)
-            assert extract_features(leg, False) == dataclasses.replace(live, timed_out=False), where
+            live = extract_features(agent.entries)
+            assert extract_features(leg) == live, where
             timed_out += live.timed_out
     assert timed_out > 0  # the slow links do reach the auCall timeout
 

@@ -117,6 +117,25 @@ def test_genuine_call_from_a_held_line_is_legit(tmp_path, cw, vm):
     assert report.match is True
 
 
+@pytest.mark.parametrize("cw", ["false", "true"], ids=["cw0", "cw1"])
+def test_genuine_call_from_a_connected_line_is_legit(tmp_path, capsys, monkeypatch, cw):
+    # A is on a call with E when it dials B; it holds that call first, as a
+    # phone does, so B's callback meets the collision and not a busy line.
+    monkeypatch.delenv("CIVE_SIM_SEED", raising=False)
+    text = (SCENARIOS / "c1.scn").read_text(encoding="utf-8").replace(
+        "state: idle", f'state: connected\n    peer: "+15559900"\n    call_waiting: {cw}', 1)
+    path = tmp_path / "c1.scn"
+    path.write_text(text, encoding="utf-8")
+    report = run_scenario(load_scenario(path), tmp_path / "run")
+    assert report.verdict.decision is Decision.LEGIT
+    assert report.verdict.inferred is InferredState.DIALING
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "cli")]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert (printed["verdict"]["decision"], printed["match"]) == ("Legit", True)
+    for name in ("c1.trace.jsonl", "c1.report.json"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
 def test_final_response_stops_the_callers_patience_timer():
     # B is on a call with E and has no features, so A's INVITE gets 486 at
     # 150 ms; A's 20 s patience timer must not keep the run going.
@@ -387,6 +406,24 @@ def test_cli_matrix_exit_code_is_one_for_any_outright_mismatch(monkeypatch, caps
     assert result.to_csv().count(",false\n") == 2
     assert cli.main(["matrix"]) == 1
     assert "match rate: 0/2" in capsys.readouterr().out
+
+
+def test_spoofed_judged_legit_counts_only_spoofed_cells(monkeypatch):
+    # Both cells judged Legit: the genuine one matches, the spoofed one is
+    # the outcome CIVE must never give, and the only one counted.
+    names = ("matrix-dialing_b-cw0-vm0-genuine", "matrix-idle-cw0-vm0-spoofed")
+    cells = [s for s in matrix_scenarios() if s.name in names]
+
+    def legit(agent):
+        features = cive.verify_incoming(agent).features
+        return cive.decide(agent.number, InferredState.DIALING, features)
+
+    monkeypatch.setattr(cive_sim.scenario, "matrix_scenarios", lambda: cells)
+    monkeypatch.setattr(cive_sim.scenario, "verify_incoming", legit)
+    result = run_matrix()
+    assert [r.verdict.decision for r in result.reports] == [Decision.LEGIT] * 2
+    assert result.spoofed_judged_legit == 1
+    assert exit_code_for(list(result.reports)) == 1
 
 
 def test_cli_parse_recovers_aucall(tmp_path, capsys):

@@ -110,8 +110,8 @@ MUTANTS = (
            "                        literal = line[m.end() : -2]\n"
            "                    elif True:"),
     Mutant("live-timeout-dropped", "cive.py",
-           "extract_features(agent.entries, agent.timed_out)",
-           "extract_features(agent.entries, False)"),
+           "entry.t_ms == timeout_at",
+           "entry.t_ms >= timeout_at"),
     Mutant("late-response-acted-on", "cive.py",
            "if tx_method is not SipMethod.INVITE or self.final is not None:",
            "if tx_method is not SipMethod.INVITE:"),
@@ -124,6 +124,12 @@ MUTANTS = (
     Mutant("late-183-pracked", "call_fsm.py",
            "code == 183 and leg.phase is LegPhase.EARLY",
            "code == 183"),
+    Mutant("connected-caller-not-held", "netsim.py",
+           "leg.phase = LegPhase.HELD",
+           "pass"),
+    Mutant("auto-answer-outlives-cancel", "netsim.py",
+           "self.net.cancel_timer(leg.auto_answer_timer)",
+           "pass"),
 )
 
 # Mutants no test can kill because they change no observable behaviour,
