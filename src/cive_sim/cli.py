@@ -53,7 +53,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.no_cive:
         s = replace(s, cive_enabled=False)
     report = scenario.run_scenario(s, out_dir=args.out)
-    print(json.dumps(report.to_json_dict(), indent=2))
+    sys.stdout.write(report.to_json())
     return scenario.exit_code_for([report])
 
 

@@ -40,8 +40,9 @@ each party is a ``PartySpec`` of its carrier, its ``CalleeProfile`` and the
 ``Held`` with the party's ``peer``).
 
 Outputs per run: ``<name>.trace.jsonl`` (the federation event log) and
-``<name>.report.json`` (verdict, match, display). A ``RunReport`` holds the
-``Scenario`` it ran and the run's own outcome; its ``match`` and
+``<name>.report.json`` (verdict, match, display), whose text is
+``RunReport.to_json()``, as ``cive-sim run`` prints it. A ``RunReport``
+holds the ``Scenario`` it ran and the run's own outcome; its ``match`` and
 ``inconclusive`` are computed from the verdict and the scenario's ground
 truth. The matrix command runs the full deterministic grid of callee
 states x features x origination and writes ``matrix.csv`` with fixed
@@ -50,10 +51,11 @@ columns ``scenario,a_state,cw,vm,origination,inferred,verdict,truth,match``.
 
 from __future__ import annotations
 
-import json
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import yaml
@@ -320,6 +322,35 @@ class RunReport:
             "trace_file": self.trace_file,
         }
 
+    def to_json(self) -> str:
+        """The report file's text, which ``cive-sim run`` also prints."""
+        return encode_report(self.to_json_dict()) + "\n"
+
+
+def encode_report(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the values a report holds: dicts,
+    none of them empty, with ``str`` keys, and ``str``, ``int``, ``True``,
+    ``False`` and ``None``. Any other value raises TypeError; a float is
+    never written as the literal it compares equal to. ``indent`` is the
+    newline and indentation of the line ``value`` starts on.
+    """
+    if type(value) is dict:
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + encode_report(v, inner) for k, v in value.items()]
+        ) + indent + "}"
+    if isinstance(value, str):  # a PhoneNumber or a str enum too, as json writes them
+        return encode_basestring_ascii(value)
+    if type(value) is int:  # not a bool: those are written below
+        return repr(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"a report holds no {type(value).__name__} value")
+
 
 def build_federation(s: Scenario) -> Federation:
     """Materialize a scenario's carriers, parties and initial states."""
@@ -340,6 +371,10 @@ def run_scenario(s: Scenario, out_dir: str | Path | None = None) -> RunReport:
     the loop runs once, under the simulation budget, and the verdict is read
     at quiescence. Equal (scenario, seed) pairs produce byte-identical
     trace and report files.
+
+    With ``out_dir`` set, writes ``<name>.trace.jsonl`` and
+    ``<name>.report.json`` there. The report file is ``report.to_json()``,
+    the one encoding of a report, which ``cive-sim run`` prints too.
     """
     s.validate()
     net = build_federation(s)
@@ -365,16 +400,16 @@ def run_scenario(s: Scenario, out_dir: str | Path | None = None) -> RunReport:
         s, verdict, target_line.display, len(net.policy_violations), net.now, trace_file
     )
     if out_dir is not None:
-        out = Path(out_dir)
+        out = os.fspath(out_dir)
+        trace_path = os.path.join(out, trace_file)
         # The directory is made only when it is missing: run_matrix has
         # already made it for each of its cells.
         try:
-            net.write_trace(out / trace_file)
+            net.write_trace(trace_path)
         except FileNotFoundError:
-            out.mkdir(parents=True, exist_ok=True)
-            net.write_trace(out / trace_file)
-        write_file(out / f"{s.name}.report.json",
-                   json.dumps(report.to_json_dict(), indent=2) + "\n")
+            os.makedirs(out, exist_ok=True)
+            net.write_trace(trace_path)
+        write_file(os.path.join(out, s.name + ".report.json"), report.to_json())
     return report
 
 
@@ -400,31 +435,36 @@ CSV_COLUMNS = (
 )
 
 
+# The records every cell shares; all frozen. A's preset state by a_state:
+# dialing_b starts idle, as the origination itself dials B.
+_MATRIX_A_PRESETS = {
+    "idle": IDLE,
+    "dialing_b": IDLE,
+    "dialing_other": Dialing(_MATRIX_C),
+    "connected": Connected(_MATRIX_C),
+    "held": Held(_MATRIX_C),
+}
+_MATRIX_CARRIERS = (("cn-a", GatewayPolicy()), ("cn-x", GatewayPolicy()))
+_MATRIX_OTHERS = (
+    PartySpec("cn-a", CalleeProfile(_MATRIX_B)),
+    PartySpec("cn-a", CalleeProfile(_MATRIX_C)),
+    PartySpec("cn-x", CalleeProfile(_MATRIX_E)),
+)
+
+
 def _matrix_cell(a_state: str, cw: bool, vm: bool, origination: str) -> Scenario:
-    a_preset = {
-        "idle": IDLE,
-        "dialing_b": IDLE,  # the origination itself dials B
-        "dialing_other": Dialing(_MATRIX_C),
-        "connected": Connected(_MATRIX_C),
-        "held": Held(_MATRIX_C),
-    }[a_state]
-    name = f"matrix-{a_state}-cw{int(cw)}-vm{int(vm)}-{origination}"
     return Scenario(
-        name=name,
-        carriers={"cn-a": GatewayPolicy(), "cn-x": GatewayPolicy()},
+        name=f"matrix-{a_state}-cw{int(cw)}-vm{int(vm)}-{origination}",
+        carriers=dict(_MATRIX_CARRIERS),  # Scenario.carriers is mutable: one per cell
         parties=(
-            PartySpec("cn-a", CalleeProfile(_MATRIX_A, cw, vm), a_preset),
-            PartySpec("cn-a", CalleeProfile(_MATRIX_B)),
-            PartySpec("cn-a", CalleeProfile(_MATRIX_C)),
-            PartySpec("cn-x", CalleeProfile(_MATRIX_E)),
+            PartySpec("cn-a", CalleeProfile(_MATRIX_A, cw, vm), _MATRIX_A_PRESETS[a_state]),
+            *_MATRIX_OTHERS,
         ),
         origination=OriginationSpec(
             originator=_MATRIX_A if origination == "genuine" else _MATRIX_E,
             claimed=_MATRIX_A,
             target=_MATRIX_B,
         ),
-        cive_enabled=True,
-        seed=0,
     )
 
 
@@ -512,13 +552,13 @@ def run_matrix(out_dir: str | Path | None = None) -> MatrixResult:
     """
     cells_dir = None
     if out_dir is not None:
-        cells_dir = Path(out_dir) / "cells"
-        cells_dir.mkdir(parents=True, exist_ok=True)
+        cells_dir = os.path.join(out_dir, "cells")
+        os.makedirs(cells_dir, exist_ok=True)
     result = MatrixResult(
         tuple(run_scenario(s, cells_dir) for s in sorted(matrix_scenarios(), key=lambda s: s.name))
     )
     if out_dir is not None:
-        write_file(Path(out_dir) / "matrix.csv", result.to_csv())
+        write_file(os.path.join(out_dir, "matrix.csv"), result.to_csv())
     return result
 
 

@@ -22,7 +22,8 @@ from cive_sim.call_fsm import (
     on_response,
     summarize_legs,
 )
-from cive_sim.netsim import Federation, GatewayPolicy
+from cive_sim.cive import Decision, TraceEntry, decide, extract_features, infer_state
+from cive_sim.netsim import Direction, Federation, GatewayPolicy
 from cive_sim.sip_core import AlertUrn, PemValue, PhoneNumber, SipMessage, SipMethod, parse_message
 
 A = PhoneNumber("+15550100")
@@ -155,6 +156,32 @@ def test_call_waiting_alert_iff_on_a_call_with_feature():
             assert alerted == (
                 isinstance(state, (Connected, Held)) and profile.call_waiting
             )
+
+
+def _callback_leg(state, profile):
+    """B's callback INVITE to A and A's answers, as B's verifier records
+    them; a deferred answer is the 200 it becomes."""
+    leg = [TraceEntry(0, Direction.EGRESS, INVITE)]
+    for sent in on_incoming_invite(state, profile, INVITE):
+        if sent is Answer.COLLISION:
+            (sent,) = on_auto_answer(INVITE)
+        elif sent is Answer.VOICEMAIL:
+            sent = reply(200)
+        leg.append(TraceEntry(100, Direction.INGRESS, sent))
+    return leg
+
+
+def test_only_a_far_end_dialing_the_verifier_is_legit():
+    # The phone model against the rule table, with no event loop: every
+    # far-end state, Ringing too (no scenario can preset it), x call waiting
+    # x voicemail. Only a phone dialing B is Legit; every other state gives
+    # a signature the rules judge Spoofed.
+    for state in ALL_STATES:
+        for profile in ALL_PROFILES:
+            features = extract_features(_callback_leg(state, profile))
+            verdict = decide(B, infer_state(features), features)
+            expected = Decision.LEGIT if state == Dialing(B) else Decision.SPOOFED
+            assert verdict.decision is expected, (state, profile, verdict)
 
 
 INVITE_TX_PATTERN = re.compile(r"^100(,183)?(,180)*(,(200|486|487)|,181,200)$")

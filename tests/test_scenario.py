@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REPO, SCENARIOS, loaded_federation
 
@@ -24,6 +26,7 @@ from cive_sim.scenario import (
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
+    encode_report,
     exit_code_for,
     load_scenario,
     matrix_scenarios,
@@ -237,6 +240,85 @@ def test_report_json_shape(tmp_path):
     assert data["trace_file"] == "c2.trace.jsonl"
 
 
+def _jittered(s, jitter_ms, seed):
+    carriers = {cid: dataclasses.replace(c, jitter_ms=jitter_ms) for cid, c in s.carriers.items()}
+    return dataclasses.replace(s, carriers=carriers, seed=seed)
+
+
+def test_report_encoder_equals_json_dumps_on_every_report():
+    # c1/c2/c3 with and without verification and with jittered links, and
+    # every matrix cell.
+    named = [load_scenario(SCENARIOS / f"{n}.scn") for n in ("c1", "c2", "c3")]
+    runs = [
+        *named,
+        *(dataclasses.replace(s, cive_enabled=False) for s in named),
+        *(_jittered(s, jitter, seed) for s in named for jitter in (40, 500) for seed in range(3)),
+    ]
+    dicts = [run_scenario(s).to_json_dict() for s in runs]
+    dicts += [r.to_json_dict() for r in run_matrix().reports]
+    assert len(dicts) == 3 * 2 + 3 * 6 + 20
+    assert sum(d["verdict"] is None for d in dicts) == 3
+    for d in dicts:
+        assert encode_report(d) == json.dumps(d, indent=2)
+
+
+def test_report_encoder_escapes_strings_as_json_dumps():
+    value = {
+        'quote "': 'a"b',
+        "back\\slash": "c\\d",
+        "control": "\x00\n\t\x1f\x7f",
+        "\u00e9": "\u00e9\u2028\U0001f4de",
+        "lone": "\ud800 \udfff",
+        "number": PhoneNumber("+15550100"),
+        "enum": Decision.LEGIT,
+    }
+    assert encode_report(value) == json.dumps(value, indent=2)
+
+
+_REPORT_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800",
+                         "\udfff", "\U0001f4de"]),
+        st.characters(exclude_categories=()),  # lone surrogates included
+    )
+)
+_REPORT_VALUES = st.recursive(
+    st.one_of(
+        _REPORT_TEXT,
+        st.integers(),
+        st.integers(-(10**100), 10**100),
+        st.sampled_from([True, False, None]),
+    ),
+    lambda children: st.dictionaries(_REPORT_TEXT, children, min_size=1, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(_REPORT_VALUES)
+def test_report_encoder_equals_json_dumps(value):
+    assert encode_report(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.0, 0.0, [1], (1,)], ids=["1.0", "0.0", "list", "tuple"])
+def test_report_encoder_rejects_other_values(value):
+    # 1.0 == True and 0.0 == False, so a float must not be written as one.
+    with pytest.raises(TypeError):
+        encode_report(value)
+    with pytest.raises(TypeError):
+        encode_report({"a": {"b": value}})
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+@pytest.mark.parametrize("flags", [[], ["--no-cive", "--seed", "7"]], ids=["plain", "no-cive-seed-7"])
+def test_cli_run_prints_the_report_file(tmp_path, capsys, monkeypatch, name, flags):
+    monkeypatch.delenv("CIVE_SIM_SEED", raising=False)
+    assert cli.main(["run", str(SCENARIOS / f"{name}.scn"), *flags, "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode("utf-8") == (tmp_path / f"{name}.report.json").read_bytes()
+
+
 @pytest.mark.parametrize("name", ["c1", "c2", "c3"])
 def test_run_reproduces_golden_trace_and_report(tmp_path, name):
     run_scenario(load_scenario(SCENARIOS / f"{name}.scn"), tmp_path)
@@ -264,6 +346,14 @@ def test_matrix_covers_grid_and_matches_golden(tmp_path):
     golden = (REPO / "tests" / "golden" / "matrix.csv").read_text(encoding="utf-8")
     assert (tmp_path / "matrix.csv").read_text(encoding="utf-8") == golden
     assert result.to_csv() == golden
+
+
+def test_matrix_scenarios_are_new_on_every_call():
+    first, second = matrix_scenarios(), matrix_scenarios()
+    assert first == second and first is not second
+    assert not any(a is b for a, b in zip(first, second))
+    # Scenario.carriers is a mutable dict, so no two cells may share one.
+    assert len({id(s.carriers) for s in first + second}) == 40
 
 
 def test_matrix_cell_files_are_pinned(tmp_path):

@@ -130,6 +130,12 @@ MUTANTS = (
     Mutant("auto-answer-outlives-cancel", "netsim.py",
            "self.net.cancel_timer(leg.auto_answer_timer)",
            "pass"),
+    Mutant("report-string-unescaped", "scenario.py",
+           "return encode_basestring_ascii(value)",
+           "return '\"' + value + '\"'"),
+    Mutant("report-bool-as-int", "scenario.py",
+           "if type(value) is int:",
+           "if isinstance(value, int):"),
 )
 
 # Mutants no test can kill because they change no observable behaviour,
