@@ -36,7 +36,20 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .sip_core import AlertUrn, PemValue, PhoneNumber, SipMessage, SipMethod, _message
+from .sip_core import (
+    ACK,
+    BYE,
+    CALL_WAITING,
+    CANCEL,
+    INVITE,
+    PRACK,
+    SENDONLY,
+    SENDRECV,
+    PhoneNumber,
+    SipMessage,
+    SipMethod,
+    _message,
+)
 
 # How long a phone that is mid-dial waits before auto-answering the call-back
 # collision. Must stay below the verifier's capture grace (200 ms): the answer
@@ -108,6 +121,11 @@ class LegPhase(str, Enum):
     HELD = "held"
 
 
+# Bound once, as sip_core binds SipMethod's members.
+CALLER, CALLEE = LegRole.CALLER, LegRole.CALLEE
+EARLY, ANSWERED, HELD = LegPhase.EARLY, LegPhase.ANSWERED, LegPhase.HELD
+
+
 @dataclass(slots=True)
 class LineLeg:
     """One call leg as an endpoint tracks it, with the INVITE that opened it.
@@ -129,7 +147,7 @@ class LineLeg:
         """The far end: the INVITE's To for a caller, and its From (the
         claimed, possibly forged, number) for a callee."""
         invite = self.invite
-        return invite.to_number if self.role is LegRole.CALLER else invite.from_number
+        return invite.to_number if self.role is CALLER else invite.from_number
 
     def request(self, method: SipMethod) -> SipMessage:
         """The next in-dialog request on this leg.
@@ -137,7 +155,7 @@ class LineLeg:
         ACK and CANCEL reuse the INVITE's CSeq number (RFC 3261 sections
         17.1.1.3 and 9.1); any other request takes the next one: 2, 3, ...
         """
-        if method is SipMethod.ACK or method is SipMethod.CANCEL:
+        if method is ACK or method is CANCEL:
             seq = self.invite.seq
         else:
             seq = self.next_cseq
@@ -154,26 +172,37 @@ class Answer(Enum):
     VOICEMAIL = "voicemail"  # a 200 the carrier's voicemail sends now
 
 
+COLLISION, VOICEMAIL = Answer.COLLISION, Answer.VOICEMAIL
+
+
 def summarize_legs(legs: Iterable) -> EndpointState:
     """Fold a set of legs into the single foreground EndpointState.
 
     Precedence: an answered call is foreground, then an outgoing dial in
     progress, then an incoming ringing call, then a held call. Within a
-    class the most recently added leg wins.
+    class the most recently added leg wins. One pass keeps the latest leg
+    of each class.
     """
-    legs = list(legs)
-    answered = [l for l in legs if l.phase is LegPhase.ANSWERED]
-    if answered:
-        return Connected(answered[-1].peer)
-    dialing = [l for l in legs if l.role is LegRole.CALLER and l.phase is LegPhase.EARLY]
-    if dialing:
-        return Dialing(dialing[-1].peer)
-    ringing = [l for l in legs if l.role is LegRole.CALLEE and l.phase is LegPhase.EARLY]
-    if ringing:
-        return Ringing(ringing[-1].peer)
-    held = [l for l in legs if l.phase is LegPhase.HELD]
-    if held:
-        return Held(held[-1].peer)
+    answered = dialing = ringing = held = None
+    for leg in legs:
+        phase = leg.phase
+        if phase is ANSWERED:
+            answered = leg
+        elif phase is EARLY:
+            if leg.role is CALLER:
+                dialing = leg
+            else:
+                ringing = leg
+        else:
+            held = leg
+    if answered is not None:
+        return Connected(answered.peer)
+    if dialing is not None:
+        return Dialing(dialing.peer)
+    if ringing is not None:
+        return Ringing(ringing.peer)
+    if held is not None:
+        return Held(held.peer)
     return IDLE
 
 
@@ -190,7 +219,7 @@ def on_incoming_invite(
     always yields equal lists. Raises InviteToWrongNumber when the INVITE
     is not addressed to this profile.
     """
-    if invite.method is not SipMethod.INVITE or not invite.is_request:
+    if invite.method is not INVITE or invite.status is not None:
         raise ValueError("on_incoming_invite requires an INVITE request")
     if invite.to_number != profile.number:
         raise InviteToWrongNumber(
@@ -203,8 +232,8 @@ def on_incoming_invite(
     if isinstance(state, Idle):
         return [
             trying,
-            reply(invite, 183, pem=PemValue.SENDRECV),
-            reply(invite, 180, pem=PemValue.SENDRECV),
+            reply(invite, 183, pem=SENDRECV),
+            reply(invite, 180, pem=SENDRECV),
         ]
 
     if isinstance(state, Dialing) and state.peer == invite.from_number:
@@ -212,20 +241,20 @@ def on_incoming_invite(
         # us. Grant one-way early media and pick up shortly.
         return [
             trying,
-            reply(invite, 183, pem=PemValue.SENDONLY),
-            reply(invite, 180, pem=PemValue.SENDONLY),
-            Answer.COLLISION,
+            reply(invite, 183, pem=SENDONLY),
+            reply(invite, 180, pem=SENDONLY),
+            COLLISION,
         ]
 
     on_a_call = isinstance(state, (Connected, Held))
     if on_a_call and profile.call_waiting:
         return [
             trying,
-            reply(invite, 183, pem=PemValue.SENDRECV),
-            reply(invite, 180, pem=PemValue.SENDRECV, alert=AlertUrn.CALL_WAITING),
+            reply(invite, 183, pem=SENDRECV),
+            reply(invite, 180, pem=SENDRECV, alert=CALL_WAITING),
         ]
     if on_a_call and profile.voicemail_forward:
-        return [trying, reply(invite, 181), Answer.VOICEMAIL]
+        return [trying, reply(invite, 181), VOICEMAIL]
     # Busy without features; also covers a phone mid-dial toward someone
     # else and a further INVITE while a call is still ringing.
     return [trying, reply(invite, 486)]
@@ -244,7 +273,7 @@ def on_cancel(cancel: SipMessage, pending_invite: SipMessage | None) -> list[Sip
     which case the CANCEL gets 481. A successful cancel answers 200 on the
     CANCEL transaction and 487 on the INVITE.
     """
-    if cancel.method is not SipMethod.CANCEL or not cancel.is_request:
+    if cancel.method is not CANCEL or cancel.status is not None:
         raise ValueError("on_cancel requires a CANCEL request")
     if pending_invite is None or pending_invite.call_id != cancel.call_id:
         return [SipMessage.reply(cancel, 481)]
@@ -254,9 +283,9 @@ def on_cancel(cancel: SipMessage, pending_invite: SipMessage | None) -> list[Sip
 def on_bye(bye: SipMessage, leg: LineLeg | None) -> list[SipMessage]:
     """Tear down an established leg: 200 when ``leg``, the leg with the
     BYE's Call-ID, is answered or held, and 481 otherwise."""
-    if bye.method is not SipMethod.BYE or not bye.is_request:
+    if bye.method is not BYE or bye.status is not None:
         raise ValueError("on_bye requires a BYE request")
-    if leg is None or leg.phase is LegPhase.EARLY:
+    if leg is None or leg.phase is EARLY:
         return [SipMessage.reply(bye, 481)]
     return [SipMessage.reply(bye, 200)]
 
@@ -270,12 +299,12 @@ def on_response(response: SipMessage, leg: LineLeg) -> SipMethod | None:
     answer, other provisionals (100, 180) and responses to non-INVITE
     transactions (CANCEL, BYE, PRACK) need none: None.
     """
-    if not response.is_response:
+    status = response.status
+    if status is None:
         raise ValueError("on_response requires a response")
-    if response.method is not SipMethod.INVITE:
+    if response.method is not INVITE:
         return None
-    assert response.status is not None
-    code = response.status.code
+    code = status.code
     if code < 200:
-        return SipMethod.PRACK if code == 183 and leg.phase is LegPhase.EARLY else None
-    return SipMethod.ACK
+        return PRACK if code == 183 and leg.phase is EARLY else None
+    return ACK

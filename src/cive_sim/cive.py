@@ -31,9 +31,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .call_fsm import COLLISION_ANSWER_MS, LegPhase, LegRole, LineLeg
-from .netsim import Direction, Federation, PhoneLine
+from .call_fsm import CALLER, COLLISION_ANSWER_MS, EARLY, LineLeg
+from .netsim import EGRESS, INGRESS, Direction, Federation, PhoneLine
 from .sip_core import (
+    ACK,
+    BYE,
+    CALL_WAITING,
+    CANCEL,
+    INVITE,
+    PRACK,
+    SENDONLY,
+    SENDRECV,
     AlertUrn,
     ParseError,
     PemValue,
@@ -109,10 +117,7 @@ class FeatureVector:
     timed_out: bool = False
 
     def __post_init__(self) -> None:
-        if self.teardown is not None and self.teardown not in (
-            SipMethod.BYE,
-            SipMethod.CANCEL,
-        ):
+        if self.teardown is not None and self.teardown not in (BYE, CANCEL):
             raise ValueError("teardown must be BYE or CANCEL when present")
 
     def to_json_dict(self) -> dict:
@@ -192,24 +197,24 @@ def extract_features(leg: list[TraceEntry]) -> FeatureVector:
     sent: set[SipMethod] = set()  # the methods of the requests B sent
     for entry in leg:
         msg = entry.message
-        if entry.direction is Direction.INGRESS and msg.is_response:
-            assert msg.status is not None
-            code = msg.status.code
+        status = msg.status
+        if entry.direction is INGRESS and status is not None:
+            code = status.code
             if code == 180 and not saw_180:
                 saw_180 = True
                 pem_180 = msg.pem
                 alert_180 = msg.alert
             saw_181 = saw_181 or code == 181
             saw_486 = saw_486 or code == 486
-            if (final is None and msg.is_final and msg.method is SipMethod.INVITE
+            if (final is None and code >= 200 and msg.method is INVITE
                     and msg.seq == invite.seq):
-                final = msg.status
-        elif entry.direction is Direction.EGRESS and msg.is_request:
+                final = status
+        elif entry.direction is EGRESS and status is None:
             sent.add(msg.method)
-            timed_out = timed_out or (msg.method is SipMethod.CANCEL and entry.t_ms == timeout_at)
+            timed_out = timed_out or (msg.method is CANCEL and entry.t_ms == timeout_at)
     # BYE is what actually ends an answered leg, so it wins over a CANCEL
     # that crossed the answer in flight.
-    teardown = next((m for m in (SipMethod.BYE, SipMethod.CANCEL) if m in sent), None)
+    teardown = next((m for m in (BYE, CANCEL) if m in sent), None)
     return FeatureVector(
         pem_180=pem_180,
         alert_180=alert_180,
@@ -232,12 +237,12 @@ _RULES: tuple[tuple[Callable[[FeatureVector], bool], InferredState, Decision, st
      "rule 1: 486 Busy Here, callee busy without call waiting"),
     (lambda f: f.saw_181, InferredState.FORWARDED_TO_VOICEMAIL, Decision.SPOOFED,
      "rule 2: 181, leg forwarded to voicemail"),
-    (lambda f: f.pem_180 is PemValue.SENDONLY, InferredState.DIALING, Decision.LEGIT,
+    (lambda f: f.pem_180 is SENDONLY, InferredState.DIALING, Decision.LEGIT,
      "rule 3: 180 early media sendonly, far end is mid-dial"),
-    (lambda f: f.pem_180 is PemValue.SENDRECV and f.alert_180 is AlertUrn.CALL_WAITING,
+    (lambda f: f.pem_180 is SENDRECV and f.alert_180 is CALL_WAITING,
      InferredState.CONNECTED, Decision.SPOOFED,
      "rule 4: 180 sendrecv with call-waiting alert, far end on a call"),
-    (lambda f: f.pem_180 is PemValue.SENDRECV and f.alert_180 is None,
+    (lambda f: f.pem_180 is SENDRECV and f.alert_180 is None,
      InferredState.IDLE, Decision.SPOOFED,
      "rule 5: 180 sendrecv without alert, far end idle"),
     (lambda f: f.timed_out
@@ -289,8 +294,8 @@ class _VerifierAgent:
         self.net = net
         self.hop, self.carrier, self.number = line.hop, line.carrier, line.number
         self.entries: list[TraceEntry] = []
-        invite = SipMessage.request(SipMethod.INVITE, line.number, claimed, net.new_call_id())
-        self.leg = LineLeg(LegRole.CALLER, LegPhase.EARLY, invite)
+        invite = SipMessage.request(INVITE, line.number, claimed, net.new_call_id())
+        self.leg = LineLeg(CALLER, EARLY, invite)
         self.final: StatusCode | None = None
         self.sent_cancel = False
         self.done = False
@@ -304,7 +309,7 @@ class _VerifierAgent:
     # -- wire helpers --------------------------------------------------------
 
     def _send(self, msg: SipMessage) -> None:
-        self.entries.append(TraceEntry(self.net.now, Direction.EGRESS, msg))
+        self.entries.append(TraceEntry(self.net.now, EGRESS, msg))
         self.net.send(self, msg)
 
     def _finish(self) -> None:
@@ -317,33 +322,33 @@ class _VerifierAgent:
 
     def handle_message(self, msg: SipMessage) -> None:
         # Recorded even once done: late replies are in the saved trace too.
-        self.entries.append(TraceEntry(self.net.now, Direction.INGRESS, msg))
-        if self.done or not msg.is_response:
+        self.entries.append(TraceEntry(self.net.now, INGRESS, msg))
+        status = msg.status
+        if self.done or status is None:
             return
         tx_method = msg.method
-        if tx_method is SipMethod.BYE:
+        if tx_method is BYE:
             self._finish()  # the answer to our own BYE, the only one we send
             return
-        if tx_method is not SipMethod.INVITE or self.final is not None:
+        if tx_method is not INVITE or self.final is not None:
             return  # to our CANCEL, or after the final: recorded, nothing to do
-        assert msg.status is not None
-        code = msg.status.code
+        code = status.code
         if code < 200:
             if code == 183:
-                self._send(self.leg.request(SipMethod.PRACK))
+                self._send(self.leg.request(PRACK))
             elif code == 180 and msg.pem is not None and self.grace_timer is None:
                 self.grace_timer = self.net.set_timer(CAPTURE_GRACE_MS, self._grace_over)
             return
-        self.final = msg.status
+        self.final = status
         if self.grace_timer is not None:
             self.net.cancel_timer(self.grace_timer)
             self.grace_timer = None
         if code == 200:
-            self._send(self.leg.request(SipMethod.ACK))
-            self._send(self.leg.request(SipMethod.BYE))
+            self._send(self.leg.request(ACK))
+            self._send(self.leg.request(BYE))
             # done once the BYE is answered
         else:
-            self._send(self.leg.request(SipMethod.ACK))
+            self._send(self.leg.request(ACK))
             self._finish()
 
     # -- timer handlers (the final cancels the grace timer and _finish the timeout)
@@ -359,7 +364,7 @@ class _VerifierAgent:
     def _cancel_invite(self) -> None:
         if self.final is None and not self.sent_cancel:
             self.sent_cancel = True
-            self._send(self.leg.request(SipMethod.CANCEL))
+            self._send(self.leg.request(CANCEL))
 
 
 def launch_verification(net: Federation, in_call: SipMessage) -> _VerifierAgent:
@@ -396,8 +401,8 @@ def verify_incoming(agent: _VerifierAgent) -> Verdict:
 # hop that sent (egress) or received (ingress) the row's message: a leg holds
 # the rows whose field names its observer.
 _DIRECTIONS = {
-    Direction.EGRESS.value: (Direction.EGRESS, "from_hop"),
-    Direction.INGRESS.value: (Direction.INGRESS, "to_hop"),
+    EGRESS.value: (EGRESS, "from_hop"),
+    INGRESS.value: (INGRESS, "to_hop"),
 }
 # The state of a call whose leg is not built: no hop is None, so it has no rows.
 _NO_LEG = (None, None)
@@ -460,12 +465,12 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
                     index, f"call {cid}: trace timestamps must be non-decreasing")
                 continue
             leg.append(TraceEntry(t_ms, direction, msg))
-        elif direction is Direction.INGRESS:
+        elif direction is INGRESS:
             waiting.setdefault(cid, []).append((index, row["to_hop"]))
         else:
             observer = row["from_hop"]
             early = waiting.pop(cid, ())
-            if not (msg.is_request and msg.method is SipMethod.INVITE
+            if not (msg.status is None and msg.method is INVITE
                     and observer.startswith("ep:")):
                 observed[cid] = _NO_LEG
                 continue

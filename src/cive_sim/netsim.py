@@ -5,10 +5,14 @@ lines and a gateway policy. Messages move between hops (subscriber lines,
 per-carrier network cores, voicemail services) over links with fixed delay
 plus optional seeded jitter; events fire in (time, insertion order), so a
 given (scenario, seed) always produces byte-identical traces. The event
-queue is a heap of plain ``(at, seq, callback, args)`` tuples: a timer
-calls the handler it was set with, and a delivery logs its ingress row and
-hands the message to the destination hop's ``handle_message(msg)``. A timer
-is cancelled by its ``seq``, the handle ``set_timer`` returns.
+queue is a calendar: a heap of the distinct due times, as plain ints, and
+for each due time one FIFO list of ``(seq, callback, args)`` entries, run
+in order. ``seq`` is one insertion counter shared by messages and timers,
+and only grows, so the lists run events in exactly (time, ``seq``) order.
+A timer calls the handler it was set with, and a delivery logs its
+ingress row and hands the message to the destination hop's
+``handle_message(msg)``. A timer is cancelled by its ``seq``, the handle
+``set_timer`` returns.
 
 A hop is an object that routes itself: a subscriber line, a carrier's core
 or voicemail service, or a verifier speaking for a line. It carries its
@@ -42,7 +46,14 @@ from typing import Callable
 
 from . import call_fsm
 from .call_fsm import (
+    ANSWERED,
+    CALLEE,
+    CALLER,
+    COLLISION,
     COLLISION_ANSWER_MS,
+    EARLY,
+    HELD,
+    VOICEMAIL,
     Answer,
     CalleeProfile,
     Connected,
@@ -50,11 +61,12 @@ from .call_fsm import (
     EndpointState,
     Held,
     Idle,
-    LegPhase,
-    LegRole,
     LineLeg,
 )
 from .sip_core import (
+    BYE,
+    CANCEL,
+    INVITE,
     PhoneNumber,
     SipMessage,
     SipMethod,
@@ -128,8 +140,10 @@ class Direction(str, Enum):
     EGRESS = "egress"
 
 
-# The plain ``str`` values that trace rows carry in ``dir``.
-_INGRESS, _EGRESS = Direction.INGRESS.value, Direction.EGRESS.value
+# The members, bound once as sip_core binds SipMethod's, and the plain
+# ``str`` values that trace rows carry in ``dir``.
+INGRESS, EGRESS = Direction.INGRESS, Direction.EGRESS
+_INGRESS, _EGRESS = INGRESS.value, EGRESS.value
 
 
 @dataclass(slots=True)
@@ -139,7 +153,7 @@ class _Dialog:
 
 
 # The leg phase backing each state preset_state accepts besides Idle.
-_PRESET_PHASE = {Dialing: LegPhase.EARLY, Connected: LegPhase.ANSWERED, Held: LegPhase.HELD}
+_PRESET_PHASE = {Dialing: EARLY, Connected: ANSWERED, Held: HELD}
 
 
 class PhoneLine:
@@ -186,19 +200,20 @@ class PhoneLine:
         if peer == self.number:
             raise ValueError(f"{self.number} cannot be on a call with itself")
         call_id = f"preset-{self.number}-{len(self.legs)}"
-        invite = SipMessage.request(SipMethod.INVITE, self.number, peer, call_id)
-        self.legs[call_id] = LineLeg(LegRole.CALLER, phase, invite)
+        invite = SipMessage.request(INVITE, self.number, peer, call_id)
+        self.legs[call_id] = LineLeg(CALLER, phase, invite)
 
     # -- event handlers -----------------------------------------------------
 
     def handle_message(self, msg: SipMessage) -> None:
-        if msg.is_response:
+        method = msg.method
+        if msg.status is not None:
             self._handle_response(msg)
-        elif msg.method is SipMethod.INVITE:
+        elif method is INVITE:
             self._handle_invite(msg)
-        elif msg.method is SipMethod.CANCEL:
+        elif method is CANCEL:
             self._handle_cancel(msg)
-        elif msg.method is SipMethod.BYE:
+        elif method is BYE:
             self._handle_bye(msg)
         # ACK and PRACK are absorbed; this profile does not answer them.
 
@@ -206,26 +221,27 @@ class PhoneLine:
         responses = call_fsm.on_incoming_invite(self.state, self.profile, invite)
         answer = responses.pop() if isinstance(responses[-1], Answer) else None
         last = responses[-1]
-        if answer is not Answer.VOICEMAIL and not last.is_final:
+        code = last.status.code
+        if answer is not VOICEMAIL and code < 200:
             # Leg stays open at this endpoint: ringing, waiting, or a
             # pending collision answer.
-            leg = self.legs[invite.call_id] = LineLeg(LegRole.CALLEE, LegPhase.EARLY, invite)
-            if answer is Answer.COLLISION:
+            leg = self.legs[invite.call_id] = LineLeg(CALLEE, EARLY, invite)
+            if answer is COLLISION:
                 leg.auto_answer_timer = self.net.set_timer(
                     COLLISION_ANSWER_MS, self._auto_answer, invite.call_id
                 )
         for msg in responses:
             self.net.send(self, msg)
-        if answer is Answer.VOICEMAIL:
+        if answer is VOICEMAIL:
             self.net.voicemail_answer(self.carrier, SipMessage.reply(invite, 200))
-        elif last.status.code == 180:
+        elif code == 180:
             self.display = invite.from_number
             if self.ring_hook is not None:
                 self.ring_hook(invite)
 
     def _handle_cancel(self, cancel: SipMessage) -> None:
         leg = self.legs.get(cancel.call_id)
-        early = leg is not None and leg.role is LegRole.CALLEE and leg.phase is LegPhase.EARLY
+        early = leg is not None and leg.role is CALLEE and leg.phase is EARLY
         responses = call_fsm.on_cancel(cancel, leg.invite if early else None)
         if early:
             if leg.auto_answer_timer is not None:
@@ -237,24 +253,24 @@ class PhoneLine:
     def _handle_bye(self, bye: SipMessage) -> None:
         leg = self.legs.get(bye.call_id)
         responses = call_fsm.on_bye(bye, leg)
-        if leg is not None and leg.phase is not LegPhase.EARLY:
+        if leg is not None and leg.phase is not EARLY:
             del self.legs[bye.call_id]
         for msg in responses:
             self.net.send(self, msg)
 
     def _handle_response(self, msg: SipMessage) -> None:
         leg = self.legs.get(msg.call_id)
-        if leg is None or leg.role is not LegRole.CALLER:
+        if leg is None or leg.role is not CALLER:
             return  # late or out-of-dialog response; nothing to do
-        if msg.method is not SipMethod.INVITE:
+        if msg.method is not INVITE:
             return  # 200 to our CANCEL, 481, etc.
-        if msg.is_final:
+        code = msg.status.code
+        if code >= 200:
             if leg.patience_timer is not None:
                 self.net.cancel_timer(leg.patience_timer)
                 leg.patience_timer = None
-            assert msg.status is not None
-            if msg.status.code == 200:
-                leg.phase = LegPhase.ANSWERED
+            if code == 200:
+                leg.phase = ANSWERED
             else:
                 del self.legs[msg.call_id]
         method = call_fsm.on_response(msg, leg)
@@ -266,7 +282,7 @@ class PhoneLine:
     def _auto_answer(self, call_id: str) -> None:
         leg = self.legs[call_id]
         responses = call_fsm.on_auto_answer(leg.invite)
-        leg.phase = LegPhase.ANSWERED
+        leg.phase = ANSWERED
         leg.auto_answer_timer = None
         for msg in responses:
             self.net.send(self, msg)
@@ -275,14 +291,14 @@ class PhoneLine:
         """The caller's patience ran out: CANCEL the unanswered INVITE."""
         leg = self.legs[call_id]
         leg.patience_timer = None
-        self.net.send(self, leg.request(SipMethod.CANCEL))
+        self.net.send(self, leg.request(CANCEL))
 
     def _start_call(self, call_id: str, from_claimed: PhoneNumber, to: PhoneNumber) -> None:
         for leg in self.legs.values():  # a phone holds its answered call before it dials
-            if leg.phase is LegPhase.ANSWERED:
-                leg.phase = LegPhase.HELD
-        invite = SipMessage.request(SipMethod.INVITE, from_claimed, to, call_id)
-        leg = self.legs[call_id] = LineLeg(LegRole.CALLER, LegPhase.EARLY, invite)
+            if leg.phase is ANSWERED:
+                leg.phase = HELD
+        invite = SipMessage.request(INVITE, from_claimed, to, call_id)
+        leg = self.legs[call_id] = LineLeg(CALLER, EARLY, invite)
         leg.patience_timer = self.net.set_timer(INVITE_PATIENCE_MS, self._give_up, call_id)
         self.net.send(self, invite)
 
@@ -306,18 +322,8 @@ class _CarrierService:
         self.code = code
 
     def handle_message(self, msg: SipMessage) -> None:
-        if msg.is_request and msg.method is self.method:
+        if msg.status is None and msg.method is self.method:
             self.net.send(self, SipMessage.reply(msg, self.code))
-
-
-def _draw_below(getrandbits: Callable[[int], int], n: int) -> int:
-    """A draw in ``0..n-1``: the value and the bits ``Random.randrange(n)``
-    consumes, without its two Python frames."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
 
 
 class Federation:
@@ -328,15 +334,18 @@ class Federation:
     """
 
     def __init__(self, seed: int = 0):
-        self.rng = random.Random(seed)
+        self._getrandbits = random.Random(seed).getrandbits  # the jitter stream
         self.now = 0
         self.carriers: dict[str, CarrierNetwork] = {}
         self.lines: dict[PhoneNumber, PhoneLine] = {}
         self.trace: list[dict] = []
         self.policy_violations: list[dict] = []
         self._dialogs: dict[str, _Dialog] = {}
-        # (at, seq, callback, args): ties on ``at`` break FIFO by ``seq``.
-        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
+        # The calendar: a heap of the distinct due times, and per due time
+        # its FIFO list of (seq, callback, args) entries; ties on a time run
+        # in ``seq`` order because entries are appended as ``seq`` grows.
+        self._heap: list[int] = []
+        self._due: dict[int, list[tuple[int, Callable[..., None], tuple]]] = {}
         self._seq = 0
         self._cancelled: set[int] = set()  # seqs of cancelled timers still queued
         self._call_counter = 0
@@ -349,8 +358,8 @@ class Federation:
         carrier = CarrierNetwork(carrier_id, policy or GatewayPolicy())
         # The core answers undeliverable or policy-rejected INVITEs; voicemail
         # owns the legs it answered for busy subscribers and answers their BYE.
-        carrier.core = _CarrierService(self, carrier, "net", SipMethod.INVITE, 480)
-        carrier.voicemail = _CarrierService(self, carrier, "vm", SipMethod.BYE, 200)
+        carrier.core = _CarrierService(self, carrier, "net", INVITE, 480)
+        carrier.voicemail = _CarrierService(self, carrier, "vm", BYE, 200)
         self.carriers[carrier_id] = carrier
         return carrier
 
@@ -417,12 +426,10 @@ class Federation:
     # -- routing and transport ----------------------------------------------
 
     def _dest_for(self, sender, msg: SipMessage):
-        """The other side of ``msg``'s dialog; only an INVITE opens a new one."""
-        dialog = self._dialogs.get(msg.call_id)
-        if dialog is not None:
-            return dialog.uac if sender is dialog.uas else dialog.uas
-        if msg.is_response or msg.method is not SipMethod.INVITE:
-            what = "response" if msg.is_response else msg.method.value
+        """The answering hop of the dialog ``msg`` opens, which has none yet;
+        only an INVITE opens one."""
+        if msg.status is not None or msg.method is not INVITE:
+            what = "response" if msg.status is not None else msg.method.value
             raise NetsimError(f"{what} for unknown dialog {msg.call_id}: only an INVITE opens one")
         carrier, auth = sender.carrier, sender.number
         if carrier.policy.enforce_caller_id and auth is not None and msg.from_number != auth:
@@ -449,24 +456,38 @@ class Federation:
         its own seeded jitter draw; crossing the interconnect costs the
         destination carrier's link as well: one gateway hop.
         """
-        dest = self._dest_for(sender, msg)
+        dialog = self._dialogs.get(msg.call_id)
+        if dialog is None:
+            dest = self._dest_for(sender, msg)
+        else:
+            dest = dialog.uac if sender is dialog.uas else dialog.uas
         src, dst = sender.carrier, dest.carrier
-        policy = src.policy
-        delay = policy.link_delay_ms
-        if policy.jitter_ms:
-            delay += _draw_below(self.rng.getrandbits, policy.jitter_ms + 1)
-        if dst is not src:
-            policy = dst.policy
+        delay = 0
+        for policy in (src.policy,) if dst is src else (src.policy, dst.policy):
             delay += policy.link_delay_ms
-            if policy.jitter_ms:
-                delay += _draw_below(self.rng.getrandbits, policy.jitter_ms + 1)
+            n = policy.jitter_ms + 1
+            if n > 1:
+                # What Random.randrange(n) draws, without its Python frames.
+                k = n.bit_length()
+                r = self._getrandbits(k)
+                while r >= n:
+                    r = self._getrandbits(k)
+                delay += r
         sip = serialize_message(msg)
         now = self.now
         from_hop = sender.hop
         self.trace.append({"t_ms": now, "carrier": src.id, "from_hop": from_hop,
                            "to_hop": dest.hop, "dir": _EGRESS, "sip": sip})
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (now + delay, seq, self._deliver, (dest, msg, from_hop, sip)))
+        # Queued here, not by set_timer: a delivery has no handle to cancel.
+        at = now + delay
+        entry = (seq, self._deliver, (dest, msg, from_hop, sip))
+        events = self._due.get(at)
+        if events is None:
+            self._due[at] = [entry]
+            heapq.heappush(self._heap, at)
+        else:
+            events.append(entry)
 
     def _deliver(self, dest, msg: SipMessage, from_hop: str, sip: str) -> None:
         """Log the ingress row of a message reaching its hop and hand it over."""
@@ -485,9 +506,18 @@ class Federation:
 
     def set_timer(self, delay_ms: int, callback: Callable[..., None], *args) -> int:
         """Call ``callback(*args)`` ``delay_ms`` from now; returns the timer's
-        handle for ``cancel_timer``."""
+        handle for ``cancel_timer``. The clock never runs backwards, so a
+        negative delay raises NetsimError."""
+        if delay_ms < 0:
+            raise NetsimError(f"timer delay must be >= 0, got {delay_ms}")
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (self.now + delay_ms, seq, callback, args))
+        at = self.now + delay_ms
+        events = self._due.get(at)
+        if events is None:
+            self._due[at] = [(seq, callback, args)]
+            heapq.heappush(self._heap, at)
+        else:
+            events.append((seq, callback, args))
         return seq
 
     def cancel_timer(self, timer: int) -> None:
@@ -503,21 +533,34 @@ class Federation:
         ``MAX_SIM_MS``, read at call time; returns the final simulated clock.
         """
         budget = MAX_SIM_MS
-        heap, cancelled, pop = self._heap, self._cancelled, heapq.heappop
+        heap, due, cancelled, pop = self._heap, self._due, self._cancelled, heapq.heappop
         while heap:
-            at, seq, callback, args = pop(heap)
-            if seq in cancelled:
-                # A cancelled timer neither advances the clock nor counts
-                # against the budget.
-                cancelled.discard(seq)
-                continue
-            if at > budget:
-                heapq.heappush(heap, (at, seq, callback, args))  # left queued, as found
+            at = pop(heap)
+            events = due[at]
+            if at > budget and any(entry[0] not in cancelled for entry in events):
+                heapq.heappush(heap, at)  # left queued, as found
                 raise SimBudgetExceeded(
                     f"events still queued at t={at} ms, past the {budget} sim-ms budget"
                 )
-            self.now = at
-            callback(*args)
+            # The list stays in ``due`` while it runs, so an event set for
+            # ``at`` by one of its handlers is appended and runs in turn.
+            try:
+                for i, (seq, callback, args) in enumerate(events):
+                    if seq in cancelled:
+                        # A cancelled timer neither advances the clock nor
+                        # counts against the budget.
+                        cancelled.discard(seq)
+                        continue
+                    self.now = at
+                    callback(*args)
+            except BaseException:
+                del events[: i + 1]  # a handler raised: the rest stay queued
+                if events:
+                    heapq.heappush(heap, at)
+                else:
+                    del due[at]
+                raise
+            del due[at]
         return self.now
 
     def run_until_quiescent(self) -> int:

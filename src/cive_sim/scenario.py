@@ -19,7 +19,7 @@ the ground truth label. Schema:
         carrier: cn-a
         call_waiting: false      # optional
         voicemail_forward: false # optional
-        state: idle              # idle | dialing | connected | held
+        state: idle              # idle | connected | held
         peer: "+15550102"        # required for non-idle states
     origination:
       originator: "+15559900"
@@ -36,8 +36,9 @@ be registered by some party.
 The loader reads this schema straight into the simulator's own records:
 ``Scenario.carriers`` maps each carrier id to its ``GatewayPolicy``, and
 each party is a ``PartySpec`` of its carrier, its ``CalleeProfile`` and the
-``EndpointState`` it starts in (``IDLE``, or ``Dialing``, ``Connected`` or
-``Held`` with the party's ``peer``).
+``EndpointState`` it starts in (``IDLE``, or ``Connected`` or ``Held``
+with the party's ``peer``). A file cannot preset a party ``dialing``; only
+the matrix's ``dialing_other`` cells start a line ``Dialing``, built in code.
 
 Outputs per run: ``<name>.trace.jsonl`` (the federation event log) and
 ``<name>.report.json`` (verdict, match, display), whose text is
@@ -190,8 +191,11 @@ def _number(value, where: str) -> PhoneNumber:
         raise ScenarioValidationError(f"{where}: {exc}") from exc
 
 
-# A party's ``state`` besides idle -> the call_fsm state it starts in.
-_PRESET_STATES = {"dialing": Dialing, "connected": Connected, "held": Held}
+# A party's ``state`` besides idle -> the call_fsm state it starts in. A file
+# cannot preset ``dialing``: a line is mid-dial only because it sent an
+# INVITE, and a preset dial sends none, so a spoof claiming that line would
+# meet a dial with no call behind it and be judged Legit.
+_PRESET_STATES = {"connected": Connected, "held": Held}
 
 
 def _party(p: dict) -> PartySpec:

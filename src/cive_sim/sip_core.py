@@ -96,6 +96,15 @@ class SipMethod(str, Enum):
     BYE = "BYE"
 
 
+# The members the per-message path reads, bound once as module globals. On
+# Python 3.10 and 3.11 the enum metaclass defines ``__getattr__``, so each
+# ``SipMethod.INVITE`` read in a function body costs more than
+# ten global reads. The other enums the path reads are bound the same way.
+INVITE, PRACK, ACK, CANCEL, BYE = (
+    SipMethod.INVITE, SipMethod.PRACK, SipMethod.ACK, SipMethod.CANCEL, SipMethod.BYE
+)
+
+
 class PemValue(str, Enum):
     """P-Early-Media direction values (RFC 5009)."""
 
@@ -103,6 +112,9 @@ class PemValue(str, Enum):
     SENDONLY = "sendonly"
     RECVONLY = "recvonly"
     INACTIVE = "inactive"
+
+
+SENDRECV, SENDONLY = PemValue.SENDRECV, PemValue.SENDONLY
 
 
 class AlertUrn(str, Enum):
@@ -117,6 +129,9 @@ class AlertUrn(str, Enum):
     RECALL_CALLBACK = "recall:callback"
     RECALL_HOLD = "recall:hold"
     RECALL_TRANSFER = "recall:transfer"
+
+
+CALL_WAITING = AlertUrn.CALL_WAITING
 
 
 # The only response codes this profile knows. Everything else is rejected at
@@ -498,20 +513,24 @@ def serialize_message(msg: SipMessage) -> str:
     Alert-Info when present, then extra headers in stored order, a blank
     line, then the body verbatim. ``parse_message(serialize_message(m))``
     returns a message equal to ``m``. Enum members are read through
-    ``_value_``, which skips the ``value`` descriptor.
+    ``_value_``, which skips the ``value`` descriptor. Each number is joined
+    to its ``sip:`` by ``+``, which gives a plain ``str``: an f-string would
+    format a ``PhoneNumber``, a ``str`` subclass, through ``format()``.
     """
     method = msg.method._value_
     status = msg.status
+    to_uri = "sip:" + msg.to_number
     if status is None:
-        start = f"{method} sip:{msg.to_number} SIP/2.0"
+        start = f"{method} {to_uri} SIP/2.0"
     else:
         start = f"SIP/2.0 {status.code} {status.reason}"
     pem, alert = msg.pem, msg.alert
     pem_line = "" if pem is None else f"P-Early-Media: {pem._value_}\n"
     alert_line = "" if alert is None else f"Alert-Info: <urn:alert:service:{alert._value_}>\n"
     extra = "".join([f"{n}: {v}\n" for n, v in msg.extra_headers]) if msg.extra_headers else ""
+    from_uri = "sip:" + msg.from_number
     return (
-        f"{start}\nFrom: sip:{msg.from_number}\nTo: sip:{msg.to_number}\n"
+        f"{start}\nFrom: {from_uri}\nTo: {to_uri}\n"
         f"Call-ID: {msg.call_id}\nCSeq: {msg.seq} {method}\n"
         f"{pem_line}{alert_line}{extra}\n{msg.body}"
     )

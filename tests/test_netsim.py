@@ -627,6 +627,114 @@ def test_cancelled_timers_never_advance_the_clock_or_trip_the_budget(monkeypatch
     assert net._heap == []
 
 
+# The event queue is a calendar: one list per due time. These pin that its
+# order, clock and budget are those of one queue ordered by (time, seq).
+
+
+def test_same_ms_timers_and_deliveries_fire_in_insertion_order():
+    # A timer, a cross-carrier delivery and another timer, all due at 100 ms.
+    # Each timer logs the trace length: 1 row (the INVITE's egress) before the
+    # delivery, 5 after it (its ingress row and E's 100, 183 and 180).
+    net = two_carrier_fed()
+    order = []
+
+    def log(tag):
+        order.append((tag, net.now, len(net.trace)))
+
+    net.set_timer(100, log, "before")
+    net.send(net.lines[PhoneNumber(A)], SipMessage.request(SipMethod.INVITE, A, E, "q-1"))
+    net.set_timer(100, log, "after")
+    assert net.run() == 200
+    assert order == [("before", 100, 1), ("after", 100, 5)]
+    assert net.trace[1]["t_ms"] == 100 and net.trace[1]["dir"] == "ingress"
+
+
+def test_zero_delay_timer_set_while_its_time_runs_fires_before_the_next_time():
+    net = Federation()
+    order = []
+
+    def log(tag):
+        order.append((tag, net.now))
+
+    def first():
+        log("first")
+        net.set_timer(0, log, "zero")
+
+    net.set_timer(10, first)
+    net.set_timer(10, log, "second")
+    net.set_timer(11, log, "next")
+    assert net.run() == 11
+    assert order == [("first", 10), ("second", 10), ("zero", 10), ("next", 11)]
+    # A timer set for the time the last run ended at fires on the next run.
+    net.set_timer(0, log, "again")
+    assert net.run() == 11 and order[-1] == ("again", 11)
+    assert net._heap == []
+
+
+def test_cancelled_timer_in_a_list_moves_no_clock_and_spends_no_budget(monkeypatch):
+    monkeypatch.setattr(cive_sim.netsim, "MAX_SIM_MS", 150)
+    net = Federation()
+    probe = _TimerProbe(net)
+    net.set_timer(20, probe.fire, "live")
+    net.cancel_timer(net.set_timer(30, probe.fire, "cancelled-alone"))
+    cancelled_first = net.set_timer(40, probe.fire, "cancelled-first")
+    net.set_timer(40, probe.fire, "after-cancelled")
+    net.cancel_timer(cancelled_first)
+    for tag in ("past-1", "past-2"):  # a list past the budget, every entry cancelled
+        net.cancel_timer(net.set_timer(200, probe.fire, tag))
+    assert net.run() == 40
+    assert probe.fired == [("live", 20), ("after-cancelled", 40)]
+    assert net._heap == []
+
+
+def test_budget_overrun_in_a_list_raises_and_leaves_it_queued(monkeypatch):
+    monkeypatch.setattr(cive_sim.netsim, "MAX_SIM_MS", 150)
+    net = Federation()
+    probe = _TimerProbe(net)
+    net.set_timer(100, probe.fire, "in-budget")
+    net.cancel_timer(net.set_timer(200, probe.fire, "cancelled"))
+    net.set_timer(200, probe.fire, "over-1")
+    net.set_timer(200, probe.fire, "over-2")
+    with pytest.raises(SimBudgetExceeded, match="t=200 ms, past the 150 sim-ms budget"):
+        net.run()
+    assert net.now == 100 and probe.fired == [("in-budget", 100)]
+    # A larger budget runs the list as it was found.
+    monkeypatch.setattr(cive_sim.netsim, "MAX_SIM_MS", 1000)
+    assert net.run() == 200
+    assert probe.fired == [("in-budget", 100), ("over-1", 200), ("over-2", 200)]
+    assert net._heap == []
+
+
+def test_a_handler_that_raises_leaves_the_rest_queued():
+    net = Federation()
+    probe = _TimerProbe(net)
+
+    def fail():
+        raise RuntimeError("handler failed")
+
+    net.set_timer(10, fail)
+    net.set_timer(10, probe.fire, "same-time")
+    net.set_timer(20, fail)  # alone in its list
+    net.set_timer(30, probe.fire, "later")
+    with pytest.raises(RuntimeError, match="handler failed"):
+        net.run()
+    assert net.now == 10 and probe.fired == []
+    with pytest.raises(RuntimeError, match="handler failed"):
+        net.run()
+    assert net.now == 20 and probe.fired == [("same-time", 10)]
+    assert net.run() == 30
+    assert probe.fired == [("same-time", 10), ("later", 30)]
+    assert net._heap == []
+
+
+def test_negative_timer_delay_is_refused():
+    net = Federation()
+    probe = _TimerProbe(net)
+    with pytest.raises(NetsimError, match="timer delay must be >= 0, got -1"):
+        net.set_timer(-1, probe.fire, "past")
+    assert net._heap == [] and net.run() == 0 and probe.fired == []
+
+
 @pytest.mark.parametrize("kind", ["response", "bye-to-line", "bye-to-unregistered"])
 def test_send_without_a_dialog_is_refused_before_any_row(kind):
     # Only an INVITE opens a dialog; anything else with an unknown Call-ID

@@ -34,7 +34,7 @@ from cive_sim.scenario import (
     run_scenario,
 )
 from cive_sim import cive, cli
-from cive_sim.call_fsm import Connected, Held
+from cive_sim.call_fsm import Connected, Dialing, Held
 from cive_sim.netsim import TRACE_HEAD_RE, Federation
 from cive_sim.sip_core import PhoneNumber
 
@@ -612,6 +612,26 @@ def test_cli_bad_c3_is_bad_input(tmp_path, capsys, old, new, message):
     out, err = capsys.readouterr()
     prefix = f"{path}: " if message.startswith("malformed") else ""
     assert out == "" and err == f"error: {prefix}{message}\n"
+
+
+def test_cli_dialing_preset_is_bad_input(tmp_path, capsys):
+    # c2 with A preset dialing B: A's line is mid-dial with no INVITE behind
+    # it, so E's spoof claiming A would meet that dial and be judged Legit.
+    # A file cannot preset a dial; the matrix's Dialing(C) cells still run.
+    text = (SCENARIOS / "c2.scn").read_text(encoding="utf-8")
+    old = "    state: idle\n"
+    assert old in text
+    path = _write(tmp_path, text.replace(old, '    state: dialing\n    peer: "+15550101"\n', 1))
+    with pytest.raises(ScenarioValidationError, match="party \\+15550100: bad state 'dialing'"):
+        load_scenario(path)
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: party +15550100: bad state 'dialing'\n"
+    cells = {s.name: s for s in matrix_scenarios()}
+    cell = cells["matrix-dialing_other-cw0-vm0-spoofed"]
+    assert isinstance(cell.parties[0].state, Dialing)
+    report = run_scenario(cell)
+    assert report.verdict.decision is Decision.SPOOFED and report.match
 
 
 def test_cli_number_with_trailing_newline_is_bad_input(tmp_path, capsys):
