@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .call_fsm import CALLER, COLLISION_ANSWER_MS, EARLY, LineLeg
-from .netsim import EGRESS, INGRESS, Direction, Federation, PhoneLine
+from .netsim import EGRESS, INGRESS, Federation, PhoneLine
 from .sip_core import (
     ACK,
     BYE,
@@ -94,7 +94,7 @@ if COLLISION_ANSWER_MS >= CAPTURE_GRACE_MS:
 
 class TraceEntry(NamedTuple):
     t_ms: int
-    direction: Direction  # EGRESS: sent by the observer; INGRESS: received by it
+    direction: str  # a row's dir; EGRESS: sent by the observer, INGRESS: received by it
     message: SipMessage
 
 
@@ -198,7 +198,7 @@ def extract_features(leg: list[TraceEntry]) -> FeatureVector:
     for entry in leg:
         msg = entry.message
         status = msg.status
-        if entry.direction is INGRESS and status is not None:
+        if entry.direction == INGRESS and status is not None:
             code = status.code
             if code == 180 and not saw_180:
                 saw_180 = True
@@ -209,7 +209,7 @@ def extract_features(leg: list[TraceEntry]) -> FeatureVector:
             if (final is None and code >= 200 and msg.method is INVITE
                     and msg.seq == invite.seq):
                 final = status
-        elif entry.direction is EGRESS and status is None:
+        elif entry.direction == EGRESS and status is None:
             sent.add(msg.method)
             timed_out = timed_out or (msg.method is CANCEL and entry.t_ms == timeout_at)
     # BYE is what actually ends an answered leg, so it wins over a CANCEL
@@ -397,13 +397,10 @@ def verify_incoming(agent: _VerifierAgent) -> Verdict:
     return decide(agent.number, infer_state(features), features)
 
 
-# The ``dir`` string of a trace row -> its Direction, and the field naming the
-# hop that sent (egress) or received (ingress) the row's message: a leg holds
-# the rows whose field names its observer.
-_DIRECTIONS = {
-    EGRESS.value: (EGRESS, "from_hop"),
-    INGRESS.value: (INGRESS, "to_hop"),
-}
+# The ``dir`` of a trace row -> the field naming the hop that sent (egress) or
+# received (ingress) the row's message: a leg holds the rows whose field names
+# its observer.
+_DIRECTIONS = {EGRESS: "from_hop", INGRESS: "to_hop"}
 # The state of a call whose leg is not built: no hop is None, so it has no rows.
 _NO_LEG = (None, None)
 
@@ -421,7 +418,7 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
     observer is known from its first egress row; the ingress rows read
     before it wait in a small list, and only the observer's rows become
     entries. ``rows`` is left as it was. Raises MalformedTraceRow for a row
-    whose ``dir`` is not a ``Direction`` value, whose message falls outside
+    whose ``dir`` is neither EGRESS nor INGRESS, whose message falls outside
     the SIP profile, or that breaks its leg's ordering: a leg starts with
     its sent INVITE and its timestamps never decrease. Only such outside
     input can break that order; the live verifier's leg keeps it by
@@ -441,10 +438,10 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
     broken: dict[str, MalformedTraceRow] = {}
     legs: list[tuple[str, str, list[TraceEntry]]] = []
     for index, row in enumerate(rows):
-        known = _DIRECTIONS.get(row["dir"])
-        if known is None:
-            raise MalformedTraceRow(index, f"dir {row['dir']!r} is not one of {sorted(_DIRECTIONS)}")
-        direction, hop = known
+        direction = row["dir"]
+        hop = _DIRECTIONS.get(direction)
+        if hop is None:
+            raise MalformedTraceRow(index, f"dir {direction!r} is not one of {sorted(_DIRECTIONS)}")
         text = row["sip"]
         msg = parsed.get(text)
         if msg is None:
@@ -465,7 +462,7 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
                     index, f"call {cid}: trace timestamps must be non-decreasing")
                 continue
             leg.append(TraceEntry(t_ms, direction, msg))
-        elif direction is INGRESS:
+        elif direction == INGRESS:
             waiting.setdefault(cid, []).append((index, row["to_hop"]))
         else:
             observer = row["from_hop"]

@@ -39,7 +39,6 @@ import os
 import random
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
@@ -130,20 +129,9 @@ class CarrierNetwork:
     voicemail: _CarrierService = field(init=False, repr=False)
 
 
-class Direction(str, Enum):
-    """Which way a message crosses a hop: EGRESS leaves it, INGRESS reaches it.
-
-    The values are the ``dir`` strings of trace rows.
-    """
-
-    INGRESS = "ingress"
-    EGRESS = "egress"
-
-
-# The members, bound once as sip_core binds SipMethod's, and the plain
-# ``str`` values that trace rows carry in ``dir``.
-INGRESS, EGRESS = Direction.INGRESS, Direction.EGRESS
-_INGRESS, _EGRESS = INGRESS.value, EGRESS.value
+# Which way a message crosses a hop, as a trace row's ``dir`` names it:
+# EGRESS leaves the hop, INGRESS reaches it.
+INGRESS, EGRESS = "ingress", "egress"
 
 
 @dataclass(slots=True)
@@ -477,7 +465,7 @@ class Federation:
         now = self.now
         from_hop = sender.hop
         self.trace.append({"t_ms": now, "carrier": src.id, "from_hop": from_hop,
-                           "to_hop": dest.hop, "dir": _EGRESS, "sip": sip})
+                           "to_hop": dest.hop, "dir": EGRESS, "sip": sip})
         self._seq = seq = self._seq + 1
         # Queued here, not by set_timer: a delivery has no handle to cancel.
         at = now + delay
@@ -492,7 +480,7 @@ class Federation:
     def _deliver(self, dest, msg: SipMessage, from_hop: str, sip: str) -> None:
         """Log the ingress row of a message reaching its hop and hand it over."""
         self.trace.append({"t_ms": self.now, "carrier": dest.carrier.id, "from_hop": from_hop,
-                           "to_hop": dest.hop, "dir": _INGRESS, "sip": sip})
+                           "to_hop": dest.hop, "dir": INGRESS, "sip": sip})
         dest.handle_message(msg)
 
     def voicemail_answer(self, carrier: CarrierNetwork, response: SipMessage) -> None:
@@ -564,7 +552,7 @@ class Federation:
         return self.now
 
     def run_until_quiescent(self) -> int:
-        """Drain the event queue; returns the final simulated clock."""
+        """``run`` under its old name, kept only for ``perfbench/workloads.py``."""
         return self.run()
 
     # -- trace output ------------------------------------------------------------

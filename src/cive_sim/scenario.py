@@ -5,7 +5,7 @@ initial states and features, one call origination (possibly spoofed), and
 the ground truth label. Schema:
 
     name: c2                 # letters, digits, . _ -; starts with a letter or digit
-    description: optional free text
+    description: free text   # optional, not read
     seed: 0                  # optional, >= 0, default 0
     cive: true               # run verification when the target rings
     ground_truth: spoofed    # spoofed | genuine
@@ -113,7 +113,6 @@ class Scenario:
     origination: OriginationSpec
     cive_enabled: bool = True
     seed: int = 0
-    description: str = ""
 
     @property
     def ground_truth(self) -> GroundTruth:
@@ -160,19 +159,31 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _shown(value) -> str:
+    """A value of the wrong type, for an error line: a scalar with its type, or
+    anything else by its type alone. A YAML alias list is built by reference,
+    so its text can grow ninefold per level of a small file."""
+    if value is None:
+        return "an empty value"
+    if isinstance(value, (bool, int, float, str)):
+        return f"{type(value).__name__} {value!r}"
+    return f"a {type(value).__name__}"
+
+
 def _flag(mapping: dict, key: str, default: bool, where: str) -> bool:
     """A YAML boolean; a quoted "false" must not load as True."""
     value = mapping.get(key, default)
     if not isinstance(value, bool):
-        raise ScenarioParseError(f"{where}: {key} must be true or false, got {value!r}")
+        raise ScenarioParseError(f"{where}: {key} must be true or false, got {_shown(value)}")
     return value
 
 
-def _text(mapping: dict, key: str, where: str) -> str:
-    """A required YAML string; an empty value must not load as "None"."""
-    value = _require(mapping, key, where)
+def _text(mapping: dict, key: str, where: str, default: str | None = None) -> str:
+    """A YAML string, required when there is no default; an empty value must
+    not load as "None"."""
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
     if not isinstance(value, str):
-        raise ScenarioParseError(f"{where}: {key} must be a string, got {value!r}")
+        raise ScenarioParseError(f"{where}: {key} must be a string, got {_shown(value)}")
     return value
 
 
@@ -180,13 +191,16 @@ def _integer(mapping: dict, key: str, default: int, where: str) -> int:
     """A YAML integer; a float or a boolean must not be truncated to one."""
     value = mapping.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioParseError(f"{where}: {key} must be an integer, got {value!r}")
+        raise ScenarioParseError(f"{where}: {key} must be an integer, got {_shown(value)}")
     return value
 
 
 def _number(value, where: str) -> PhoneNumber:
+    """A quoted number; unquoted, ``+15550100`` is a YAML int."""
+    if not isinstance(value, str):
+        raise ScenarioParseError(f"{where} must be a quoted string, got {_shown(value)}")
     try:
-        return PhoneNumber(str(value))
+        return PhoneNumber(value)
     except ValueError as exc:
         raise ScenarioValidationError(f"{where}: {exc}") from exc
 
@@ -205,7 +219,7 @@ def _party(p: dict) -> PartySpec:
     profile = CalleeProfile(
         number, _flag(p, "call_waiting", False, "party"), _flag(p, "voicemail_forward", False, "party")
     )
-    state = str(p.get("state", "idle"))
+    state = _text(p, "state", f"party {number}", "idle")
     peer = _number(p["peer"], "party peer") if p.get("peer") is not None else None
     if state == "idle":
         return PartySpec(carrier, profile)
@@ -226,8 +240,12 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise ScenarioParseError(f"{path}: not UTF-8 text") from None
+    except yaml.MarkedYAMLError as exc:  # the problem and where it is, on one line
+        mark = exc.problem_mark
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ScenarioParseError(f"{path}: YAML: {exc.problem or exc.context}{where}") from None
     except yaml.YAMLError as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from exc
+        raise ScenarioParseError(f"{path}: YAML: {' '.join(str(exc).split())}") from None
     except (ValueError, RecursionError) as exc:  # an integer too long for int(), deep nesting
         raise ScenarioParseError(f"{path}: unreadable value: {exc}") from None
     if not isinstance(raw, dict):
@@ -255,7 +273,7 @@ def load_scenario(path: str | Path) -> Scenario:
             target=_number(_require(o, "target", "origination"), "target"),
             at_ms=_integer(o, "at_ms", 0, "origination"),
         )
-        truth_raw = str(_require(raw, "ground_truth", path.name))
+        truth_raw = _text(raw, "ground_truth", path.name)
         try:
             truth = GroundTruth(truth_raw)
         except ValueError as exc:
@@ -267,7 +285,6 @@ def load_scenario(path: str | Path) -> Scenario:
             origination=origination,
             cive_enabled=_flag(raw, "cive", True, path.name),
             seed=_integer(raw, "seed", 0, path.name),
-            description=str(raw.get("description", "")),
         )
     except (TypeError, KeyError, AttributeError, ValueError) as exc:
         raise ScenarioParseError(f"{path}: malformed scenario: {exc}") from exc

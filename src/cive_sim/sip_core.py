@@ -175,7 +175,7 @@ STATUS: dict[int, StatusCode] = {code: StatusCode(code) for code in CANONICAL_RE
 
 @dataclass(frozen=True)
 class SipMessage:
-    """A parsed request or response.
+    """A parsed request or response; a request's ``status`` is None.
 
     ``method`` is the request method; for responses it is the transaction
     method echoed in CSeq. ``seq`` is the CSeq sequence number; the CSeq
@@ -199,18 +199,6 @@ class SipMessage:
         _check_call_id(self.call_id)
         if self.seq < 1:
             raise ValueError(f"CSeq sequence must be >= 1: {self.seq}")
-
-    @property
-    def is_request(self) -> bool:
-        return self.status is None
-
-    @property
-    def is_response(self) -> bool:
-        return self.status is not None
-
-    @property
-    def is_final(self) -> bool:
-        return self.status is not None and self.status.code >= 200
 
     @classmethod
     def request(

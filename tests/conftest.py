@@ -98,5 +98,5 @@ def loaded_federation(seed, n_calls):
                 claimed, net.lines[originator], target, at_ms=rng.randrange(2_000)
             )
         )
-    net.run_until_quiescent()
+    net.run()
     return [json.loads(line) for line in net.trace_jsonl().splitlines()], call_ids

@@ -81,7 +81,7 @@ def corpus_runs(tmp_path_factory):
 
 def _kinds(trace):
     return [
-        e.message.method.value if e.message.is_request else e.message.status.code
+        e.message.method.value if e.message.status is None else e.message.status.code
         for e in trace
     ]
 
@@ -115,7 +115,7 @@ def test_criterion_3_teardown_signatures(corpus_runs):
         kinds = _kinds(c1)
         assert "CANCEL" not in kinds
         sent_requests = [
-            e.message.method for e in c1 if e.message.is_request
+            e.message.method for e in c1 if e.message.status is None
         ]
         assert sent_requests[-1] is SipMethod.BYE
         assert kinds.index(200) < kinds.index("BYE")

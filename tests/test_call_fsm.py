@@ -23,7 +23,7 @@ from cive_sim.call_fsm import (
     summarize_legs,
 )
 from cive_sim.cive import Decision, TraceEntry, decide, extract_features, infer_state
-from cive_sim.netsim import Direction, Federation, GatewayPolicy
+from cive_sim.netsim import EGRESS, INGRESS, Federation, GatewayPolicy
 from cive_sim.sip_core import AlertUrn, PemValue, PhoneNumber, SipMessage, SipMethod, parse_message
 
 A = PhoneNumber("+15550100")
@@ -77,7 +77,7 @@ def line_at_a(*presets, profile=PROFILE_PLAIN):
 
 
 def sent_codes(sent):
-    return [m.status.code for m in sent if m.is_response]
+    return [m.status.code for m in sent if m.status is not None]
 
 
 def test_idle_rings_with_sendrecv_no_alert():
@@ -161,13 +161,13 @@ def test_call_waiting_alert_iff_on_a_call_with_feature():
 def _callback_leg(state, profile):
     """B's callback INVITE to A and A's answers, as B's verifier records
     them; a deferred answer is the 200 it becomes."""
-    leg = [TraceEntry(0, Direction.EGRESS, INVITE)]
+    leg = [TraceEntry(0, EGRESS, INVITE)]
     for sent in on_incoming_invite(state, profile, INVITE):
         if sent is Answer.COLLISION:
             (sent,) = on_auto_answer(INVITE)
         elif sent is Answer.VOICEMAIL:
             sent = reply(200)
-        leg.append(TraceEntry(100, Direction.INGRESS, sent))
+        leg.append(TraceEntry(100, INGRESS, sent))
     return leg
 
 
@@ -197,7 +197,7 @@ def test_invite_transaction_legality_all_branches():
                 sent = sent[:-1] + on_auto_answer(INVITE)
             elif sent[-1] is Answer.VOICEMAIL:
                 sent = sent[:-1] + [reply(200)]
-            elif not sent[-1].is_final:
+            elif sent[-1].status.code < 200:
                 sent += on_cancel(CANCEL, INVITE)
             seq = [m.status.code for m in sent if m.method is SipMethod.INVITE]
             assert INVITE_TX_PATTERN.match(",".join(map(str, seq))), seq
@@ -382,7 +382,7 @@ def test_a_183_delivered_after_the_collision_answer_gets_no_prack():
         answered = False
         for row in net.trace:
             msg = parse_message(row["sip"])
-            if row["dir"] == "ingress" and row["to_hop"] == f"ep:{A}" and msg.is_response:
+            if row["dir"] == "ingress" and row["to_hop"] == f"ep:{A}" and msg.status is not None:
                 if msg.method is SipMethod.INVITE and msg.status.code == 200:
                     answered = True
                 elif answered and msg.status.code == 183:

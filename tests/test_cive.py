@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from conftest import SCENARIOS, loaded_federation
 import cive_sim.scenario
 import cive_sim.sip_core
 from cive_sim import call_fsm, cive
-from cive_sim.call_fsm import CalleeProfile, Connected, Dialing
+from cive_sim.call_fsm import IDLE, CalleeProfile, Connected, Dialing, Held
 from cive_sim.cive import (
     CiveError,
     Decision,
@@ -32,10 +33,17 @@ from cive_sim.cive import (
     legs_from_trace_rows,
     verify_incoming,
 )
-from cive_sim.netsim import Direction, Federation, GatewayPolicy
+from cive_sim.netsim import EGRESS, INGRESS, Federation, GatewayPolicy
 from cive_sim.scenario import (
+    _MATRIX_A,
+    _MATRIX_B,
+    _MATRIX_C,
     _MATRIX_E,
     MATRIX_A_STATES,
+    GroundTruth,
+    OriginationSpec,
+    PartySpec,
+    Scenario,
     _matrix_cell,
     build_federation,
     load_scenario,
@@ -68,11 +76,11 @@ def trace_of(*steps):
 
 
 def sent(msg):
-    return (Direction.EGRESS, msg)
+    return (EGRESS, msg)
 
 
 def recv(msg):
-    return (Direction.INGRESS, msg)
+    return (INGRESS, msg)
 
 
 def reply(code, *, pem=None, alert=None, to=INVITE):
@@ -157,18 +165,35 @@ def test_extract_features_uses_first_180_and_invite_final_only():
     assert f.final_to_invite == StatusCode(487)
 
 
+def test_extract_features_reads_only_the_responses_the_observer_receives():
+    # Responses B itself sends in the leg (a 180 sendonly, a 486, a 200 on
+    # the INVITE's CSeq) say nothing of the far end's state.
+    cancel = req(SipMethod.CANCEL, 1)
+    trace = trace_of(
+        sent(INVITE),
+        sent(reply(180, pem=PemValue.SENDONLY)),
+        recv(reply(180, pem=PemValue.SENDRECV)),
+        sent(reply(486)),
+        sent(reply(200)),
+        sent(cancel),
+    )
+    f = extract_features(trace)
+    assert f == FeatureVector(pem_180=PemValue.SENDRECV, teardown=SipMethod.CANCEL)
+    assert infer_state(f) is InferredState.IDLE
+
+
 def test_extract_features_degenerate_and_empty():
     assert extract_features(trace_of(sent(INVITE))) == FeatureVector()
     # A CANCEL exactly AU_CALL_TIMEOUT_MS after the INVITE is the verifier's
     # timeout; one a millisecond off either way is not.
     cancel = req(SipMethod.CANCEL, 1)
     for delta, timed_out in ((0, True), (-1, False), (1, False)):
-        leg = [TraceEntry(7, Direction.EGRESS, INVITE),
-               TraceEntry(7 + cive.AU_CALL_TIMEOUT_MS + delta, Direction.EGRESS, cancel)]
+        leg = [TraceEntry(7, EGRESS, INVITE),
+               TraceEntry(7 + cive.AU_CALL_TIMEOUT_MS + delta, EGRESS, cancel)]
         assert extract_features(leg) == FeatureVector(
             teardown=SipMethod.CANCEL, timed_out=timed_out), delta
     # A received CANCEL at that instant is not one B sent.
-    leg[1] = TraceEntry(7 + cive.AU_CALL_TIMEOUT_MS, Direction.INGRESS, cancel)
+    leg[1] = TraceEntry(7 + cive.AU_CALL_TIMEOUT_MS, INGRESS, cancel)
     assert not extract_features(leg).timed_out
     with pytest.raises(EmptyTrace):
         extract_features([])
@@ -263,7 +288,7 @@ def _verify(net, in_call):
     """Launch a verification, run the federation to quiescence, and return
     the verdict with the agent whose leg it judged."""
     agent = launch_verification(net, in_call)
-    net.run_until_quiescent()
+    net.run()
     return verify_incoming(agent), agent
 
 
@@ -313,7 +338,7 @@ def test_launch_sends_the_invite_and_leaves_the_loop_to_the_caller():
     # the first still in flight.
     with pytest.raises(LineBusy):
         launch_verification(net, ringing())
-    net.run_until_quiescent()
+    net.run()
     verdict = verify_incoming(agent)
     assert agent.done
     assert verdict.decision is Decision.SPOOFED and verdict.inferred is InferredState.IDLE
@@ -360,7 +385,7 @@ def test_verify_unroutable_claimed_is_inconclusive():
     unknown = PhoneNumber("+19990001111")
     verdict, agent = _verify(net, ringing(unknown))
     kinds = [
-        e.message.method.value if e.message.is_request else e.message.status.code
+        e.message.method.value if e.message.status is None else e.message.status.code
         for e in agent.entries
     ]
     assert kinds == ["INVITE", 480, "ACK"]
@@ -377,8 +402,8 @@ def test_verify_times_out_when_the_queue_drains_before_the_leg_ends():
     assert verdict.inferred is InferredState.UNREACHABLE
     assert verdict.features.timed_out
     assert [(e.t_ms, e.direction, e.message.method) for e in agent.entries] == [
-        (0, Direction.EGRESS, SipMethod.INVITE),
-        (10_000, Direction.EGRESS, SipMethod.CANCEL),
+        (0, EGRESS, SipMethod.INVITE),
+        (10_000, EGRESS, SipMethod.CANCEL),
     ]
     assert net.now == 10_050
 
@@ -440,7 +465,7 @@ def test_verify_voicemail_forward_detected():
     assert verdict.features.teardown is SipMethod.BYE
     # the voicemail leg is answered and released cleanly
     kinds = [
-        e.message.method.value if e.message.is_request else e.message.status.code
+        e.message.method.value if e.message.status is None else e.message.status.code
         for e in agent.entries
     ]
     assert kinds == ["INVITE", 100, 181, 200, "ACK", "BYE", 200]
@@ -470,8 +495,8 @@ def test_launch_traces_are_transaction_legal():
         codes = [
             e.message.status.code
             for e in leg
-            if e.direction is Direction.INGRESS
-            and e.message.is_response
+            if e.direction == INGRESS
+            and e.message.status is not None
             and e.message.method is SipMethod.INVITE
         ]
         assert pattern.match(",".join(map(str, codes))), codes
@@ -489,10 +514,10 @@ def test_capture_grace_runs_from_the_first_180_with_early_media():
         received = {
             e.message.status.code: e.t_ms
             for e in reversed(agent.entries)
-            if e.direction is Direction.INGRESS and e.message.is_response
+            if e.direction == INGRESS and e.message.status is not None
         }
         (cancel,) = [e.t_ms for e in agent.entries if e.message.method is SipMethod.CANCEL
-                     and e.direction is Direction.EGRESS]
+                     and e.direction == EGRESS]
         assert received[183] != received[180], seed
         assert cancel == received[180] + cive.CAPTURE_GRACE_MS, seed
 
@@ -519,7 +544,7 @@ def _race(cw, d_ms):
     line_b.ring_hook = on_ring
     net.originate_call(A, net.lines[A], B, at_ms=1000)
     spoof = net.originate_call(A, net.lines[_MATRIX_E], B, at_ms=1000 + d_ms)
-    net.run_until_quiescent()
+    net.run()
     verdict = verify_incoming(rung["agent"])
     return rung["call_id"] == spoof, verdict
 
@@ -568,6 +593,66 @@ def test_spoofed_single_origination_is_never_legit(a_state, cw, vm, links, seed)
     assert report.verdict.decision is not Decision.LEGIT, (report.verdict, carriers)
 
 
+_SEARCH_PARTIES = (_MATRIX_A, _MATRIX_B, _MATRIX_C, _MATRIX_E)
+_SEARCH_PRESETS = {"idle": lambda peer: IDLE, "connected": Connected, "held": Held}
+
+
+def _search_scenario(parties, carriers, originator, at_ms, seed):
+    """A scenario file's worth of moves: each of A, B, C and E with a preset
+    (its peer one of the other three), call waiting, voicemail and one of
+    three carriers; A's number claimed on a call to B from A, C or E."""
+    specs = tuple(
+        PartySpec(f"cn-{carrier}", CalleeProfile(number, cw, vm),
+                  _SEARCH_PRESETS[state]([n for n in _SEARCH_PARTIES if n != number][peer]))
+        for number, (state, peer, cw, vm, carrier) in zip(_SEARCH_PARTIES, parties)
+    )
+    return Scenario(
+        name="search",
+        carriers={f"cn-{i}": GatewayPolicy(*policy) for i, policy in enumerate(carriers)},
+        parties=specs,
+        origination=OriginationSpec(originator, _MATRIX_A, _MATRIX_B, at_ms),
+        seed=seed,
+    )
+
+
+_party_moves = st.tuples(st.sampled_from(sorted(_SEARCH_PRESETS)), st.integers(0, 2),
+                         st.booleans(), st.booleans(), st.integers(0, 2))
+_carrier_moves = st.tuples(st.booleans(), st.integers(0, 3000), st.integers(0, 2000))
+
+
+# Delays stop at 3,000 ms: with up to 9,000 ms, about one run in eight
+# outlasts the 60,000 sim-ms budget and raises SimBudgetExceeded.
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(
+    parties=st.tuples(*[_party_moves] * 4),
+    carriers=st.tuples(*[_carrier_moves] * 3),
+    originator=st.sampled_from((_MATRIX_A, _MATRIX_C, _MATRIX_E)),
+    at_ms=st.integers(0, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scenario_moves_never_flip_a_verdict(parties, carriers, originator, at_ms, seed):
+    s = _search_scenario(parties, carriers, originator, at_ms, seed)
+    agents = []
+
+    def capturing(agent):
+        agents.append(agent)
+        return verify_incoming(agent)
+
+    with mock.patch.object(cive_sim.scenario, "verify_incoming", capturing):
+        report = run_scenario(s)
+    if report.verdict is None:  # B never rang: an enforcing edge, or B busy
+        return
+    if s.ground_truth is GroundTruth.SPOOFED:
+        assert report.verdict.decision is not Decision.LEGIT, report.verdict
+    else:
+        assert report.verdict.decision is not Decision.SPOOFED, report.verdict
+    # The live leg is the one parse rebuilds from the federation's rows.
+    [agent] = agents
+    legs = {cid: leg for cid, _, leg in legs_from_trace_rows(agent.net.trace)}
+    assert legs[agent.leg.invite.call_id] == agent.entries
+    assert extract_features(agent.entries) == report.verdict.features
+
+
 def test_invite_responses_after_the_final_are_recorded_not_acted_on(monkeypatch):
     # With 200 ms of jitter at seed 3, A's 200 to the callback overtakes its
     # 183 and 180: the verifier records both, but sends no PRACK.
@@ -584,15 +669,15 @@ def test_invite_responses_after_the_final_are_recorded_not_acted_on(monkeypatch)
     [agent] = agents
     final = next(
         i for i, e in enumerate(agent.entries)
-        if e.direction is Direction.INGRESS and e.message.method is SipMethod.INVITE
-        and e.message.is_response and e.message.status.code >= 200
+        if e.direction == INGRESS and e.message.method is SipMethod.INVITE
+        and e.message.status is not None and e.message.status.code >= 200
     )
     after = [
         (e.direction, e.message.method, e.message.status and e.message.status.code)
         for e in agent.entries[final + 1:]
     ]
-    assert (Direction.INGRESS, SipMethod.INVITE, 183) in after
-    assert (Direction.EGRESS, SipMethod.PRACK, None) not in after
+    assert (INGRESS, SipMethod.INVITE, 183) in after
+    assert (EGRESS, SipMethod.PRACK, None) not in after
     assert report.verdict.decision is Decision.LEGIT
 
 
@@ -649,7 +734,7 @@ def _reference_legs(rows):
     legs = []
     for cid, (first, first_msg) in first_egress.items():
         observer = first["from_hop"]
-        if first_msg.method is not SipMethod.INVITE or first_msg.is_response:
+        if first_msg.method is not SipMethod.INVITE or first_msg.status is not None:
             continue
         if not observer.startswith("ep:"):
             continue
@@ -658,9 +743,9 @@ def _reference_legs(rows):
             if msg.call_id != cid:
                 continue
             if row["dir"] == "egress" and row["from_hop"] == observer:
-                leg.append(TraceEntry(row["t_ms"], Direction.EGRESS, msg))
+                leg.append(TraceEntry(row["t_ms"], EGRESS, msg))
             elif row["dir"] == "ingress" and row["to_hop"] == observer:
-                leg.append(TraceEntry(row["t_ms"], Direction.INGRESS, msg))
+                leg.append(TraceEntry(row["t_ms"], INGRESS, msg))
         legs.append((cid, observer, leg))
     return legs
 
@@ -724,7 +809,7 @@ def test_legs_name_the_offending_row():
     with pytest.raises(MalformedTraceRow) as info:
         legs_from_trace_rows(bad)
     assert info.value.index == 4 and "MalformedStartLine" in info.value.reason
-    # a direction that is not a Direction value, rather than a skipped row
+    # a direction that is neither EGRESS nor INGRESS, rather than a skipped row
     upper = copy.deepcopy(rows)
     upper[5]["dir"] = "EGRESS"
     with pytest.raises(MalformedTraceRow) as info:
@@ -756,14 +841,14 @@ def _two_phase_legs(rows):
     every row by Call-ID, then rescan each call's rows for its leg,
     raising an ordering error as soon as it is found. The reference for
     ``test_one_pass_legs_equal_the_two_phase_builder``."""
-    directions = {d.value: d for d in Direction}
+    directions = (EGRESS, INGRESS)
     parsed = {}
     by_call = {}
     first_egress = {}
     for index, row in enumerate(rows):
-        direction = directions.get(row["dir"])
-        if direction is None:
-            raise MalformedTraceRow(index, f"dir {row['dir']!r} is not one of {sorted(directions)}")
+        direction = row["dir"]
+        if direction not in directions:
+            raise MalformedTraceRow(index, f"dir {direction!r} is not one of {sorted(directions)}")
         text = row["sip"]
         msg = parsed.get(text)
         if msg is None:
@@ -773,24 +858,24 @@ def _two_phase_legs(rows):
                 raise MalformedTraceRow(index, f"{type(exc).__name__}: {exc}") from exc
         cid = msg.call_id
         by_call.setdefault(cid, []).append((index, row, direction, msg))
-        if cid not in first_egress and direction is Direction.EGRESS:
+        if cid not in first_egress and direction == EGRESS:
             first_egress[cid] = (row, msg)
     legs = []
     for cid, (first, first_msg) in first_egress.items():
-        if not (first_msg.is_request and first_msg.method is SipMethod.INVITE):
+        if not (first_msg.status is None and first_msg.method is SipMethod.INVITE):
             continue
         observer = first["from_hop"]
         if not observer.startswith("ep:"):
             continue
         leg = []
         for index, row, direction, msg in by_call[cid]:
-            if row["from_hop" if direction is Direction.EGRESS else "to_hop"] != observer:
+            if row["from_hop" if direction == EGRESS else "to_hop"] != observer:
                 continue
             t_ms = row["t_ms"]
             if leg and t_ms < leg[-1].t_ms:
                 raise MalformedTraceRow(
                     index, f"call {cid}: trace timestamps must be non-decreasing")
-            if not leg and not (direction is Direction.EGRESS and msg.method is SipMethod.INVITE):
+            if not leg and not (direction == EGRESS and msg.method is SipMethod.INVITE):
                 raise MalformedTraceRow(index, f"call {cid}: a trace starts with the sent INVITE")
             leg.append(TraceEntry(t_ms, direction, msg))
         legs.append((cid, observer, leg))

@@ -92,7 +92,7 @@ def test_originator_must_be_registered():
 def test_same_carrier_delivery_schedule():
     net = two_carrier_fed()
     net.originate_call(A, net.lines[PhoneNumber(A)], B)
-    net.run_until_quiescent()
+    net.run()
     egress = rows_with(net, dir="egress", from_hop=f"ep:{A}")[0]
     ingress = rows_with(net, dir="ingress", to_hop=f"ep:{B}")[0]
     assert egress["t_ms"] == 0 and ingress["t_ms"] == 50
@@ -103,7 +103,7 @@ def test_cross_carrier_schedule_hand_computed():
     # of the origin's 50 ms: E(cn-x) -> B(cn-a) delivers at 100.
     net = two_carrier_fed()
     net.originate_call(E, net.lines[PhoneNumber(E)], B)
-    net.run_until_quiescent()
+    net.run()
     expected = [
         (0, "egress", f"ep:{E}"),      # INVITE leaves E
         (100, "ingress", f"ep:{B}"),   # INVITE arrives at B
@@ -136,7 +136,7 @@ def test_cross_carrier_schedule_hand_computed():
 def test_spoofed_origination_lax_policy_reaches_target_display():
     net = two_carrier_fed(strict_x=False)
     net.originate_call(A, net.lines[PhoneNumber(E)], B)  # E claims A's number
-    net.run_until_quiescent()
+    net.run()
     assert net.lines[PhoneNumber(B)].display == A
     delivered = rows_with(net, dir="ingress", to_hop=f"ep:{B}")
     invite = parse_message(delivered[0]["sip"])
@@ -147,7 +147,7 @@ def test_spoofed_origination_lax_policy_reaches_target_display():
 def test_spoofed_origination_strict_policy_blocked():
     net = two_carrier_fed(strict_x=True)
     net.originate_call(A, net.lines[PhoneNumber(E)], B)
-    net.run_until_quiescent()
+    net.run()
     # Nothing reaches B; the edge answers 480 toward the originator.
     assert rows_with(net, dir="ingress", to_hop=f"ep:{B}") == []
     assert net.lines[PhoneNumber(B)].display is None
@@ -157,7 +157,7 @@ def test_spoofed_origination_strict_policy_blocked():
     rejected = [
         parse_message(r["sip"]) for r in rows_with(net, dir="ingress", to_hop=f"ep:{E}")
     ]
-    assert any(m.is_response and m.status.code == 480 for m in rejected)
+    assert any(m.status is not None and m.status.code == 480 for m in rejected)
 
 
 def test_honest_origination_identical_under_both_policies():
@@ -165,7 +165,7 @@ def test_honest_origination_identical_under_both_policies():
     for strict in (False, True):
         net = two_carrier_fed(strict_x=strict)
         net.originate_call(E, net.lines[PhoneNumber(E)], B)
-        net.run_until_quiescent()
+        net.run()
         traces.append(net.trace_jsonl())
         assert net.policy_violations == []
     assert traces[0] == traces[1]
@@ -174,16 +174,25 @@ def test_honest_origination_identical_under_both_policies():
 def test_unroutable_destination_gets_480():
     net = two_carrier_fed()
     net.originate_call(A, net.lines[PhoneNumber(A)], "+19995550000")
-    net.run_until_quiescent()
+    net.run()
     back = [parse_message(r["sip"]) for r in rows_with(net, dir="ingress", to_hop=f"ep:{A}")]
-    assert any(m.is_response and m.status.code == 480 for m in back)
+    assert any(m.status is not None and m.status.code == 480 for m in back)
     assert isinstance(net.lines[PhoneNumber(A)].state, Idle)
 
 
 def test_empty_queue_returns_immediately():
     net = two_carrier_fed()
-    assert net.run_until_quiescent() == 0
+    assert net.run() == 0
     assert net.now == 0
+
+
+def test_run_until_quiescent_returns_what_run_returns():
+    def drained(method):
+        net = two_carrier_fed(seed=3, jitter=20)
+        net.originate_call(A, net.lines[PhoneNumber(E)], B)
+        return getattr(net, method)(), net.trace_jsonl()
+
+    assert drained("run_until_quiescent") == drained("run")
 
 
 def test_originate_call_to_the_originators_own_number_is_refused():
@@ -193,10 +202,10 @@ def test_originate_call_to_the_originators_own_number_is_refused():
         net.originate_call(A, net.lines[PhoneNumber(A)], A)
     with pytest.raises(NetsimError, match="cannot call itself"):
         net.originate_call(B, net.lines[PhoneNumber(A)], A, at_ms=500)
-    assert net.run_until_quiescent() == 0 and net.trace == []
+    assert net.run() == 0 and net.trace == []
     # A spoof claiming the callee's own number is an attack, not a self-call.
     net.originate_call(B, net.lines[PhoneNumber(E)], B)
-    net.run_until_quiescent()
+    net.run()
     assert net.lines[PhoneNumber(B)].display == B
 
 
@@ -205,14 +214,14 @@ def test_sim_budget_exceeded(monkeypatch):
     net = two_carrier_fed()
     net.originate_call(A, net.lines[PhoneNumber(A)], B)
     with pytest.raises(SimBudgetExceeded, match="past the 150 sim-ms budget"):
-        net.run_until_quiescent()
+        net.run()
 
 
 def test_equal_seeds_byte_identical_traces():
     def run(seed):
         net = two_carrier_fed(seed=seed, jitter=20)
         net.originate_call(A, net.lines[PhoneNumber(E)], B)
-        net.run_until_quiescent()
+        net.run()
         return net.trace_jsonl()
 
     assert run(7) == run(7)
@@ -290,7 +299,7 @@ def test_jitter_draws_follow_the_seeded_randint_sequence():
         net.register_subscriber("cn-a", B)
         net.register_subscriber("cn-x", E)
         net.originate_call(E, net.lines[PhoneNumber(E)], B)
-        net.run_until_quiescent()
+        net.run()
         arrivals = {(r["from_hop"], r["to_hop"], r["sip"]): r["t_ms"]
                     for r in rows_with(net, dir="ingress")}
         assert len(arrivals) == len(net.trace) // 2 > 4
@@ -346,11 +355,11 @@ def test_voicemail_answers_for_busy_subscriber():
     net.register_subscriber("cn-a", "+15550102")
     a.preset_state(Connected(PhoneNumber("+15550102")))
     net.originate_call(B, b, A)
-    net.run_until_quiescent()
+    net.run()
     got = [
         (parse_message(r["sip"]).status.code)
         for r in rows_with(net, dir="ingress", to_hop=f"ep:{B}")
-        if parse_message(r["sip"]).is_response
+        if parse_message(r["sip"]).status is not None
     ]
     assert got == [100, 181, 200]
     assert a.state == Connected(PhoneNumber("+15550102"))  # never disturbed
@@ -372,7 +381,7 @@ def test_leg_request_numbers_cseq_per_rfc3261():
                                                  (4, SipMethod.PRACK)]
     for m in sent:
         assert (m.from_number, m.to_number, m.call_id) == (A, B, "leg-1")
-        assert m.is_request and not m.extra_headers and m.body == ""
+        assert m.status is None and not m.extra_headers and m.body == ""
 
 
 def test_preset_state_installs_one_backing_leg_per_state():
@@ -417,10 +426,10 @@ def test_held_line_with_a_ringing_call_is_busy_to_a_further_invite():
     a.preset_state(Held(c_num))
     net.originate_call(B, net.lines[PhoneNumber(B)], a_num, at_ms=0)
     net.originate_call(E, net.lines[PhoneNumber(E)], a_num, at_ms=1000)
-    net.run_until_quiescent()
+    net.run()
     to_b, to_e = (
         [m.status.code for _, m in sip_rows(rows_with(net, dir="ingress", to_hop=f"ep:{n}"))
-         if m.is_response and m.method is SipMethod.INVITE]
+         if m.status is not None and m.method is SipMethod.INVITE]
         for n in (B, E)
     )
     assert to_b == [100, 183, 180, 487]
@@ -437,7 +446,7 @@ def assert_conserved(rows):
     parsed = sip_rows(rows)
     finals_needed = []
     for row, msg in parsed:
-        if row["dir"] != "egress" or not msg.is_request:
+        if row["dir"] != "egress" or msg.status is not None:
             continue
         if msg.method in (SipMethod.ACK, SipMethod.PRACK):
             continue
@@ -447,7 +456,7 @@ def assert_conserved(rows):
         answered = any(
             row["dir"] == "ingress"
             and row["to_hop"] == sender
-            and msg.is_response
+            and msg.status is not None
             and msg.call_id == call_id
             and (msg.seq, msg.method) == cseq
             and msg.status.code >= 200
@@ -475,7 +484,7 @@ def assert_causal(rows):
 def assert_policy_sound(rows, strict_carriers):
     by_call = {}
     for row, msg in sip_rows(rows):
-        if msg.is_request and msg.method is SipMethod.INVITE:
+        if msg.status is None and msg.method is SipMethod.INVITE:
             by_call.setdefault(msg.call_id, []).append((row, msg))
     for call_rows in by_call.values():
         first_row, _first_msg = call_rows[0]
@@ -526,7 +535,7 @@ def test_policy_soundness_and_conservation_randomized():
             claimed = rng.choice([originator.number, PhoneNumber(rng.choice(parties))])
             target = PhoneNumber(rng.choice([p for p in parties if p != originator.number]))
             net.originate_call(claimed, originator, target, at_ms=rng.choice([0, 10, 500]))
-        net.run_until_quiescent()
+        net.run()
         assert_conserved(net.trace)
         assert_causal(net.trace)
         assert_policy_sound(net.trace, strict)
@@ -554,7 +563,7 @@ def test_corpus_scenarios_hold_network_invariants(tmp_path):
 def test_trace_jsonl_field_order():
     net = two_carrier_fed()
     net.originate_call(A, net.lines[PhoneNumber(A)], B)
-    net.run_until_quiescent()
+    net.run()
     first = net.trace_jsonl().splitlines()[0]
     assert list(json.loads(first)) == ["t_ms", "carrier", "from_hop", "to_hop", "dir", "sip"]
 
@@ -612,7 +621,7 @@ def test_cancelled_timers_never_advance_the_clock_or_trip_the_budget(monkeypatch
     net = Federation()
     probe = _TimerProbe(net)
     net.cancel_timer(net.set_timer(1000, probe.fire, "late"))
-    assert net.run_until_quiescent() == 0
+    assert net.run() == 0
     assert net._heap == []
 
     # A cancelled timer ahead of a live one is skipped without moving the
@@ -795,7 +804,7 @@ def test_random_federations_pair_rows_repeat_and_police_spoofs(carriers, homes, 
             net.register_subscriber(home[n], n)
         for originator, claimed, target, at in originations:
             net.originate_call(claimed, net.lines[PhoneNumber(originator)], target, at_ms=at)
-        net.run_until_quiescent()
+        net.run()
         return net
 
     net = run()
@@ -816,9 +825,10 @@ def test_random_federations_pair_rows_repeat_and_police_spoofs(carriers, homes, 
     invited, closed = set(), set()
     for row in net.trace:
         msg = parse_message(row["sip"])
-        if msg.method is SipMethod.INVITE and msg.is_request:
+        if msg.method is SipMethod.INVITE and msg.status is None:
             invited.add(msg.call_id)
-        elif msg.method is SipMethod.INVITE and msg.is_final or msg.method is SipMethod.CANCEL:
+        elif (msg.method is SipMethod.INVITE and msg.status is not None and msg.status.code >= 200
+              or msg.method is SipMethod.CANCEL):
             closed.add(msg.call_id)
     assert len(invited) == len(originations) and invited <= closed
     assert not [

@@ -708,6 +708,71 @@ def test_cli_quoted_flag_is_bad_input(tmp_path, capsys, old, new):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_cli_yaml_syntax_error_is_one_line(tmp_path, capsys):
+    # PyYAML's own message spans several lines: context, problem and marks.
+    path = _write(tmp_path, "name: [unclosed\ncarriers: x\n")
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: YAML: expected ',' or ']', but got ':' at line 2, column 9\n"
+    # A character YAML refuses to read has no mark: its message is joined onto one line.
+    path = _write(tmp_path, "name: c\x07\n")
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: YAML: unacceptable character #x0007: ")
+    assert err.count("\n") == 1, err
+
+
+# Six levels of nine-fold YAML aliases, defined ahead of c1's keys: each level
+# is built by reference, so the file stays small while the text of ``*x5``
+# runs to millions of characters.
+_ALIASES = (
+    'aliases:\n  - &x0 ["+15550100", "+15550100", "+15550100", "+15550100", "+15550100"]\n'
+    + "".join(f"  - &x{i} [{', '.join([f'*x{i - 1}'] * 9)}]\n" for i in range(1, 6))
+)
+
+
+def _c1_after_aliases(tmp_path, old, new):
+    text = (SCENARIOS / "c1.scn").read_text(encoding="utf-8")
+    assert old in text
+    return _write(tmp_path, _ALIASES + text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("    state: idle\n", "    state: *x5\n"),
+        ("ground_truth: genuine", "ground_truth: *x5"),
+        ('  - number: "+15550100"', "  - number: *x5"),
+        ("    state: idle\n", "    state: connected\n    peer: *x5\n"),
+        ("cive: true", "cive: *x5"),
+        ("seed: 0", "seed: *x5"),
+        ("name: c1", "name: *x5"),
+    ],
+    ids=["state", "ground_truth", "number", "peer", "flag", "integer", "name"],
+)
+def test_cli_alias_list_value_is_one_short_line(tmp_path, capsys, old, new):
+    path = _c1_after_aliases(tmp_path, old, new)
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    assert len(err.encode()) < 300 and "a list" in err, err[:300]
+
+
+def test_description_is_not_read(tmp_path):
+    path = _c1_after_aliases(tmp_path, "description: A calls B", "description: *x5\nunused: A calls B")
+    assert load_scenario(path) == load_scenario(SCENARIOS / "c1.scn")
+
+
+def test_cli_unquoted_number_is_named_a_yaml_int(tmp_path, capsys):
+    path = _c1_with(tmp_path, 'number: "+15550100"', "number: +15550100")
+    with pytest.raises(ScenarioParseError, match="must be a quoted string, got int 15550100$"):
+        load_scenario(path)
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: party number must be a quoted string, got int 15550100\n"
+
+
 @pytest.mark.parametrize("key,value", [("link_delay_ms", -500), ("jitter_ms", -5)])
 def test_negative_link_timing_is_rejected(tmp_path, capsys, key, value):
     path = _c1_with(tmp_path, _CARRIER_LINE, _CARRIER_LINE + f"    {key}: {value}\n")

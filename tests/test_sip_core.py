@@ -42,7 +42,7 @@ def test_parse_180_with_pem():
         "CSeq: 1 INVITE\n", "CSeq: 1 INVITE\nP-Early-Media: sendonly\n"
     )
     msg = parse_message(text)
-    assert msg.is_response
+    assert msg.status is not None
     assert msg.status == StatusCode(180)
     assert msg.pem is PemValue.SENDONLY
     assert msg.alert is None

@@ -112,6 +112,14 @@ MUTANTS = (
            'if line.endswith("\\n"):\n'
            "                        literal = line[m.end() : -2]\n"
            "                    elif True:"),
+    # A leg's direction is its row's dir: only received responses are read,
+    # and a row belongs to the hop its dir's field names.
+    Mutant("sent-responses-read", "cive.py",
+           "entry.direction == INGRESS and status is not None",
+           "status is not None"),
+    Mutant("dir-fields-swapped", "cive.py",
+           '_DIRECTIONS = {EGRESS: "from_hop", INGRESS: "to_hop"}',
+           '_DIRECTIONS = {EGRESS: "to_hop", INGRESS: "from_hop"}'),
     Mutant("live-timeout-dropped", "cive.py",
            "entry.t_ms == timeout_at",
            "entry.t_ms >= timeout_at"),
