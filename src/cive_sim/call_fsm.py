@@ -3,6 +3,9 @@
 A phone's call state is one EndpointState, folded from the legs it holds
 by ``summarize_legs``; the legs are the only record of it. Every state but
 Idle names its far end ``peer``; ``Dialing.peer`` is the number dialed.
+``Dialing``, ``Ringing``, ``Connected`` and ``Held`` share one frozen,
+slotted record, ``_PeerState(peer)``, and add no field of their own, so the
+package builds one dataclass for the four at import.
 The transition functions here are pure: they take the triggering message
 plus what they need to read (the folded state, the profile, the matching
 leg or INVITE) and return the SIP messages the line sends: the responses,
@@ -75,27 +78,48 @@ class EndpointState:
 
 @dataclass(frozen=True)
 class Idle(EndpointState):
-    pass
+    """No call: the line holds no leg."""
 
 
 @dataclass(frozen=True)
-class Dialing(EndpointState):
+class _PeerState(EndpointState):
+    """A state with a far end ``peer``; its subclasses are the states.
+
+    The generated methods compare classes exactly, so two states of
+    different classes with the same peer are unequal, and ``repr`` and
+    ``dataclasses.replace`` give the subclass.
+    """
+
+    __slots__ = ("peer",)
     peer: PhoneNumber
 
-
-@dataclass(frozen=True)
-class Ringing(EndpointState):
-    peer: PhoneNumber
-
-
-@dataclass(frozen=True)
-class Connected(EndpointState):
-    peer: PhoneNumber
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: a frozen slot cannot be set.
+        return type(self), (self.peer,)
 
 
-@dataclass(frozen=True)
-class Held(EndpointState):
-    peer: PhoneNumber
+class Dialing(_PeerState):
+    """An outgoing call not yet answered; ``peer`` is the number dialed."""
+
+    __slots__ = ()
+
+
+class Ringing(_PeerState):
+    """An incoming call not yet answered; ``peer`` is its claimed caller."""
+
+    __slots__ = ()
+
+
+class Connected(_PeerState):
+    """An answered call in the foreground."""
+
+    __slots__ = ()
+
+
+class Held(_PeerState):
+    """An answered call put on hold."""
+
+    __slots__ = ()
 
 
 IDLE = Idle()

@@ -150,6 +150,8 @@ class Decision(str, Enum):
 
 @dataclass(frozen=True)
 class Verdict:
+    """The decision on one verification, with the state and features behind it."""
+
     decision: Decision
     inferred: InferredState
     expected: str

@@ -69,6 +69,7 @@ from .sip_core import (
     PhoneNumber,
     SipMessage,
     SipMethod,
+    _message,
     serialize_message,
 )
 
@@ -122,6 +123,8 @@ class GatewayPolicy:
 
 @dataclass
 class CarrierNetwork:
+    """One carrier: its id, its gateway policy and the hops it runs itself."""
+
     id: str
     policy: GatewayPolicy = field(default_factory=GatewayPolicy)
     # The carrier's own hops; Federation.add_carrier builds them.
@@ -134,10 +137,12 @@ class CarrierNetwork:
 INGRESS, EGRESS = "ingress", "egress"
 
 
-@dataclass(slots=True)
 class _Dialog:
-    uac: object  # the originating hop: a line or a verifier
-    uas: object  # the answering hop: a line, a net core, or voicemail
+    __slots__ = ("uac", "uas")
+
+    def __init__(self, uac: object, uas: object):
+        self.uac = uac  # the originating hop: a line or a verifier
+        self.uas = uas  # the answering hop: a line, a net core, or voicemail
 
 
 # The leg phase backing each state preset_state accepts besides Idle.
@@ -156,7 +161,7 @@ class PhoneLine:
         self.carrier = carrier
         self.profile = profile
         self.number: PhoneNumber = profile.number
-        self.hop = f"ep:{profile.number}"
+        self.hop = "ep:" + profile.number
         self.legs: dict[str, LineLeg] = {}
         self.display: PhoneNumber | None = None
         # Called with the invite once the phone has sent its 180 for an
@@ -187,8 +192,12 @@ class PhoneLine:
         peer = state.peer  # type: ignore[attr-defined]
         if peer == self.number:
             raise ValueError(f"{self.number} cannot be on a call with itself")
-        call_id = f"preset-{self.number}-{len(self.legs)}"
-        invite = SipMessage.request(INVITE, self.number, peer, call_id)
+        # SipMessage.request's INVITE without its checks: the line's number
+        # was checked when it registered, the peer is checked here, and the
+        # Call-ID has no whitespace.
+        call_id = "preset-" + self.number + "-" + str(len(self.legs))
+        invite = _message(INVITE, self.number, PhoneNumber(peer), call_id, 1,
+                          None, None, None, (), "")
         self.legs[call_id] = LineLeg(CALLER, phase, invite)
 
     # -- event handlers -----------------------------------------------------

@@ -59,8 +59,6 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import yaml
-
 from . import cive
 from .call_fsm import IDLE, CalleeProfile, Connected, Dialing, EndpointState, Held, Idle
 from .cive import Decision, Verdict, verify_incoming
@@ -92,6 +90,8 @@ _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 @dataclass(frozen=True)
 class PartySpec:
+    """One subscriber: its carrier, its profile and the state it starts in."""
+
     carrier: str
     profile: CalleeProfile
     state: EndpointState = IDLE
@@ -99,6 +99,8 @@ class PartySpec:
 
 @dataclass(frozen=True)
 class OriginationSpec:
+    """The scenario's one call: who places it, the From it claims, and to whom."""
+
     originator: PhoneNumber
     claimed: PhoneNumber
     target: PhoneNumber
@@ -107,6 +109,8 @@ class OriginationSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A loaded scenario: carriers, parties, one origination and the run flags."""
+
     name: str
     carriers: dict[str, GatewayPolicy]
     parties: tuple[PartySpec, ...]
@@ -233,6 +237,8 @@ def _party(p: dict) -> PartySpec:
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate one ``.scn`` file; its ``ground_truth`` label must
     agree with the ground truth its origination gives."""
+    import yaml  # here, not at the top: no other command reads YAML
+
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -530,6 +536,8 @@ def _csv_values(report: RunReport) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class MatrixResult:
+    """The reports of one matrix run, and the CSV and tallies read off them."""
+
     reports: tuple[RunReport, ...]  # one per cell, sorted by scenario name
 
     @property

@@ -6,7 +6,8 @@ import itertools
 
 import pytest
 
-from cive_sim.call_fsm import IDLE, Idle, LegPhase, LegRole, LineLeg
+from cive_sim.call_fsm import IDLE, Connected, Dialing, Held, Idle, LegPhase, LegRole, LineLeg
+from cive_sim.netsim import Federation
 from cive_sim.sip_core import (
     CANONICAL_REASON,
     STATUS,
@@ -75,6 +76,23 @@ def test_leg_request_equals_constructor(method):
 
 def test_shared_instances_equal_constructors():
     assert IDLE == Idle() and hash(IDLE) == hash(Idle())
+
+
+@pytest.mark.parametrize("state", [Dialing, Connected, Held], ids=lambda cls: cls.__name__)
+def test_preset_invite_equals_request(state):
+    net = Federation()
+    net.add_carrier("cn-a")
+    line = net.register_subscriber("cn-a", A)
+    line.preset_state(state(str(B)))  # a plain-string peer is checked and becomes a PhoneNumber
+    line.preset_state(state(PhoneNumber("+15550102")))
+    for call_id, peer in ((f"preset-{A}-0", B), (f"preset-{A}-1", "+15550102")):
+        invite = line.legs[call_id].invite
+        assert_same_frozen(invite, SipMessage.request(SipMethod.INVITE, A, peer, call_id))
+        assert type(invite.from_number) is PhoneNumber and type(invite.to_number) is PhoneNumber
+    assert line.hop == f"ep:{A}" and type(line.hop) is str
+    with pytest.raises(ValueError, match="E.164"):
+        line.preset_state(state("15550102"))
+    assert len(line.legs) == 2
 
 
 @pytest.mark.parametrize("call_id", ["", "a b"])

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import itertools
+import pickle
 import re
 
 import pytest
@@ -440,3 +444,35 @@ def test_caller_side_ignores_non_invite_transactions():
         call_id="leg-1", seq=1,
     )
     assert on_response(SipMessage.reply(cancel, 200), caller_leg()) is None
+
+
+# -- the four peer states share one record ------------------------------------
+
+PEER_STATES = (Dialing, Ringing, Connected, Held)
+
+
+@pytest.mark.parametrize("first,second", itertools.combinations(PEER_STATES, 2),
+                         ids=lambda cls: cls.__name__)
+def test_peer_states_of_different_classes_are_unequal(first, second):
+    assert first(A) != second(A) and second(A) != first(A)
+    assert len({first(A), second(A)}) == 2
+
+
+@pytest.mark.parametrize("cls", PEER_STATES, ids=lambda cls: cls.__name__)
+def test_peer_state_is_its_own_frozen_record(cls):
+    state = cls(A)
+    assert state == cls(A) and hash(state) == hash(cls(A))
+    assert state != cls(B)
+    assert repr(state) == f"{cls.__name__}(peer={A!r})"
+    other = dataclasses.replace(state, peer=B)
+    assert type(other) is cls and other.peer == B
+    assert [f.name for f in dataclasses.fields(state)] == ["peer"]
+    assert cls.__match_args__ == ("peer",)
+    assert cls.__doc__ and "\n" not in cls.__doc__
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.peer = B
+    with pytest.raises(AttributeError):
+        state.other = B
+    assert state.peer == A
+    for copied in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert type(copied) is cls and copied == state

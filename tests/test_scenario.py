@@ -309,7 +309,7 @@ def test_report_encoder_rejects_other_values(value):
         encode_report({"a": {"b": value}})
 
 
-@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4"])
 @pytest.mark.parametrize("flags", [[], ["--no-cive", "--seed", "7"]], ids=["plain", "no-cive-seed-7"])
 def test_cli_run_prints_the_report_file(tmp_path, capsys, monkeypatch, name, flags):
     monkeypatch.delenv("CIVE_SIM_SEED", raising=False)
@@ -319,7 +319,7 @@ def test_cli_run_prints_the_report_file(tmp_path, capsys, monkeypatch, name, fla
     assert out.encode("utf-8") == (tmp_path / f"{name}.report.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4"])
 def test_run_reproduces_golden_trace_and_report(tmp_path, name):
     run_scenario(load_scenario(SCENARIOS / f"{name}.scn"), tmp_path)
     for suffix in ("trace.jsonl", "report.json"):
@@ -327,7 +327,7 @@ def test_run_reproduces_golden_trace_and_report(tmp_path, name):
         assert (tmp_path / f"{name}.{suffix}").read_bytes() == golden.read_bytes(), suffix
 
 
-@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4"])
 def test_parse_reproduces_golden_output(capsys, name):
     golden = REPO / "tests" / "golden"
     assert cli.main(["parse", str(golden / f"{name}.trace.jsonl")]) == 0
@@ -1173,3 +1173,30 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"]["decision"] == "Legit"
+
+
+_YAML_GUARD = """\
+import sys
+import cive_sim
+assert "yaml" not in sys.modules, "import cive_sim"
+from cive_sim import cli
+assert "yaml" not in sys.modules, "import cive_sim.cli"
+assert cli.main(["matrix"]) == 0
+assert "yaml" not in sys.modules, "matrix"
+assert cli.main(["parse", sys.argv[1]]) == 0
+assert "yaml" not in sys.modules, "parse"
+from cive_sim.scenario import load_scenario
+load_scenario(sys.argv[2])
+assert "yaml" in sys.modules, "load_scenario"
+"""
+
+
+def test_only_load_scenario_imports_yaml():
+    # A fresh interpreter: matrix and parse never read YAML, so PyYAML is
+    # imported by the first scenario file read, not with the package.
+    proc = subprocess.run(
+        [sys.executable, "-c", _YAML_GUARD,
+         str(REPO / "tests" / "golden" / "c2.trace.jsonl"), str(SCENARIOS / "c1.scn")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

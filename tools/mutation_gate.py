@@ -165,6 +165,14 @@ MUTANTS = (
     Mutant("calendar-raise-drops-rest", "netsim.py",
            "del events[: i + 1]",
            "del events[:]"),
+    # Import cost: only the loader imports PyYAML, and the four peer states
+    # are distinct classes over one record.
+    Mutant("yaml-imported-with-package", "scenario.py",
+           "from pathlib import Path\n\nfrom . import cive\n",
+           "from pathlib import Path\n\nimport yaml\n\nfrom . import cive\n"),
+    Mutant("held-is-connected", "call_fsm.py",
+           'class Held(_PeerState):\n    """An answered call put on hold."""\n\n    __slots__ = ()\n',
+           "Held = Connected\n"),
 )
 
 # Mutants no test can kill because they change no observable behaviour,
