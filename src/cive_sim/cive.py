@@ -184,11 +184,11 @@ def extract_features(leg: list[TraceEntry]) -> FeatureVector:
     and starting with the sent INVITE."""
     if not leg:
         raise EmptyTrace("cannot extract features from an empty trace")
-    invite = leg[0].message
+    start_ms, _, invite = leg[0]
     # The verifier sets its timeout with the INVITE, so at a tie it fires before
     # the grace timer or any delivery: a CANCEL sent exactly AU_CALL_TIMEOUT_MS
     # after the INVITE is the timeout's. A phone's own CANCEL comes at 20 s.
-    timeout_at = leg[0].t_ms + AU_CALL_TIMEOUT_MS
+    timeout_at = start_ms + AU_CALL_TIMEOUT_MS
     timed_out = False
     pem_180: PemValue | None = None
     alert_180: AlertUrn | None = None
@@ -196,11 +196,10 @@ def extract_features(leg: list[TraceEntry]) -> FeatureVector:
     saw_181 = False
     saw_486 = False
     final: StatusCode | None = None
-    sent: set[SipMethod] = set()  # the methods of the requests B sent
-    for entry in leg:
-        msg = entry.message
+    sent_bye = sent_cancel = False  # requests B sent that can end the leg
+    for t_ms, direction, msg in leg:
         status = msg.status
-        if entry.direction == INGRESS and status is not None:
+        if direction == INGRESS and status is not None:
             code = status.code
             if code == 180 and not saw_180:
                 saw_180 = True
@@ -211,12 +210,16 @@ def extract_features(leg: list[TraceEntry]) -> FeatureVector:
             if (final is None and code >= 200 and msg.method is INVITE
                     and msg.seq == invite.seq):
                 final = status
-        elif entry.direction == EGRESS and status is None:
-            sent.add(msg.method)
-            timed_out = timed_out or (msg.method is CANCEL and entry.t_ms == timeout_at)
+        elif direction == EGRESS and status is None:
+            method = msg.method
+            if method is BYE:
+                sent_bye = True
+            elif method is CANCEL:
+                sent_cancel = True
+                timed_out = timed_out or t_ms == timeout_at
     # BYE is what actually ends an answered leg, so it wins over a CANCEL
     # that crossed the answer in flight.
-    teardown = next((m for m in (BYE, CANCEL) if m in sent), None)
+    teardown = BYE if sent_bye else CANCEL if sent_cancel else None
     return FeatureVector(
         pem_180=pem_180,
         alert_180=alert_180,
@@ -263,7 +266,9 @@ _VERDICT = {state: (decision, reason) for _, state, decision, reason in _RULES}
 def infer_state(features: FeatureVector) -> InferredState:
     """Total and pure: the far end's call state, from the first rule in
     ``_RULES`` that matches the feature vector."""
-    return next(state for matches, state, _, _ in _RULES if matches(features))
+    for matches, state, _, _ in _RULES:
+        if matches(features):
+            return state
 
 
 def decide(callee: PhoneNumber, inferred: InferredState, features: FeatureVector) -> Verdict:
@@ -399,10 +404,6 @@ def verify_incoming(agent: _VerifierAgent) -> Verdict:
     return decide(agent.number, infer_state(features), features)
 
 
-# The ``dir`` of a trace row -> the field naming the hop that sent (egress) or
-# received (ingress) the row's message: a leg holds the rows whose field names
-# its observer.
-_DIRECTIONS = {EGRESS: "from_hop", INGRESS: "to_hop"}
 # The state of a call whose leg is not built: no hop is None, so it has no rows.
 _NO_LEG = (None, None)
 
@@ -431,7 +432,8 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
     """
     from .sip_core import parse_message
 
-    parsed: dict[str, SipMessage] = {}
+    entry = tuple.__new__  # TraceEntry's own __new__ is one more Python call
+    parsed: dict[str, tuple[SipMessage, str]] = {}  # wire text -> (message, its Call-ID)
     # Call-ID -> (observer hop, leg) once its first egress row is read;
     # _NO_LEG for a call with no leg to build, or one whose leg is broken.
     observed: dict[str, tuple] = {}
@@ -440,18 +442,24 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
     broken: dict[str, MalformedTraceRow] = {}
     legs: list[tuple[str, str, list[TraceEntry]]] = []
     for index, row in enumerate(rows):
+        # A leg holds the rows whose hop field names its observer: the hop
+        # that sent (egress) or received (ingress) the row's message.
         direction = row["dir"]
-        hop = _DIRECTIONS.get(direction)
-        if hop is None:
-            raise MalformedTraceRow(index, f"dir {direction!r} is not one of {sorted(_DIRECTIONS)}")
+        if direction == EGRESS:
+            hop = "from_hop"
+        elif direction == INGRESS:
+            hop = "to_hop"
+        else:
+            raise MalformedTraceRow(index, f"dir {direction!r} is not one of {[EGRESS, INGRESS]}")
         text = row["sip"]
-        msg = parsed.get(text)
-        if msg is None:
+        cached = parsed.get(text)
+        if cached is None:
             try:
-                msg = parsed[text] = parse_message(text)
+                msg = parse_message(text)
             except ParseError as exc:
                 raise MalformedTraceRow(index, f"{type(exc).__name__}: {exc}") from exc
-        cid = msg.call_id
+            cached = parsed[text] = (msg, msg.call_id)
+        msg, cid = cached
         known = observed.get(cid)
         if known is not None:
             observer, leg = known
@@ -463,7 +471,7 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
                 broken[cid] = MalformedTraceRow(
                     index, f"call {cid}: trace timestamps must be non-decreasing")
                 continue
-            leg.append(TraceEntry(t_ms, direction, msg))
+            leg.append(entry(TraceEntry, (t_ms, direction, msg)))
         elif direction == INGRESS:
             waiting.setdefault(cid, []).append((index, row["to_hop"]))
         else:
@@ -473,7 +481,7 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
                     and observer.startswith("ep:")):
                 observed[cid] = _NO_LEG
                 continue
-            leg = [TraceEntry(row["t_ms"], direction, msg)]
+            leg = [entry(TraceEntry, (row["t_ms"], direction, msg))]
             legs.append((cid, observer, leg))
             observed[cid] = (observer, leg)
             for early_index, to_hop in early:

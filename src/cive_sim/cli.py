@@ -23,6 +23,7 @@ import os
 import sys
 from dataclasses import replace
 from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
 
 from . import cive, netsim, scenario
 
@@ -157,26 +158,41 @@ def _read_trace(path: str) -> tuple[list[dict], list[int]]:
     return rows, line_numbers
 
 
+def _leg_line(call_id: str, observer: str, messages: int,
+              features: cive.FeatureVector, inferred: cive.InferredState) -> str:
+    """One line of ``parse`` output, newline included: exactly what
+    ``json.dumps`` writes for the dict of ``call_id``, ``observer``,
+    ``messages``, ``features.to_json_dict()`` and ``inferred.value``, keys
+    in that order. Enum members are read through ``_value_``, which skips
+    the ``value`` descriptor."""
+    q = encode_basestring_ascii
+    pem, alert = features.pem_180, features.alert_180
+    final, teardown = features.final_to_invite, features.teardown
+    return (
+        f'{{"call_id": {q(call_id)}, "observer": {q(observer)}, "messages": {messages}, '
+        f'"features": {{"pem_180": {"null" if pem is None else q(pem._value_)}, '
+        f'"alert_180": {"null" if alert is None else q(alert._value_)}, '
+        f'"saw_181": {"true" if features.saw_181 else "false"}, '
+        f'"saw_486": {"true" if features.saw_486 else "false"}, '
+        f'"final_to_invite": {"null" if final is None else final.code}, '
+        f'"teardown": {"null" if teardown is None else q(teardown._value_)}, '
+        f'"timed_out": {"true" if features.timed_out else "false"}}}, '
+        f'"inferred": {q(inferred._value_)}}}\n'
+    )
+
+
 def _cmd_parse(args: argparse.Namespace) -> int:
     rows, line_numbers = _read_trace(args.trace)
     try:
         legs = cive.legs_from_trace_rows(rows)
     except cive.MalformedTraceRow as exc:
         raise TraceFileError(f"{args.trace}:{line_numbers[exc.index]}: {exc.reason}") from None
+    lines = []
     for call_id, observer, leg in legs:
         features = cive.extract_features(leg)
-        inferred = cive.infer_state(features)
-        print(
-            json.dumps(
-                {
-                    "call_id": call_id,
-                    "observer": observer,
-                    "messages": len(leg),
-                    "features": features.to_json_dict(),
-                    "inferred": inferred.value,
-                }
-            )
-        )
+        lines.append(_leg_line(call_id, observer, len(leg), features,
+                               cive.infer_state(features)))
+    sys.stdout.write("".join(lines))
     return 0
 
 

@@ -77,8 +77,11 @@ class PhoneNumber(str):
     """E.164-style subscriber identity: '+' followed by 7 to 15 digits.
 
     Equality is exact string equality; no normalization is applied beyond
-    construction-time validation. A PhoneNumber is returned as it is.
+    construction-time validation. A PhoneNumber is returned as it is. It has
+    no ``__dict__``, so a number is no larger than a plain ``str``.
     """
+
+    __slots__ = ()
 
     def __new__(cls, value: str) -> "PhoneNumber":
         if type(value) is cls:

@@ -547,7 +547,7 @@ def test_corpus_scenarios_hold_network_invariants(tmp_path):
     from conftest import SCENARIOS
     from cive_sim.scenario import load_scenario, run_scenario
 
-    for name in ("c1", "c2", "c3", "c4"):
+    for name in ("c1", "c2", "c3", "c4", "c5"):
         s = load_scenario(SCENARIOS / f"{name}.scn")
         run_scenario(s, tmp_path / name)
         rows = [

@@ -36,7 +36,7 @@ from cive_sim.scenario import (
 from cive_sim import cive, cli
 from cive_sim.call_fsm import Connected, Dialing, Held
 from cive_sim.netsim import TRACE_HEAD_RE, Federation
-from cive_sim.sip_core import PhoneNumber
+from cive_sim.sip_core import PhoneNumber, SipMethod
 
 
 def test_load_c1():
@@ -309,7 +309,7 @@ def test_report_encoder_rejects_other_values(value):
         encode_report({"a": {"b": value}})
 
 
-@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4"])
+@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4", "c5"])
 @pytest.mark.parametrize("flags", [[], ["--no-cive", "--seed", "7"]], ids=["plain", "no-cive-seed-7"])
 def test_cli_run_prints_the_report_file(tmp_path, capsys, monkeypatch, name, flags):
     monkeypatch.delenv("CIVE_SIM_SEED", raising=False)
@@ -319,7 +319,7 @@ def test_cli_run_prints_the_report_file(tmp_path, capsys, monkeypatch, name, fla
     assert out.encode("utf-8") == (tmp_path / f"{name}.report.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4"])
+@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4", "c5"])
 def test_run_reproduces_golden_trace_and_report(tmp_path, name):
     run_scenario(load_scenario(SCENARIOS / f"{name}.scn"), tmp_path)
     for suffix in ("trace.jsonl", "report.json"):
@@ -327,13 +327,75 @@ def test_run_reproduces_golden_trace_and_report(tmp_path, name):
         assert (tmp_path / f"{name}.{suffix}").read_bytes() == golden.read_bytes(), suffix
 
 
-@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4"])
+@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4", "c5"])
 def test_parse_reproduces_golden_output(capsys, name):
     golden = REPO / "tests" / "golden"
     assert cli.main(["parse", str(golden / f"{name}.trace.jsonl")]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     assert out.encode("utf-8") == (golden / f"{name}.parse.jsonl").read_bytes()
+
+
+def _parse_dumps(call_id, observer, leg):
+    """The reference ``cive-sim parse`` line of a leg: ``json.dumps`` of its dict."""
+    features = cive.extract_features(leg)
+    leg_dict = {
+        "call_id": call_id,
+        "observer": observer,
+        "messages": len(leg),
+        "features": features.to_json_dict(),
+        "inferred": cive.infer_state(features).value,
+    }
+    return json.dumps(leg_dict) + "\n"
+
+
+def _golden_rows(name):
+    text = (REPO / "tests" / "golden" / f"{name}.trace.jsonl").read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def test_parse_lines_equal_json_dumps_for_every_state_and_feature():
+    # Seeded jittered federations, the five bundled traces, and c5 cut off
+    # before either call's final, so no leg has one.
+    traces = [loaded_federation(seed, 40)[0] for seed in range(3)]
+    traces += [_golden_rows(name) for name in ("c1", "c2", "c3", "c4", "c5")]
+    traces.append([row for row in _golden_rows("c5") if row["t_ms"] <= 18_482])
+    seen = set()
+    for rows in traces:
+        for call_id, observer, leg in cive.legs_from_trace_rows(rows):
+            features = cive.extract_features(leg)
+            inferred = cive.infer_state(features)
+            line = cli._leg_line(call_id, observer, len(leg), features, inferred)
+            assert line == _parse_dumps(call_id, observer, leg)
+            final = features.final_to_invite
+            seen.add((inferred, features.timed_out, features.teardown, final and final.code))
+    assert {state for state, _, _, _ in seen} == set(InferredState) - {InferredState.UNKNOWN}
+    assert {timed_out for _, timed_out, _, _ in seen} == {True, False}
+    assert {teardown for _, _, teardown, _ in seen} == {SipMethod.BYE, SipMethod.CANCEL, None}
+    assert {final for _, _, _, final in seen} >= {None, 200, 480, 486, 487}
+
+
+@pytest.mark.parametrize("odd", ['"', "\\", "\u00e9\U0001f4de"], ids=["quote", "backslash", "non-ascii"])
+@pytest.mark.parametrize("ensure_ascii", [True, False], ids=["ascii", "utf-8"])
+def test_parse_escapes_call_id_and_observer_as_json_dumps(tmp_path, capsys, odd, ensure_ascii):
+    # B's callback in c5 gets an odd Call-ID and B an odd hop label. Rows
+    # holding an escaped hop are read by json.loads; a raw non-ASCII hop by
+    # the row-head fast path.
+    rows = _golden_rows("c5")
+    for row in rows:
+        row["sip"] = row["sip"].replace("Call-ID: c0002@sim\n", f"Call-ID: c0002{odd}@sim\n")
+        for field in ("from_hop", "to_hop"):
+            if row[field] == "ep:+15550101":
+                row[field] = f"ep:+15550101{odd}"
+    path = tmp_path / "odd.trace.jsonl"
+    text = "".join(json.dumps(row, ensure_ascii=ensure_ascii) + "\n" for row in rows)
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["parse", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == "".join(_parse_dumps(*leg) for leg in cive.legs_from_trace_rows(rows))
+    assert out.count(json.dumps(f"c0002{odd}@sim")) == 1
+    assert out.count(json.dumps(f"ep:+15550101{odd}")) == 1
 
 
 def test_matrix_covers_grid_and_matches_golden(tmp_path):

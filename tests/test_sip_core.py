@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import random
 import re
 
@@ -35,6 +37,17 @@ def test_phone_number_validation():
     for bad in ("15550100", "+123456", "+1234567890123456", "+15 50100", "", "+", "+15550100\n"):
         with pytest.raises(ValueError):
             PhoneNumber(bad)
+
+
+def test_phone_number_has_no_instance_dict():
+    number = PhoneNumber("+15550100")
+    assert not hasattr(number, "__dict__")
+    assert PhoneNumber.__basicsize__ == str.__basicsize__
+    with pytest.raises(AttributeError):
+        number.label = "B"
+    pickled = [pickle.loads(pickle.dumps(number, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in (copy.copy(number), copy.deepcopy(number), *pickled):
+        assert type(copied) is PhoneNumber and copied == number
 
 
 def test_parse_180_with_pem():

@@ -41,8 +41,8 @@ MUTANTS = (
            "if self.final is None and not self.sent_cancel:",
            "if self.final is None:"),
     Mutant("teardown-prefers-cancel", "cive.py",
-           "(BYE, CANCEL) if m in sent",
-           "(CANCEL, BYE) if m in sent"),
+           "teardown = BYE if sent_bye else CANCEL if sent_cancel else None",
+           "teardown = CANCEL if sent_cancel else BYE if sent_bye else None"),
     Mutant("patience-outlives-final", "netsim.py",
            "self.net.cancel_timer(leg.patience_timer)\n                leg.patience_timer = None",
            "leg.patience_timer = None"),
@@ -50,8 +50,8 @@ MUTANTS = (
            "elif code == 180 and msg.pem is not None",
            "if code == 183 and msg.pem is not None"),
     Mutant("busy-rule-scanned-last", "cive.py",
-           "for matches, state, _, _ in _RULES if",
-           "for matches, state, _, _ in _RULES[1:] + _RULES[:1] if"),
+           "for matches, state, _, _ in _RULES:",
+           "for matches, state, _, _ in _RULES[1:] + _RULES[:1]:"),
     Mutant("line-busy-inverted", "cive.py",
            "if line.verifier is not None and not line.verifier.done:",
            "if line.verifier is not None and line.verifier.done:"),
@@ -115,14 +115,14 @@ MUTANTS = (
     # A leg's direction is its row's dir: only received responses are read,
     # and a row belongs to the hop its dir's field names.
     Mutant("sent-responses-read", "cive.py",
-           "entry.direction == INGRESS and status is not None",
-           "status is not None"),
+           "if direction == INGRESS and status is not None:",
+           "if status is not None:"),
     Mutant("dir-fields-swapped", "cive.py",
-           '_DIRECTIONS = {EGRESS: "from_hop", INGRESS: "to_hop"}',
-           '_DIRECTIONS = {EGRESS: "to_hop", INGRESS: "from_hop"}'),
+           'hop = "from_hop"\n        elif direction == INGRESS:\n            hop = "to_hop"',
+           'hop = "to_hop"\n        elif direction == INGRESS:\n            hop = "from_hop"'),
     Mutant("live-timeout-dropped", "cive.py",
-           "entry.t_ms == timeout_at",
-           "entry.t_ms >= timeout_at"),
+           "timed_out or t_ms == timeout_at",
+           "timed_out or t_ms >= timeout_at"),
     Mutant("late-response-acted-on", "cive.py",
            "if tx_method is not INVITE or self.final is not None:",
            "if tx_method is not INVITE:"),
@@ -173,6 +173,17 @@ MUTANTS = (
     Mutant("held-is-connected", "call_fsm.py",
            'class Held(_PeerState):\n    """An answered call put on hold."""\n\n    __slots__ = ()\n',
            "Held = Connected\n"),
+    # cive-sim parse writes each line itself, as json.dumps would, and a
+    # number carries no instance dict.
+    Mutant("parse-line-saw-486-inverted", "cli.py",
+           '"saw_486": {"true" if features.saw_486 else "false"}',
+           '"saw_486": {"false" if features.saw_486 else "true"}'),
+    Mutant("parse-line-observer-unescaped", "cli.py",
+           '"observer": {q(observer)}',
+           '"observer": "{observer}"'),
+    Mutant("phone-number-dict-kept", "sip_core.py",
+           "    __slots__ = ()\n\n    def __new__(cls, value: str)",
+           "    def __new__(cls, value: str)"),
 )
 
 # Mutants no test can kill because they change no observable behaviour,
