@@ -23,6 +23,12 @@ A call leg is a plain list of ``TraceEntry``, in order, starting with the
 sent INVITE. The live verifier keeps its leg in ``entries``;
 ``legs_from_trace_rows`` rebuilds legs from a saved trace. Every feature is
 read off the leg alone, so both give the same features.
+
+``extract_features`` and ``decide`` build their records without the
+dataclasses' generated ``__init__`` and ``__post_init__``: a teardown is
+only ever BYE, CANCEL or None, and a verdict only ever pairs a state with
+its ``_VERDICT`` decision, a table checked once, at import. A
+``FeatureVector`` or ``Verdict`` built directly is still checked.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .sip_core import (
     SipMessage,
     SipMethod,
     StatusCode,
+    _new,
 )
 
 
@@ -96,6 +103,11 @@ class TraceEntry(NamedTuple):
     t_ms: int
     direction: str  # a row's dir; EGRESS: sent by the observer, INGRESS: received by it
     message: SipMessage
+
+
+# Builds a TraceEntry from a tuple of its fields: its own __new__ is one more
+# Python call.
+_tuple_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -220,15 +232,17 @@ def extract_features(leg: list[TraceEntry]) -> FeatureVector:
     # BYE is what actually ends an answered leg, so it wins over a CANCEL
     # that crossed the answer in flight.
     teardown = BYE if sent_bye else CANCEL if sent_cancel else None
-    return FeatureVector(
-        pem_180=pem_180,
-        alert_180=alert_180,
-        saw_181=saw_181,
-        saw_486=saw_486,
-        final_to_invite=final,
-        teardown=teardown,
-        timed_out=timed_out,
-    )
+    # Built unchecked: teardown is BYE, CANCEL or None, as __post_init__ requires.
+    features = _new(FeatureVector)
+    d = features.__dict__
+    d["pem_180"] = pem_180
+    d["alert_180"] = alert_180
+    d["saw_181"] = saw_181
+    d["saw_486"] = saw_486
+    d["final_to_invite"] = final
+    d["teardown"] = teardown
+    d["timed_out"] = timed_out
+    return features
 
 
 # The inference rules, first match wins: (matches, inferred state, decision,
@@ -263,6 +277,18 @@ _RULES: tuple[tuple[Callable[[FeatureVector], bool], InferredState, Decision, st
 _VERDICT = {state: (decision, reason) for _, state, decision, reason in _RULES}
 
 
+def _check_verdict_table(table: dict[InferredState, tuple[Decision, str]]) -> None:
+    """Build a checked ``Verdict`` for every pairing in ``table``, so a
+    pairing that ``Verdict`` refuses raises ValueError. ``decide`` builds its
+    verdicts unchecked, from ``_VERDICT`` alone, which is checked here once,
+    at import."""
+    for inferred, (decision, reason) in table.items():
+        Verdict(decision, inferred, "", reason, FeatureVector())
+
+
+_check_verdict_table(_VERDICT)
+
+
 def infer_state(features: FeatureVector) -> InferredState:
     """Total and pure: the far end's call state, from the first rule in
     ``_RULES`` that matches the feature vector."""
@@ -275,13 +301,14 @@ def decide(callee: PhoneNumber, inferred: InferredState, features: FeatureVector
     """The verdict for an inferred far-end state while the inCall rings at
     ``callee``, when a genuine caller must be dialing the callee."""
     decision, reason = _VERDICT[inferred]
-    return Verdict(
-        decision=decision,
-        inferred=inferred,
-        expected=f"dialing toward {callee}",
-        reason=reason,
-        features=features,
-    )
+    verdict = _new(Verdict)  # unchecked: _check_verdict_table checked _VERDICT
+    d = verdict.__dict__
+    d["decision"] = decision
+    d["inferred"] = inferred
+    d["expected"] = f"dialing toward {callee}"
+    d["reason"] = reason
+    d["features"] = features
+    return verdict
 
 
 class _VerifierAgent:
@@ -316,7 +343,7 @@ class _VerifierAgent:
     # -- wire helpers --------------------------------------------------------
 
     def _send(self, msg: SipMessage) -> None:
-        self.entries.append(TraceEntry(self.net.now, EGRESS, msg))
+        self.entries.append(_tuple_new(TraceEntry, (self.net.now, EGRESS, msg)))
         self.net.send(self, msg)
 
     def _finish(self) -> None:
@@ -329,7 +356,7 @@ class _VerifierAgent:
 
     def handle_message(self, msg: SipMessage) -> None:
         # Recorded even once done: late replies are in the saved trace too.
-        self.entries.append(TraceEntry(self.net.now, INGRESS, msg))
+        self.entries.append(_tuple_new(TraceEntry, (self.net.now, INGRESS, msg)))
         status = msg.status
         if self.done or status is None:
             return
@@ -432,7 +459,7 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
     """
     from .sip_core import parse_message
 
-    entry = tuple.__new__  # TraceEntry's own __new__ is one more Python call
+    entry = _tuple_new
     parsed: dict[str, tuple[SipMessage, str]] = {}  # wire text -> (message, its Call-ID)
     # Call-ID -> (observer hop, leg) once its first egress row is read;
     # _NO_LEG for a call with no leg to build, or one whose leg is broken.

@@ -327,11 +327,15 @@ class Federation:
     """The simulation: carriers, subscribers, router, clock and event queue.
 
     Single-threaded and fully deterministic for a given (setup, seed).
-    Independent Federations share nothing and may run concurrently.
+    Independent Federations share nothing and may run concurrently. Every
+    jitter draw comes from one stream, ``random.Random(seed)``, seeded when
+    the first carrier with ``jitter_ms > 0`` is added; a federation without
+    one never seeds it.
     """
 
     def __init__(self, seed: int = 0):
-        self._getrandbits = random.Random(seed).getrandbits  # the jitter stream
+        self.seed = seed
+        self._getrandbits: Callable[[int], int] | None = None  # the jitter stream
         self.now = 0
         self.carriers: dict[str, CarrierNetwork] = {}
         self.lines: dict[PhoneNumber, PhoneLine] = {}
@@ -353,6 +357,10 @@ class Federation:
         if carrier_id in self.carriers:
             raise NetsimError(f"carrier {carrier_id} already exists")
         carrier = CarrierNetwork(carrier_id, policy or GatewayPolicy())
+        # Seeding Random's 624-word state costs more than building the rest
+        # of a small federation, so only a jittered carrier pays for it.
+        if carrier.policy.jitter_ms and self._getrandbits is None:
+            self._getrandbits = random.Random(self.seed).getrandbits
         # The core answers undeliverable or policy-rejected INVITEs; voicemail
         # owns the legs it answered for busy subscribers and answers their BYE.
         carrier.core = _CarrierService(self, carrier, "net", INVITE, 480)

@@ -42,10 +42,11 @@ the matrix's ``dialing_other`` cells start a line ``Dialing``, built in code.
 
 Outputs per run: ``<name>.trace.jsonl`` (the federation event log) and
 ``<name>.report.json`` (verdict, match, display), whose text is
-``RunReport.to_json()``, as ``cive-sim run`` prints it. A ``RunReport``
-holds the ``Scenario`` it ran and the run's own outcome; its ``match`` and
-``inconclusive`` are computed from the verdict and the scenario's ground
-truth. The matrix command runs the full deterministic grid of callee
+``RunReport.to_json()``, as ``cive-sim run`` prints it: one template that
+writes what ``json.dumps(report.to_json_dict(), indent=2)`` would. A
+``RunReport`` holds the ``Scenario`` it ran and the run's own outcome; its
+``match`` and ``inconclusive`` are computed from the verdict and the
+scenario's ground truth. The matrix command runs the full deterministic grid of callee
 states x features x origination and writes ``matrix.csv`` with fixed
 columns ``scenario,a_state,cw,vm,origination,inferred,verdict,truth,match``.
 """
@@ -350,33 +351,52 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        """The report file's text, which ``cive-sim run`` also prints."""
-        return encode_report(self.to_json_dict()) + "\n"
-
-
-def encode_report(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for the values a report holds: dicts,
-    none of them empty, with ``str`` keys, and ``str``, ``int``, ``True``,
-    ``False`` and ``None``. Any other value raises TypeError; a float is
-    never written as the literal it compares equal to. ``indent`` is the
-    newline and indentation of the line ``value`` starts on.
-    """
-    if type(value) is dict:
-        inner = indent + "  "
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + encode_report(v, inner) for k, v in value.items()]
-        ) + indent + "}"
-    if isinstance(value, str):  # a PhoneNumber or a str enum too, as json writes them
-        return encode_basestring_ascii(value)
-    if type(value) is int:  # not a bool: those are written below
-        return repr(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    raise TypeError(f"a report holds no {type(value).__name__} value")
+        """The report file's text, which ``cive-sim run`` also prints: exactly
+        ``json.dumps(self.to_json_dict(), indent=2)`` and a newline, written
+        from one template. Strings go through ``encode_basestring_ascii``,
+        and enum members are read through ``_value_``, which skips the
+        ``value`` descriptor."""
+        q = encode_basestring_ascii
+        s, v, b = self.scenario, self.verdict, self.b_display
+        trace = "null" if self.trace_file is None else q(self.trace_file)
+        match = self.match
+        if v is None:
+            verdict = "null"
+        else:
+            f = v.features
+            pem, alert = f.pem_180, f.alert_180
+            final, teardown = f.final_to_invite, f.teardown
+            verdict = (
+                f'{{\n    "decision": {q(v.decision._value_)},\n'
+                f'    "inferred": {q(v.inferred._value_)},\n'
+                f'    "expected": {q(v.expected)},\n'
+                f'    "reason": {q(v.reason)},\n'
+                f'    "features": {{\n'
+                f'      "pem_180": {"null" if pem is None else q(pem._value_)},\n'
+                f'      "alert_180": {"null" if alert is None else q(alert._value_)},\n'
+                f'      "saw_181": {"true" if f.saw_181 else "false"},\n'
+                f'      "saw_486": {"true" if f.saw_486 else "false"},\n'
+                f'      "final_to_invite": {"null" if final is None else final.code},\n'
+                f'      "teardown": {"null" if teardown is None else q(teardown._value_)},\n'
+                f'      "timed_out": {"true" if f.timed_out else "false"}\n'
+                f'    }},\n'
+                f'    "trace_ref": {trace}\n'
+                f'  }}'
+            )
+        return (
+            f'{{\n  "scenario": {q(s.name)},\n'
+            f'  "ground_truth": {q(s.ground_truth._value_)},\n'
+            f'  "cive_enabled": {"true" if s.cive_enabled else "false"},\n'
+            f'  "seed": {s.seed},\n'
+            f'  "b_display": {"null" if not b else q(b)},\n'
+            f'  "verdict": {verdict},\n'
+            f'  "match": {"null" if match is None else "true" if match else "false"},\n'
+            f'  "inconclusive": {"true" if self.inconclusive else "false"},\n'
+            f'  "policy_violations": {self.policy_violations},\n'
+            f'  "sim_ms": {self.sim_ms},\n'
+            f'  "trace_file": {trace}\n'
+            f'}}\n'
+        )
 
 
 def build_federation(s: Scenario) -> Federation:

@@ -277,6 +277,49 @@ def test_verdict_invariants():
         Verdict(Decision.SPOOFED, InferredState.UNKNOWN, "x", "r", FeatureVector())
 
 
+@pytest.mark.parametrize("inferred, decision", [
+    (InferredState.DIALING, Decision.SPOOFED),
+    (InferredState.UNKNOWN, Decision.SPOOFED),
+    (InferredState.UNREACHABLE, Decision.SPOOFED),
+    (InferredState.IDLE, Decision.LEGIT),
+    (InferredState.CONNECTED, Decision.LEGIT),
+])
+def test_verdict_table_check_refuses_a_pairing_a_verdict_refuses(inferred, decision):
+    # decide builds its verdicts unchecked, so the table it reads them from
+    # is checked at import, entry by entry.
+    table = dict(cive._VERDICT)
+    cive._check_verdict_table(table)
+    table[inferred] = (decision, "rule 0: bad pairing")
+    with pytest.raises(ValueError):
+        cive._check_verdict_table(table)
+
+
+def test_decide_equals_a_checked_verdict_for_every_state():
+    decisions = {InferredState.DIALING: Decision.LEGIT,
+                 InferredState.UNREACHABLE: Decision.INCONCLUSIVE,
+                 InferredState.UNKNOWN: Decision.INCONCLUSIVE}
+    features = FeatureVector(pem_180=PemValue.SENDRECV, saw_486=True, teardown=SipMethod.CANCEL)
+    for state in InferredState:
+        verdict = decide(B, state, features)
+        checked = Verdict(decisions.get(state, Decision.SPOOFED), state, f"dialing toward {B}",
+                          cive._VERDICT[state][1], features)
+        assert type(verdict) is Verdict
+        assert verdict == checked and vars(verdict) == vars(checked), state
+        assert hash(verdict) == hash(checked)
+
+
+def test_extracted_features_equal_a_checked_feature_vector():
+    _, agent = _verify(_federation(), ringing())
+    features = extract_features(agent.entries)
+    checked = FeatureVector(**vars(features))
+    assert type(features) is FeatureVector
+    assert features == checked and vars(features) == vars(checked)
+    assert hash(features) == hash(checked)
+    assert all(type(e) is TraceEntry for e in agent.entries)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        features.saw_181 = True
+
+
 def test_feature_vector_teardown_is_bye_or_cancel():
     for method in (SipMethod.BYE, SipMethod.CANCEL, None):
         assert FeatureVector(teardown=method).teardown is method

@@ -313,6 +313,71 @@ def test_jitter_draws_follow_the_seeded_randint_sequence():
             assert arrivals[key] - row["t_ms"] == expected, (ja, jx, row)
 
 
+def test_federation_without_jitter_never_seeds_a_stream(monkeypatch):
+    # Seeding Random costs more than building a small federation, so only a
+    # jittered carrier makes the stream; the traces do not change.
+    from cive_sim.scenario import load_scenario, run_scenario
+
+    def traces():
+        net = two_carrier_fed(seed=5)
+        net.originate_call(A, net.lines[PhoneNumber(E)], B)
+        net.run()
+        reports = [run_scenario(load_scenario(SCENARIOS / f"{n}.scn")) for n in ("c1", "c2", "c3")]
+        return net.trace_jsonl(), [r.to_json() for r in reports]
+
+    before = traces()
+
+    def refused(*args):
+        raise AssertionError("a federation without jitter seeded a stream")
+
+    monkeypatch.setattr(cive_sim.netsim.random, "Random", refused)
+    assert traces() == before
+    with pytest.raises(AssertionError, match="seeded a stream"):
+        two_carrier_fed(jitter=1)
+
+
+def test_jitter_stream_is_seeded_once_by_the_first_jittered_carrier(monkeypatch):
+    # cn-a draws nothing and is added first; cn-x and cn-y share the one
+    # stream, Random(seed), drawn source carrier first in send order.
+    seeds = []
+    real = random.Random
+
+    def counted(seed):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(cive_sim.netsim.random, "Random", counted)
+    base = {"cn-a": 50, "cn-x": 30, "cn-y": 40}
+    jitter = {"cn-a": 0, "cn-x": 7, "cn-y": 1024}
+    net = Federation(seed=11)
+    net.add_carrier("cn-a", GatewayPolicy(jitter_ms=0))
+    assert seeds == []
+    net.add_carrier("cn-x", GatewayPolicy(link_delay_ms=30, jitter_ms=7))
+    net.add_carrier("cn-y", GatewayPolicy(link_delay_ms=40, jitter_ms=1024))
+    assert seeds == [11]
+    Y = "+15550199"
+    net.register_subscriber("cn-a", B)
+    net.register_subscriber("cn-x", E)
+    net.register_subscriber("cn-y", Y)
+    net.originate_call(E, net.lines[PhoneNumber(E)], B)
+    net.originate_call(Y, net.lines[PhoneNumber(Y)], E, at_ms=10)
+    net.originate_call(B, net.lines[PhoneNumber(B)], Y, at_ms=20)
+    net.run()
+    arrivals = {(r["from_hop"], r["to_hop"], r["sip"]): (r["t_ms"], r["carrier"])
+                for r in rows_with(net, dir="ingress")}
+    assert len(arrivals) == len(net.trace) // 2 > 12
+    rng = real(11)
+    drawn = 0
+    for row in rows_with(net, dir="egress"):
+        t_ms, dst = arrivals[(row["from_hop"], row["to_hop"], row["sip"])]
+        expected = 0
+        for carrier in (row["carrier"],) if dst == row["carrier"] else (row["carrier"], dst):
+            expected += base[carrier] + (rng.randint(0, jitter[carrier]) if jitter[carrier] else 0)
+            drawn += jitter[carrier] > 0
+        assert t_ms - row["t_ms"] == expected, row
+    assert drawn > 12
+
+
 def test_register_subscriber_still_checks_numbers_it_cannot_reuse():
     net = two_carrier_fed()
     with pytest.raises(ValueError, match="not an E.164-style number"):

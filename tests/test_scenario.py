@@ -26,7 +26,6 @@ from cive_sim.scenario import (
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
-    encode_report,
     exit_code_for,
     load_scenario,
     matrix_scenarios,
@@ -36,7 +35,7 @@ from cive_sim.scenario import (
 from cive_sim import cive, cli
 from cive_sim.call_fsm import Connected, Dialing, Held
 from cive_sim.netsim import TRACE_HEAD_RE, Federation
-from cive_sim.sip_core import PhoneNumber, SipMethod
+from cive_sim.sip_core import STATUS, AlertUrn, PemValue, PhoneNumber, SipMethod
 
 
 def test_load_c1():
@@ -245,34 +244,57 @@ def _jittered(s, jitter_ms, seed):
     return dataclasses.replace(s, carriers=carriers, seed=seed)
 
 
-def test_report_encoder_equals_json_dumps_on_every_report():
-    # c1/c2/c3 with and without verification and with jittered links, and
-    # every matrix cell.
-    named = [load_scenario(SCENARIOS / f"{n}.scn") for n in ("c1", "c2", "c3")]
-    runs = [
-        *named,
-        *(dataclasses.replace(s, cive_enabled=False) for s in named),
-        *(_jittered(s, jitter, seed) for s in named for jitter in (40, 500) for seed in range(3)),
-    ]
-    dicts = [run_scenario(s).to_json_dict() for s in runs]
-    dicts += [r.to_json_dict() for r in run_matrix().reports]
-    assert len(dicts) == 3 * 2 + 3 * 6 + 20
-    assert sum(d["verdict"] is None for d in dicts) == 3
-    for d in dicts:
-        assert encode_report(d) == json.dumps(d, indent=2)
+def _dumped(report):
+    """What ``RunReport.to_json`` must write: its dict form through json.dumps."""
+    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+def test_report_encoder_equals_json_dumps_on_every_report(tmp_path):
+    # c1-c5 with and without --out (trace_file and trace_ref null in one),
+    # without verification and with jittered links, and every matrix cell.
+    named = [load_scenario(SCENARIOS / f"{n}.scn") for n in ("c1", "c2", "c3", "c4", "c5")]
+    reports = [run_scenario(s) for s in named]
+    reports += [run_scenario(s, tmp_path) for s in named]
+    reports += [run_scenario(dataclasses.replace(s, cive_enabled=False)) for s in named]
+    reports += [run_scenario(_jittered(s, jitter, seed))
+                for s in named[:3] for jitter in (40, 500) for seed in range(3)]
+    reports += run_matrix().reports
+    assert len(reports) == 5 * 3 + 3 * 6 + 20
+    assert sum(r.trace_file is None for r in reports) == len(reports) - 5
+    assert sum(r.verdict is None for r in reports) == 5 + 2  # c4 refused, with and without --out
+    assert sum(r.b_display is None for r in reports) == 3  # c4 only
+    assert {r.match for r in reports} == {True, None}
+    for r in reports:
+        assert r.to_json() == _dumped(r)
+    assert reports[5].to_json() == (REPO / "tests" / "golden" / "c1.report.json").read_text()
+
+
+def _hand_built_report(name, expected, reason, *, verdict=(Decision.SPOOFED, InferredState.IDLE),
+                       b_display=None, trace_file=None, features=None, seed=0, cive_enabled=True,
+                       genuine=False, counts=(0, 0)):
+    # Built in code, a Scenario skips validate, so its name may hold anything.
+    a, e = PhoneNumber("+15550100"), PhoneNumber("+15559900")
+    s = Scenario(name, {}, (), OriginationSpec(a if genuine else e, a, PhoneNumber("+15550101")),
+                 cive_enabled, seed)
+    v = None
+    if verdict is not None:
+        v = cive.Verdict(*verdict, expected, reason, features or cive.FeatureVector())
+    return RunReport(s, v, b_display, counts[0], counts[1], trace_file)
 
 
 def test_report_encoder_escapes_strings_as_json_dumps():
-    value = {
-        'quote "': 'a"b',
-        "back\\slash": "c\\d",
-        "control": "\x00\n\t\x1f\x7f",
-        "\u00e9": "\u00e9\u2028\U0001f4de",
-        "lone": "\ud800 \udfff",
-        "number": PhoneNumber("+15550100"),
-        "enum": Decision.LEGIT,
-    }
-    assert encode_report(value) == json.dumps(value, indent=2)
+    odd = ['quote "', "back\\slash", "control \x00\n\t\x1f\x7f", "\u00e9\u2028\U0001f4de",
+           "lone \ud800 \udfff", ""]
+    b = PhoneNumber("+15550100")
+    reports = [
+        _hand_built_report(name, expected, reason, trace_file=trace, b_display=b)
+        for name, expected, reason, trace in zip(odd, odd[1:] + odd[:1], odd[2:] + odd[:2],
+                                                 odd[3:] + odd[:3])
+    ]
+    reports.append(_hand_built_report('"\\\x01\u00e9', "", "", verdict=None))
+    for r in reports:
+        assert r.to_json() == _dumped(r)
+    assert '"scenario": "quote \\"",' in reports[0].to_json()
 
 
 _REPORT_TEXT = st.text(
@@ -282,31 +304,33 @@ _REPORT_TEXT = st.text(
         st.characters(exclude_categories=()),  # lone surrogates included
     )
 )
-_REPORT_VALUES = st.recursive(
-    st.one_of(
-        _REPORT_TEXT,
-        st.integers(),
-        st.integers(-(10**100), 10**100),
-        st.sampled_from([True, False, None]),
-    ),
-    lambda children: st.dictionaries(_REPORT_TEXT, children, min_size=1, max_size=5),
-    max_leaves=25,
+_REPORT_INTS = st.one_of(st.integers(0, 10**6), st.integers(-(10**100), 10**100))
+_FEATURES = st.builds(
+    cive.FeatureVector,
+    st.sampled_from([None, *PemValue]),
+    st.sampled_from([None, *AlertUrn]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([None, *STATUS.values()]),
+    st.sampled_from([None, SipMethod.BYE, SipMethod.CANCEL]),
+    st.booleans(),
 )
 
 
-@settings(max_examples=50, derandomize=True, deadline=None, database=None)
-@given(_REPORT_VALUES)
-def test_report_encoder_equals_json_dumps(value):
-    assert encode_report(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("value", [1.0, 0.0, [1], (1,)], ids=["1.0", "0.0", "list", "tuple"])
-def test_report_encoder_rejects_other_values(value):
-    # 1.0 == True and 0.0 == False, so a float must not be written as one.
-    with pytest.raises(TypeError):
-        encode_report(value)
-    with pytest.raises(TypeError):
-        encode_report({"a": {"b": value}})
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    _REPORT_TEXT, _REPORT_TEXT, _REPORT_TEXT,
+    st.sampled_from([None, *((d, i) for i, (d, _) in cive._VERDICT.items())]),
+    st.sampled_from([None, PhoneNumber("+15550100")]),
+    st.one_of(st.none(), _REPORT_TEXT),
+    _FEATURES, _REPORT_INTS, st.booleans(), st.booleans(), st.tuples(_REPORT_INTS, _REPORT_INTS),
+)
+def test_report_encoder_equals_json_dumps(name, expected, reason, verdict, b_display, trace_file,
+                                          features, seed, cive_enabled, genuine, counts):
+    r = _hand_built_report(name, expected, reason, verdict=verdict, b_display=b_display,
+                           trace_file=trace_file, features=features, seed=seed,
+                           cive_enabled=cive_enabled, genuine=genuine, counts=counts)
+    assert r.to_json() == _dumped(r)
 
 
 @pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4", "c5"])

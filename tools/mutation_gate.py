@@ -92,11 +92,11 @@ MUTANTS = (
            "if p.carrier not in self.carriers:",
            "if False:"),
     Mutant("late-replies-unrecorded", "cive.py",
-           "self.entries.append(TraceEntry(self.net.now, INGRESS, msg))\n"
+           "self.entries.append(_tuple_new(TraceEntry, (self.net.now, INGRESS, msg)))\n"
            "        status = msg.status\n"
            "        if self.done or status is None:",
            "if self.done:\n            return\n"
-           "        self.entries.append(TraceEntry(self.net.now, INGRESS, msg))\n"
+           "        self.entries.append(_tuple_new(TraceEntry, (self.net.now, INGRESS, msg)))\n"
            "        status = msg.status\n"
            "        if status is None:"),
     Mutant("leg-order-unchecked", "cive.py",
@@ -141,12 +141,16 @@ MUTANTS = (
     Mutant("auto-answer-outlives-cancel", "netsim.py",
            "self.net.cancel_timer(leg.auto_answer_timer)",
            "pass"),
+    # The report template writes what json.dumps(indent=2) would.
     Mutant("report-string-unescaped", "scenario.py",
-           "return encode_basestring_ascii(value)",
-           "return '\"' + value + '\"'"),
+           '"reason": {q(v.reason)}',
+           '"reason": "{v.reason}"'),
     Mutant("report-bool-as-int", "scenario.py",
-           "if type(value) is int:",
-           "if isinstance(value, int):"),
+           '"cive_enabled": {"true" if s.cive_enabled else "false"}',
+           '"cive_enabled": {int(s.cive_enabled)}'),
+    Mutant("report-null-verdict-quoted", "scenario.py",
+           'verdict = "null"',
+           'verdict = \'"null"\''),
     # The calendar queue: one list per due time, run first-in-first-out.
     Mutant("calendar-list-lifo", "netsim.py",
            "for i, (seq, callback, args) in enumerate(events):",
@@ -184,6 +188,14 @@ MUTANTS = (
     Mutant("phone-number-dict-kept", "sip_core.py",
            "    __slots__ = ()\n\n    def __new__(cls, value: str)",
            "    def __new__(cls, value: str)"),
+    # The jitter stream is Random(seed), made by the first jittered carrier,
+    # and decide's unchecked verdicts rest on the table checked at import.
+    Mutant("jitter-stream-fixed-seed", "netsim.py",
+           "random.Random(self.seed)",
+           "random.Random(0)"),
+    Mutant("verdict-table-unchecked", "cive.py",
+           'Verdict(decision, inferred, "", reason, FeatureVector())',
+           "pass"),
 )
 
 # Mutants no test can kill because they change no observable behaviour,
