@@ -21,8 +21,9 @@ of the rule table ``_RULES``.
 
 A call leg is a plain list of ``TraceEntry``, in order, starting with the
 sent INVITE. The live verifier keeps its leg in ``entries``;
-``legs_from_trace_rows`` rebuilds legs from a saved trace. Every feature is
-read off the leg alone, so both give the same features.
+``legs_from_trace_rows`` rebuilds legs from a saved trace's rows, streamed
+as ``(t_ms, from_hop, to_hop, dir, sip)`` tuples, in one pass. Every
+feature is read off the leg alone, so both give the same features.
 
 ``extract_features`` and ``decide`` build their records without the
 dataclasses' generated ``__init__`` and ``__post_init__``: a teardown is
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .call_fsm import CALLER, COLLISION_ANSWER_MS, EARLY, LineLeg
 from .netsim import EGRESS, INGRESS, Federation, PhoneLine
@@ -74,7 +75,7 @@ class LineBusy(CiveError):
 class MalformedTraceRow(CiveError):
     """A saved trace row that cannot be rebuilt into its call leg.
 
-    ``index`` is the row's position in the list handed to
+    ``index`` is the row's position among the rows handed to
     legs_from_trace_rows; ``reason`` says what is wrong with it.
     """
 
@@ -435,25 +436,33 @@ def verify_incoming(agent: _VerifierAgent) -> Verdict:
 _NO_LEG = (None, None)
 
 
-def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEntry]]]:
+def legs_from_trace_rows(
+    rows: Iterable[tuple[int, str, str, str, str]],
+) -> list[tuple[str, str, list[TraceEntry]]]:
     """Rebuild per-leg signaling from a saved federation trace.
 
-    For every call id whose first egress row is an INVITE leaving an
-    endpoint hop, reconstructs the leg as seen by that endpoint: its egress
-    rows become sent entries, ingress rows addressed to it become received
-    entries, in row order. Returns (call_id, observer_hop, entries) triples
-    in the file order of each call id's first egress row.
+    ``rows`` is any iterable of ``(t_ms, from_hop, to_hop, dir, sip)``
+    tuples, in file order; ``cive-sim parse`` hands over the file's rows
+    as they are read. For every call id whose first egress row is an
+    INVITE leaving an endpoint hop, reconstructs the leg as seen by that
+    endpoint: its egress rows become sent entries, ingress rows addressed
+    to it become received entries, in row order. Returns (call_id,
+    observer_hop, entries) triples in the file order of each call id's
+    first egress row.
 
-    One pass reads the rows, parsing each distinct wire text once. A call's
-    observer is known from its first egress row; the ingress rows read
-    before it wait in a small list, and only the observer's rows become
-    entries. ``rows`` is left as it was. Raises MalformedTraceRow for a row
-    whose ``dir`` is neither EGRESS nor INGRESS, whose message falls outside
-    the SIP profile, or that breaks its leg's ordering: a leg starts with
-    its sent INVITE and its timestamps never decrease. Only such outside
-    input can break that order; the live verifier's leg keeps it by
-    construction. A bad ``dir`` or message is raised at the first such
-    row; an ordering error is raised after every row was read, for the
+    One pass reads the rows. A wire text is parsed where it is first read
+    and its message kept until the next row carrying the same text, its
+    twin, takes it and drops it from the cache; so the cache holds only the
+    messages in flight, and a third copy is parsed again. A call's observer
+    is known from its first egress row; the ingress rows read before it
+    wait in a small list, and only the observer's rows become entries.
+    Raises MalformedTraceRow for a row whose ``dir`` is neither EGRESS nor
+    INGRESS, whose message falls outside the SIP profile, or that breaks
+    its leg's ordering: a leg starts with its sent INVITE and its
+    timestamps never decrease. Only such outside input can break that
+    order; the live verifier's leg keeps it by construction. A bad ``dir``
+    or message is raised at the first such row, before any later row is
+    read; an ordering error is raised after every row was read, for the
     first broken leg in the order of the returned triples, at its first
     offending row.
     """
@@ -468,18 +477,16 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
     waiting: dict[str, list[tuple[int, str]]] = {}
     broken: dict[str, MalformedTraceRow] = {}
     legs: list[tuple[str, str, list[TraceEntry]]] = []
-    for index, row in enumerate(rows):
+    for index, (t_ms, from_hop, to_hop, direction, text) in enumerate(rows):
         # A leg holds the rows whose hop field names its observer: the hop
         # that sent (egress) or received (ingress) the row's message.
-        direction = row["dir"]
         if direction == EGRESS:
-            hop = "from_hop"
+            hop = from_hop
         elif direction == INGRESS:
-            hop = "to_hop"
+            hop = to_hop
         else:
             raise MalformedTraceRow(index, f"dir {direction!r} is not one of {[EGRESS, INGRESS]}")
-        text = row["sip"]
-        cached = parsed.get(text)
+        cached = parsed.pop(text, None)
         if cached is None:
             try:
                 msg = parse_message(text)
@@ -490,9 +497,8 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
         known = observed.get(cid)
         if known is not None:
             observer, leg = known
-            if row[hop] != observer:
+            if hop != observer:
                 continue
-            t_ms = row["t_ms"]
             if t_ms < leg[-1].t_ms:
                 observed[cid] = _NO_LEG
                 broken[cid] = MalformedTraceRow(
@@ -500,19 +506,18 @@ def legs_from_trace_rows(rows: list[dict]) -> list[tuple[str, str, list[TraceEnt
                 continue
             leg.append(entry(TraceEntry, (t_ms, direction, msg)))
         elif direction == INGRESS:
-            waiting.setdefault(cid, []).append((index, row["to_hop"]))
+            waiting.setdefault(cid, []).append((index, to_hop))
         else:
-            observer = row["from_hop"]
             early = waiting.pop(cid, ())
             if not (msg.status is None and msg.method is INVITE
-                    and observer.startswith("ep:")):
+                    and from_hop.startswith("ep:")):
                 observed[cid] = _NO_LEG
                 continue
-            leg = [entry(TraceEntry, (row["t_ms"], direction, msg))]
-            legs.append((cid, observer, leg))
-            observed[cid] = (observer, leg)
-            for early_index, to_hop in early:
-                if to_hop == observer:
+            leg = [entry(TraceEntry, (t_ms, direction, msg))]
+            legs.append((cid, from_hop, leg))
+            observed[cid] = (from_hop, leg)
+            for early_index, early_hop in early:
+                if early_hop == from_hop:
                     observed[cid] = _NO_LEG
                     broken[cid] = MalformedTraceRow(
                         early_index, f"call {cid}: a trace starts with the sent INVITE")

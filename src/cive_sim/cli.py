@@ -21,9 +21,11 @@ import argparse
 import json
 import os
 import sys
+from bisect import bisect_right
 from dataclasses import replace
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from . import cive, netsim, scenario
 
@@ -64,7 +66,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return scenario.exit_code_for(list(result.reports))
 
 
-# Fields legs_from_trace_rows reads from every row, with their JSON types.
+# Fields legs_from_trace_rows reads from every row, in its tuple order, with
+# their JSON types.
 _ROW_FIELDS = {"t_ms": int, "from_hop": str, "to_hop": str, "dir": str, "sip": str}
 
 
@@ -87,8 +90,9 @@ def _decode_literal(literal: str) -> str:
     return text
 
 
-def _general_row(line: str, path: str, lineno: int) -> dict:
-    """One row read by ``json.loads``; raises TraceFileError naming the line."""
+def _general_row(line: str, path: str, lineno: int) -> tuple:
+    """One row read by ``json.loads``, as a tuple in ``_ROW_FIELDS`` order;
+    raises TraceFileError naming the line."""
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -98,24 +102,27 @@ def _general_row(line: str, path: str, lineno: int) -> dict:
     problem = _row_problem(row)
     if problem is not None:
         raise TraceFileError(f"{path}:{lineno}: {problem}")
-    return row
+    return row["t_ms"], row["from_hop"], row["to_hop"], row["dir"], row["sip"]
 
 
-def _read_trace(path: str) -> tuple[list[dict], list[int]]:
-    """The rows of a trace file, and the line number each row came from.
+def _read_trace(path: str, blank_rows: list[int]) -> Iterator[tuple[int, str, str, str, str]]:
+    """Yield the rows of a trace file, one line at a time, each as the tuple
+    ``(t_ms, from_hop, to_hop, dir, sip)`` in ``_ROW_FIELDS`` order.
 
+    A skipped blank line appends the number of rows yielded before it to
+    ``blank_rows``; ``_line_of`` reads a row's line number off that list.
     A line as ``Federation.trace_jsonl`` writes it is read in one pass:
     ``netsim.TRACE_HEAD_RE`` matches its fixed head, the rest of the line
-    must be one sip literal, ``}`` and an optional newline, and that literal
-    is decoded once per file, so a row and its twin share one string. The
-    tail is checked before the literal is looked up, on a cache hit too.
-    Any other line, or one whose literal or integer does not decode, goes
-    to ``json.loads``; both give the same row, or the same error on the
-    same line.
+    must be one sip literal, ``}`` and an optional newline. The tail is
+    checked before the literal is looked up in the cache, on a hit too. A
+    literal is decoded where it is first read and kept until its twin row
+    reads it, which drops it from the cache: a row and its twin share one
+    string, and the cache holds only the messages in flight. A third copy
+    is decoded again. Any other line, or one whose literal or integer does
+    not decode, goes to ``json.loads``; both give the same row, or the same
+    error on the same line.
     """
-    rows: list[dict] = []
-    line_numbers: list[int] = []
-    texts: dict[str, str] = {}  # sip literal -> its decoded text
+    texts: dict[str, str] = {}  # sip literal -> its decoded text, until its twin row
     head = netsim.TRACE_HEAD_RE.match
     try:
         with open(path, encoding="utf-8") as fh:
@@ -129,33 +136,30 @@ def _read_trace(path: str) -> tuple[list[dict], list[int]]:
                         literal = line[m.end() : -1]
                 if literal is None:
                     if not line.strip():
+                        blank_rows.append(lineno - 1 - len(blank_rows))
                         continue
-                    row = _general_row(line, path, lineno)
+                    yield _general_row(line, path, lineno)
+                    continue
+                t_ms, _, from_hop, to_hop, direction = m.groups()
+                try:
+                    sip = texts.pop(literal, None)
+                    if sip is None:
+                        sip = texts[literal] = _decode_literal(literal)
+                    t_ms = int(t_ms)
+                except ValueError:  # a literal JSON rejects, an integer too long for int()
+                    yield _general_row(line, path, lineno)
                 else:
-                    t_ms, carrier, from_hop, to_hop, direction = m.groups()
-                    try:
-                        sip = texts.get(literal)
-                        if sip is None:
-                            sip = texts[literal] = _decode_literal(literal)
-                        t_ms = int(t_ms)
-                    except ValueError:  # a literal JSON rejects, an integer too long for int()
-                        row = _general_row(line, path, lineno)
-                    else:
-                        row = {
-                            "t_ms": t_ms,
-                            "carrier": carrier,
-                            "from_hop": from_hop,
-                            "to_hop": to_hop,
-                            "dir": direction,
-                            "sip": sip,
-                        }
-                rows.append(row)
-                line_numbers.append(lineno)
+                    yield t_ms, from_hop, to_hop, direction, sip
     except OSError as exc:
         raise TraceFileError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise TraceFileError(f"{path}: not UTF-8 text") from None
-    return rows, line_numbers
+
+
+def _line_of(index: int, blank_rows: list[int]) -> int:
+    """The line number of row ``index``, given the ``blank_rows`` that
+    ``_read_trace`` filled: each blank line before the row adds one."""
+    return index + 1 + bisect_right(blank_rows, index)
 
 
 def _leg_line(call_id: str, observer: str, messages: int,
@@ -182,11 +186,24 @@ def _leg_line(call_id: str, observer: str, messages: int,
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    rows, line_numbers = _read_trace(args.trace)
+    """Rebuild the legs of a saved trace and write one line per leg.
+
+    The rows stream from ``_read_trace`` straight into
+    ``cive.legs_from_trace_rows``, so the file is read inside the leg
+    builder. A leg error stops the builder early; the rest of the file is
+    still read, so a reader error on a later line is the one reported, as
+    when the whole file was read first. Output is written only once every
+    leg is built, so bad input leaves stdout empty.
+    """
+    blank_rows: list[int] = []
+    rows = _read_trace(args.trace, blank_rows)
     try:
         legs = cive.legs_from_trace_rows(rows)
     except cive.MalformedTraceRow as exc:
-        raise TraceFileError(f"{args.trace}:{line_numbers[exc.index]}: {exc.reason}") from None
+        for _ in rows:  # a reader error further on wins
+            pass
+        line = _line_of(exc.index, blank_rows)
+        raise TraceFileError(f"{args.trace}:{line}: {exc.reason}") from None
     lines = []
     for call_id, observer, leg in legs:
         features = cive.extract_features(leg)

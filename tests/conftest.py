@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from cive_sim.call_fsm import CalleeProfile, Connected, Dialing, Held
+from cive_sim.cli import _ROW_FIELDS
 from cive_sim.netsim import Federation, GatewayPolicy
 from cive_sim.sip_core import (
     AlertUrn,
@@ -55,6 +56,13 @@ def random_valid_message(rng: random.Random) -> SipMessage:
     from_number, to_number = PhoneNumber(number()), PhoneNumber(number())
     status = None if is_request else STATUS[rng.choice(list(CANONICAL_REASON))]
     return SipMessage(method, from_number, to_number, call_id, seq, status, pem, alert, extras, body)
+
+
+def row_tuples(rows):
+    """Trace rows read as dicts (``Federation.trace``, or ``json.loads`` of
+    its lines), as the ``(t_ms, from_hop, to_hop, dir, sip)`` tuples that
+    ``cive.legs_from_trace_rows`` takes."""
+    return [tuple(row[name] for name in _ROW_FIELDS) for row in rows]
 
 
 def loaded_federation(seed, n_calls):

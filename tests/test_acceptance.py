@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import SCENARIOS, random_valid_message
+from conftest import SCENARIOS, random_valid_message, row_tuples
 
 from cive_sim.cive import (
     Decision,
@@ -70,7 +70,7 @@ def corpus_runs(tmp_path_factory):
         ]
         aucall = [
             leg
-            for _cid, observer, leg in legs_from_trace_rows(rows)
+            for _cid, observer, leg in legs_from_trace_rows(row_tuples(rows))
             if observer == "ep:+15550101"  # the verifying callee's leg
         ]
         assert len(aucall) == 1

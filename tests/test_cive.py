@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIOS, loaded_federation
+from conftest import SCENARIOS, loaded_federation, row_tuples
 
 import cive_sim.scenario
 import cive_sim.sip_core
@@ -691,7 +691,7 @@ def test_scenario_moves_never_flip_a_verdict(parties, carriers, originator, at_m
         assert report.verdict.decision is not Decision.SPOOFED, report.verdict
     # The live leg is the one parse rebuilds from the federation's rows.
     [agent] = agents
-    legs = {cid: leg for cid, _, leg in legs_from_trace_rows(agent.net.trace)}
+    legs = {cid: leg for cid, _, leg in legs_from_trace_rows(row_tuples(agent.net.trace))}
     assert legs[agent.leg.invite.call_id] == agent.entries
     assert extract_features(agent.entries) == report.verdict.features
 
@@ -728,7 +728,7 @@ def test_legs_from_trace_rows_round_trip(monkeypatch):
     net = _federation()
     verdict, _ = _verify(net, ringing())
     rows = [json.loads(line) for line in net.trace_jsonl().splitlines()]
-    legs = legs_from_trace_rows(rows)
+    legs = legs_from_trace_rows(row_tuples(rows))
     au = [leg for cid, obs, leg in legs if obs == f"ep:{B}"]
     assert len(au) == 1
     assert extract_features(au[0]) == verdict.features
@@ -756,7 +756,7 @@ def test_legs_from_trace_rows_round_trip(monkeypatch):
             agents.clear()
             run_scenario(dataclasses.replace(cell, carriers=carriers, seed=seed))
             [agent] = agents
-            rebuilt = {cid: leg for cid, _, leg in legs_from_trace_rows(agent.net.trace)}
+            rebuilt = {cid: leg for cid, _, leg in legs_from_trace_rows(row_tuples(agent.net.trace))}
             leg = rebuilt[agent.leg.invite.call_id]
             where = (cell.name, delay, jitter, seed)
             assert leg == agent.entries, where
@@ -795,7 +795,7 @@ def _reference_legs(rows):
 
 def test_legs_match_per_leg_reference_under_load():
     rows, call_ids = loaded_federation(seed=41, n_calls=200)
-    legs = legs_from_trace_rows(rows)
+    legs = legs_from_trace_rows(row_tuples(rows))
     reference = _reference_legs(rows)
     assert [(cid, obs) for cid, obs, _ in legs] == [(cid, obs) for cid, obs, _ in reference]
     for (cid, _, trace), (_, _, expected) in zip(legs, reference):
@@ -809,10 +809,12 @@ def test_legs_match_per_leg_reference_under_load():
 
 
 def test_legs_from_trace_rows_leaves_rows_untouched():
-    rows, _ = loaded_federation(seed=5, n_calls=20)
-    before = copy.deepcopy(rows)
-    legs_from_trace_rows(rows)
+    rows = row_tuples(loaded_federation(seed=5, n_calls=20)[0])
+    before = list(rows)
+    legs = legs_from_trace_rows(rows)
     assert rows == before
+    # any iterable of rows will do: read once from an iterator, the legs are the same
+    assert legs_from_trace_rows(iter(rows)) == legs
 
 
 def test_legs_from_trace_rows_parses_each_wire_text_once(monkeypatch):
@@ -825,10 +827,33 @@ def test_legs_from_trace_rows_parses_each_wire_text_once(monkeypatch):
         return real(text)
 
     monkeypatch.setattr(cive_sim.sip_core, "parse_message", counting)
-    legs = legs_from_trace_rows(rows)
+    legs = legs_from_trace_rows(row_tuples(rows))
     assert len(legs) == len(call_ids)
     assert sorted(seen) == sorted({row["sip"] for row in rows})
     assert 2 * len(seen) == len(rows)  # each text sits on its egress and ingress rows
+
+
+def test_legs_from_trace_rows_parses_a_third_copy_of_a_text_again(monkeypatch):
+    # A parsed text leaves the cache when its twin row takes it, so a third
+    # row with the same text is parsed again. Here the third copy repeats
+    # the first INVITE's ingress row at its callee, which that call's leg
+    # does not observe, so the legs are those of the rows without it.
+    rows = row_tuples(loaded_federation(seed=9, n_calls=3)[0])
+    text = rows[0][4]
+    twin = next(row for row in rows[1:] if row[4] == text)
+    assert twin[3] == INGRESS and twin[2] != rows[0][1]
+    expected = legs_from_trace_rows(rows)
+    seen = []
+    real = cive_sim.sip_core.parse_message
+
+    def counting(text):
+        seen.append(text)
+        return real(text)
+
+    monkeypatch.setattr(cive_sim.sip_core, "parse_message", counting)
+    assert legs_from_trace_rows([*rows, twin]) == expected
+    assert seen.count(text) == 2
+    assert len(seen) == len({row[4] for row in rows}) + 1
 
 
 def test_legs_skip_calls_without_a_sent_invite():
@@ -842,7 +867,7 @@ def test_legs_skip_calls_without_a_sent_invite():
         if not (cid == first and row["dir"] == "egress")
         and not (cid == second and parse_message(row["sip"]).method is SipMethod.INVITE)
     ]
-    assert [cid for cid, _, _ in legs_from_trace_rows(kept)] == [third]
+    assert [cid for cid, _, _ in legs_from_trace_rows(row_tuples(kept))] == [third]
 
 
 def test_legs_name_the_offending_row():
@@ -850,13 +875,13 @@ def test_legs_name_the_offending_row():
     bad = copy.deepcopy(rows)
     bad[4]["sip"] = "HELLO there\n\n"
     with pytest.raises(MalformedTraceRow) as info:
-        legs_from_trace_rows(bad)
+        legs_from_trace_rows(row_tuples(bad))
     assert info.value.index == 4 and "MalformedStartLine" in info.value.reason
     # a direction that is neither EGRESS nor INGRESS, rather than a skipped row
     upper = copy.deepcopy(rows)
     upper[5]["dir"] = "EGRESS"
     with pytest.raises(MalformedTraceRow) as info:
-        legs_from_trace_rows(upper)
+        legs_from_trace_rows(row_tuples(upper))
     assert info.value.index == 5 and "dir 'EGRESS' is not one of" in info.value.reason
     # the originator's first received response moved before its INVITE left
     invite_t = rows[0]["t_ms"]
@@ -867,13 +892,13 @@ def test_legs_name_the_offending_row():
     swapped = [rows[late], *rows[:late], *rows[late + 1 :]]
     swapped[0] = dict(swapped[0], t_ms=invite_t)
     with pytest.raises(MalformedTraceRow) as info:
-        legs_from_trace_rows(swapped)
+        legs_from_trace_rows(row_tuples(swapped))
     assert info.value.index == 0 and "starts with the sent INVITE" in info.value.reason
     # the same response left in place but stamped before its INVITE left
     early = copy.deepcopy(rows)
     early[late]["t_ms"] = invite_t - 1
     with pytest.raises(MalformedTraceRow) as info:
-        legs_from_trace_rows(early)
+        legs_from_trace_rows(row_tuples(early))
     cid = parse_message(rows[0]["sip"]).call_id
     assert info.value.index == late
     assert info.value.reason == f"call {cid}: trace timestamps must be non-decreasing"
@@ -1001,7 +1026,7 @@ def test_one_pass_legs_equal_the_two_phase_builder():
         if rng.random() < 0.2:
             rows = _break_a_row_after_a_late_one(rng, rows)
         expected = _legs_outcome(_two_phase_legs, rows)
-        assert _legs_outcome(legs_from_trace_rows, rows) == expected, i
+        assert _legs_outcome(lambda rows: legs_from_trace_rows(row_tuples(rows)), rows) == expected, i
         outcomes.append(expected if isinstance(expected, tuple) else len(expected))
     # every error, and traces read whole with fewer legs than calls, are exercised
     reasons = [outcome[1] for outcome in outcomes if isinstance(outcome, tuple)]

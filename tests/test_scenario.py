@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO, SCENARIOS, loaded_federation
+from conftest import REPO, SCENARIOS, loaded_federation, row_tuples
 
 import cive_sim.scenario
 from cive_sim.cive import Decision, InferredState
@@ -386,7 +386,7 @@ def test_parse_lines_equal_json_dumps_for_every_state_and_feature():
     traces.append([row for row in _golden_rows("c5") if row["t_ms"] <= 18_482])
     seen = set()
     for rows in traces:
-        for call_id, observer, leg in cive.legs_from_trace_rows(rows):
+        for call_id, observer, leg in cive.legs_from_trace_rows(row_tuples(rows)):
             features = cive.extract_features(leg)
             inferred = cive.infer_state(features)
             line = cli._leg_line(call_id, observer, len(leg), features, inferred)
@@ -417,7 +417,7 @@ def test_parse_escapes_call_id_and_observer_as_json_dumps(tmp_path, capsys, odd,
     assert cli.main(["parse", str(path)]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    assert out == "".join(_parse_dumps(*leg) for leg in cive.legs_from_trace_rows(rows))
+    assert out == "".join(_parse_dumps(*leg) for leg in cive.legs_from_trace_rows(row_tuples(rows)))
     assert out.count(json.dumps(f"c0002{odd}@sim")) == 1
     assert out.count(json.dumps(f"ep:+15550101{odd}")) == 1
 
@@ -1038,6 +1038,34 @@ def test_cli_parse_unknown_direction(tmp_path, capsys):
     assert "bad.trace.jsonl:1: dir 'EGRESS' is not one of ['egress', 'ingress']" in err
 
 
+def _sideways_c3_lines():
+    """c3's trace with the ``dir`` of its second row made ``sideways``."""
+    lines = (REPO / "tests" / "golden" / "c3.trace.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[1] = re.sub(r'"dir": "[a-z]+"', '"dir": "sideways"', lines[1], count=1)
+    assert '"dir": "sideways"' in lines[1]
+    return lines
+
+
+def test_cli_parse_reports_a_later_reader_error_before_a_leg_error(tmp_path, capsys):
+    # Line 2's bad dir stops the leg builder, but the rest of the file is
+    # still read: the cut JSON object on line 10 is reported, as when the
+    # whole file was read before any leg was built.
+    lines = _sideways_c3_lines()
+    lines[9] = lines[9][:-1]
+    try:
+        json.loads(lines[9])
+    except json.JSONDecodeError as exc:
+        reason = exc.msg
+    err = _parse_fails(tmp_path, capsys, lines)
+    assert err == f"error: {tmp_path / 'bad.trace.jsonl'}:10: malformed JSON: {reason}\n"
+
+
+def test_cli_parse_names_a_bad_dir_when_no_reader_error_follows(tmp_path, capsys):
+    err = _parse_fails(tmp_path, capsys, _sideways_c3_lines())
+    assert err == (f"error: {tmp_path / 'bad.trace.jsonl'}:2: "
+                   "dir 'sideways' is not one of ['egress', 'ingress']\n")
+
+
 def test_cli_parse_leg_out_of_order(tmp_path, capsys):
     rows = _c3_trace_rows(tmp_path)
     observer = rows[0]["from_hop"]
@@ -1064,8 +1092,9 @@ def test_cli_parse_oversized_value_is_bad_input(tmp_path, capsys, value):
 def _reference_read(lines, path):
     """The reader without a fast path: ``json.loads`` and ``_row_problem`` on each line.
 
-    Returns the rows as JSON, so key order counts, with their line numbers,
-    or the one error line ``_read_trace`` is expected to raise.
+    Returns the rows as JSON, each a list in ``_ROW_FIELDS`` order, so
+    field order and JSON types count, with their line numbers, or the one
+    error line ``_read_trace`` is expected to raise.
     """
     rows, line_numbers = [], []
     for lineno, line in enumerate(lines, 1):
@@ -1080,17 +1109,21 @@ def _reference_read(lines, path):
         problem = cli._row_problem(row)
         if problem is not None:
             return f"{path}:{lineno}: {problem}"
-        rows.append(row)
+        rows.append([row[name] for name in cli._ROW_FIELDS])
         line_numbers.append(lineno)
     return json.dumps(rows), line_numbers
 
 
 def _read_outcome(path):
+    """Every row ``_read_trace`` yields, as JSON, with the line number
+    ``_line_of`` gives each one, or the error line it raises."""
+    blank_rows = []
     try:
-        rows, line_numbers = cli._read_trace(path)
+        rows = list(cli._read_trace(path, blank_rows))
     except cli.TraceFileError as exc:
         return str(exc)
-    return json.dumps(rows), line_numbers
+    assert all(type(row) is tuple for row in rows)
+    return json.dumps(rows), [cli._line_of(index, blank_rows) for index in range(len(rows))]
 
 
 def _mutate_row_line(rng, line):
@@ -1245,11 +1278,37 @@ def test_decode_literal_takes_one_whole_literal():
 
 
 def test_twin_rows_share_one_sip_string():
-    rows, _ = cli._read_trace(str(REPO / "tests" / "golden" / "c3.trace.jsonl"))
+    rows = list(cli._read_trace(str(REPO / "tests" / "golden" / "c3.trace.jsonl"), []))
     by_text = {}
     for row in rows:
-        assert by_text.setdefault(row["sip"], row["sip"]) is row["sip"]
+        assert by_text.setdefault(row[4], row[4]) is row[4]
     assert len(by_text) < len(rows)
+
+
+def test_read_trace_decodes_a_third_copy_of_a_literal_again(tmp_path, monkeypatch):
+    # A literal leaves the cache when its twin row reads it, so a third row
+    # with the same literal decodes it again: the cache holds only the
+    # messages in flight, and the rows are what json.loads reads.
+    lines = (REPO / "tests" / "golden" / "c3.trace.jsonl").read_text(encoding="utf-8").splitlines()
+    literal = lines[0].split('"sip": ', 1)[1][:-1]
+    assert lines[1].endswith(f'"sip": {literal}}}')
+    lines.append(lines[1])
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "t.trace.jsonl"
+    path.write_text(text, encoding="utf-8")
+    decoded = []
+    decode = cli._decode_literal
+
+    def counting(literal):
+        decoded.append(literal)
+        return decode(literal)
+
+    monkeypatch.setattr(cli, "_decode_literal", counting)
+    rows = list(cli._read_trace(str(path), []))
+    assert decoded.count(literal) == 2
+    assert len(decoded) == len(set(decoded)) + 1
+    assert rows[0][4] is rows[1][4] and rows[-1][4] == rows[0][4]
+    assert _read_outcome(path) == _reference_read(io.StringIO(text, newline=None), path)
 
 
 def test_console_script_installed():

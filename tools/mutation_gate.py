@@ -103,7 +103,7 @@ MUTANTS = (
            "if t_ms < leg[-1].t_ms:",
            "if False:"),
     Mutant("leg-start-unchecked", "cive.py",
-           "if to_hop == observer:",
+           "if early_hop == from_hop:",
            "if False:"),
     Mutant("trace-tail-unchecked", "cli.py",
            'if line.endswith("}\\n"):\n'
@@ -118,8 +118,8 @@ MUTANTS = (
            "if direction == INGRESS and status is not None:",
            "if status is not None:"),
     Mutant("dir-fields-swapped", "cive.py",
-           'hop = "from_hop"\n        elif direction == INGRESS:\n            hop = "to_hop"',
-           'hop = "to_hop"\n        elif direction == INGRESS:\n            hop = "from_hop"'),
+           "hop = from_hop\n        elif direction == INGRESS:\n            hop = to_hop",
+           "hop = to_hop\n        elif direction == INGRESS:\n            hop = from_hop"),
     Mutant("live-timeout-dropped", "cive.py",
            "timed_out or t_ms == timeout_at",
            "timed_out or t_ms >= timeout_at"),
@@ -185,6 +185,11 @@ MUTANTS = (
     Mutant("parse-line-observer-unescaped", "cli.py",
            '"observer": {q(observer)}',
            '"observer": "{observer}"'),
+    # cive-sim parse streams the file into the leg builder; after a leg
+    # error the rest is still read, so a later reader error wins.
+    Mutant("parse-reader-not-drained", "cli.py",
+           "for _ in rows:  # a reader error further on wins\n            pass",
+           "pass"),
     Mutant("phone-number-dict-kept", "sip_core.py",
            "    __slots__ = ()\n\n    def __new__(cls, value: str)",
            "    def __new__(cls, value: str)"),
