@@ -22,14 +22,12 @@ of the rule table ``_RULES``.
 A call leg is a plain list of ``TraceEntry``, in order, starting with the
 sent INVITE. The live verifier keeps its leg in ``entries``;
 ``legs_from_trace_rows`` rebuilds legs from a saved trace's rows, streamed
-as ``(t_ms, from_hop, to_hop, dir, sip)`` tuples, in one pass. Every
+as ``(line, t_ms, from_hop, to_hop, dir, sip)`` tuples, in one pass. Every
 feature is read off the leg alone, so both give the same features.
 
-``extract_features`` and ``decide`` build their records without the
-dataclasses' generated ``__init__`` and ``__post_init__``: a teardown is
-only ever BYE, CANCEL or None, and a verdict only ever pairs a state with
-its ``_VERDICT`` decision, a table checked once, at import. A
-``FeatureVector`` or ``Verdict`` built directly is still checked.
+A ``Verdict`` reads its decision and reason off ``_RULES``, checked once,
+at import. ``extract_features`` builds its ``FeatureVector`` unchecked, as
+its teardown is only ever BYE, CANCEL or None.
 """
 
 from __future__ import annotations
@@ -73,15 +71,11 @@ class LineBusy(CiveError):
 
 
 class MalformedTraceRow(CiveError):
-    """A saved trace row that cannot be rebuilt into its call leg.
+    """A saved trace row, named by its ``line``, that cannot be rebuilt into its call leg."""
 
-    ``index`` is the row's position among the rows handed to
-    legs_from_trace_rows; ``reason`` says what is wrong with it.
-    """
-
-    def __init__(self, index: int, reason: str):
-        super().__init__(f"row {index}: {reason}")
-        self.index = index
+    def __init__(self, line: int, reason: str):
+        super().__init__(f"line {line}: {reason}")
+        self.line = line
         self.reason = reason
 
 
@@ -163,23 +157,20 @@ class Decision(str, Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """The decision on one verification, with the state and features behind it."""
+    """The decision on one verification, with the state and features behind
+    it: ``decision`` and ``reason`` are those of the rule inferring the state."""
 
-    decision: Decision
     inferred: InferredState
     expected: str
-    reason: str
     features: FeatureVector
 
-    def __post_init__(self) -> None:
-        if self.decision is Decision.SPOOFED and self.inferred in (
-            InferredState.DIALING,
-            InferredState.UNKNOWN,
-            InferredState.UNREACHABLE,
-        ):
-            raise ValueError(f"Spoofed verdict incompatible with inferred {self.inferred}")
-        if self.decision is Decision.LEGIT and self.inferred is not InferredState.DIALING:
-            raise ValueError("Legit verdict requires an inferred Dialing state")
+    @property
+    def decision(self) -> Decision:
+        return _VERDICT[self.inferred][0]
+
+    @property
+    def reason(self) -> str:
+        return _VERDICT[self.inferred][1]
 
     def to_json_dict(self, trace_ref: str | None = None) -> dict:
         return {
@@ -274,20 +265,25 @@ _RULES: tuple[tuple[Callable[[FeatureVector], bool], InferredState, Decision, st
      "rule 7: signaling pattern matched no rule"),
 )
 
-# Each state is inferred by exactly one rule, so it alone gives the verdict.
+
+def _check_rules(rules: tuple) -> None:
+    """Raise CiveError unless each state comes from exactly one rule, only
+    Dialing is Legit, and Dialing, Unknown and Unreachable are never Spoofed."""
+    if sorted(state for _, state, _, _ in rules) != sorted(InferredState):
+        raise CiveError("each inferred state must come from exactly one rule")
+    for _, state, decision, _ in rules:
+        if decision is Decision.LEGIT and state is not InferredState.DIALING:
+            raise CiveError(f"only Dialing may be Legit, not {state.value}")
+        if decision is Decision.SPOOFED and state in (
+            InferredState.DIALING, InferredState.UNKNOWN, InferredState.UNREACHABLE,
+        ):
+            raise CiveError(f"{state.value} may never be Spoofed")
+
+
+_check_rules(_RULES)
+
+# Each state is inferred by exactly one rule, so it alone gives the decision and reason.
 _VERDICT = {state: (decision, reason) for _, state, decision, reason in _RULES}
-
-
-def _check_verdict_table(table: dict[InferredState, tuple[Decision, str]]) -> None:
-    """Build a checked ``Verdict`` for every pairing in ``table``, so a
-    pairing that ``Verdict`` refuses raises ValueError. ``decide`` builds its
-    verdicts unchecked, from ``_VERDICT`` alone, which is checked here once,
-    at import."""
-    for inferred, (decision, reason) in table.items():
-        Verdict(decision, inferred, "", reason, FeatureVector())
-
-
-_check_verdict_table(_VERDICT)
 
 
 def infer_state(features: FeatureVector) -> InferredState:
@@ -301,15 +297,7 @@ def infer_state(features: FeatureVector) -> InferredState:
 def decide(callee: PhoneNumber, inferred: InferredState, features: FeatureVector) -> Verdict:
     """The verdict for an inferred far-end state while the inCall rings at
     ``callee``, when a genuine caller must be dialing the callee."""
-    decision, reason = _VERDICT[inferred]
-    verdict = _new(Verdict)  # unchecked: _check_verdict_table checked _VERDICT
-    d = verdict.__dict__
-    d["decision"] = decision
-    d["inferred"] = inferred
-    d["expected"] = f"dialing toward {callee}"
-    d["reason"] = reason
-    d["features"] = features
-    return verdict
+    return Verdict(inferred, f"dialing toward {callee}", features)
 
 
 class _VerifierAgent:
@@ -437,18 +425,18 @@ _NO_LEG = (None, None)
 
 
 def legs_from_trace_rows(
-    rows: Iterable[tuple[int, str, str, str, str]],
+    rows: Iterable[tuple[int, int, str, str, str, str]],
 ) -> list[tuple[str, str, list[TraceEntry]]]:
     """Rebuild per-leg signaling from a saved federation trace.
 
-    ``rows`` is any iterable of ``(t_ms, from_hop, to_hop, dir, sip)``
-    tuples, in file order; ``cive-sim parse`` hands over the file's rows
-    as they are read. For every call id whose first egress row is an
-    INVITE leaving an endpoint hop, reconstructs the leg as seen by that
-    endpoint: its egress rows become sent entries, ingress rows addressed
-    to it become received entries, in row order. Returns (call_id,
-    observer_hop, entries) triples in the file order of each call id's
-    first egress row.
+    ``rows`` is any iterable of ``(line, t_ms, from_hop, to_hop, dir, sip)``
+    tuples, in file order; ``cive-sim parse`` hands over the file's rows as
+    they are read, and ``line`` names a row in a MalformedTraceRow. For
+    every call id whose first egress row is an INVITE leaving an endpoint
+    hop, reconstructs the leg as seen by that endpoint: its egress rows
+    become sent entries, ingress rows addressed to it become received
+    entries, in row order. Returns (call_id, observer_hop, entries) triples
+    in the file order of each call id's first egress row.
 
     One pass reads the rows. A wire text is parsed where it is first read
     and its message kept until the next row carrying the same text, its
@@ -473,11 +461,11 @@ def legs_from_trace_rows(
     # Call-ID -> (observer hop, leg) once its first egress row is read;
     # _NO_LEG for a call with no leg to build, or one whose leg is broken.
     observed: dict[str, tuple] = {}
-    # Call-ID -> (index, to_hop) of its ingress rows read before its first egress row.
+    # Call-ID -> (line, to_hop) of its ingress rows read before its first egress row.
     waiting: dict[str, list[tuple[int, str]]] = {}
     broken: dict[str, MalformedTraceRow] = {}
     legs: list[tuple[str, str, list[TraceEntry]]] = []
-    for index, (t_ms, from_hop, to_hop, direction, text) in enumerate(rows):
+    for line, t_ms, from_hop, to_hop, direction, text in rows:
         # A leg holds the rows whose hop field names its observer: the hop
         # that sent (egress) or received (ingress) the row's message.
         if direction == EGRESS:
@@ -485,13 +473,13 @@ def legs_from_trace_rows(
         elif direction == INGRESS:
             hop = to_hop
         else:
-            raise MalformedTraceRow(index, f"dir {direction!r} is not one of {[EGRESS, INGRESS]}")
+            raise MalformedTraceRow(line, f"dir {direction!r} is not one of {[EGRESS, INGRESS]}")
         cached = parsed.pop(text, None)
         if cached is None:
             try:
                 msg = parse_message(text)
             except ParseError as exc:
-                raise MalformedTraceRow(index, f"{type(exc).__name__}: {exc}") from exc
+                raise MalformedTraceRow(line, f"{type(exc).__name__}: {exc}") from exc
             cached = parsed[text] = (msg, msg.call_id)
         msg, cid = cached
         known = observed.get(cid)
@@ -502,11 +490,11 @@ def legs_from_trace_rows(
             if t_ms < leg[-1].t_ms:
                 observed[cid] = _NO_LEG
                 broken[cid] = MalformedTraceRow(
-                    index, f"call {cid}: trace timestamps must be non-decreasing")
+                    line, f"call {cid}: trace timestamps must be non-decreasing")
                 continue
             leg.append(entry(TraceEntry, (t_ms, direction, msg)))
         elif direction == INGRESS:
-            waiting.setdefault(cid, []).append((index, to_hop))
+            waiting.setdefault(cid, []).append((line, to_hop))
         else:
             early = waiting.pop(cid, ())
             if not (msg.status is None and msg.method is INVITE
@@ -516,11 +504,11 @@ def legs_from_trace_rows(
             leg = [entry(TraceEntry, (t_ms, direction, msg))]
             legs.append((cid, from_hop, leg))
             observed[cid] = (from_hop, leg)
-            for early_index, early_hop in early:
+            for early_line, early_hop in early:
                 if early_hop == from_hop:
                     observed[cid] = _NO_LEG
                     broken[cid] = MalformedTraceRow(
-                        early_index, f"call {cid}: a trace starts with the sent INVITE")
+                        early_line, f"call {cid}: a trace starts with the sent INVITE")
                     break
     if broken:
         raise next(broken[cid] for cid, _, _ in legs if cid in broken)

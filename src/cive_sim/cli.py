@@ -6,11 +6,12 @@
 
 Exit codes: 0 when every executed scenario matches its ground truth,
 2 when some verdicts were inconclusive, 1 on any outright mismatch,
-3 on bad input (an unreadable or invalid scenario, a scenario whose events
-run past the simulation budget, a malformed trace file, a scenario or trace
-holding an integer too long for int() or a value nested too deep, a
-non-integer CIVE_SIM_SEED, an --out that cannot be written), reported as
-one ``error: ...`` line on stderr.
+3 on bad input (a bad command line, an unreadable or invalid scenario, a
+scenario whose events run past the simulation budget, a malformed trace
+file, a scenario or trace holding an integer too long for int() or a value
+nested too deep, a non-integer CIVE_SIM_SEED, an --out that cannot be
+written), reported as one ``error: ...`` line on stderr of under
+``ERROR_LINE_BYTES`` bytes of UTF-8, its newline included.
 ``run`` sets the scenario's seed from --seed, or from CIVE_SIM_SEED when
 --seed is absent, and turns verification off with --no-cive.
 """
@@ -21,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from bisect import bisect_right
 from dataclasses import replace
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
@@ -36,6 +36,13 @@ class BadInput(Exception):
 
 class TraceFileError(BadInput):
     """A trace file that cannot be read back as a federation trace."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as BadInput."""
+
+    def error(self, message: str):
+        raise BadInput(f"{self.prog}: {message}")
 
 
 def _default_seed() -> int | None:
@@ -66,8 +73,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return scenario.exit_code_for(list(result.reports))
 
 
-# Fields legs_from_trace_rows reads from every row, in its tuple order, with
-# their JSON types.
+# Fields legs_from_trace_rows reads from every row, in its tuple order after
+# the row's line number, with their JSON types.
 _ROW_FIELDS = {"t_ms": int, "from_hop": str, "to_hop": str, "dir": str, "sip": str}
 
 
@@ -91,8 +98,8 @@ def _decode_literal(literal: str) -> str:
 
 
 def _general_row(line: str, path: str, lineno: int) -> tuple:
-    """One row read by ``json.loads``, as a tuple in ``_ROW_FIELDS`` order;
-    raises TraceFileError naming the line."""
+    """One row read by ``json.loads``, as its line number and then its
+    fields in ``_ROW_FIELDS`` order; raises TraceFileError naming the line."""
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -102,15 +109,14 @@ def _general_row(line: str, path: str, lineno: int) -> tuple:
     problem = _row_problem(row)
     if problem is not None:
         raise TraceFileError(f"{path}:{lineno}: {problem}")
-    return row["t_ms"], row["from_hop"], row["to_hop"], row["dir"], row["sip"]
+    return lineno, row["t_ms"], row["from_hop"], row["to_hop"], row["dir"], row["sip"]
 
 
-def _read_trace(path: str, blank_rows: list[int]) -> Iterator[tuple[int, str, str, str, str]]:
+def _read_trace(path: str) -> Iterator[tuple[int, int, str, str, str, str]]:
     """Yield the rows of a trace file, one line at a time, each as the tuple
-    ``(t_ms, from_hop, to_hop, dir, sip)`` in ``_ROW_FIELDS`` order.
+    ``(line, t_ms, from_hop, to_hop, dir, sip)``: its line number in the
+    file, then its fields in ``_ROW_FIELDS`` order. Blank lines are skipped.
 
-    A skipped blank line appends the number of rows yielded before it to
-    ``blank_rows``; ``_line_of`` reads a row's line number off that list.
     A line as ``Federation.trace_jsonl`` writes it is read in one pass:
     ``netsim.TRACE_HEAD_RE`` matches its fixed head, the rest of the line
     must be one sip literal, ``}`` and an optional newline. The tail is
@@ -136,7 +142,6 @@ def _read_trace(path: str, blank_rows: list[int]) -> Iterator[tuple[int, str, st
                         literal = line[m.end() : -1]
                 if literal is None:
                     if not line.strip():
-                        blank_rows.append(lineno - 1 - len(blank_rows))
                         continue
                     yield _general_row(line, path, lineno)
                     continue
@@ -149,17 +154,11 @@ def _read_trace(path: str, blank_rows: list[int]) -> Iterator[tuple[int, str, st
                 except ValueError:  # a literal JSON rejects, an integer too long for int()
                     yield _general_row(line, path, lineno)
                 else:
-                    yield t_ms, from_hop, to_hop, direction, sip
+                    yield lineno, t_ms, from_hop, to_hop, direction, sip
     except OSError as exc:
         raise TraceFileError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise TraceFileError(f"{path}: not UTF-8 text") from None
-
-
-def _line_of(index: int, blank_rows: list[int]) -> int:
-    """The line number of row ``index``, given the ``blank_rows`` that
-    ``_read_trace`` filled: each blank line before the row adds one."""
-    return index + 1 + bisect_right(blank_rows, index)
 
 
 def _leg_line(call_id: str, observer: str, messages: int,
@@ -190,20 +189,18 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
     The rows stream from ``_read_trace`` straight into
     ``cive.legs_from_trace_rows``, so the file is read inside the leg
-    builder. A leg error stops the builder early; the rest of the file is
-    still read, so a reader error on a later line is the one reported, as
-    when the whole file was read first. Output is written only once every
-    leg is built, so bad input leaves stdout empty.
+    builder. A leg error, named by its row's line, stops the builder early;
+    the rest of the file is still read, so a reader error on a later line
+    is the one reported, as when the whole file was read first. Output is
+    written only once every leg is built, so bad input leaves stdout empty.
     """
-    blank_rows: list[int] = []
-    rows = _read_trace(args.trace, blank_rows)
+    rows = _read_trace(args.trace)
     try:
         legs = cive.legs_from_trace_rows(rows)
     except cive.MalformedTraceRow as exc:
         for _ in rows:  # a reader error further on wins
             pass
-        line = _line_of(exc.index, blank_rows)
-        raise TraceFileError(f"{args.trace}:{line}: {exc.reason}") from None
+        raise TraceFileError(f"{args.trace}:{exc.line}: {exc.reason}") from None
     lines = []
     for call_id, observer, leg in legs:
         features = cive.extract_features(leg)
@@ -214,7 +211,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cive-sim",
         description="Simulate caller-ID spoofing and callback verification over SIP signaling.",
     )
@@ -239,16 +236,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+ERROR_LINE_BYTES = 300  # an error line and its newline are shorter, in UTF-8
+
+
+def _clipped(line: str) -> str:
+    """``line``, or if it does not fit, its head cut at a character and
+    ``...``. A lone surrogate counts as the escape stderr writes for it."""
+    data = line.encode("utf-8", "backslashreplace")
+    if len(data) < ERROR_LINE_BYTES - 1:
+        return line
+    # 5 bytes: "...", the newline, and one to stay under the bound
+    return data[: ERROR_LINE_BYTES - 5].decode("utf-8", "ignore") + "..."
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (scenario.ScenarioError, netsim.SimBudgetExceeded, BadInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        message = str(exc)
     except OSError as exc:  # reads raise the errors above; this is writing --out
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 3
+        message = f"cannot write output: {exc}"
+    print(_clipped(f"error: {message}"), file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

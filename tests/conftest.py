@@ -60,9 +60,10 @@ def random_valid_message(rng: random.Random) -> SipMessage:
 
 def row_tuples(rows):
     """Trace rows read as dicts (``Federation.trace``, or ``json.loads`` of
-    its lines), as the ``(t_ms, from_hop, to_hop, dir, sip)`` tuples that
-    ``cive.legs_from_trace_rows`` takes."""
-    return [tuple(row[name] for name in _ROW_FIELDS) for row in rows]
+    its lines), as the ``(line, t_ms, from_hop, to_hop, dir, sip)`` tuples
+    that ``cive.legs_from_trace_rows`` takes: rows are numbered from 1, as
+    the lines of ``Federation.trace_jsonl``."""
+    return [(line, *(row[name] for name in _ROW_FIELDS)) for line, row in enumerate(rows, 1)]
 
 
 def loaded_federation(seed, n_calls):

@@ -269,12 +269,26 @@ def test_each_state_comes_from_one_rule_and_decide_names_it():
 
 
 def test_verdict_invariants():
-    with pytest.raises(ValueError):
+    # A verdict stores no decision or reason of its own, so none can be
+    # paired with a state its rule does not give.
+    assert [f.name for f in dataclasses.fields(Verdict)] == ["inferred", "expected", "features"]
+    with pytest.raises(TypeError):
         Verdict(Decision.LEGIT, InferredState.IDLE, "x", "r", FeatureVector())
-    with pytest.raises(ValueError):
-        Verdict(Decision.SPOOFED, InferredState.DIALING, "x", "r", FeatureVector())
-    with pytest.raises(ValueError):
-        Verdict(Decision.SPOOFED, InferredState.UNKNOWN, "x", "r", FeatureVector())
+    for _, state, decision, reason in cive._RULES:
+        verdict = Verdict(state, "x", FeatureVector())
+        assert (verdict.decision, verdict.reason) == (decision, reason)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.inferred = InferredState.DIALING
+        with pytest.raises(AttributeError):
+            verdict.decision = Decision.LEGIT
+
+
+def _rules_with(state, decision):
+    """``_RULES`` with ``state``'s rule giving ``decision`` instead."""
+    return tuple(
+        (matches, s, decision if s is state else d, reason)
+        for matches, s, d, reason in cive._RULES
+    )
 
 
 @pytest.mark.parametrize("inferred, decision", [
@@ -285,27 +299,40 @@ def test_verdict_invariants():
     (InferredState.CONNECTED, Decision.LEGIT),
 ])
 def test_verdict_table_check_refuses_a_pairing_a_verdict_refuses(inferred, decision):
-    # decide builds its verdicts unchecked, so the table it reads them from
-    # is checked at import, entry by entry.
-    table = dict(cive._VERDICT)
-    cive._check_verdict_table(table)
-    table[inferred] = (decision, "rule 0: bad pairing")
-    with pytest.raises(ValueError):
-        cive._check_verdict_table(table)
+    # Every verdict reads its decision off _RULES, so the table is checked
+    # at import, rule by rule.
+    cive._check_rules(cive._RULES)
+    with pytest.raises(CiveError, match=f"{inferred.value} may never be Spoofed"
+                       if decision is Decision.SPOOFED else "only Dialing may be Legit"):
+        cive._check_rules(_rules_with(inferred, decision))
 
 
-def test_decide_equals_a_checked_verdict_for_every_state():
-    decisions = {InferredState.DIALING: Decision.LEGIT,
-                 InferredState.UNREACHABLE: Decision.INCONCLUSIVE,
-                 InferredState.UNKNOWN: Decision.INCONCLUSIVE}
+def test_rule_check_refuses_a_state_from_no_rule_or_two():
+    rules = cive._RULES
+    duplicated = (*rules[:3], rules[2], *rules[3:])
+    replaced = tuple(
+        (m, InferredState.IDLE if s is InferredState.CONNECTED else s, d, r)
+        for m, s, d, r in rules
+    )
+    # Dialing may be Inconclusive, as a demoted Dialing would be
+    cive._check_rules(_rules_with(InferredState.DIALING, Decision.INCONCLUSIVE))
+    for table in (duplicated, replaced, rules[:-1]):
+        with pytest.raises(CiveError, match="^each inferred state must come from exactly one rule$"):
+            cive._check_rules(table)
+
+
+def test_decide_gives_each_rules_decision_and_reason():
     features = FeatureVector(pem_180=PemValue.SENDRECV, saw_486=True, teardown=SipMethod.CANCEL)
-    for state in InferredState:
+    expected = dict(DECISION_TABLE)
+    for number, (_, state, decision, reason) in enumerate(cive._RULES, 1):
         verdict = decide(B, state, features)
-        checked = Verdict(decisions.get(state, Decision.SPOOFED), state, f"dialing toward {B}",
-                          cive._VERDICT[state][1], features)
         assert type(verdict) is Verdict
-        assert verdict == checked and vars(verdict) == vars(checked), state
-        assert hash(verdict) == hash(checked)
+        assert verdict.decision is decision is expected[state], state
+        assert verdict.reason == reason and reason.startswith(f"rule {number}: ")
+        assert vars(verdict) == {"inferred": state, "expected": f"dialing toward {B}",
+                                 "features": features}
+        built = Verdict(state, f"dialing toward {B}", features)
+        assert verdict == built and hash(verdict) == hash(built)
 
 
 def test_extracted_features_equal_a_checked_feature_vector():
@@ -839,9 +866,9 @@ def test_legs_from_trace_rows_parses_a_third_copy_of_a_text_again(monkeypatch):
     # the first INVITE's ingress row at its callee, which that call's leg
     # does not observe, so the legs are those of the rows without it.
     rows = row_tuples(loaded_federation(seed=9, n_calls=3)[0])
-    text = rows[0][4]
-    twin = next(row for row in rows[1:] if row[4] == text)
-    assert twin[3] == INGRESS and twin[2] != rows[0][1]
+    text = rows[0][5]
+    twin = next(row for row in rows[1:] if row[5] == text)
+    assert twin[4] == INGRESS and twin[3] != rows[0][2]
     expected = legs_from_trace_rows(rows)
     seen = []
     real = cive_sim.sip_core.parse_message
@@ -851,9 +878,9 @@ def test_legs_from_trace_rows_parses_a_third_copy_of_a_text_again(monkeypatch):
         return real(text)
 
     monkeypatch.setattr(cive_sim.sip_core, "parse_message", counting)
-    assert legs_from_trace_rows([*rows, twin]) == expected
+    assert legs_from_trace_rows([*rows, (len(rows) + 1, *twin[1:])]) == expected
     assert seen.count(text) == 2
-    assert len(seen) == len({row[4] for row in rows}) + 1
+    assert len(seen) == len({row[5] for row in rows}) + 1
 
 
 def test_legs_skip_calls_without_a_sent_invite():
@@ -876,13 +903,13 @@ def test_legs_name_the_offending_row():
     bad[4]["sip"] = "HELLO there\n\n"
     with pytest.raises(MalformedTraceRow) as info:
         legs_from_trace_rows(row_tuples(bad))
-    assert info.value.index == 4 and "MalformedStartLine" in info.value.reason
+    assert info.value.line == 5 and "MalformedStartLine" in info.value.reason
     # a direction that is neither EGRESS nor INGRESS, rather than a skipped row
     upper = copy.deepcopy(rows)
     upper[5]["dir"] = "EGRESS"
     with pytest.raises(MalformedTraceRow) as info:
         legs_from_trace_rows(row_tuples(upper))
-    assert info.value.index == 5 and "dir 'EGRESS' is not one of" in info.value.reason
+    assert info.value.line == 6 and "dir 'EGRESS' is not one of" in info.value.reason
     # the originator's first received response moved before its INVITE left
     invite_t = rows[0]["t_ms"]
     late = next(
@@ -893,14 +920,14 @@ def test_legs_name_the_offending_row():
     swapped[0] = dict(swapped[0], t_ms=invite_t)
     with pytest.raises(MalformedTraceRow) as info:
         legs_from_trace_rows(row_tuples(swapped))
-    assert info.value.index == 0 and "starts with the sent INVITE" in info.value.reason
+    assert info.value.line == 1 and "starts with the sent INVITE" in info.value.reason
     # the same response left in place but stamped before its INVITE left
     early = copy.deepcopy(rows)
     early[late]["t_ms"] = invite_t - 1
     with pytest.raises(MalformedTraceRow) as info:
         legs_from_trace_rows(row_tuples(early))
     cid = parse_message(rows[0]["sip"]).call_id
-    assert info.value.index == late
+    assert info.value.line == late + 1
     assert info.value.reason == f"call {cid}: trace timestamps must be non-decreasing"
 
 
@@ -913,19 +940,19 @@ def _two_phase_legs(rows):
     parsed = {}
     by_call = {}
     first_egress = {}
-    for index, row in enumerate(rows):
+    for line, row in enumerate(rows, 1):
         direction = row["dir"]
         if direction not in directions:
-            raise MalformedTraceRow(index, f"dir {direction!r} is not one of {sorted(directions)}")
+            raise MalformedTraceRow(line, f"dir {direction!r} is not one of {sorted(directions)}")
         text = row["sip"]
         msg = parsed.get(text)
         if msg is None:
             try:
                 msg = parsed[text] = parse_message(text)
             except cive_sim.sip_core.ParseError as exc:
-                raise MalformedTraceRow(index, f"{type(exc).__name__}: {exc}") from exc
+                raise MalformedTraceRow(line, f"{type(exc).__name__}: {exc}") from exc
         cid = msg.call_id
-        by_call.setdefault(cid, []).append((index, row, direction, msg))
+        by_call.setdefault(cid, []).append((line, row, direction, msg))
         if cid not in first_egress and direction == EGRESS:
             first_egress[cid] = (row, msg)
     legs = []
@@ -936,15 +963,15 @@ def _two_phase_legs(rows):
         if not observer.startswith("ep:"):
             continue
         leg = []
-        for index, row, direction, msg in by_call[cid]:
+        for line, row, direction, msg in by_call[cid]:
             if row["from_hop" if direction == EGRESS else "to_hop"] != observer:
                 continue
             t_ms = row["t_ms"]
             if leg and t_ms < leg[-1].t_ms:
                 raise MalformedTraceRow(
-                    index, f"call {cid}: trace timestamps must be non-decreasing")
+                    line, f"call {cid}: trace timestamps must be non-decreasing")
             if not leg and not (direction == EGRESS and msg.method is SipMethod.INVITE):
-                raise MalformedTraceRow(index, f"call {cid}: a trace starts with the sent INVITE")
+                raise MalformedTraceRow(line, f"call {cid}: a trace starts with the sent INVITE")
             leg.append(TraceEntry(t_ms, direction, msg))
         legs.append((cid, observer, leg))
     return legs
@@ -954,7 +981,7 @@ def _legs_outcome(build, rows):
     try:
         return build(rows)
     except MalformedTraceRow as exc:
-        return exc.index, exc.reason
+        return exc.line, exc.reason
 
 
 @functools.cache

@@ -269,16 +269,16 @@ def test_report_encoder_equals_json_dumps_on_every_report(tmp_path):
     assert reports[5].to_json() == (REPO / "tests" / "golden" / "c1.report.json").read_text()
 
 
-def _hand_built_report(name, expected, reason, *, verdict=(Decision.SPOOFED, InferredState.IDLE),
-                       b_display=None, trace_file=None, features=None, seed=0, cive_enabled=True,
-                       genuine=False, counts=(0, 0)):
+def _hand_built_report(name, expected, *, inferred=InferredState.IDLE, b_display=None,
+                       trace_file=None, features=None, seed=0, cive_enabled=True, genuine=False,
+                       counts=(0, 0)):
     # Built in code, a Scenario skips validate, so its name may hold anything.
     a, e = PhoneNumber("+15550100"), PhoneNumber("+15559900")
     s = Scenario(name, {}, (), OriginationSpec(a if genuine else e, a, PhoneNumber("+15550101")),
                  cive_enabled, seed)
     v = None
-    if verdict is not None:
-        v = cive.Verdict(*verdict, expected, reason, features or cive.FeatureVector())
+    if inferred is not None:
+        v = cive.Verdict(inferred, expected, features or cive.FeatureVector())
     return RunReport(s, v, b_display, counts[0], counts[1], trace_file)
 
 
@@ -287,11 +287,11 @@ def test_report_encoder_escapes_strings_as_json_dumps():
            "lone \ud800 \udfff", ""]
     b = PhoneNumber("+15550100")
     reports = [
-        _hand_built_report(name, expected, reason, trace_file=trace, b_display=b)
-        for name, expected, reason, trace in zip(odd, odd[1:] + odd[:1], odd[2:] + odd[:2],
-                                                 odd[3:] + odd[:3])
+        _hand_built_report(name, expected, inferred=inferred, trace_file=trace, b_display=b)
+        for name, expected, trace, inferred in zip(odd, odd[1:] + odd[:1], odd[3:] + odd[:3],
+                                                   InferredState)
     ]
-    reports.append(_hand_built_report('"\\\x01\u00e9', "", "", verdict=None))
+    reports.append(_hand_built_report('"\\\x01\u00e9', "", inferred=None))
     for r in reports:
         assert r.to_json() == _dumped(r)
     assert '"scenario": "quote \\"",' in reports[0].to_json()
@@ -319,15 +319,15 @@ _FEATURES = st.builds(
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(
-    _REPORT_TEXT, _REPORT_TEXT, _REPORT_TEXT,
-    st.sampled_from([None, *((d, i) for i, (d, _) in cive._VERDICT.items())]),
+    _REPORT_TEXT, _REPORT_TEXT,
+    st.sampled_from([None, *InferredState]),
     st.sampled_from([None, PhoneNumber("+15550100")]),
     st.one_of(st.none(), _REPORT_TEXT),
     _FEATURES, _REPORT_INTS, st.booleans(), st.booleans(), st.tuples(_REPORT_INTS, _REPORT_INTS),
 )
-def test_report_encoder_equals_json_dumps(name, expected, reason, verdict, b_display, trace_file,
+def test_report_encoder_equals_json_dumps(name, expected, inferred, b_display, trace_file,
                                           features, seed, cive_enabled, genuine, counts):
-    r = _hand_built_report(name, expected, reason, verdict=verdict, b_display=b_display,
+    r = _hand_built_report(name, expected, inferred=inferred, b_display=b_display,
                            trace_file=trace_file, features=features, seed=seed,
                            cive_enabled=cive_enabled, genuine=genuine, counts=counts)
     assert r.to_json() == _dumped(r)
@@ -886,6 +886,82 @@ def test_cli_scenario_past_the_sim_budget_is_bad_input(tmp_path, capsys, old, ne
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, head", [
+    (["run", str(SCENARIOS / "c1.scn"), "--seed", "abc"],
+     "error: cive-sim run: argument --seed: invalid int value: 'abc'"),
+    (["bogus"], "error: cive-sim: argument command: invalid choice: 'bogus'"),
+    (["parse"], "error: cive-sim parse: the following arguments are required: trace"),
+    ([], "error: cive-sim: the following arguments are required: command"),
+    (["matrix", "--out"], "error: cive-sim matrix: argument --out: expected one argument"),
+], ids=["seed-not-an-integer", "unknown-command", "parse-without-trace", "no-command",
+        "out-without-dir"])
+def test_cli_bad_command_line_is_bad_input(capsys, argv, head):
+    # argparse would print its usage and exit 2, the inconclusive code
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(head) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["parse", "-h"]])
+def test_cli_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: cive-sim") and err == ""
+
+
+_LONG = 3000
+
+
+@pytest.mark.parametrize("old, new, head", [
+    ("name: c1\n", 'name: "' + "\u00e9" * _LONG + '"\n', "error: name '\u00e9\u00e9"),
+    ('number: "+15550101"', f'number: "+1{"5" * _LONG}"', "error: party number: "),
+    ("    carrier: cn-x\n", f"    carrier: x{'x' * _LONG}\n", "error: party +15559900: "),
+    ("state: idle\n", f"state: {'a' * _LONG}\n", "error: party +15550100: bad state 'aaa"),
+], ids=["name", "party-number", "carrier-id", "state"])
+def test_cli_long_scenario_value_gives_a_short_error_line(tmp_path, capsys, old, new, head):
+    path = _c1_with(tmp_path, old, new)
+    assert cli.main(["run", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(head) and err.count("\n") == 1, err[:400]
+    assert len(err.encode("utf-8")) < cli.ERROR_LINE_BYTES and err.endswith("...\n")
+
+
+def test_cli_long_seed_env_gives_a_short_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("CIVE_SIM_SEED", "1" * 5000)  # past int()'s digit limit
+    assert cli.main(["run", str(SCENARIOS / "c1.scn")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: CIVE_SIM_SEED must be an integer, got '111")
+    assert err.count("\n") == 1 and len(err.encode("utf-8")) < cli.ERROR_LINE_BYTES
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("sip", "X" * 4000 + "\n\n", ": MalformedStartLine: "),
+    ("dir", "x" * 4000, ": dir 'xxx"),
+], ids=["sip", "dir"])
+def test_cli_parse_long_field_gives_a_short_error_line(tmp_path, capsys, field, value, reason):
+    rows = _c3_trace_rows(tmp_path)
+    rows[0][field] = value
+    err = _parse_fails(tmp_path, capsys, [json.dumps(row) for row in rows])
+    assert err.startswith(f"error: {tmp_path / 'bad.trace.jsonl'}:1{reason}"), err[:400]
+    assert len(err.encode("utf-8")) < cli.ERROR_LINE_BYTES
+
+
+def test_clipped_keeps_a_short_line_and_cuts_a_long_one_at_a_character():
+    bound = cli.ERROR_LINE_BYTES
+    fits = "e" * (bound - 2)  # with its newline, one byte under the bound
+    assert cli._clipped(fits) == fits
+    assert cli._clipped(fits + "e") == "e" * (bound - 5) + "..."
+    # a two-byte character that would straddle the cut is left out whole
+    assert cli._clipped("e" * (bound - 6) + "\u00e9" * 10) == "e" * (bound - 6) + "..."
+    # a lone surrogate counts as the escape stderr writes for it
+    assert cli._clipped("e" * (bound - 8) + "\udc80") == "e" * (bound - 8) + "\udc80"
+    assert cli._clipped("e" * (bound - 8) + "\udc80e") == "e" * (bound - 8) + "\\ud..."
+    for line in (fits + "e", "\u00e9" * bound, "\U0001f4de" * bound, "\udc80" * bound):
+        assert len((cli._clipped(line) + "\n").encode("utf-8", "backslashreplace")) < bound
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.scn"
     missing.write_text("name: broken\n")
@@ -1066,6 +1142,19 @@ def test_cli_parse_names_a_bad_dir_when_no_reader_error_follows(tmp_path, capsys
                    "dir 'sideways' is not one of ['egress', 'ingress']\n")
 
 
+@pytest.mark.parametrize("compact", [False, True], ids=["fast-path", "json-loads"])
+def test_cli_parse_names_a_bad_dir_after_blank_lines_by_its_file_line(tmp_path, capsys, compact):
+    # A row carries its own line number, so blank lines before it count,
+    # whether its line is read on the fast path or by json.loads.
+    lines = _sideways_c3_lines()
+    if compact:
+        lines[1] = json.dumps(json.loads(lines[1]), separators=(",", ":"))
+    lines = ["", lines[0], " \t", "", *lines[1:]]
+    err = _parse_fails(tmp_path, capsys, lines)
+    assert err == (f"error: {tmp_path / 'bad.trace.jsonl'}:5: "
+                   "dir 'sideways' is not one of ['egress', 'ingress']\n")
+
+
 def test_cli_parse_leg_out_of_order(tmp_path, capsys):
     rows = _c3_trace_rows(tmp_path)
     observer = rows[0]["from_hop"]
@@ -1115,15 +1204,14 @@ def _reference_read(lines, path):
 
 
 def _read_outcome(path):
-    """Every row ``_read_trace`` yields, as JSON, with the line number
-    ``_line_of`` gives each one, or the error line it raises."""
-    blank_rows = []
+    """Every row ``_read_trace`` yields, as JSON without its leading line
+    number, with the line numbers, or the error line it raises."""
     try:
-        rows = list(cli._read_trace(path, blank_rows))
+        rows = list(cli._read_trace(path))
     except cli.TraceFileError as exc:
         return str(exc)
     assert all(type(row) is tuple for row in rows)
-    return json.dumps(rows), [cli._line_of(index, blank_rows) for index in range(len(rows))]
+    return json.dumps([row[1:] for row in rows]), [row[0] for row in rows]
 
 
 def _mutate_row_line(rng, line):
@@ -1278,10 +1366,10 @@ def test_decode_literal_takes_one_whole_literal():
 
 
 def test_twin_rows_share_one_sip_string():
-    rows = list(cli._read_trace(str(REPO / "tests" / "golden" / "c3.trace.jsonl"), []))
+    rows = list(cli._read_trace(str(REPO / "tests" / "golden" / "c3.trace.jsonl")))
     by_text = {}
     for row in rows:
-        assert by_text.setdefault(row[4], row[4]) is row[4]
+        assert by_text.setdefault(row[5], row[5]) is row[5]
     assert len(by_text) < len(rows)
 
 
@@ -1304,10 +1392,10 @@ def test_read_trace_decodes_a_third_copy_of_a_literal_again(tmp_path, monkeypatc
         return decode(literal)
 
     monkeypatch.setattr(cli, "_decode_literal", counting)
-    rows = list(cli._read_trace(str(path), []))
+    rows = list(cli._read_trace(str(path)))
     assert decoded.count(literal) == 2
     assert len(decoded) == len(set(decoded)) + 1
-    assert rows[0][4] is rows[1][4] and rows[-1][4] == rows[0][4]
+    assert rows[0][5] is rows[1][5] and rows[-1][5] == rows[0][5]
     assert _read_outcome(path) == _reference_read(io.StringIO(text, newline=None), path)
 
 

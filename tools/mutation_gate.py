@@ -143,8 +143,8 @@ MUTANTS = (
            "pass"),
     # The report template writes what json.dumps(indent=2) would.
     Mutant("report-string-unescaped", "scenario.py",
-           '"reason": {q(v.reason)}',
-           '"reason": "{v.reason}"'),
+           '"expected": {q(v.expected)}',
+           '"expected": "{v.expected}"'),
     Mutant("report-bool-as-int", "scenario.py",
            '"cive_enabled": {"true" if s.cive_enabled else "false"}',
            '"cive_enabled": {int(s.cive_enabled)}'),
@@ -193,14 +193,29 @@ MUTANTS = (
     Mutant("phone-number-dict-kept", "sip_core.py",
            "    __slots__ = ()\n\n    def __new__(cls, value: str)",
            "    def __new__(cls, value: str)"),
-    # The jitter stream is Random(seed), made by the first jittered carrier,
-    # and decide's unchecked verdicts rest on the table checked at import.
+    # The jitter stream is Random(seed), made by the first jittered carrier.
     Mutant("jitter-stream-fixed-seed", "netsim.py",
            "random.Random(self.seed)",
            "random.Random(0)"),
+    # A verdict reads its decision off _RULES, which is checked at import:
+    # one rule per state, only Dialing Legit, no unreadable state Spoofed.
     Mutant("verdict-table-unchecked", "cive.py",
-           'Verdict(decision, inferred, "", reason, FeatureVector())',
-           "pass"),
+           "if decision is Decision.SPOOFED and state in (",
+           "if False and state in ("),
+    Mutant("rule-per-state-unchecked", "cive.py",
+           "if sorted(state for _, state, _, _ in rules) != sorted(InferredState):",
+           "if False:"),
+    # A parsed row carries its file line, which a parse error names.
+    Mutant("parse-line-off-by-one", "cli.py",
+           "yield lineno, t_ms, from_hop, to_hop, direction, sip",
+           "yield lineno - 1, t_ms, from_hop, to_hop, direction, sip"),
+    # A bad command line is bad input: exit 3 and one short error line.
+    Mutant("argparse-exits-2", "cli.py",
+           "parser = _Parser(",
+           "parser = argparse.ArgumentParser("),
+    Mutant("error-line-unclipped", "cli.py",
+           'print(_clipped(f"error: {message}"), file=sys.stderr)',
+           'print(f"error: {message}", file=sys.stderr)'),
 )
 
 # Mutants no test can kill because they change no observable behaviour,
