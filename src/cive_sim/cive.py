@@ -19,14 +19,17 @@ The verifier reads what it needs off the ringing INVITE itself: its To is
 the callee B, its From the claimed number. ``infer_state`` is the one scan
 of the rule table ``_RULES``.
 
-A call leg is a plain list of ``TraceEntry``, in order, starting with the
-sent INVITE. The live verifier keeps its leg in ``entries``;
-``legs_from_trace_rows`` rebuilds legs from a saved trace's rows, streamed
-as ``(line, t_ms, from_hop, to_hop, dir, sip)`` tuples, in one pass. Every
-feature is read off the leg alone, so both give the same features.
+A call leg is its messages in order, starting with the sent INVITE, and
+its features are a fold over them: ``_LegFold`` is built from the INVITE
+and stepped with each later message. The live verifier keeps its leg as a
+list of ``TraceEntry`` in ``entries``, which ``extract_features`` folds.
+``legs_from_trace_rows`` folds each leg of a saved trace as its rows
+stream in, as ``(line, t_ms, from_hop, to_hop, dir, sip)`` tuples, and
+holds no message past its twin row. Every feature is read off the leg
+alone, through the one fold, so both give the same features.
 
 A ``Verdict`` reads its decision and reason off ``_RULES``, checked once,
-at import. ``extract_features`` builds its ``FeatureVector`` unchecked, as
+at import. ``_LegFold.features`` builds its ``FeatureVector`` unchecked, as
 its teardown is only ever BYE, CANCEL or None.
 """
 
@@ -183,58 +186,89 @@ class Verdict:
         }
 
 
-def extract_features(leg: list[TraceEntry]) -> FeatureVector:
-    """Pure feature extraction from one auCall leg, its entries in order
-    and starting with the sent INVITE."""
-    if not leg:
-        raise EmptyTrace("cannot extract features from an empty trace")
-    start_ms, _, invite = leg[0]
-    # The verifier sets its timeout with the INVITE, so at a tie it fires before
-    # the grace timer or any delivery: a CANCEL sent exactly AU_CALL_TIMEOUT_MS
-    # after the INVITE is the timeout's. A phone's own CANCEL comes at 20 s.
-    timeout_at = start_ms + AU_CALL_TIMEOUT_MS
-    timed_out = False
-    pem_180: PemValue | None = None
-    alert_180: AlertUrn | None = None
-    saw_180 = False
-    saw_181 = False
-    saw_486 = False
-    final: StatusCode | None = None
-    sent_bye = sent_cancel = False  # requests B sent that can end the leg
-    for t_ms, direction, msg in leg:
+class _LegFold:
+    """The features of one auCall leg, folded from its messages in order.
+
+    Built from the leg's sent INVITE and its ``t_ms``; ``step`` takes each
+    later message of the leg. It keeps what ``features`` reads, the leg's
+    message count (``messages``) and the ``t_ms`` of its last message, but
+    no message.
+    """
+
+    __slots__ = ("messages", "t_ms", "invite_seq", "timeout_at", "saw_180", "pem_180",
+                 "alert_180", "saw_181", "saw_486", "final", "sent_bye", "sent_cancel",
+                 "timed_out")
+
+    def __init__(self, t_ms: int, invite: SipMessage):
+        self.messages = 1
+        self.t_ms = t_ms
+        self.invite_seq = invite.seq
+        # The verifier sets its timeout with the INVITE, so at a tie it fires before
+        # the grace timer or any delivery: a CANCEL sent exactly AU_CALL_TIMEOUT_MS
+        # after the INVITE is the timeout's. A phone's own CANCEL comes at 20 s.
+        self.timeout_at = t_ms + AU_CALL_TIMEOUT_MS
+        self.saw_180 = self.saw_181 = self.saw_486 = False
+        self.pem_180: PemValue | None = None
+        self.alert_180: AlertUrn | None = None
+        self.final: StatusCode | None = None
+        self.sent_bye = self.sent_cancel = False  # requests B sent that can end the leg
+        self.timed_out = False
+
+    def step(self, t_ms: int, direction: str, msg: SipMessage) -> None:
+        self.messages += 1
+        self.t_ms = t_ms
         status = msg.status
         if direction == INGRESS and status is not None:
             code = status.code
-            if code == 180 and not saw_180:
-                saw_180 = True
-                pem_180 = msg.pem
-                alert_180 = msg.alert
-            saw_181 = saw_181 or code == 181
-            saw_486 = saw_486 or code == 486
-            if (final is None and code >= 200 and msg.method is INVITE
-                    and msg.seq == invite.seq):
-                final = status
+            if code < 200:
+                if code == 180 and not self.saw_180:
+                    self.saw_180 = True
+                    self.pem_180 = msg.pem
+                    self.alert_180 = msg.alert
+                elif code == 181:
+                    self.saw_181 = True
+            else:
+                if code == 486:
+                    self.saw_486 = True
+                if (self.final is None and msg.method is INVITE
+                        and msg.seq == self.invite_seq):
+                    self.final = status
         elif direction == EGRESS and status is None:
             method = msg.method
             if method is BYE:
-                sent_bye = True
+                self.sent_bye = True
             elif method is CANCEL:
-                sent_cancel = True
-                timed_out = timed_out or t_ms == timeout_at
-    # BYE is what actually ends an answered leg, so it wins over a CANCEL
-    # that crossed the answer in flight.
-    teardown = BYE if sent_bye else CANCEL if sent_cancel else None
-    # Built unchecked: teardown is BYE, CANCEL or None, as __post_init__ requires.
-    features = _new(FeatureVector)
-    d = features.__dict__
-    d["pem_180"] = pem_180
-    d["alert_180"] = alert_180
-    d["saw_181"] = saw_181
-    d["saw_486"] = saw_486
-    d["final_to_invite"] = final
-    d["teardown"] = teardown
-    d["timed_out"] = timed_out
-    return features
+                self.sent_cancel = True
+                self.timed_out = self.timed_out or t_ms == self.timeout_at
+
+    def features(self) -> FeatureVector:
+        # BYE is what actually ends an answered leg, so it wins over a CANCEL
+        # that crossed the answer in flight.
+        teardown = BYE if self.sent_bye else CANCEL if self.sent_cancel else None
+        # Built unchecked: teardown is BYE, CANCEL or None, as __post_init__ requires.
+        features = _new(FeatureVector)
+        d = features.__dict__
+        d["pem_180"] = self.pem_180
+        d["alert_180"] = self.alert_180
+        d["saw_181"] = self.saw_181
+        d["saw_486"] = self.saw_486
+        d["final_to_invite"] = self.final
+        d["teardown"] = teardown
+        d["timed_out"] = self.timed_out
+        return features
+
+
+def extract_features(leg: list[TraceEntry]) -> FeatureVector:
+    """Pure feature extraction from one auCall leg, its entries in order
+    and starting with the sent INVITE: the leg folded through ``_LegFold``."""
+    if not leg:
+        raise EmptyTrace("cannot extract features from an empty trace")
+    start_ms, _, invite = leg[0]
+    fold = _LegFold(start_ms, invite)
+    step = fold.step
+    for t_ms, direction, msg in leg[1:]:
+        step(t_ms, direction, msg)
+    return fold.features()
 
 
 # The inference rules, first match wins: (matches, inferred state, decision,
@@ -426,45 +460,47 @@ _NO_LEG = (None, None)
 
 def legs_from_trace_rows(
     rows: Iterable[tuple[int, int, str, str, str, str]],
-) -> list[tuple[str, str, list[TraceEntry]]]:
-    """Rebuild per-leg signaling from a saved federation trace.
+) -> list[tuple[str, str, int, FeatureVector]]:
+    """Rebuild per-leg signaling from a saved federation trace, and fold
+    each leg into its features.
 
     ``rows`` is any iterable of ``(line, t_ms, from_hop, to_hop, dir, sip)``
     tuples, in file order; ``cive-sim parse`` hands over the file's rows as
     they are read, and ``line`` names a row in a MalformedTraceRow. For
     every call id whose first egress row is an INVITE leaving an endpoint
-    hop, reconstructs the leg as seen by that endpoint: its egress rows
-    become sent entries, ingress rows addressed to it become received
-    entries, in row order. Returns (call_id, observer_hop, entries) triples
-    in the file order of each call id's first egress row.
+    hop, reads the leg as seen by that endpoint: its egress rows are sent
+    messages, ingress rows addressed to it received ones, in row order.
+    Returns ``(call_id, observer_hop, messages, features)`` per leg, in the
+    file order of each call id's first egress row: the leg's message count
+    and what ``extract_features`` gives for the leg.
 
-    One pass reads the rows. A wire text is parsed where it is first read
-    and its message kept until the next row carrying the same text, its
-    twin, takes it and drops it from the cache; so the cache holds only the
-    messages in flight, and a third copy is parsed again. A call's observer
-    is known from its first egress row; the ingress rows read before it
-    wait in a small list, and only the observer's rows become entries.
-    Raises MalformedTraceRow for a row whose ``dir`` is neither EGRESS nor
-    INGRESS, whose message falls outside the SIP profile, or that breaks
-    its leg's ordering: a leg starts with its sent INVITE and its
-    timestamps never decrease. Only such outside input can break that
-    order; the live verifier's leg keeps it by construction. A bad ``dir``
-    or message is raised at the first such row, before any later row is
-    read; an ordering error is raised after every row was read, for the
-    first broken leg in the order of the returned triples, at its first
-    offending row.
+    One pass reads the rows, and each leg is folded as its rows are read
+    (``_LegFold``), so no leg's messages are held. A wire text is parsed
+    where it is first read and its message kept until the next row
+    carrying the same text, its twin, takes it and drops it from the cache;
+    so only the messages in flight are held, and a third copy is parsed
+    again. A call's observer is known from its first egress row; the
+    ingress rows read before it wait in a small list, and only the
+    observer's rows are folded. Raises MalformedTraceRow for a row whose
+    ``dir`` is neither EGRESS nor INGRESS, whose message falls outside the
+    SIP profile, or that breaks its leg's ordering: a leg starts with its
+    sent INVITE and its timestamps never decrease. Only such outside input
+    can break that order; the live verifier's leg keeps it by
+    construction. A bad ``dir`` or message is raised at the first such
+    row, before any later row is read; an ordering error is raised after
+    every row was read, for the first broken leg in the order of the
+    returned legs, at its first offending row.
     """
     from .sip_core import parse_message
 
-    entry = _tuple_new
     parsed: dict[str, tuple[SipMessage, str]] = {}  # wire text -> (message, its Call-ID)
-    # Call-ID -> (observer hop, leg) once its first egress row is read;
+    # Call-ID -> (observer hop, fold) once its first egress row is read;
     # _NO_LEG for a call with no leg to build, or one whose leg is broken.
     observed: dict[str, tuple] = {}
     # Call-ID -> (line, to_hop) of its ingress rows read before its first egress row.
     waiting: dict[str, list[tuple[int, str]]] = {}
     broken: dict[str, MalformedTraceRow] = {}
-    legs: list[tuple[str, str, list[TraceEntry]]] = []
+    legs: list[tuple[str, str, _LegFold]] = []
     for line, t_ms, from_hop, to_hop, direction, text in rows:
         # A leg holds the rows whose hop field names its observer: the hop
         # that sent (egress) or received (ingress) the row's message.
@@ -484,15 +520,15 @@ def legs_from_trace_rows(
         msg, cid = cached
         known = observed.get(cid)
         if known is not None:
-            observer, leg = known
+            observer, fold = known
             if hop != observer:
                 continue
-            if t_ms < leg[-1].t_ms:
+            if t_ms < fold.t_ms:
                 observed[cid] = _NO_LEG
                 broken[cid] = MalformedTraceRow(
                     line, f"call {cid}: trace timestamps must be non-decreasing")
                 continue
-            leg.append(entry(TraceEntry, (t_ms, direction, msg)))
+            fold.step(t_ms, direction, msg)
         elif direction == INGRESS:
             waiting.setdefault(cid, []).append((line, to_hop))
         else:
@@ -501,9 +537,9 @@ def legs_from_trace_rows(
                     and from_hop.startswith("ep:")):
                 observed[cid] = _NO_LEG
                 continue
-            leg = [entry(TraceEntry, (t_ms, direction, msg))]
-            legs.append((cid, from_hop, leg))
-            observed[cid] = (from_hop, leg)
+            fold = _LegFold(t_ms, msg)
+            legs.append((cid, from_hop, fold))
+            observed[cid] = (from_hop, fold)
             for early_line, early_hop in early:
                 if early_hop == from_hop:
                     observed[cid] = _NO_LEG
@@ -512,4 +548,4 @@ def legs_from_trace_rows(
                     break
     if broken:
         raise next(broken[cid] for cid, _, _ in legs if cid in broken)
-    return legs
+    return [(cid, observer, fold.messages, fold.features()) for cid, observer, fold in legs]

@@ -11,7 +11,8 @@ scenario whose events run past the simulation budget, a malformed trace
 file, a scenario or trace holding an integer too long for int() or a value
 nested too deep, a non-integer CIVE_SIM_SEED, an --out that cannot be
 written), reported as one ``error: ...`` line on stderr of under
-``ERROR_LINE_BYTES`` bytes of UTF-8, its newline included.
+``ERROR_LINE_BYTES`` bytes of UTF-8, its newline included, with every
+control character in it escaped.
 ``run`` sets the scenario's seed from --seed, or from CIVE_SIM_SEED when
 --seed is absent, and turns verification off with --no-cive.
 """
@@ -189,10 +190,12 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
     The rows stream from ``_read_trace`` straight into
     ``cive.legs_from_trace_rows``, so the file is read inside the leg
-    builder. A leg error, named by its row's line, stops the builder early;
-    the rest of the file is still read, so a reader error on a later line
-    is the one reported, as when the whole file was read first. Output is
-    written only once every leg is built, so bad input leaves stdout empty.
+    builder, which folds each leg into its message count and features as
+    it reads. A leg error, named by its row's line, stops the builder
+    early; the rest of the file is still read, so a reader error on a
+    later line is the one reported, as when the whole file was read first.
+    Output is written only once every leg is built, so bad input leaves
+    stdout empty: what is held until then is one line per leg.
     """
     rows = _read_trace(args.trace)
     try:
@@ -201,12 +204,10 @@ def _cmd_parse(args: argparse.Namespace) -> int:
         for _ in rows:  # a reader error further on wins
             pass
         raise TraceFileError(f"{args.trace}:{exc.line}: {exc.reason}") from None
-    lines = []
-    for call_id, observer, leg in legs:
-        features = cive.extract_features(leg)
-        lines.append(_leg_line(call_id, observer, len(leg), features,
-                               cive.infer_state(features)))
-    sys.stdout.write("".join(lines))
+    sys.stdout.write("".join([
+        _leg_line(call_id, observer, messages, features, cive.infer_state(features))
+        for call_id, observer, messages, features in legs
+    ]))
     return 0
 
 
@@ -238,6 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 ERROR_LINE_BYTES = 300  # an error line and its newline are shorter, in UTF-8
 
+# Each control character, and the Unicode line and paragraph separators, as
+# the escape ``repr`` writes for it: a file name holding a newline is still
+# named on one line.
+_ESCAPES = {c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)}
+
 
 def _clipped(line: str) -> str:
     """``line``, or if it does not fit, its head cut at a character and
@@ -257,7 +263,8 @@ def main(argv: list[str] | None = None) -> int:
         message = str(exc)
     except OSError as exc:  # reads raise the errors above; this is writing --out
         message = f"cannot write output: {exc}"
-    print(_clipped(f"error: {message}"), file=sys.stderr)
+    line = f"error: {message}".translate(_ESCAPES)
+    print(_clipped(line), file=sys.stderr)
     return 3
 
 

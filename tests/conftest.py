@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from cive_sim.call_fsm import CalleeProfile, Connected, Dialing, Held
+from cive_sim.cive import TraceEntry, extract_features
 from cive_sim.cli import _ROW_FIELDS
-from cive_sim.netsim import Federation, GatewayPolicy
+from cive_sim.netsim import EGRESS, INGRESS, Federation, GatewayPolicy
 from cive_sim.sip_core import (
     AlertUrn,
     CANONICAL_REASON,
@@ -15,6 +16,7 @@ from cive_sim.sip_core import (
     SipMessage,
     SipMethod,
     STATUS,
+    parse_message,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -64,6 +66,41 @@ def row_tuples(rows):
     that ``cive.legs_from_trace_rows`` takes: rows are numbered from 1, as
     the lines of ``Federation.trace_jsonl``."""
     return [(line, *(row[name] for name in _ROW_FIELDS)) for line, row in enumerate(rows, 1)]
+
+
+def reference_legs(rows):
+    """Rebuild legs from trace rows read as dicts the straightforward way:
+    parse every row, then rescan all rows for each leg. Returns
+    ``(call_id, observer, entries)`` per leg, the entries as the live
+    verifier keeps them; valid rows only, no ordering check."""
+    messages = [parse_message(row["sip"]) for row in rows]
+    first_egress = {}
+    for row, msg in zip(rows, messages):
+        if row["dir"] == "egress":
+            first_egress.setdefault(msg.call_id, (row, msg))
+    legs = []
+    for cid, (first, first_msg) in first_egress.items():
+        observer = first["from_hop"]
+        if first_msg.method is not SipMethod.INVITE or first_msg.status is not None:
+            continue
+        if not observer.startswith("ep:"):
+            continue
+        leg = []
+        for row, msg in zip(rows, messages):
+            if msg.call_id != cid:
+                continue
+            if row["dir"] == "egress" and row["from_hop"] == observer:
+                leg.append(TraceEntry(row["t_ms"], EGRESS, msg))
+            elif row["dir"] == "ingress" and row["to_hop"] == observer:
+                leg.append(TraceEntry(row["t_ms"], INGRESS, msg))
+        legs.append((cid, observer, leg))
+    return legs
+
+
+def folded(legs):
+    """``(call_id, observer, entries)`` legs as ``cive.legs_from_trace_rows``
+    returns them: ``(call_id, observer, messages, features)``."""
+    return [(cid, obs, len(leg), extract_features(leg)) for cid, obs, leg in legs]
 
 
 def loaded_federation(seed, n_calls):

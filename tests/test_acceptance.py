@@ -12,10 +12,13 @@ import random
 import sys
 import time
 from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
-from conftest import SCENARIOS, random_valid_message, row_tuples
+from conftest import SCENARIOS, random_valid_message, reference_legs, row_tuples
+
+import cive_sim.scenario
 
 from cive_sim.cive import (
     Decision,
@@ -25,6 +28,7 @@ from cive_sim.cive import (
     extract_features,
     infer_state,
     legs_from_trace_rows,
+    verify_incoming,
 )
 from cive_sim.scenario import (
     Scenario,
@@ -57,24 +61,39 @@ def criterion(number: int, title: str):
 
 @pytest.fixture(scope="session")
 def corpus_runs(tmp_path_factory):
-    """Run c1/c2/c3 once; keep reports, auCall legs, and the wall time."""
+    """Run c1/c2/c3 once; keep reports, auCall legs, and the wall time.
+
+    The auCall leg is the verifying callee's leg read back from the saved
+    trace, which must be the live verifier's leg entry by entry; the leg
+    builder must fold it into the same message count and features."""
     out = tmp_path_factory.mktemp("acceptance")
     runs = {}
+    agents = []
+
+    def capturing(agent):
+        agents.append(agent)
+        return verify_incoming(agent)
+
     t0 = time.perf_counter()
-    for name in ("c1", "c2", "c3"):
-        scenario = load_scenario(SCENARIOS / f"{name}.scn")
-        report = run_scenario(scenario, out / name)
-        rows = [
-            json.loads(line)
-            for line in (out / name / f"{name}.trace.jsonl").read_text().splitlines()
-        ]
-        aucall = [
-            leg
-            for _cid, observer, leg in legs_from_trace_rows(row_tuples(rows))
-            if observer == "ep:+15550101"  # the verifying callee's leg
-        ]
-        assert len(aucall) == 1
-        runs[name] = {"report": report, "aucall": aucall[0], "out": out / name}
+    with mock.patch.object(cive_sim.scenario, "verify_incoming", capturing):
+        for name in ("c1", "c2", "c3"):
+            scenario = load_scenario(SCENARIOS / f"{name}.scn")
+            report = run_scenario(scenario, out / name)
+            rows = [
+                json.loads(line)
+                for line in (out / name / f"{name}.trace.jsonl").read_text().splitlines()
+            ]
+            observer = "ep:+15550101"  # the verifying callee
+            aucall = [leg for _cid, obs, leg in reference_legs(rows) if obs == observer]
+            rebuilt = [
+                (messages, features)
+                for _cid, obs, messages, features in legs_from_trace_rows(row_tuples(rows))
+                if obs == observer
+            ]
+            assert len(aucall) == 1
+            assert aucall[0] == agents.pop().entries
+            assert rebuilt == [(len(aucall[0]), extract_features(aucall[0]))]
+            runs[name] = {"report": report, "aucall": aucall[0], "out": out / name}
     wall = time.perf_counter() - t0
     return {"runs": runs, "wall_s": wall, "out": out}
 

@@ -4,13 +4,14 @@ import functools
 import itertools
 import json
 import random
+import weakref
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIOS, loaded_federation, row_tuples
+from conftest import SCENARIOS, folded, loaded_federation, reference_legs, row_tuples
 
 import cive_sim.scenario
 import cive_sim.sip_core
@@ -716,10 +717,13 @@ def test_scenario_moves_never_flip_a_verdict(parties, carriers, originator, at_m
         assert report.verdict.decision is not Decision.LEGIT, report.verdict
     else:
         assert report.verdict.decision is not Decision.SPOOFED, report.verdict
-    # The live leg is the one parse rebuilds from the federation's rows.
+    # The live leg is the one the federation's rows hold, and parse folds
+    # it into the live leg's message count and features.
     [agent] = agents
-    legs = {cid: leg for cid, _, leg in legs_from_trace_rows(row_tuples(agent.net.trace))}
-    assert legs[agent.leg.invite.call_id] == agent.entries
+    cid = agent.leg.invite.call_id
+    assert {c: leg for c, _, leg in reference_legs(agent.net.trace)}[cid] == agent.entries
+    rebuilt = {c: (n, f) for c, _, n, f in legs_from_trace_rows(row_tuples(agent.net.trace))}
+    assert rebuilt[cid] == (len(agent.entries), extract_features(agent.entries))
     assert extract_features(agent.entries) == report.verdict.features
 
 
@@ -756,14 +760,12 @@ def test_legs_from_trace_rows_round_trip(monkeypatch):
     verdict, _ = _verify(net, ringing())
     rows = [json.loads(line) for line in net.trace_jsonl().splitlines()]
     legs = legs_from_trace_rows(row_tuples(rows))
-    au = [leg for cid, obs, leg in legs if obs == f"ep:{B}"]
-    assert len(au) == 1
-    assert extract_features(au[0]) == verdict.features
+    assert [features for _, obs, _, features in legs if obs == f"ep:{B}"] == [verdict.features]
 
     # c1-c3 and every matrix cell, also under jitter and on slow links,
-    # where replies can reach B after its verifier is done: the leg
-    # rebuilt from the federation's rows is the live leg entry by entry,
-    # and so gives the same features, timed_out included.
+    # where replies can reach B after its verifier is done: the federation's
+    # rows hold the live leg entry by entry, and the leg builder folds them
+    # into the live leg's message count and features, timed_out included.
     cells = [load_scenario(SCENARIOS / f"c{n}.scn") for n in (1, 2, 3)] + matrix_scenarios()
     links = ((None, 0), (None, 500), (None, 2000), (3000, 0), (3000, 2000), (5000, 2500))
     agents = []
@@ -783,56 +785,24 @@ def test_legs_from_trace_rows_round_trip(monkeypatch):
             agents.clear()
             run_scenario(dataclasses.replace(cell, carriers=carriers, seed=seed))
             [agent] = agents
-            rebuilt = {cid: leg for cid, _, leg in legs_from_trace_rows(row_tuples(agent.net.trace))}
-            leg = rebuilt[agent.leg.invite.call_id]
+            cid = agent.leg.invite.call_id
             where = (cell.name, delay, jitter, seed)
-            assert leg == agent.entries, where
+            reference = {c: leg for c, _, leg in reference_legs(agent.net.trace)}
+            assert reference[cid] == agent.entries, where
+            rebuilt = {c: (n, f) for c, _, n, f in legs_from_trace_rows(row_tuples(agent.net.trace))}
             live = extract_features(agent.entries)
-            assert extract_features(leg) == live, where
+            assert rebuilt[cid] == (len(agent.entries), live), where
             timed_out += live.timed_out
     assert timed_out > 0  # the slow links do reach the auCall timeout
-
-
-def _reference_legs(rows):
-    """Rebuild legs the straightforward way: parse every row, then rescan
-    all rows for each leg."""
-    messages = [parse_message(row["sip"]) for row in rows]
-    first_egress = {}
-    for row, msg in zip(rows, messages):
-        if row["dir"] == "egress":
-            first_egress.setdefault(msg.call_id, (row, msg))
-    legs = []
-    for cid, (first, first_msg) in first_egress.items():
-        observer = first["from_hop"]
-        if first_msg.method is not SipMethod.INVITE or first_msg.status is not None:
-            continue
-        if not observer.startswith("ep:"):
-            continue
-        leg = []
-        for row, msg in zip(rows, messages):
-            if msg.call_id != cid:
-                continue
-            if row["dir"] == "egress" and row["from_hop"] == observer:
-                leg.append(TraceEntry(row["t_ms"], EGRESS, msg))
-            elif row["dir"] == "ingress" and row["to_hop"] == observer:
-                leg.append(TraceEntry(row["t_ms"], INGRESS, msg))
-        legs.append((cid, observer, leg))
-    return legs
 
 
 def test_legs_match_per_leg_reference_under_load():
     rows, call_ids = loaded_federation(seed=41, n_calls=200)
     legs = legs_from_trace_rows(row_tuples(rows))
-    reference = _reference_legs(rows)
-    assert [(cid, obs) for cid, obs, _ in legs] == [(cid, obs) for cid, obs, _ in reference]
-    for (cid, _, trace), (_, _, expected) in zip(legs, reference):
-        assert [(e.t_ms, e.direction) for e in trace] == [
-            (e.t_ms, e.direction) for e in expected
-        ], cid
-        assert [e.message for e in trace] == [e.message for e in expected], cid
+    assert legs == folded(reference_legs(rows))
     # one leg per origination, observed at the originating endpoint
-    assert sorted(cid for cid, _, _ in legs) == sorted(call_ids)
-    assert all(obs.startswith("ep:") for _, obs, _ in legs)
+    assert sorted(cid for cid, _, _, _ in legs) == sorted(call_ids)
+    assert all(obs.startswith("ep:") for _, obs, _, _ in legs)
 
 
 def test_legs_from_trace_rows_leaves_rows_untouched():
@@ -883,6 +853,35 @@ def test_legs_from_trace_rows_parses_a_third_copy_of_a_text_again(monkeypatch):
     assert len(seen) == len({row[5] for row in rows}) + 1
 
 
+def test_legs_from_trace_rows_keeps_no_message_past_its_twin_row(monkeypatch):
+    # Each leg is folded as its rows are read. Whenever the builder asks for
+    # the next row, the messages alive are those whose text was read an odd
+    # number of times, each waiting in the cache for its twin row, and at
+    # most the message of the row just read; once it returns, none is.
+    rows = row_tuples(loaded_federation(seed=9, n_calls=60)[0])
+    alive = weakref.WeakValueDictionary()  # parse number -> message
+    texts = []  # parse number -> its text
+    real = cive_sim.sip_core.parse_message
+
+    def tracked(text):
+        msg = alive[len(texts)] = real(text)
+        texts.append(text)
+        return msg
+
+    def watched(rows):
+        odd = set()  # texts read an odd number of times
+        for row in rows:
+            yield row
+            odd ^= {row[5]}
+            held = {texts[i] for i in list(alive.keys())}
+            assert odd <= held <= odd | {row[5]}, row[0]
+
+    monkeypatch.setattr(cive_sim.sip_core, "parse_message", tracked)
+    legs = legs_from_trace_rows(watched(rows))
+    assert len(legs) == 60
+    assert len(texts) == len(rows) // 2 and not list(alive.keys())
+
+
 def test_legs_skip_calls_without_a_sent_invite():
     rows, _ = loaded_federation(seed=3, n_calls=3)
     cids = [parse_message(row["sip"]).call_id for row in rows]
@@ -894,7 +893,7 @@ def test_legs_skip_calls_without_a_sent_invite():
         if not (cid == first and row["dir"] == "egress")
         and not (cid == second and parse_message(row["sip"]).method is SipMethod.INVITE)
     ]
-    assert [cid for cid, _, _ in legs_from_trace_rows(row_tuples(kept))] == [third]
+    assert [cid for cid, _, _, _ in legs_from_trace_rows(row_tuples(kept))] == [third]
 
 
 def test_legs_name_the_offending_row():
@@ -934,7 +933,8 @@ def test_legs_name_the_offending_row():
 def _two_phase_legs(rows):
     """The leg builder as it was before it read the rows in one pass: group
     every row by Call-ID, then rescan each call's rows for its leg,
-    raising an ordering error as soon as it is found. The reference for
+    raising an ordering error as soon as it is found, then reading each
+    leg's features off its entries. The reference for
     ``test_one_pass_legs_equal_the_two_phase_builder``."""
     directions = (EGRESS, INGRESS)
     parsed = {}
@@ -974,7 +974,7 @@ def _two_phase_legs(rows):
                 raise MalformedTraceRow(line, f"call {cid}: a trace starts with the sent INVITE")
             leg.append(TraceEntry(t_ms, direction, msg))
         legs.append((cid, observer, leg))
-    return legs
+    return folded(legs)
 
 
 def _legs_outcome(build, rows):

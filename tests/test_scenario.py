@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO, SCENARIOS, loaded_federation, row_tuples
+from conftest import REPO, SCENARIOS, folded, loaded_federation, reference_legs, row_tuples
 
 import cive_sim.scenario
 from cive_sim.cive import Decision, InferredState
@@ -386,11 +386,13 @@ def test_parse_lines_equal_json_dumps_for_every_state_and_feature():
     traces.append([row for row in _golden_rows("c5") if row["t_ms"] <= 18_482])
     seen = set()
     for rows in traces:
-        for call_id, observer, leg in cive.legs_from_trace_rows(row_tuples(rows)):
-            features = cive.extract_features(leg)
+        reference = reference_legs(rows)
+        legs = cive.legs_from_trace_rows(row_tuples(rows))
+        assert legs == folded(reference)
+        for (call_id, observer, messages, features), leg in zip(legs, reference):
             inferred = cive.infer_state(features)
-            line = cli._leg_line(call_id, observer, len(leg), features, inferred)
-            assert line == _parse_dumps(call_id, observer, leg)
+            line = cli._leg_line(call_id, observer, messages, features, inferred)
+            assert line == _parse_dumps(*leg)
             final = features.final_to_invite
             seen.add((inferred, features.timed_out, features.teardown, final and final.code))
     assert {state for state, _, _, _ in seen} == set(InferredState) - {InferredState.UNKNOWN}
@@ -417,7 +419,7 @@ def test_parse_escapes_call_id_and_observer_as_json_dumps(tmp_path, capsys, odd,
     assert cli.main(["parse", str(path)]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    assert out == "".join(_parse_dumps(*leg) for leg in cive.legs_from_trace_rows(row_tuples(rows)))
+    assert out == "".join(_parse_dumps(*leg) for leg in reference_legs(rows))
     assert out.count(json.dumps(f"c0002{odd}@sim")) == 1
     assert out.count(json.dumps(f"ep:+15550101{odd}")) == 1
 
@@ -979,6 +981,37 @@ def test_cli_unreadable_scenario_is_bad_input(tmp_path, capsys, content):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
     assert str(path) in err
+
+
+@pytest.mark.parametrize("command", ["run", "parse"])
+def test_cli_names_a_missing_file_with_a_newline_on_one_line(tmp_path, capsys, command):
+    missing = tmp_path / "a\nb"
+    assert cli.main([command, str(missing)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err.startswith(f"error: cannot read {tmp_path}/a\\nb: "), err
+
+
+@pytest.mark.parametrize("command, name, text, tail", [
+    ("run", "top\r\nlevel.scn", "- a list\n", ": expected a mapping at top level\n"),
+    ("parse", "row\x1b[2K\u2028.trace.jsonl", '{"t_ms": 0}\n', ":1: row has no 'from_hop' field\n"),
+], ids=["run", "parse"])
+def test_cli_escapes_control_characters_in_a_named_file(tmp_path, capsys, command, name, text, tail):
+    # carriage return, newline, escape and the Unicode line separator
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert cli.main([command, str(path)]) == 3
+    out, err = capsys.readouterr()
+    escaped = name.encode("unicode_escape").decode("ascii")
+    assert out == "" and err == f"error: {tmp_path}/{escaped}{tail}", err
+
+
+def test_error_line_escapes_each_control_character_once():
+    controls = "".join(map(chr, (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)))
+    escaped = controls.translate(cli._ESCAPES)
+    assert escaped == repr(controls)[1:-1]
+    assert escaped.isprintable() and escaped.isascii()
+    assert "tab\there \u00e9".translate(cli._ESCAPES) == "tab\\there \u00e9"
 
 
 @pytest.mark.parametrize("command", ["run", "matrix"])

@@ -41,8 +41,8 @@ MUTANTS = (
            "if self.final is None and not self.sent_cancel:",
            "if self.final is None:"),
     Mutant("teardown-prefers-cancel", "cive.py",
-           "teardown = BYE if sent_bye else CANCEL if sent_cancel else None",
-           "teardown = CANCEL if sent_cancel else BYE if sent_bye else None"),
+           "teardown = BYE if self.sent_bye else CANCEL if self.sent_cancel else None",
+           "teardown = CANCEL if self.sent_cancel else BYE if self.sent_bye else None"),
     Mutant("patience-outlives-final", "netsim.py",
            "self.net.cancel_timer(leg.patience_timer)\n                leg.patience_timer = None",
            "leg.patience_timer = None"),
@@ -62,7 +62,7 @@ MUTANTS = (
            '"sip": {q(r["sip"])}}}',
            '"sip": "{r["sip"]}"}}'),
     Mutant("first-180-overwritten", "cive.py",
-           "if code == 180 and not saw_180:",
+           "if code == 180 and not self.saw_180:",
            "if code == 180:"),
     Mutant("any-dialing-phone-collides", "call_fsm.py",
            "isinstance(state, Dialing) and state.peer == invite.from_number",
@@ -100,7 +100,7 @@ MUTANTS = (
            "        status = msg.status\n"
            "        if status is None:"),
     Mutant("leg-order-unchecked", "cive.py",
-           "if t_ms < leg[-1].t_ms:",
+           "if t_ms < fold.t_ms:",
            "if False:"),
     Mutant("leg-start-unchecked", "cive.py",
            "if early_hop == from_hop:",
@@ -121,8 +121,8 @@ MUTANTS = (
            "hop = from_hop\n        elif direction == INGRESS:\n            hop = to_hop",
            "hop = to_hop\n        elif direction == INGRESS:\n            hop = from_hop"),
     Mutant("live-timeout-dropped", "cive.py",
-           "timed_out or t_ms == timeout_at",
-           "timed_out or t_ms >= timeout_at"),
+           "self.timed_out or t_ms == self.timeout_at",
+           "self.timed_out or t_ms >= self.timeout_at"),
     Mutant("late-response-acted-on", "cive.py",
            "if tx_method is not INVITE or self.final is not None:",
            "if tx_method is not INVITE:"),
@@ -214,8 +214,19 @@ MUTANTS = (
            "parser = _Parser(",
            "parser = argparse.ArgumentParser("),
     Mutant("error-line-unclipped", "cli.py",
-           'print(_clipped(f"error: {message}"), file=sys.stderr)',
-           'print(f"error: {message}", file=sys.stderr)'),
+           "print(_clipped(line), file=sys.stderr)",
+           "print(line, file=sys.stderr)"),
+    Mutant("error-line-unescaped", "cli.py",
+           'line = f"error: {message}".translate(_ESCAPES)',
+           'line = f"error: {message}"'),
+    # parse folds each leg as it reads it: only the observer's rows are
+    # stepped, and the INVITE the fold is built from is one of its messages.
+    Mutant("other-hop-rows-folded", "cive.py",
+           "if hop != observer:\n                continue",
+           "if hop != observer:\n                pass"),
+    Mutant("leg-messages-off-by-one", "cive.py",
+           "self.messages = 1\n",
+           "self.messages = 0\n"),
 )
 
 # Mutants no test can kill because they change no observable behaviour,
