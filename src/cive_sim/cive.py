@@ -21,12 +21,13 @@ of the rule table ``_RULES``.
 
 A call leg is its messages in order, starting with the sent INVITE, and
 its features are a fold over them: ``_LegFold`` is built from the INVITE
-and stepped with each later message. The live verifier keeps its leg as a
-list of ``TraceEntry`` in ``entries``, which ``extract_features`` folds.
-``legs_from_trace_rows`` folds each leg of a saved trace as its rows
-stream in, as ``(line, t_ms, from_hop, to_hop, dir, sip)`` tuples, and
-holds no message past its twin row. Every feature is read off the leg
-alone, through the one fold, so both give the same features.
+and stepped with each later message. The live verifier steps its own fold
+(``fold``) with each message it sends or receives, and keeps no message;
+the saved trace is the record of its leg. ``legs_from_trace_rows`` folds
+each leg of a saved trace as its rows stream in, as ``(line, t_ms,
+from_hop, to_hop, dir, sip)`` tuples, and holds no message past its twin
+row. Every feature is read off the leg alone, through the one fold, so
+both give the same features.
 
 A ``Verdict`` reads its decision and reason off ``_RULES``, checked once,
 at import. ``_LegFold.features`` builds its ``FeatureVector`` unchecked, as
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .call_fsm import CALLER, COLLISION_ANSWER_MS, EARLY, LineLeg
 from .netsim import EGRESS, INGRESS, Federation, PhoneLine
@@ -95,17 +96,6 @@ if COLLISION_ANSWER_MS >= CAPTURE_GRACE_MS:
         f"collision auto-answer ({COLLISION_ANSWER_MS} ms) must be shorter than "
         f"the capture grace ({CAPTURE_GRACE_MS} ms)"
     )
-
-
-class TraceEntry(NamedTuple):
-    t_ms: int
-    direction: str  # a row's dir; EGRESS: sent by the observer, INGRESS: received by it
-    message: SipMessage
-
-
-# Builds a TraceEntry from a tuple of its fields: its own __new__ is one more
-# Python call.
-_tuple_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -190,9 +180,10 @@ class _LegFold:
     """The features of one auCall leg, folded from its messages in order.
 
     Built from the leg's sent INVITE and its ``t_ms``; ``step`` takes each
-    later message of the leg. It keeps what ``features`` reads, the leg's
-    message count (``messages``) and the ``t_ms`` of its last message, but
-    no message.
+    later message of the leg with its ``t_ms`` and ``dir``: EGRESS for a
+    message the leg's observer sent, INGRESS for one it received. It keeps
+    what ``features`` reads, the leg's message count (``messages``) and the
+    ``t_ms`` of its last message, but no message.
     """
 
     __slots__ = ("messages", "t_ms", "invite_seq", "timeout_at", "saw_180", "pem_180",
@@ -258,9 +249,10 @@ class _LegFold:
         return features
 
 
-def extract_features(leg: list[TraceEntry]) -> FeatureVector:
-    """Pure feature extraction from one auCall leg, its entries in order
-    and starting with the sent INVITE: the leg folded through ``_LegFold``."""
+def extract_features(leg: list[tuple[int, str, SipMessage]]) -> FeatureVector:
+    """Pure feature extraction from one auCall leg, given as ``(t_ms, dir,
+    msg)`` tuples in order and starting with the sent INVITE: the leg
+    folded through ``_LegFold``."""
     if not leg:
         raise EmptyTrace("cannot extract features from an empty trace")
     start_ms, _, invite = leg[0]
@@ -340,33 +332,33 @@ class _VerifierAgent:
     A hop of its own with the line's label, carrier and number: the auCall
     is sent and policed as the callee's, and its replies reach the agent.
 
-    Records every message of its dialog in ``entries``, as the saved trace
-    holds it. Acts on responses until a 180 with early media has aged past
-    the capture grace, a final response arrives, or the timeout fires; then
-    tears the leg down: ACK+BYE when the far end answered, CANCEL while the
-    INVITE is still pending, just ACK after a non-2xx final.
+    Steps its leg's fold, ``fold``, with every message of its dialog, late
+    replies included, as the saved trace holds them, and keeps no message;
+    whether it has sent a CANCEL and the INVITE's final response it reads
+    off the fold. Acts on responses until a 180 with early media has aged
+    past the capture grace, a final response arrives, or the timeout fires;
+    then tears the leg down: ACK+BYE when the far end answered, CANCEL
+    while the INVITE is still pending, just ACK after a non-2xx final.
     """
 
     def __init__(self, net: Federation, line: PhoneLine, claimed: PhoneNumber):
         self.net = net
         self.hop, self.carrier, self.number = line.hop, line.carrier, line.number
-        self.entries: list[TraceEntry] = []
         invite = SipMessage.request(INVITE, line.number, claimed, net.new_call_id())
         self.leg = LineLeg(CALLER, EARLY, invite)
-        self.final: StatusCode | None = None
-        self.sent_cancel = False
+        self.fold = _LegFold(net.now, invite)
         self.done = False
         self.grace_timer: int | None = None  # pending timers, for cancel_timer
         self.timeout_timer: int | None = None
 
     def start(self) -> None:
         self.timeout_timer = self.net.set_timer(AU_CALL_TIMEOUT_MS, self._time_out)
-        self._send(self.leg.invite)
+        self.net.send(self, self.leg.invite)  # the fold is built from it
 
     # -- wire helpers --------------------------------------------------------
 
     def _send(self, msg: SipMessage) -> None:
-        self.entries.append(_tuple_new(TraceEntry, (self.net.now, EGRESS, msg)))
+        self.fold.step(self.net.now, EGRESS, msg)
         self.net.send(self, msg)
 
     def _finish(self) -> None:
@@ -378,8 +370,11 @@ class _VerifierAgent:
     # -- event handlers --------------------------------------------------------
 
     def handle_message(self, msg: SipMessage) -> None:
-        # Recorded even once done: late replies are in the saved trace too.
-        self.entries.append(_tuple_new(TraceEntry, (self.net.now, INGRESS, msg)))
+        fold = self.fold
+        # Read before the step, which records this message's final.
+        answered = fold.final is not None
+        # Stepped even once done: late replies are in the saved trace too.
+        fold.step(self.net.now, INGRESS, msg)
         status = msg.status
         if self.done or status is None:
             return
@@ -387,8 +382,8 @@ class _VerifierAgent:
         if tx_method is BYE:
             self._finish()  # the answer to our own BYE, the only one we send
             return
-        if tx_method is not INVITE or self.final is not None:
-            return  # to our CANCEL, or after the final: recorded, nothing to do
+        if tx_method is not INVITE or answered:
+            return  # to our CANCEL, or after the final: folded, nothing to do
         code = status.code
         if code < 200:
             if code == 183:
@@ -396,7 +391,6 @@ class _VerifierAgent:
             elif code == 180 and msg.pem is not None and self.grace_timer is None:
                 self.grace_timer = self.net.set_timer(CAPTURE_GRACE_MS, self._grace_over)
             return
-        self.final = status
         if self.grace_timer is not None:
             self.net.cancel_timer(self.grace_timer)
             self.grace_timer = None
@@ -419,8 +413,7 @@ class _VerifierAgent:
         self._cancel_invite()
 
     def _cancel_invite(self) -> None:
-        if self.final is None and not self.sent_cancel:
-            self.sent_cancel = True
+        if self.fold.final is None and not self.fold.sent_cancel:
             self._send(self.leg.request(CANCEL))
 
 
@@ -449,8 +442,9 @@ def launch_verification(net: Federation, in_call: SipMessage) -> _VerifierAgent:
 def verify_incoming(agent: _VerifierAgent) -> Verdict:
     """Feature extraction, inference and verdict for a launched verification.
 
-    Call it after the federation has run; it judges the leg ``agent.entries``."""
-    features = extract_features(agent.entries)
+    Call it after the federation has run; it judges the agent's leg as
+    folded so far, ``agent.fold``."""
+    features = agent.fold.features()
     return decide(agent.number, infer_state(features), features)
 
 

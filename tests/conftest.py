@@ -1,11 +1,12 @@
 import json
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from cive_sim.call_fsm import CalleeProfile, Connected, Dialing, Held
-from cive_sim.cive import TraceEntry, extract_features
+from cive_sim.cive import extract_features
 from cive_sim.cli import _ROW_FIELDS
 from cive_sim.netsim import EGRESS, INGRESS, Federation, GatewayPolicy
 from cive_sim.sip_core import (
@@ -68,11 +69,19 @@ def row_tuples(rows):
     return [(line, *(row[name] for name in _ROW_FIELDS)) for line, row in enumerate(rows, 1)]
 
 
+class Entry(NamedTuple):
+    """One message of a call leg, as ``cive.extract_features`` takes it."""
+
+    t_ms: int
+    direction: str  # a row's dir; EGRESS: sent by the observer, INGRESS: received by it
+    message: SipMessage
+
+
 def reference_legs(rows):
     """Rebuild legs from trace rows read as dicts the straightforward way:
     parse every row, then rescan all rows for each leg. Returns
-    ``(call_id, observer, entries)`` per leg, the entries as the live
-    verifier keeps them; valid rows only, no ordering check."""
+    ``(call_id, observer, entries)`` per leg, each entry an ``Entry``;
+    valid rows only, no ordering check."""
     messages = [parse_message(row["sip"]) for row in rows]
     first_egress = {}
     for row, msg in zip(rows, messages):
@@ -90,11 +99,19 @@ def reference_legs(rows):
             if msg.call_id != cid:
                 continue
             if row["dir"] == "egress" and row["from_hop"] == observer:
-                leg.append(TraceEntry(row["t_ms"], EGRESS, msg))
+                leg.append(Entry(row["t_ms"], EGRESS, msg))
             elif row["dir"] == "ingress" and row["to_hop"] == observer:
-                leg.append(TraceEntry(row["t_ms"], INGRESS, msg))
+                leg.append(Entry(row["t_ms"], INGRESS, msg))
         legs.append((cid, observer, leg))
     return legs
+
+
+def agent_leg(agent):
+    """A verifier agent's leg as ``Entry`` records, rebuilt from its
+    federation's rows for its Call-ID: the agent keeps no message, and the
+    rows are the record of its leg."""
+    cid = agent.leg.invite.call_id
+    return {c: leg for c, _, leg in reference_legs(agent.net.trace)}[cid]
 
 
 def folded(legs):

@@ -64,8 +64,9 @@ def corpus_runs(tmp_path_factory):
     """Run c1/c2/c3 once; keep reports, auCall legs, and the wall time.
 
     The auCall leg is the verifying callee's leg read back from the saved
-    trace, which must be the live verifier's leg entry by entry; the leg
-    builder must fold it into the same message count and features."""
+    trace: the live verifier's fold must hold its message count, the t_ms
+    of its last message and its features, and the leg builder must fold
+    it into the same message count and features."""
     out = tmp_path_factory.mktemp("acceptance")
     runs = {}
     agents = []
@@ -91,8 +92,10 @@ def corpus_runs(tmp_path_factory):
                 if obs == observer
             ]
             assert len(aucall) == 1
-            assert aucall[0] == agents.pop().entries
-            assert rebuilt == [(len(aucall[0]), extract_features(aucall[0]))]
+            fold = agents.pop().fold
+            live = (fold.messages, fold.t_ms, fold.features())
+            assert live == (len(aucall[0]), aucall[0][-1].t_ms, extract_features(aucall[0]))
+            assert rebuilt == [(fold.messages, fold.features())]
             runs[name] = {"report": report, "aucall": aucall[0], "out": out / name}
     wall = time.perf_counter() - t0
     return {"runs": runs, "wall_s": wall, "out": out}

@@ -6,6 +6,8 @@ import re
 
 import pytest
 
+from conftest import Entry
+
 from cive_sim.call_fsm import (
     COLLISION_ANSWER_MS,
     Answer,
@@ -26,7 +28,7 @@ from cive_sim.call_fsm import (
     on_response,
     summarize_legs,
 )
-from cive_sim.cive import Decision, TraceEntry, decide, extract_features, infer_state
+from cive_sim.cive import Decision, decide, extract_features, infer_state
 from cive_sim.netsim import EGRESS, INGRESS, Federation, GatewayPolicy
 from cive_sim.sip_core import AlertUrn, PemValue, PhoneNumber, SipMessage, SipMethod, parse_message
 
@@ -163,15 +165,15 @@ def test_call_waiting_alert_iff_on_a_call_with_feature():
 
 
 def _callback_leg(state, profile):
-    """B's callback INVITE to A and A's answers, as B's verifier records
-    them; a deferred answer is the 200 it becomes."""
-    leg = [TraceEntry(0, EGRESS, INVITE)]
+    """B's callback INVITE to A and A's answers, the leg B's verifier
+    folds; a deferred answer is the 200 it becomes."""
+    leg = [Entry(0, EGRESS, INVITE)]
     for sent in on_incoming_invite(state, profile, INVITE):
         if sent is Answer.COLLISION:
             (sent,) = on_auto_answer(INVITE)
         elif sent is Answer.VOICEMAIL:
             sent = reply(200)
-        leg.append(TraceEntry(100, INGRESS, sent))
+        leg.append(Entry(100, INGRESS, sent))
     return leg
 
 

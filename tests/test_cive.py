@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import random
@@ -11,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIOS, folded, loaded_federation, reference_legs, row_tuples
+from conftest import (
+    SCENARIOS,
+    Entry,
+    agent_leg,
+    folded,
+    loaded_federation,
+    reference_legs,
+    row_tuples,
+)
 
 import cive_sim.scenario
 import cive_sim.sip_core
@@ -25,7 +34,6 @@ from cive_sim.cive import (
     InferredState,
     LineBusy,
     MalformedTraceRow,
-    TraceEntry,
     Verdict,
     decide,
     extract_features,
@@ -73,7 +81,7 @@ def ringing(claimed=A):
 
 
 def trace_of(*steps):
-    return [TraceEntry(50 * i, direction, msg) for i, (direction, msg) in enumerate(steps)]
+    return [Entry(50 * i, direction, msg) for i, (direction, msg) in enumerate(steps)]
 
 
 def sent(msg):
@@ -189,12 +197,12 @@ def test_extract_features_degenerate_and_empty():
     # timeout; one a millisecond off either way is not.
     cancel = req(SipMethod.CANCEL, 1)
     for delta, timed_out in ((0, True), (-1, False), (1, False)):
-        leg = [TraceEntry(7, EGRESS, INVITE),
-               TraceEntry(7 + cive.AU_CALL_TIMEOUT_MS + delta, EGRESS, cancel)]
+        leg = [Entry(7, EGRESS, INVITE),
+               Entry(7 + cive.AU_CALL_TIMEOUT_MS + delta, EGRESS, cancel)]
         assert extract_features(leg) == FeatureVector(
             teardown=SipMethod.CANCEL, timed_out=timed_out), delta
     # A received CANCEL at that instant is not one B sent.
-    leg[1] = TraceEntry(7 + cive.AU_CALL_TIMEOUT_MS, INGRESS, cancel)
+    leg[1] = Entry(7 + cive.AU_CALL_TIMEOUT_MS, INGRESS, cancel)
     assert not extract_features(leg).timed_out
     with pytest.raises(EmptyTrace):
         extract_features([])
@@ -337,13 +345,12 @@ def test_decide_gives_each_rules_decision_and_reason():
 
 
 def test_extracted_features_equal_a_checked_feature_vector():
-    _, agent = _verify(_federation(), ringing())
-    features = extract_features(agent.entries)
+    verdict, _ = _verify(_federation(), ringing())
+    features = verdict.features
     checked = FeatureVector(**vars(features))
     assert type(features) is FeatureVector
     assert features == checked and vars(features) == vars(checked)
     assert hash(features) == hash(checked)
-    assert all(type(e) is TraceEntry for e in agent.entries)
     with pytest.raises(dataclasses.FrozenInstanceError):
         features.saw_181 = True
 
@@ -437,7 +444,8 @@ def test_two_verifications_in_turn_on_one_callee_line():
     ]
     assert sent_by_b and all(row["carrier"] == "cn-b" for row in sent_by_b)
     # one 30 ms + 50 ms interconnect crossing each way
-    assert second_agent.entries[1].t_ms - second_agent.entries[0].t_ms == 160
+    leg = agent_leg(second_agent)
+    assert leg[1].t_ms - leg[0].t_ms == 160
 
 
 def test_verify_idle_target_infers_idle():
@@ -445,7 +453,7 @@ def test_verify_idle_target_infers_idle():
     verdict, agent = _verify(net, ringing())
     assert verdict.decision is Decision.SPOOFED
     assert verdict.inferred is InferredState.IDLE
-    assert agent.entries[0].message.method is SipMethod.INVITE
+    assert agent_leg(agent)[0].message.method is SipMethod.INVITE
     assert not verdict.features.timed_out
 
 
@@ -457,7 +465,7 @@ def test_verify_unroutable_claimed_is_inconclusive():
     verdict, agent = _verify(net, ringing(unknown))
     kinds = [
         e.message.method.value if e.message.status is None else e.message.status.code
-        for e in agent.entries
+        for e in agent_leg(agent)
     ]
     assert kinds == ["INVITE", 480, "ACK"]
     assert not verdict.features.timed_out
@@ -472,7 +480,7 @@ def test_verify_times_out_when_the_queue_drains_before_the_leg_ends():
     assert verdict.decision is Decision.INCONCLUSIVE
     assert verdict.inferred is InferredState.UNREACHABLE
     assert verdict.features.timed_out
-    assert [(e.t_ms, e.direction, e.message.method) for e in agent.entries] == [
+    assert [(e.t_ms, e.direction, e.message.method) for e in agent_leg(agent)] == [
         (0, EGRESS, SipMethod.INVITE),
         (10_000, EGRESS, SipMethod.CANCEL),
     ]
@@ -502,6 +510,36 @@ def test_timeout_after_the_grace_cancel_sends_no_second_cancel(tmp_path):
     assert report.verdict.inferred is InferredState.IDLE
 
 
+def test_live_verifier_keeps_no_received_message(monkeypatch):
+    # The verifier steps its fold with each message it receives and keeps
+    # none: once c2 has run, with the federation and the agent still held,
+    # no message handed to the agent is alive.
+    s = load_scenario(SCENARIOS / "c2.scn")
+    net = build_federation(s)
+    target = net.lines[s.origination.target]
+    received = []
+    handle_message = cive._VerifierAgent.handle_message
+
+    def watched(agent, msg):
+        received.append(weakref.ref(msg))
+        handle_message(agent, msg)
+
+    def on_ring(invite):
+        target.ring_hook = None
+        launch_verification(net, invite)
+
+    monkeypatch.setattr(cive._VerifierAgent, "handle_message", watched)
+    target.ring_hook = on_ring
+    net.originate_call(s.origination.claimed, net.lines[s.origination.originator],
+                       s.origination.target, at_ms=s.origination.at_ms)
+    net.run()
+    agent = target.verifier
+    gc.collect()
+    assert agent.done and len(received) == 5
+    assert [ref() for ref in received if ref() is not None] == []
+    assert verify_incoming(agent).inferred is InferredState.IDLE
+
+
 def test_verify_before_the_loop_runs_is_never_legit():
     # A's phone is dialing B, so a run would judge this callback Legit;
     # before the run only the INVITE is on the leg.
@@ -511,7 +549,8 @@ def test_verify_before_the_loop_runs_is_never_legit():
     verdict = verify_incoming(agent)
     assert verdict.decision is Decision.INCONCLUSIVE
     assert verdict.inferred is InferredState.UNREACHABLE
-    assert len(agent.entries) == 1 and not verdict.features.timed_out
+    assert len(agent_leg(agent)) == agent.fold.messages == 1
+    assert not verdict.features.timed_out
 
 
 def test_verify_connected_no_features_is_busy():
@@ -537,7 +576,7 @@ def test_verify_voicemail_forward_detected():
     # the voicemail leg is answered and released cleanly
     kinds = [
         e.message.method.value if e.message.status is None else e.message.status.code
-        for e in agent.entries
+        for e in agent_leg(agent)
     ]
     assert kinds == ["INVITE", 100, 181, 200, "ACK", "BYE", 200]
 
@@ -561,7 +600,7 @@ def test_launch_traces_are_transaction_legal():
         net.register_subscriber("cn-a", "+15550102")
         if preset is not None:
             net.lines[A].preset_state(preset)
-        variants.append(_verify(net, ringing())[1].entries)
+        variants.append(agent_leg(_verify(net, ringing())[1]))
     for leg in variants:
         codes = [
             e.message.status.code
@@ -582,12 +621,13 @@ def test_capture_grace_runs_from_the_first_180_with_early_media():
         net.register_subscriber("cn-a", A)
         net.register_subscriber("cn-a", B)
         _, agent = _verify(net, ringing())
+        leg = agent_leg(agent)
         received = {
             e.message.status.code: e.t_ms
-            for e in reversed(agent.entries)
+            for e in reversed(leg)
             if e.direction == INGRESS and e.message.status is not None
         }
-        (cancel,) = [e.t_ms for e in agent.entries if e.message.method is SipMethod.CANCEL
+        (cancel,) = [e.t_ms for e in leg if e.message.method is SipMethod.CANCEL
                      and e.direction == EGRESS]
         assert received[183] != received[180], seed
         assert cancel == received[180] + cive.CAPTURE_GRACE_MS, seed
@@ -691,6 +731,20 @@ _party_moves = st.tuples(st.sampled_from(sorted(_SEARCH_PRESETS)), st.integers(0
 _carrier_moves = st.tuples(st.booleans(), st.integers(0, 3000), st.integers(0, 2000))
 
 
+def _assert_fold_is_the_traced_leg(agent, where=None):
+    """The verifier's fold, as its message count, the t_ms of its last
+    message and its features, equals what the leg builder and the reference
+    fold give for its leg in the federation's rows."""
+    rows = agent.net.trace
+    cid = agent.leg.invite.call_id
+    reference = reference_legs(rows)
+    last_t_ms = {c: leg[-1].t_ms for c, _, leg in reference}[cid]
+    fold = agent.fold
+    live = (fold.messages, fold.t_ms, fold.features())
+    for legs in (legs_from_trace_rows(row_tuples(rows)), folded(reference)):
+        assert {c: (n, last_t_ms, f) for c, _, n, f in legs}[cid] == live, where
+
+
 # Delays stop at 3,000 ms: with up to 9,000 ms, about one run in eight
 # outlasts the 60,000 sim-ms budget and raises SimBudgetExceeded.
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -717,14 +771,10 @@ def test_scenario_moves_never_flip_a_verdict(parties, carriers, originator, at_m
         assert report.verdict.decision is not Decision.LEGIT, report.verdict
     else:
         assert report.verdict.decision is not Decision.SPOOFED, report.verdict
-    # The live leg is the one the federation's rows hold, and parse folds
-    # it into the live leg's message count and features.
+    # The live fold is the fold of the leg the federation's rows hold.
     [agent] = agents
-    cid = agent.leg.invite.call_id
-    assert {c: leg for c, _, leg in reference_legs(agent.net.trace)}[cid] == agent.entries
-    rebuilt = {c: (n, f) for c, _, n, f in legs_from_trace_rows(row_tuples(agent.net.trace))}
-    assert rebuilt[cid] == (len(agent.entries), extract_features(agent.entries))
-    assert extract_features(agent.entries) == report.verdict.features
+    _assert_fold_is_the_traced_leg(agent)
+    assert agent.fold.features() == report.verdict.features
 
 
 def test_invite_responses_after_the_final_are_recorded_not_acted_on(monkeypatch):
@@ -741,14 +791,15 @@ def test_invite_responses_after_the_final_are_recorded_not_acted_on(monkeypatch)
     monkeypatch.setattr(cive_sim.scenario, "verify_incoming", capturing)
     report = run_scenario(dataclasses.replace(cell, carriers=carriers, seed=3))
     [agent] = agents
+    leg = agent_leg(agent)
     final = next(
-        i for i, e in enumerate(agent.entries)
+        i for i, e in enumerate(leg)
         if e.direction == INGRESS and e.message.method is SipMethod.INVITE
         and e.message.status is not None and e.message.status.code >= 200
     )
     after = [
         (e.direction, e.message.method, e.message.status and e.message.status.code)
-        for e in agent.entries[final + 1:]
+        for e in leg[final + 1:]
     ]
     assert (INGRESS, SipMethod.INVITE, 183) in after
     assert (EGRESS, SipMethod.PRACK, None) not in after
@@ -763,9 +814,9 @@ def test_legs_from_trace_rows_round_trip(monkeypatch):
     assert [features for _, obs, _, features in legs if obs == f"ep:{B}"] == [verdict.features]
 
     # c1-c3 and every matrix cell, also under jitter and on slow links,
-    # where replies can reach B after its verifier is done: the federation's
-    # rows hold the live leg entry by entry, and the leg builder folds them
-    # into the live leg's message count and features, timed_out included.
+    # where replies can reach B after its verifier is done: the live fold
+    # holds the message count, last t_ms and features, timed_out included,
+    # of the leg the federation's rows hold.
     cells = [load_scenario(SCENARIOS / f"c{n}.scn") for n in (1, 2, 3)] + matrix_scenarios()
     links = ((None, 0), (None, 500), (None, 2000), (3000, 0), (3000, 2000), (5000, 2500))
     agents = []
@@ -785,14 +836,8 @@ def test_legs_from_trace_rows_round_trip(monkeypatch):
             agents.clear()
             run_scenario(dataclasses.replace(cell, carriers=carriers, seed=seed))
             [agent] = agents
-            cid = agent.leg.invite.call_id
-            where = (cell.name, delay, jitter, seed)
-            reference = {c: leg for c, _, leg in reference_legs(agent.net.trace)}
-            assert reference[cid] == agent.entries, where
-            rebuilt = {c: (n, f) for c, _, n, f in legs_from_trace_rows(row_tuples(agent.net.trace))}
-            live = extract_features(agent.entries)
-            assert rebuilt[cid] == (len(agent.entries), live), where
-            timed_out += live.timed_out
+            _assert_fold_is_the_traced_leg(agent, (cell.name, delay, jitter, seed))
+            timed_out += agent.fold.timed_out
     assert timed_out > 0  # the slow links do reach the auCall timeout
 
 
@@ -972,7 +1017,7 @@ def _two_phase_legs(rows):
                     line, f"call {cid}: trace timestamps must be non-decreasing")
             if not leg and not (direction == EGRESS and msg.method is SipMethod.INVITE):
                 raise MalformedTraceRow(line, f"call {cid}: a trace starts with the sent INVITE")
-            leg.append(TraceEntry(t_ms, direction, msg))
+            leg.append(Entry(t_ms, direction, msg))
         legs.append((cid, observer, leg))
     return folded(legs)
 
