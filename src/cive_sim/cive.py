@@ -105,7 +105,8 @@ class FeatureVector:
     ``pem_180``/``alert_180`` come from the first received 180;
     ``final_to_invite`` is the final response on the INVITE transaction;
     ``teardown`` is the request B sent to end the leg (BYE when the far
-    end answered, CANCEL otherwise).
+    end answered, CANCEL otherwise). A 180, 181 or 486 received after the
+    verifier's timeout CANCEL (``timed_out``) sets no feature.
     """
 
     pem_180: PemValue | None = None
@@ -183,7 +184,9 @@ class _LegFold:
     later message of the leg with its ``t_ms`` and ``dir``: EGRESS for a
     message the leg's observer sent, INGRESS for one it received. It keeps
     what ``features`` reads, the leg's message count (``messages``) and the
-    ``t_ms`` of its last message, but no message.
+    ``t_ms`` of its last message, but no message. Once the leg has timed
+    out, a received message only records the INVITE's final, which the
+    verifier still ACKs.
     """
 
     __slots__ = ("messages", "t_ms", "invite_seq", "timeout_at", "saw_180", "pem_180",
@@ -211,19 +214,19 @@ class _LegFold:
         status = msg.status
         if direction == INGRESS and status is not None:
             code = status.code
-            if code < 200:
-                if code == 180 and not self.saw_180:
-                    self.saw_180 = True
-                    self.pem_180 = msg.pem
-                    self.alert_180 = msg.alert
-                elif code == 181:
-                    self.saw_181 = True
-            else:
-                if code == 486:
-                    self.saw_486 = True
-                if (self.final is None and msg.method is INVITE
-                        and msg.seq == self.invite_seq):
-                    self.final = status
+            if (code >= 200 and self.final is None and msg.method is INVITE
+                    and msg.seq == self.invite_seq):
+                self.final = status
+            if self.timed_out:
+                return  # the verifier gave up: a later 180, 181 or 486 is no signal
+            if code == 180 and not self.saw_180:
+                self.saw_180 = True
+                self.pem_180 = msg.pem
+                self.alert_180 = msg.alert
+            elif code == 181:
+                self.saw_181 = True
+            elif code == 486:
+                self.saw_486 = True
         elif direction == EGRESS and status is None:
             method = msg.method
             if method is BYE:
@@ -459,8 +462,9 @@ def legs_from_trace_rows(
     each leg into its features.
 
     ``rows`` is any iterable of ``(line, t_ms, from_hop, to_hop, dir, sip)``
-    tuples, in file order; ``cive-sim parse`` hands over the file's rows as
-    they are read, and ``line`` names a row in a MalformedTraceRow. For
+    tuples, in file order, as ``netsim.read_trace`` yields them from a trace
+    file (``cive-sim parse`` hands them over as they are read); ``line``
+    names a row in a MalformedTraceRow. For
     every call id whose first egress row is an INVITE leaving an endpoint
     hop, reads the leg as seen by that endpoint: its egress rows are sent
     messages, ingress rows addressed to it received ones, in row order.

@@ -1,4 +1,5 @@
-"""Command line front end.
+"""Command line front end: argument parsing, dispatch, the ``parse`` output
+line and the error line. The trace file is read by ``netsim.read_trace``.
 
     cive-sim run <scenario.scn> [--seed N] [--out DIR] [--no-cive]
     cive-sim matrix [--out DIR]
@@ -20,23 +21,16 @@ control character in it escaped.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
-from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
 
 from . import cive, netsim, scenario
 
 
 class BadInput(Exception):
     """Input the command cannot use; reported as one error line, exit 3."""
-
-
-class TraceFileError(BadInput):
-    """A trace file that cannot be read back as a federation trace."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,94 +68,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return scenario.exit_code_for(list(result.reports))
 
 
-# Fields legs_from_trace_rows reads from every row, in its tuple order after
-# the row's line number, with their JSON types.
-_ROW_FIELDS = {"t_ms": int, "from_hop": str, "to_hop": str, "dir": str, "sip": str}
-
-
-def _row_problem(row: object) -> str | None:
-    if type(row) is not dict:
-        return "a trace row must be a JSON object"
-    for name, kind in _ROW_FIELDS.items():
-        if name not in row:
-            return f"row has no {name!r} field"
-        if type(row[name]) is not kind:
-            return f"field {name!r} must be a JSON {'integer' if kind is int else 'string'}"
-    return None
-
-
-def _decode_literal(literal: str) -> str:
-    """The text of a JSON string literal; ValueError unless it decodes whole."""
-    text, end = scanstring(literal, 1)
-    if end != len(literal):
-        raise ValueError("string literal not consumed")
-    return text
-
-
-def _general_row(line: str, path: str, lineno: int) -> tuple:
-    """One row read by ``json.loads``, as its line number and then its
-    fields in ``_ROW_FIELDS`` order; raises TraceFileError naming the line."""
-    try:
-        row = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceFileError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:  # an integer too long for int(), deep nesting
-        raise TraceFileError(f"{path}:{lineno}: unreadable JSON: {exc}") from None
-    problem = _row_problem(row)
-    if problem is not None:
-        raise TraceFileError(f"{path}:{lineno}: {problem}")
-    return lineno, row["t_ms"], row["from_hop"], row["to_hop"], row["dir"], row["sip"]
-
-
-def _read_trace(path: str) -> Iterator[tuple[int, int, str, str, str, str]]:
-    """Yield the rows of a trace file, one line at a time, each as the tuple
-    ``(line, t_ms, from_hop, to_hop, dir, sip)``: its line number in the
-    file, then its fields in ``_ROW_FIELDS`` order. Blank lines are skipped.
-
-    A line as ``Federation.trace_jsonl`` writes it is read in one pass:
-    ``netsim.TRACE_HEAD_RE`` matches its fixed head, the rest of the line
-    must be one sip literal, ``}`` and an optional newline. The tail is
-    checked before the literal is looked up in the cache, on a hit too. A
-    literal is decoded where it is first read and kept until its twin row
-    reads it, which drops it from the cache: a row and its twin share one
-    string, and the cache holds only the messages in flight. A third copy
-    is decoded again. Any other line, or one whose literal or integer does
-    not decode, goes to ``json.loads``; both give the same row, or the same
-    error on the same line.
-    """
-    texts: dict[str, str] = {}  # sip literal -> its decoded text, until its twin row
-    head = netsim.TRACE_HEAD_RE.match
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                m = head(line)
-                literal = None
-                if m is not None:  # the rest must be the sip literal, "}" and an optional newline
-                    if line.endswith("}\n"):
-                        literal = line[m.end() : -2]
-                    elif line.endswith("}"):
-                        literal = line[m.end() : -1]
-                if literal is None:
-                    if not line.strip():
-                        continue
-                    yield _general_row(line, path, lineno)
-                    continue
-                t_ms, _, from_hop, to_hop, direction = m.groups()
-                try:
-                    sip = texts.pop(literal, None)
-                    if sip is None:
-                        sip = texts[literal] = _decode_literal(literal)
-                    t_ms = int(t_ms)
-                except ValueError:  # a literal JSON rejects, an integer too long for int()
-                    yield _general_row(line, path, lineno)
-                else:
-                    yield lineno, t_ms, from_hop, to_hop, direction, sip
-    except OSError as exc:
-        raise TraceFileError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError:
-        raise TraceFileError(f"{path}: not UTF-8 text") from None
-
-
 def _leg_line(call_id: str, observer: str, messages: int,
               features: cive.FeatureVector, inferred: cive.InferredState) -> str:
     """One line of ``parse`` output, newline included: exactly what
@@ -188,7 +94,7 @@ def _leg_line(call_id: str, observer: str, messages: int,
 def _cmd_parse(args: argparse.Namespace) -> int:
     """Rebuild the legs of a saved trace and write one line per leg.
 
-    The rows stream from ``_read_trace`` straight into
+    The rows stream from ``netsim.read_trace`` straight into
     ``cive.legs_from_trace_rows``, so the file is read inside the leg
     builder, which folds each leg into its message count and features as
     it reads. A leg error, named by its row's line, stops the builder
@@ -197,13 +103,13 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     Output is written only once every leg is built, so bad input leaves
     stdout empty: what is held until then is one line per leg.
     """
-    rows = _read_trace(args.trace)
+    rows = netsim.read_trace(args.trace)
     try:
         legs = cive.legs_from_trace_rows(rows)
     except cive.MalformedTraceRow as exc:
         for _ in rows:  # a reader error further on wins
             pass
-        raise TraceFileError(f"{args.trace}:{exc.line}: {exc.reason}") from None
+        raise netsim.TraceFileError(f"{args.trace}:{exc.line}: {exc.reason}") from None
     sys.stdout.write("".join([
         _leg_line(call_id, observer, messages, features, cive.infer_state(features))
         for call_id, observer, messages, features in legs
@@ -259,7 +165,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (scenario.ScenarioError, netsim.SimBudgetExceeded, BadInput) as exc:
+    except (scenario.ScenarioError, netsim.SimBudgetExceeded, netsim.TraceFileError,
+            BadInput) as exc:
         message = str(exc)
     except OSError as exc:  # reads raise the errors above; this is writing --out
         message = f"cannot write output: {exc}"

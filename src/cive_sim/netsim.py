@@ -29,19 +29,25 @@ path the real INVITE took, never by the (possibly forged) From header.
 Trace log: one JSON object per line, fields in fixed order
 ``{t_ms, carrier, from_hop, to_hop, dir, sip}``. Every message produces an
 egress row when it leaves its source hop and an ingress row when it
-reaches its destination hop.
+reaches its destination hop. The trace file's format lives here, both
+ways: ``Federation.trace_jsonl`` and ``write_trace`` write it,
+``TRACE_HEAD_RE`` matches the fixed head of each line, and ``read_trace``
+reads a file back as rows, raising ``TraceFileError`` for one it cannot
+read.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import os
 import random
 import re
 from dataclasses import dataclass, field
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import call_fsm
 from .call_fsm import (
@@ -69,7 +75,6 @@ from .sip_core import (
     PhoneNumber,
     SipMessage,
     SipMethod,
-    _message,
     serialize_message,
 )
 
@@ -91,6 +96,10 @@ class UnknownSubscriber(NetsimError):
 
 class SimBudgetExceeded(NetsimError):
     """Events remained queued past the simulation budget (likely a livelock)."""
+
+
+class TraceFileError(NetsimError):
+    """A trace file that cannot be read back as a federation trace."""
 
 
 @dataclass(frozen=True)
@@ -192,12 +201,8 @@ class PhoneLine:
         peer = state.peer  # type: ignore[attr-defined]
         if peer == self.number:
             raise ValueError(f"{self.number} cannot be on a call with itself")
-        # SipMessage.request's INVITE without its checks: the line's number
-        # was checked when it registered, the peer is checked here, and the
-        # Call-ID has no whitespace.
         call_id = "preset-" + self.number + "-" + str(len(self.legs))
-        invite = _message(INVITE, self.number, PhoneNumber(peer), call_id, 1,
-                          None, None, None, (), "")
+        invite = SipMessage.request(INVITE, self.number, peer, call_id)
         self.legs[call_id] = LineLeg(CALLER, phase, invite)
 
     # -- event handlers -----------------------------------------------------
@@ -623,3 +628,91 @@ TRACE_HEAD_RE = re.compile(
     + r', "from_hop": ' + _PLAIN_STR + r', "to_hop": ' + _PLAIN_STR
     + r', "dir": ' + _PLAIN_STR + r', "sip": (?=")'
 )
+
+
+# Fields legs_from_trace_rows reads from every row, in its tuple order after
+# the row's line number, with their JSON types.
+_ROW_FIELDS = {"t_ms": int, "from_hop": str, "to_hop": str, "dir": str, "sip": str}
+
+
+def _row_problem(row: object) -> str | None:
+    if type(row) is not dict:
+        return "a trace row must be a JSON object"
+    for name, kind in _ROW_FIELDS.items():
+        if name not in row:
+            return f"row has no {name!r} field"
+        if type(row[name]) is not kind:
+            return f"field {name!r} must be a JSON {'integer' if kind is int else 'string'}"
+    return None
+
+
+def _decode_literal(literal: str) -> str:
+    """The text of a JSON string literal; ValueError unless it decodes whole."""
+    text, end = scanstring(literal, 1)
+    if end != len(literal):
+        raise ValueError("string literal not consumed")
+    return text
+
+
+def _general_row(line: str, path: str, lineno: int) -> tuple:
+    """One row read by ``json.loads``, as its line number and then its
+    fields in ``_ROW_FIELDS`` order; raises TraceFileError naming the line."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFileError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an integer too long for int(), deep nesting
+        raise TraceFileError(f"{path}:{lineno}: unreadable JSON: {exc}") from None
+    problem = _row_problem(row)
+    if problem is not None:
+        raise TraceFileError(f"{path}:{lineno}: {problem}")
+    return lineno, row["t_ms"], row["from_hop"], row["to_hop"], row["dir"], row["sip"]
+
+
+def read_trace(path: str) -> Iterator[tuple[int, int, str, str, str, str]]:
+    """Yield the rows of a trace file, one line at a time, each as the tuple
+    ``(line, t_ms, from_hop, to_hop, dir, sip)``: its line number in the
+    file, then its fields in ``_ROW_FIELDS`` order. Blank lines are skipped.
+
+    A line as ``Federation.trace_jsonl`` writes it is read in one pass:
+    ``TRACE_HEAD_RE`` matches its fixed head, and the rest of the line must
+    be one sip literal, ``}`` and an optional newline. The tail is
+    checked before the literal is looked up in the cache, on a hit too. A
+    literal is decoded where it is first read and kept until its twin row
+    reads it, which drops it from the cache: a row and its twin share one
+    string, and the cache holds only the messages in flight. A third copy
+    is decoded again. Any other line, or one whose literal or integer does
+    not decode, goes to ``json.loads``; both give the same row, or the same
+    error on the same line.
+    """
+    texts: dict[str, str] = {}  # sip literal -> its decoded text, until its twin row
+    head = TRACE_HEAD_RE.match
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                m = head(line)
+                literal = None
+                if m is not None:  # the rest must be the sip literal, "}" and an optional newline
+                    if line.endswith("}\n"):
+                        literal = line[m.end() : -2]
+                    elif line.endswith("}"):
+                        literal = line[m.end() : -1]
+                if literal is None:
+                    if not line.strip():
+                        continue
+                    yield _general_row(line, path, lineno)
+                    continue
+                t_ms, _, from_hop, to_hop, direction = m.groups()
+                try:
+                    sip = texts.pop(literal, None)
+                    if sip is None:
+                        sip = texts[literal] = _decode_literal(literal)
+                    t_ms = int(t_ms)
+                except ValueError:  # a literal JSON rejects, an integer too long for int()
+                    yield _general_row(line, path, lineno)
+                else:
+                    yield lineno, t_ms, from_hop, to_hop, direction, sip
+    except OSError as exc:
+        raise TraceFileError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise TraceFileError(f"{path}: not UTF-8 text") from None

@@ -7,8 +7,7 @@ import pytest
 
 from cive_sim.call_fsm import CalleeProfile, Connected, Dialing, Held
 from cive_sim.cive import extract_features
-from cive_sim.cli import _ROW_FIELDS
-from cive_sim.netsim import EGRESS, INGRESS, Federation, GatewayPolicy
+from cive_sim.netsim import _ROW_FIELDS, EGRESS, INGRESS, Federation, GatewayPolicy
 from cive_sim.sip_core import (
     AlertUrn,
     CANONICAL_REASON,

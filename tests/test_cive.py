@@ -55,6 +55,7 @@ from cive_sim.scenario import (
     Scenario,
     _matrix_cell,
     build_federation,
+    exit_code_for,
     load_scenario,
     matrix_scenarios,
     run_scenario,
@@ -206,6 +207,39 @@ def test_extract_features_degenerate_and_empty():
     assert not extract_features(leg).timed_out
     with pytest.raises(EmptyTrace):
         extract_features([])
+
+
+@pytest.mark.parametrize(
+    "late, final",
+    [(reply(180, pem=PemValue.SENDONLY), 487), (reply(486), 486), (reply(181), 487)],
+    ids=["180-sendonly", "486", "181"],
+)
+def test_signal_after_the_timeout_cancel_is_not_read(late, final):
+    # A signal that reaches B after its verifier gave up tells where the far
+    # end was later, not while B rang: the leg falls to rule 6. The INVITE's
+    # final is still recorded, as the verifier still ACKs it.
+    timeout = cive.AU_CALL_TIMEOUT_MS
+    cancel = req(SipMethod.CANCEL, 1)
+    for arrives in (timeout + 50, timeout - 1):
+        leg = sorted([
+            Entry(0, EGRESS, INVITE),
+            Entry(timeout, EGRESS, cancel),
+            Entry(arrives, INGRESS, late),
+            Entry(timeout + 100, INGRESS, reply(200, to=cancel)),
+        ], key=lambda e: e.t_ms)
+        if final == 487:
+            leg.append(Entry(timeout + 100, INGRESS, reply(487)))
+        leg.append(Entry(timeout + 100, EGRESS, req(SipMethod.ACK, 1)))
+        f = extract_features(leg)
+        assert f.timed_out and f.final_to_invite == StatusCode(final)
+        if arrives > timeout:
+            assert f == FeatureVector(final_to_invite=StatusCode(final),
+                                      teardown=SipMethod.CANCEL, timed_out=True)
+            verdict = decide(B, infer_state(f), f)
+            assert verdict.inferred is InferredState.UNREACHABLE
+            assert verdict.decision is Decision.INCONCLUSIVE
+        else:  # read while the verifier still waited
+            assert infer_state(f) is not InferredState.UNREACHABLE
 
 
 INFERENCE_TABLE = [
@@ -485,6 +519,24 @@ def test_verify_times_out_when_the_queue_drains_before_the_leg_ends():
         (10_000, EGRESS, SipMethod.CANCEL),
     ]
     assert net.now == 10_050
+
+
+def test_c5_callback_timed_out_is_inconclusive(tmp_path):
+    # B's callback CANCELs at its 10 s timeout (16,482 ms), before A's 180
+    # sendrecv arrives (18,482 ms). That 180 is not read, so rule 6 judges
+    # the call, in the run and in the leg rebuilt from its trace.
+    report = run_scenario(load_scenario(SCENARIOS / "c5.scn"), tmp_path)
+    verdict = report.verdict
+    assert verdict.decision is Decision.INCONCLUSIVE
+    assert verdict.inferred is InferredState.UNREACHABLE
+    assert verdict.reason.startswith("rule 6:")
+    assert verdict.features == FeatureVector(
+        final_to_invite=StatusCode(487), teardown=SipMethod.CANCEL, timed_out=True)
+    assert exit_code_for([report]) == 2
+    text = (tmp_path / "c5.trace.jsonl").read_text(encoding="utf-8")
+    legs = legs_from_trace_rows(row_tuples(json.loads(line) for line in text.splitlines()))
+    assert [(obs, f) for _, obs, _, f in legs if obs == f"ep:{B}"] == [
+        (f"ep:{B}", verdict.features)]
 
 
 def test_timeout_after_the_grace_cancel_sends_no_second_cancel(tmp_path):

@@ -32,7 +32,7 @@ from cive_sim.scenario import (
     run_matrix,
     run_scenario,
 )
-from cive_sim import cive, cli
+from cive_sim import cive, cli, netsim
 from cive_sim.call_fsm import Connected, Dialing, Held
 from cive_sim.netsim import TRACE_HEAD_RE, Federation
 from cive_sim.sip_core import STATUS, AlertUrn, PemValue, PhoneNumber, SipMethod
@@ -263,7 +263,10 @@ def test_report_encoder_equals_json_dumps_on_every_report(tmp_path):
     assert sum(r.trace_file is None for r in reports) == len(reports) - 5
     assert sum(r.verdict is None for r in reports) == 5 + 2  # c4 refused, with and without --out
     assert sum(r.b_display is None for r in reports) == 3  # c4 only
-    assert {r.match for r in reports} == {True, None}
+    # c5's callback times out, so its verdict is Inconclusive, with and without --out
+    assert {r.match for r in reports} == {True, False, None}
+    assert [r.scenario.name for r in reports if r.match is False] == ["c5", "c5"]
+    assert all(r.inconclusive for r in reports if r.match is False)
     for r in reports:
         assert r.to_json() == _dumped(r)
     assert reports[5].to_json() == (REPO / "tests" / "golden" / "c1.report.json").read_text()
@@ -337,7 +340,8 @@ def test_report_encoder_equals_json_dumps(name, expected, inferred, b_display, t
 @pytest.mark.parametrize("flags", [[], ["--no-cive", "--seed", "7"]], ids=["plain", "no-cive-seed-7"])
 def test_cli_run_prints_the_report_file(tmp_path, capsys, monkeypatch, name, flags):
     monkeypatch.delenv("CIVE_SIM_SEED", raising=False)
-    assert cli.main(["run", str(SCENARIOS / f"{name}.scn"), *flags, "--out", str(tmp_path)]) == 0
+    code = 2 if name == "c5" and not flags else 0  # c5's verdict is Inconclusive
+    assert cli.main(["run", str(SCENARIOS / f"{name}.scn"), *flags, "--out", str(tmp_path)]) == code
     out, err = capsys.readouterr()
     assert err == ""
     assert out.encode("utf-8") == (tmp_path / f"{name}.report.json").read_bytes()
@@ -1202,7 +1206,7 @@ def test_cli_parse_leg_out_of_order(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "value", ["1" + "0" * 5000, "[" * 5000 + "0" + "]" * 5000], ids=["5001-digits", "deep"]
+    "value", ["1" + "0" * 5000, "[" * 20_000 + "0" + "]" * 20_000], ids=["5001-digits", "deep"]
 )
 def test_cli_parse_oversized_value_is_bad_input(tmp_path, capsys, value):
     lines = [json.dumps(row) for row in _c3_trace_rows(tmp_path)]
@@ -1216,7 +1220,7 @@ def _reference_read(lines, path):
 
     Returns the rows as JSON, each a list in ``_ROW_FIELDS`` order, so
     field order and JSON types count, with their line numbers, or the one
-    error line ``_read_trace`` is expected to raise.
+    error line ``read_trace`` is expected to raise.
     """
     rows, line_numbers = [], []
     for lineno, line in enumerate(lines, 1):
@@ -1228,20 +1232,20 @@ def _reference_read(lines, path):
             return f"{path}:{lineno}: malformed JSON: {exc.msg}"
         except ValueError as exc:
             return f"{path}:{lineno}: unreadable JSON: {exc}"
-        problem = cli._row_problem(row)
+        problem = netsim._row_problem(row)
         if problem is not None:
             return f"{path}:{lineno}: {problem}"
-        rows.append([row[name] for name in cli._ROW_FIELDS])
+        rows.append([row[name] for name in netsim._ROW_FIELDS])
         line_numbers.append(lineno)
     return json.dumps(rows), line_numbers
 
 
 def _read_outcome(path):
-    """Every row ``_read_trace`` yields, as JSON without its leading line
+    """Every row ``read_trace`` yields, as JSON without its leading line
     number, with the line numbers, or the error line it raises."""
     try:
-        rows = list(cli._read_trace(path))
-    except cli.TraceFileError as exc:
+        rows = list(netsim.read_trace(path))
+    except netsim.TraceFileError as exc:
         return str(exc)
     assert all(type(row) is tuple for row in rows)
     return json.dumps([row[1:] for row in rows]), [row[0] for row in rows]
@@ -1305,13 +1309,13 @@ def test_read_trace_matches_json_loads_on_golden_seeded_and_mutated_rows(tmp_pat
         TRACE_HEAD_RE.match(line) and line.endswith("}") for trace in traces for line in trace
     )
     fallback = []  # for each line json.loads read: whether the row head matched it
-    general_row = cli._general_row
+    general_row = netsim._general_row
 
     def counted_general_row(line, path, lineno):
         fallback.append(TRACE_HEAD_RE.match(line) is not None)
         return general_row(line, path, lineno)
 
-    monkeypatch.setattr(cli, "_general_row", counted_general_row)
+    monkeypatch.setattr(netsim, "_general_row", counted_general_row)
     files = ["\n".join(lines) + "\n" for lines in traces]
     lines = [line for trace in traces for line in trace]
     for _ in range(10_000):
@@ -1392,14 +1396,14 @@ def test_read_trace_checks_what_follows_the_row_head(tmp_path, lineno, edit, err
 
 
 def test_decode_literal_takes_one_whole_literal():
-    assert cli._decode_literal('"a\\nb"') == "a\nb"
+    assert netsim._decode_literal('"a\\nb"') == "a\nb"
     for literal in ('"ab" ', '"ab"x', '"a"b"', '"ab'):
         with pytest.raises(ValueError):
-            cli._decode_literal(literal)
+            netsim._decode_literal(literal)
 
 
 def test_twin_rows_share_one_sip_string():
-    rows = list(cli._read_trace(str(REPO / "tests" / "golden" / "c3.trace.jsonl")))
+    rows = list(netsim.read_trace(str(REPO / "tests" / "golden" / "c3.trace.jsonl")))
     by_text = {}
     for row in rows:
         assert by_text.setdefault(row[5], row[5]) is row[5]
@@ -1418,14 +1422,14 @@ def test_read_trace_decodes_a_third_copy_of_a_literal_again(tmp_path, monkeypatc
     path = tmp_path / "t.trace.jsonl"
     path.write_text(text, encoding="utf-8")
     decoded = []
-    decode = cli._decode_literal
+    decode = netsim._decode_literal
 
     def counting(literal):
         decoded.append(literal)
         return decode(literal)
 
-    monkeypatch.setattr(cli, "_decode_literal", counting)
-    rows = list(cli._read_trace(str(path)))
+    monkeypatch.setattr(netsim, "_decode_literal", counting)
+    rows = list(netsim.read_trace(str(path)))
     assert decoded.count(literal) == 2
     assert len(decoded) == len(set(decoded)) + 1
     assert rows[0][5] is rows[1][5] and rows[-1][5] == rows[0][5]

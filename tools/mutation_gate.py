@@ -113,7 +113,7 @@ MUTANTS = (
     Mutant("leg-start-unchecked", "cive.py",
            "if early_hop == from_hop:",
            "if False:"),
-    Mutant("trace-tail-unchecked", "cli.py",
+    Mutant("trace-tail-unchecked", "netsim.py",
            'if line.endswith("}\\n"):\n'
            "                        literal = line[m.end() : -2]\n"
            '                    elif line.endswith("}"):',
@@ -214,7 +214,7 @@ MUTANTS = (
            "if sorted(state for _, state, _, _ in rules) != sorted(InferredState):",
            "if False:"),
     # A parsed row carries its file line, which a parse error names.
-    Mutant("parse-line-off-by-one", "cli.py",
+    Mutant("parse-line-off-by-one", "netsim.py",
            "yield lineno, t_ms, from_hop, to_hop, direction, sip",
            "yield lineno - 1, t_ms, from_hop, to_hop, direction, sip"),
     # A bad command line is bad input: exit 3 and one short error line.
@@ -227,6 +227,10 @@ MUTANTS = (
     Mutant("error-line-unescaped", "cli.py",
            'line = f"error: {message}".translate(_ESCAPES)',
            'line = f"error: {message}"'),
+    # A trace file netsim cannot read is bad input too.
+    Mutant("trace-error-uncaught", "cli.py",
+           "netsim.SimBudgetExceeded, netsim.TraceFileError,\n",
+           "netsim.SimBudgetExceeded,\n"),
     # parse folds each leg as it reads it: only the observer's rows are
     # stepped, and the INVITE the fold is built from is one of its messages.
     Mutant("other-hop-rows-folded", "cive.py",
@@ -235,6 +239,10 @@ MUTANTS = (
     Mutant("leg-messages-off-by-one", "cive.py",
            "self.messages = 1\n",
            "self.messages = 0\n"),
+    # Once the verifier's timeout CANCEL is sent, no later signal is read.
+    Mutant("timed-out-signal-read", "cive.py",
+           "if self.timed_out:\n                return",
+           "if False:\n                return"),
 )
 
 # Mutants no test can kill because they change no observable behaviour,
