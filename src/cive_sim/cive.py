@@ -30,8 +30,7 @@ row. Every feature is read off the leg alone, through the one fold, so
 both give the same features.
 
 A ``Verdict`` reads its decision and reason off ``_RULES``, checked once,
-at import. ``_LegFold.features`` builds its ``FeatureVector`` unchecked, as
-its teardown is only ever BYE, CANCEL or None.
+at import.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .sip_core import (
     SipMessage,
     SipMethod,
     StatusCode,
-    _new,
 )
 
 
@@ -239,17 +237,8 @@ class _LegFold:
         # BYE is what actually ends an answered leg, so it wins over a CANCEL
         # that crossed the answer in flight.
         teardown = BYE if self.sent_bye else CANCEL if self.sent_cancel else None
-        # Built unchecked: teardown is BYE, CANCEL or None, as __post_init__ requires.
-        features = _new(FeatureVector)
-        d = features.__dict__
-        d["pem_180"] = self.pem_180
-        d["alert_180"] = self.alert_180
-        d["saw_181"] = self.saw_181
-        d["saw_486"] = self.saw_486
-        d["final_to_invite"] = self.final
-        d["teardown"] = teardown
-        d["timed_out"] = self.timed_out
-        return features
+        return FeatureVector(self.pem_180, self.alert_180, self.saw_181, self.saw_486,
+                             self.final, teardown, self.timed_out)
 
 
 def extract_features(leg: list[tuple[int, str, SipMessage]]) -> FeatureVector:

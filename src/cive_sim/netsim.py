@@ -5,10 +5,9 @@ lines and a gateway policy. Messages move between hops (subscriber lines,
 per-carrier network cores, voicemail services) over links with fixed delay
 plus optional seeded jitter; events fire in (time, insertion order), so a
 given (scenario, seed) always produces byte-identical traces. The event
-queue is a calendar: a heap of the distinct due times, as plain ints, and
-for each due time one FIFO list of ``(seq, callback, args)`` entries, run
-in order. ``seq`` is one insertion counter shared by messages and timers,
-and only grows, so the lists run events in exactly (time, ``seq``) order.
+queue is one heap of ``(at, seq, callback, args)`` entries. ``seq`` is one
+insertion counter shared by messages and timers, and only grows, so no two
+entries tie and events run in exactly (time, ``seq``) order.
 A timer calls the handler it was set with, and a delivery logs its
 ingress row and hands the message to the destination hop's
 ``handle_message(msg)``. A timer is cancelled by its ``seq``, the handle
@@ -347,11 +346,7 @@ class Federation:
         self.trace: list[dict] = []
         self.policy_violations: list[dict] = []
         self._dialogs: dict[str, _Dialog] = {}
-        # The calendar: a heap of the distinct due times, and per due time
-        # its FIFO list of (seq, callback, args) entries; ties on a time run
-        # in ``seq`` order because entries are appended as ``seq`` grows.
-        self._heap: list[int] = []
-        self._due: dict[int, list[tuple[int, Callable[..., None], tuple]]] = {}
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._cancelled: set[int] = set()  # seqs of cancelled timers still queued
         self._call_counter = 0
@@ -490,14 +485,7 @@ class Federation:
                            "to_hop": dest.hop, "dir": EGRESS, "sip": sip})
         self._seq = seq = self._seq + 1
         # Queued here, not by set_timer: a delivery has no handle to cancel.
-        at = now + delay
-        entry = (seq, self._deliver, (dest, msg, from_hop, sip))
-        events = self._due.get(at)
-        if events is None:
-            self._due[at] = [entry]
-            heapq.heappush(self._heap, at)
-        else:
-            events.append(entry)
+        heapq.heappush(self._heap, (now + delay, seq, self._deliver, (dest, msg, from_hop, sip)))
 
     def _deliver(self, dest, msg: SipMessage, from_hop: str, sip: str) -> None:
         """Log the ingress row of a message reaching its hop and hand it over."""
@@ -521,13 +509,7 @@ class Federation:
         if delay_ms < 0:
             raise NetsimError(f"timer delay must be >= 0, got {delay_ms}")
         self._seq = seq = self._seq + 1
-        at = self.now + delay_ms
-        events = self._due.get(at)
-        if events is None:
-            self._due[at] = [(seq, callback, args)]
-            heapq.heappush(self._heap, at)
-        else:
-            events.append((seq, callback, args))
+        heapq.heappush(self._heap, (self.now + delay_ms, seq, callback, args))
         return seq
 
     def cancel_timer(self, timer: int) -> None:
@@ -543,34 +525,24 @@ class Federation:
         ``MAX_SIM_MS``, read at call time; returns the final simulated clock.
         """
         budget = MAX_SIM_MS
-        heap, due, cancelled, pop = self._heap, self._due, self._cancelled, heapq.heappop
+        heap, cancelled, pop = self._heap, self._cancelled, heapq.heappop
+        # An event is popped before it runs, so a handler that raises leaves
+        # every later event queued.
         while heap:
-            at = pop(heap)
-            events = due[at]
-            if at > budget and any(entry[0] not in cancelled for entry in events):
-                heapq.heappush(heap, at)  # left queued, as found
+            event = pop(heap)
+            at, seq, callback, args = event
+            if seq in cancelled:
+                # A cancelled timer neither advances the clock nor counts
+                # against the budget.
+                cancelled.discard(seq)
+                continue
+            if at > budget:
+                heapq.heappush(heap, event)  # left queued, as found
                 raise SimBudgetExceeded(
                     f"events still queued at t={at} ms, past the {budget} sim-ms budget"
                 )
-            # The list stays in ``due`` while it runs, so an event set for
-            # ``at`` by one of its handlers is appended and runs in turn.
-            try:
-                for i, (seq, callback, args) in enumerate(events):
-                    if seq in cancelled:
-                        # A cancelled timer neither advances the clock nor
-                        # counts against the budget.
-                        cancelled.discard(seq)
-                        continue
-                    self.now = at
-                    callback(*args)
-            except BaseException:
-                del events[: i + 1]  # a handler raised: the rest stay queued
-                if events:
-                    heapq.heappush(heap, at)
-                else:
-                    del due[at]
-                raise
-            del due[at]
+            self.now = at
+            callback(*args)
         return self.now
 
     def run_until_quiescent(self) -> int:

@@ -701,8 +701,9 @@ def test_cancelled_timers_never_advance_the_clock_or_trip_the_budget(monkeypatch
     assert net._heap == []
 
 
-# The event queue is a calendar: one list per due time. These pin that its
-# order, clock and budget are those of one queue ordered by (time, seq).
+# The event queue is one heap of (at, seq, callback, args) entries. Each test
+# below pins one case of its order, clock and budget; the property test after
+# them checks generated programs against a list sorted by (at, seq).
 
 
 def test_same_ms_timers_and_deliveries_fire_in_insertion_order():
@@ -754,7 +755,7 @@ def test_cancelled_timer_in_a_list_moves_no_clock_and_spends_no_budget(monkeypat
     cancelled_first = net.set_timer(40, probe.fire, "cancelled-first")
     net.set_timer(40, probe.fire, "after-cancelled")
     net.cancel_timer(cancelled_first)
-    for tag in ("past-1", "past-2"):  # a list past the budget, every entry cancelled
+    for tag in ("past-1", "past-2"):  # one time past the budget, every timer there cancelled
         net.cancel_timer(net.set_timer(200, probe.fire, tag))
     assert net.run() == 40
     assert probe.fired == [("live", 20), ("after-cancelled", 40)]
@@ -772,7 +773,7 @@ def test_budget_overrun_in_a_list_raises_and_leaves_it_queued(monkeypatch):
     with pytest.raises(SimBudgetExceeded, match="t=200 ms, past the 150 sim-ms budget"):
         net.run()
     assert net.now == 100 and probe.fired == [("in-budget", 100)]
-    # A larger budget runs the list as it was found.
+    # A larger budget runs the queue as it was found.
     monkeypatch.setattr(cive_sim.netsim, "MAX_SIM_MS", 1000)
     assert net.run() == 200
     assert probe.fired == [("in-budget", 100), ("over-1", 200), ("over-2", 200)]
@@ -788,7 +789,7 @@ def test_a_handler_that_raises_leaves_the_rest_queued():
 
     net.set_timer(10, fail)
     net.set_timer(10, probe.fire, "same-time")
-    net.set_timer(20, fail)  # alone in its list
+    net.set_timer(20, fail)  # alone at its time
     net.set_timer(30, probe.fire, "later")
     with pytest.raises(RuntimeError, match="handler failed"):
         net.run()
@@ -807,6 +808,106 @@ def test_negative_timer_delay_is_refused():
     with pytest.raises(NetsimError, match="timer delay must be >= 0, got -1"):
         net.set_timer(-1, probe.fire, "past")
     assert net._heap == [] and net.run() == 0 and probe.fired == []
+
+
+class _SortedList:
+    """The reference queue: a plain list of (at, seq, callback, args),
+    sorted by (at, seq) before each pop, with the budget read at run time."""
+
+    def __init__(self):
+        self.now = self.seq = 0
+        self.events = []
+        self.cancelled = set()
+
+    def set_timer(self, delay_ms, callback, *args):
+        self.seq += 1
+        self.events.append((self.now + delay_ms, self.seq, callback, args))
+        return self.seq
+
+    def cancel_timer(self, timer):
+        self.cancelled.add(timer)
+
+    def run(self):
+        budget = cive_sim.netsim.MAX_SIM_MS
+        while self.events:
+            self.events.sort(key=lambda event: event[:2])
+            at, seq, callback, args = self.events[0]
+            if seq in self.cancelled:
+                del self.events[0]
+                continue
+            if at > budget:
+                raise SimBudgetExceeded(f"t={at}")
+            del self.events[0]
+            self.now = at
+            callback(*args)
+        return self.now
+
+
+def _play(queue, mp, program, budget):
+    """Run one generated timer program on ``queue``: each timer's handler
+    logs itself and may set a zero-delay timer, cancel another timer's
+    handle or raise. After the first run ends, more handles are cancelled;
+    after a budget overrun the budget is lifted. Runs until the queue
+    drains, then once more for a zero-delay timer. Returns the log: each
+    firing, and each run's result or exception, with the clock."""
+    delays, actions, raiser, cancels_before, cancels_after = program
+    mp.undo()
+    if budget is not None:
+        mp.setattr(cive_sim.netsim, "MAX_SIM_MS", budget)
+    log, handles = [], []
+
+    def fire(i):
+        log.append(("fired", i, queue.now))
+        spawns, target = actions[i]
+        if spawns:
+            queue.set_timer(0, child, i)
+        if target is not None:
+            queue.cancel_timer(handles[target])
+        if i == raiser:
+            raise RuntimeError(f"handler {i} failed")
+
+    def child(i):
+        log.append(("child", i, queue.now))
+
+    handles.extend(queue.set_timer(delay, fire, i) for i, delay in enumerate(delays))
+    for i in cancels_before:
+        queue.cancel_timer(handles[i])
+    for attempt in range(3):  # at most one raise and one overrun
+        try:
+            log.append(("ran", queue.run(), queue.now))
+            break
+        except RuntimeError:
+            log.append(("raised", queue.now))
+        except SimBudgetExceeded:
+            log.append(("overran", queue.now))
+            mp.setattr(cive_sim.netsim, "MAX_SIM_MS", 10**6)
+        if attempt == 0:
+            for i in cancels_after:
+                queue.cancel_timer(handles[i])
+    queue.set_timer(0, child, -1)
+    log.append(("ran", queue.run(), queue.now))
+    return log
+
+
+def _timer_programs(n):
+    index = st.integers(0, n - 1)
+    return st.tuples(
+        st.lists(st.sampled_from([0, 10, 150, 300]) | st.integers(0, 300),
+                 min_size=n, max_size=n),  # each timer's delay, ties likely
+        st.lists(st.tuples(st.booleans(), st.none() | index), min_size=n, max_size=n),
+        st.none() | index,  # the one handler that raises
+        st.lists(index, max_size=4),  # handles cancelled before the first run, repeats too
+        st.lists(index, max_size=4),  # and after it: live, fired or cancelled
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(program=st.integers(1, 10).flatmap(_timer_programs), budget=st.none() | st.integers(0, 300))
+def test_queue_runs_generated_programs_as_a_list_sorted_by_time_and_seq(program, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        net = Federation()
+        assert _play(net, mp, program, budget) == _play(_SortedList(), mp, program, budget)
+    assert net._heap == []
 
 
 @pytest.mark.parametrize("kind", ["response", "bye-to-line", "bye-to-unregistered"])

@@ -8,14 +8,17 @@ so code that runs at import time is seen, and again before each test:
 armed only once, it missed about 85 lines that tier-1 runs (Python 3.11).
 The executable lines are those of every function body (lambdas and
 comprehensions too), read from each code object's ``co_lines()``; module
-and class bodies run at import and are not counted.
+and class bodies run at import and are not counted. Each module's source
+is read once, before tier-1 runs, and that snapshot is what is compiled
+and printed, so line numbers are those of the code that ran.
 
     python tools/coverage_gate.py
 
 Prints each unrun line as ``<module>:<line>: <text>``, then
 ``run R of N lines``. Exits 1 when an unrun line is not in ``ALLOWED``, or
 when an entry of ``ALLOWED`` matches no unrun line, and 2 when tier-1 fails
-under the collector or the gate cannot run.
+under the collector, a module's file changed while it ran, or the gate
+cannot run.
 """
 
 from __future__ import annotations
@@ -83,9 +86,14 @@ def main() -> int:
     sys.path.insert(0, src)
     # as tier-1 is run, so a test's subprocess imports the same package
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     sys.settrace(_global)
     code = pytest.main(["-q", "-p", "no:cacheprovider", str(REPO / "tests")], plugins=[_Rearm()])
     sys.settrace(None)
+    changed = [path.name for path, source in sources.items()
+               if not path.is_file() or path.read_text(encoding="utf-8") != source]
+    if changed:
+        _fail(f"{', '.join(changed)} changed while tier-1 ran, so its lines cannot be judged")
     import cive_sim
 
     if Path(cive_sim.__file__).resolve().parent != PACKAGE:
@@ -94,8 +102,7 @@ def main() -> int:
         _fail(f"tier-1 exited {code} under the collector")
     total = 0
     unrun = []  # the ALLOWED key of each unrun line
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
+    for path, source in sources.items():
         text = source.splitlines()
         lines = _body_lines(compile(source, str(path), "exec"))
         total += len(lines)

@@ -159,24 +159,19 @@ MUTANTS = (
     Mutant("report-null-verdict-quoted", "scenario.py",
            'verdict = "null"',
            'verdict = \'"null"\''),
-    # The calendar queue: one list per due time, run first-in-first-out.
-    Mutant("calendar-list-lifo", "netsim.py",
-           "for i, (seq, callback, args) in enumerate(events):",
-           "for i, (seq, callback, args) in enumerate(events[::-1]):"),
-    Mutant("calendar-list-kept", "netsim.py",
-           "            del due[at]\n        return self.now",
-           "            pass\n        return self.now"),
-    Mutant("calendar-new-list-per-timer", "netsim.py",
-           "events = self._due.get(at)\n        if events is None:\n"
-           "            self._due[at] = [(seq, callback, args)]",
-           "events = None\n        if events is None:\n"
-           "            self._due[at] = [(seq, callback, args)]"),
-    Mutant("calendar-overrun-counts-cancelled", "netsim.py",
-           "if at > budget and any(entry[0] not in cancelled for entry in events):",
-           "if at > budget and events:"),
-    Mutant("calendar-raise-drops-rest", "netsim.py",
-           "del events[: i + 1]",
-           "del events[:]"),
+    # The event queue: one heap ordered by (time, seq), budget checked on live events.
+    Mutant("heap-ties-lifo", "netsim.py",
+           "(self.now + delay_ms, seq, callback, args)",
+           "(self.now + delay_ms, -seq, callback, args)"),
+    Mutant("overrun-counts-cancelled", "netsim.py",
+           "            if seq in cancelled:\n",
+           "            if at > budget:\n"
+           "                heapq.heappush(heap, event)\n"
+           "                raise SimBudgetExceeded(f\"past the {budget} sim-ms budget\")\n"
+           "            if seq in cancelled:\n"),
+    Mutant("overrun-not-requeued", "netsim.py",
+           "heapq.heappush(heap, event)  # left queued, as found",
+           "pass"),
     # Import cost: only the loader imports PyYAML, and the four peer states
     # are distinct classes over one record.
     Mutant("yaml-imported-with-package", "scenario.py",
