@@ -29,10 +29,12 @@ Trace log: one JSON object per line, fields in fixed order
 ``{t_ms, carrier, from_hop, to_hop, dir, sip}``. Every message produces an
 egress row when it leaves its source hop and an ingress row when it
 reaches its destination hop. The trace file's format lives here, both
-ways: ``Federation.trace_jsonl`` and ``write_trace`` write it,
-``TRACE_HEAD_RE`` matches the fixed head of each line, and ``read_trace``
-reads a file back as rows, raising ``TraceFileError`` for one it cannot
-read.
+ways: one line encoder writes it, joined by ``Federation.trace_jsonl`` and
+streamed by ``write_trace`` in chunks of a fixed number of rows, and
+``TRACE_HEAD_RE`` matches the fixed head of each line. A message's two rows
+share one sip string, so the encoder escapes it once and holds the literal
+only until the twin row writes it. ``read_trace`` reads a file back as rows,
+raising ``TraceFileError`` for one it cannot read.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import call_fsm
 from .call_fsm import (
@@ -552,38 +554,65 @@ class Federation:
     # -- trace output ------------------------------------------------------------
 
     def trace_jsonl(self) -> str:
-        """The trace as JSON lines, byte for byte what ``json.dumps(row)`` gives.
-
-        Lines are built from the fixed field order, each string escaped as
-        ``json.dumps`` escapes it. ``TRACE_HEAD_RE`` matches the head of
-        each line, up to its sip literal.
-        """
-        q = encode_basestring_ascii
-        return "".join(
-            f'{{"t_ms": {r["t_ms"]}, "carrier": {q(r["carrier"])}, "from_hop": {q(r["from_hop"])}, '
-            f'"to_hop": {q(r["to_hop"])}, "dir": {q(r["dir"])}, "sip": {q(r["sip"])}}}\n'
-            for r in self.trace
-        )
+        """The trace as JSON lines, byte for byte what ``json.dumps(row)`` gives."""
+        return "".join(_trace_chunks(self.trace))
 
     def write_trace(self, path: str | Path) -> None:
-        write_file(path, self.trace_jsonl())
+        """Write ``trace_jsonl`` to ``path`` one chunk of rows at a time, so
+        the text of the whole trace is never held at once."""
+        write_file(path, _trace_chunks(self.trace))
 
 
-def write_file(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, as ``Path.write_text`` would.
+# Rows per chunk of trace text: about 0.3 MB.
+_CHUNK_ROWS = 1024
 
-    An existing file is overwritten in place and then cut to the new
-    length, rather than truncated to zero first: on a disk that discards
-    freed blocks, releasing and reallocating them costs far more than the
-    write. On POSIX the bytes and, for a new file, the mode (``0o666``
-    less the umask) are those ``open(path, "w")`` gives.
+
+def _trace_chunks(rows: list[dict]) -> Iterator[str]:
+    """The trace lines of ``rows``, joined ``_CHUNK_ROWS`` rows at a time.
+
+    Each line is what ``json.dumps(row)`` gives, and a newline: it is built
+    from the fixed field order, each string escaped as ``json.dumps``
+    escapes it. ``TRACE_HEAD_RE`` matches the head of each line, up to its
+    sip literal. A message's egress and ingress rows share one sip string:
+    its literal is escaped at the first row and kept until the twin row
+    takes it, so the cache holds only the messages in flight.
     """
-    data = memoryview(text.encode("utf-8"))
+    q = encode_basestring_ascii
+    literals: dict[str, str] = {}  # sip text -> its JSON literal, until its twin row
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        lines = []
+        for r in rows[start : start + _CHUNK_ROWS]:
+            sip = r["sip"]
+            literal = literals.pop(sip, None)
+            if literal is None:
+                literal = literals[sip] = q(sip)
+            lines.append(
+                f'{{"t_ms": {r["t_ms"]}, "carrier": {q(r["carrier"])}, "from_hop": {q(r["from_hop"])}, '
+                f'"to_hop": {q(r["to_hop"])}, "dir": {q(r["dir"])}, "sip": {literal}}}\n'
+            )
+        yield "".join(lines)
+
+
+def write_file(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` in turn as UTF-8, as
+    ``Path.write_text`` would write them joined.
+
+    Each chunk is encoded and written before the next is taken, so only one
+    is held at a time. An existing file is overwritten in place and then
+    cut to the written length, rather than truncated to zero first: on a
+    disk that discards freed blocks, releasing and reallocating them costs
+    far more than the write. On POSIX the bytes and, for a new file, the
+    mode (``0o666`` less the umask) are those ``open(path, "w")`` gives.
+    """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         written = 0
-        while written < len(data):
-            written += os.write(fd, data[written:])
+        for chunk in chunks:
+            data = memoryview(chunk.encode("utf-8"))
+            done = 0
+            while done < len(data):
+                done += os.write(fd, data[done:])
+            written += done
         os.ftruncate(fd, written)
     finally:
         os.close(fd)

@@ -456,7 +456,7 @@ def run_scenario(s: Scenario, out_dir: str | Path | None = None) -> RunReport:
         except FileNotFoundError:
             os.makedirs(out, exist_ok=True)
             net.write_trace(trace_path)
-        write_file(os.path.join(out, s.name + ".report.json"), report.to_json())
+        write_file(os.path.join(out, s.name + ".report.json"), [report.to_json()])
     return report
 
 
@@ -607,7 +607,7 @@ def run_matrix(out_dir: str | Path | None = None) -> MatrixResult:
         tuple(run_scenario(s, cells_dir) for s in sorted(matrix_scenarios(), key=lambda s: s.name))
     )
     if out_dir is not None:
-        write_file(os.path.join(out_dir, "matrix.csv"), result.to_csv())
+        write_file(os.path.join(out_dir, "matrix.csv"), [result.to_csv()])
     return result
 
 

@@ -120,13 +120,19 @@ def folded(legs):
 
 
 def loaded_federation(seed, n_calls):
+    """The rows of ``loaded_net``'s federation as read back from JSON lines,
+    and the originated call ids."""
+    net, call_ids = loaded_net(seed, n_calls)
+    return [json.loads(line) for line in net.trace_jsonl().splitlines()], call_ids
+
+
+def loaded_net(seed, n_calls):
     """Many concurrent calls on three carriers, the last enforcing caller ID.
 
     Every call has its own originator, target and peer; about half claim the
     peer's number. Targets are preset idle, busy (connected, with neither
     call waiting nor voicemail), connected, held, or dialing the peer.
-    Returns the drained federation's rows as read back from JSON lines,
-    and the originated call ids.
+    Returns the drained federation and the originated call ids.
     """
     rng = random.Random(seed)
     net = Federation(seed=seed)
@@ -161,4 +167,4 @@ def loaded_federation(seed, n_calls):
             )
         )
     net.run()
-    return [json.loads(line) for line in net.trace_jsonl().splitlines()], call_ids
+    return net, call_ids

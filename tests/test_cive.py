@@ -42,7 +42,7 @@ from cive_sim.cive import (
     legs_from_trace_rows,
     verify_incoming,
 )
-from cive_sim.netsim import EGRESS, INGRESS, Federation, GatewayPolicy
+from cive_sim.netsim import EGRESS, INGRESS, Federation, GatewayPolicy, read_trace
 from cive_sim.scenario import (
     _MATRIX_A,
     _MATRIX_B,
@@ -378,15 +378,25 @@ def test_decide_gives_each_rules_decision_and_reason():
         assert verdict == built and hash(verdict) == hash(built)
 
 
-def test_extracted_features_equal_a_checked_feature_vector():
-    verdict, _ = _verify(_federation(), ringing())
-    features = verdict.features
-    checked = FeatureVector(**vars(features))
-    assert type(features) is FeatureVector
-    assert features == checked and vars(features) == vars(checked)
-    assert hash(features) == hash(checked)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        features.saw_181 = True
+def test_live_features_equal_those_parsed_from_the_written_trace(monkeypatch, tmp_path):
+    # c1-c3, c5 and every matrix cell (c4's spoof is stopped at its carrier's
+    # edge, so nothing is verified): the verdict's features are those that
+    # parse derives for the verifier's leg from the trace file the run wrote.
+    agents = []
+
+    def capturing(agent):
+        agents.append(agent)
+        return verify_incoming(agent)
+
+    monkeypatch.setattr(cive_sim.scenario, "verify_incoming", capturing)
+    cells = [load_scenario(SCENARIOS / f"c{n}.scn") for n in (1, 2, 3, 5)] + matrix_scenarios()
+    for cell in cells:
+        agents.clear()
+        report = run_scenario(cell, tmp_path)
+        [agent] = agents
+        legs = legs_from_trace_rows(read_trace(str(tmp_path / report.trace_file)))
+        parsed = {cid: features for cid, _, _, features in legs}
+        assert parsed[agent.leg.invite.call_id] == report.verdict.features, cell.name
 
 
 def test_feature_vector_teardown_is_bye_or_cancel():

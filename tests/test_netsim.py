@@ -2,12 +2,13 @@ import collections
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIOS, loaded_federation
+from conftest import SCENARIOS, loaded_federation, loaded_net
 
 import cive_sim.netsim
 from cive_sim import call_fsm
@@ -927,17 +928,88 @@ def test_send_without_a_dialog_is_refused_before_any_row(kind):
     assert net.run() == 0
 
 
+AWKWARD_TEXTS = [
+    "", "plain", 'say "hi"', "back\\slash\\", "ctl \x00\x01\x1f\x7f\t\r\n\b\f",
+    "café ☎ \U0001f4de", "  ", "lone \ud800 surrogate", "/</script>",
+]
+
+
 def test_trace_jsonl_matches_json_dumps_on_awkward_strings():
-    texts = [
-        "", "plain", 'say "hi"', "back\\slash\\", "ctl \x00\x01\x1f\x7f\t\r\n\b\f",
-        "café ☎ \U0001f4de", "  ", "lone \ud800 surrogate", "/</script>",
-    ]
     net = Federation()
-    for i, text in enumerate(texts):
-        for j, other in enumerate(texts):
+    for i, text in enumerate(AWKWARD_TEXTS):
+        for j, other in enumerate(AWKWARD_TEXTS):
             net.trace.append({"t_ms": i * 1000 + j, "carrier": text, "from_hop": other,
                               "to_hop": text + other, "dir": other, "sip": text})
     assert net.trace_jsonl() == "".join(json.dumps(row) + "\n" for row in net.trace)
+
+
+def _chunked_trace_net():
+    """A federation whose trace spans four write chunks. Each message's
+    egress and ingress rows share one sip string and lie three rows apart,
+    so some twins straddle a chunk boundary. Every field holds the awkward
+    strings, and every fifth sip text repeats one sent earlier."""
+    size = cive_sim.netsim._CHUNK_ROWS
+    texts = AWKWARD_TEXTS
+    net = Federation()
+    in_flight = collections.deque()
+    rows_of = collections.defaultdict(list)  # a message's row indices
+    for m in range(3 * size // 2 + 7):
+        text = texts[m % len(texts)]
+        sip = text if m % 5 == 0 else f"{text} #{m}"
+        hops = (texts[m % 4], texts[-1 - m % 3] + text)
+        rows_of[m].append(len(net.trace))
+        net.trace.append({"t_ms": m, "carrier": texts[m % 7], "from_hop": hops[0],
+                          "to_hop": hops[1], "dir": "egress", "sip": sip})
+        in_flight.append((m, hops, sip))
+        if len(in_flight) == 3:
+            sent, (from_hop, to_hop), sip = in_flight.popleft()
+            rows_of[sent].append(len(net.trace))
+            net.trace.append({"t_ms": m, "carrier": text, "from_hop": from_hop,
+                              "to_hop": to_hop, "dir": "ingress", "sip": sip})
+    for sent, (from_hop, to_hop), sip in in_flight:
+        rows_of[sent].append(len(net.trace))
+        net.trace.append({"t_ms": sent + 9, "carrier": "", "from_hop": from_hop,
+                          "to_hop": to_hop, "dir": "ingress", "sip": sip})
+    assert len(net.trace) > 3 * size
+    assert any(i < size <= j for i, j in rows_of.values())
+    return net
+
+
+def test_write_trace_streams_the_bytes_of_trace_jsonl_over_chunk_boundaries(tmp_path):
+    net = _chunked_trace_net()
+    path = tmp_path / "chunked.trace.jsonl"
+    net.write_trace(path)
+    expected = "".join(json.dumps(row) + "\n" for row in net.trace)
+    assert net.trace_jsonl() == expected
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("stale", ["longer", "shorter"])
+def test_write_trace_over_an_existing_file_gives_the_same_bytes(tmp_path, stale):
+    net = _chunked_trace_net()
+    fresh, path = tmp_path / "fresh.trace.jsonl", tmp_path / "stale.trace.jsonl"
+    net.write_trace(fresh)
+    size = fresh.stat().st_size
+    path.write_bytes(b"x" * (size + 4096) if stale == "longer" else b"y" * (size // 3))
+    net.write_trace(path)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_writing_a_trace_holds_a_chunk_not_the_whole_text(tmp_path):
+    # Writing holds one chunk's text and bytes and the literals of the
+    # messages in flight, never the whole trace as one str or bytes.
+    net, _ = loaded_net(seed=1, n_calls=2000)
+    path = tmp_path / "loaded.trace.jsonl"
+    bound = 2 * 1024 * 1024
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        net.write_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2 * bound  # as one str and its bytes, over 4 bounds
+    assert peak - start < bound, f"writing raised the traced peak by {peak - start} bytes"
 
 
 _carrier = st.tuples(st.booleans(), st.integers(0, 200), st.integers(0, 40))

@@ -58,8 +58,16 @@ MUTANTS = (
            "decide(agent.number, ",
            "decide(agent.leg.invite.to_number, "),
     Mutant("sip-field-unescaped", "netsim.py",
-           '"sip": {q(r["sip"])}}}',
-           '"sip": "{r["sip"]}"}}'),
+           "literal = literals[sip] = q(sip)",
+           "literal = literals[sip] = f'\"{sip}\"'"),
+    # write_trace streams the trace in chunks of rows and holds a sip
+    # literal only until its twin row writes it.
+    Mutant("trace-literal-kept", "netsim.py",
+           "literal = literals.pop(sip, None)",
+           "literal = literals.get(sip, None)"),
+    Mutant("trace-chunk-repeats-a-row", "netsim.py",
+           "rows[start : start + _CHUNK_ROWS]",
+           "rows[start : start + _CHUNK_ROWS + 1]"),
     Mutant("first-180-overwritten", "cive.py",
            "if code == 180 and not self.saw_180:",
            "if code == 180:"),
@@ -163,6 +171,10 @@ MUTANTS = (
     Mutant("heap-ties-lifo", "netsim.py",
            "(self.now + delay_ms, seq, callback, args)",
            "(self.now + delay_ms, -seq, callback, args)"),
+    # Same-instant deliveries run in send order; cancelled timers are untouched.
+    Mutant("delivery-ties-lifo", "netsim.py",
+           "(now + delay, seq, self._deliver, (dest, msg, from_hop, sip))",
+           "(now + delay, -seq, self._deliver, (dest, msg, from_hop, sip))"),
     Mutant("overrun-counts-cancelled", "netsim.py",
            "            if seq in cancelled:\n",
            "            if at > budget:\n"
